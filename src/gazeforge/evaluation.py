@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import gamma as _gamma
 
 from .core import MovementLabel, RandomSource, VelocityProfile
 from .errors import ParameterError
-from .generators import GAMMA_TAIL_QUANTILE, gamma_profile
+from .generators import gamma_profile, gamma_tail
 from .mapping import _label_runs  # run segmentation shared with mapping
 
 DEFAULT_REPEATS = 10
@@ -66,35 +64,31 @@ def extract_descriptors(
     labels = np.asarray(labels)
     if len(velocities) != len(labels):
         raise ParameterError("velocities and labels must have equal length")
-    out = []
-    for start, end, lab in _label_runs(labels):
-        label = MovementLabel(lab)
-        if label == MovementLabel.NOISE:
-            continue
-        seg = velocities[start:end]
-        n = end - start
-        if label == MovementLabel.SACCADE:
-            idx = int(np.argmax(seg))
-            out.append(
-                SegmentDescriptor(
-                    label, n, peak_velocity=float(seg[idx]), peak_index=idx
-                )
-            )
-        else:
-            std = float(seg.std(ddof=1)) if n > 1 else 0.0
-            out.append(
-                SegmentDescriptor(
-                    label, n, mean_velocity=float(seg.mean()), std_velocity=std
-                )
-            )
-    return out
+    return [
+        _descriptor(MovementLabel(lab), velocities[start:end])
+        for start, end, lab in _label_runs(labels)
+        if lab != MovementLabel.NOISE
+    ]
+
+
+def _descriptor(label: MovementLabel, seg: np.ndarray) -> SegmentDescriptor:
+    """Descriptor of one labeled, non-noise run of velocities."""
+    n = len(seg)
+    if label == MovementLabel.SACCADE:
+        idx = int(np.argmax(seg))
+        return SegmentDescriptor(
+            label, n, peak_velocity=float(seg[idx]), peak_index=idx
+        )
+    std = float(seg.std(ddof=1)) if n > 1 else 0.0
+    return SegmentDescriptor(
+        label, n, mean_velocity=float(seg.mean()), std_velocity=std
+    )
 
 
 def _mode_index(shape: float, length: int) -> float:
     """Fractional sample index of the Gamma profile mode for a run of the
     given length."""
-    x_end = float(_gamma.ppf(GAMMA_TAIL_QUANTILE, shape))
-    return (length - 1) * (shape - 1.0) / x_end
+    return (length - 1) * (shape - 1.0) / gamma_tail(shape)
 
 
 def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]:
@@ -102,7 +96,10 @@ def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]
 
     Returns (shape, exact). When the requested index is unattainable (the
     run boundary), the nearest attainable mode is used and exact is False.
+    The fit is deterministic and draws no random numbers.
     """
+    from scipy.optimize import brentq  # deferred: costly to import
+
     if length < 2:
         raise ParameterError("saccade run must have at least 2 samples")
     if peak_index <= 0:
@@ -189,7 +186,11 @@ def evaluate_dataset(
     repeats: int = DEFAULT_REPEATS,
 ) -> ErrorSummary:
     """Simulate every labeled segment `repeats` times and pool the per-sample
-    squared errors by movement type."""
+    squared errors by movement type.
+
+    Saccade re-simulations are deterministic: each saccade is simulated
+    once and its errors are pooled `repeats` times.
+    """
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
     velocities = np.asarray(velocities, dtype=float)
@@ -201,11 +202,17 @@ def evaluate_dataset(
         if label == MovementLabel.NOISE:
             continue
         seg = velocities[start:end]
-        descr = extract_descriptors(seg, labels[start:end])[0]
-        for rep in range(repeats):
-            child = rng.derive(seg_index, rep)
-            sim = simulate_from_descriptor(descr, child)
-            pooled.setdefault(label, []).append(squared_error(sim.velocities, seg))
+        descr = _descriptor(label, seg)
+        chunks = pooled.setdefault(label, [])
+        if label == MovementLabel.SACCADE:
+            # Saccade re-simulation draws no random numbers: every repeat
+            # yields the same errors.
+            sim = simulate_from_descriptor(descr, rng.derive(seg_index, 0))
+            chunks.extend([squared_error(sim.velocities, seg)] * repeats)
+        else:
+            for rep in range(repeats):
+                sim = simulate_from_descriptor(descr, rng.derive(seg_index, rep))
+                chunks.append(squared_error(sim.velocities, seg))
         seg_index += 1
     per_type = {}
     vectors = {}

@@ -99,18 +99,28 @@ def _parse_float(token: str, row: int, what: str) -> float:
     return v
 
 
+def _increasing_timestamps(ts: list[float], rows: list[int]) -> np.ndarray:
+    """Timestamps as an array; raises at the first row not after its
+    predecessor."""
+    if not ts:
+        raise ParseError("no data rows", "row 2")
+    ts_arr = np.array(ts)
+    bad = np.flatnonzero(np.diff(ts_arr) <= 0)
+    if len(bad):
+        raise ParseError(
+            "timestamps not strictly increasing", f"row {rows[bad[0] + 1]}"
+        )
+    return ts_arr
+
+
 def read_velocity_csv_text(text: str) -> SampledSignal:
-    ts, vs, ls = [], [], []
+    ts, vs, ls, rows = [], [], [], []
     for row, (t_ms, v, lab) in _read_rows(text, VELOCITY_HEADER, 3):
         ts.append(_parse_float(t_ms, row, "timestamp") / 1000.0)
         vs.append(_parse_float(v, row, "velocity"))
         ls.append(int(_parse_label(lab, row)))
-    if not ts:
-        raise ParseError("no data rows", "row 2")
-    ts_arr = np.array(ts)
-    if np.any(np.diff(ts_arr) <= 0):
-        bad = int(np.argmax(np.diff(ts_arr) <= 0)) + 3
-        raise ParseError("timestamps not strictly increasing", f"row {bad}")
+        rows.append(row)
+    ts_arr = _increasing_timestamps(ts, rows)
     return SampledSignal(ts_arr, np.array(vs), np.array(ls))
 
 
@@ -138,20 +148,20 @@ def read_gaze_csv_text(
     height: int = 0,
     pixels_per_degree: float = 30.0,
 ) -> GazeTrace:
-    ts, xs, ys, ls = [], [], [], []
+    ts, xs, ys, ls, rows = [], [], [], [], []
     for row, (t_ms, x, y, lab) in _read_rows(text, GAZE_HEADER, 4):
         ts.append(_parse_float(t_ms, row, "timestamp") / 1000.0)
         xs.append(_parse_float(x, row, "x coordinate"))
         ys.append(_parse_float(y, row, "y coordinate"))
         ls.append(int(_parse_label(lab, row)))
-    if not ts:
-        raise ParseError("no data rows", "row 2")
+        rows.append(row)
+    ts_arr = _increasing_timestamps(ts, rows)
     if width == 0:
         width = int(np.ceil(max(xs))) + 1
     if height == 0:
         height = int(np.ceil(max(ys))) + 1
     return GazeTrace(
-        np.array(ts), np.array(xs), np.array(ys), np.array(ls),
+        ts_arr, np.array(xs), np.array(ys), np.array(ls),
         width, height, pixels_per_degree,
     )
 

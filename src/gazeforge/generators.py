@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import gamma as _gamma
+from scipy.special import gammaincinv, gammaln, xlogy
 
 from .core import (
     BoundedDistribution,
@@ -130,6 +130,11 @@ def gen_fixation(
     return VelocityProfile(base_rate, v, labels)
 
 
+def gamma_tail(shape: float) -> float:
+    """GAMMA_TAIL_QUANTILE quantile of the unit-scale Gamma(shape) law."""
+    return float(gammaincinv(shape, GAMMA_TAIL_QUANTILE))
+
+
 def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
     """Jitter-free Gamma-shaped velocity profile with exact peak.
 
@@ -144,11 +149,11 @@ def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
         )
     if n < 2:
         raise ParameterError("saccade needs at least 2 samples")
-    x_end = float(_gamma.ppf(GAMMA_TAIL_QUANTILE, shape))
+    x_end = gamma_tail(shape)
     if not np.isfinite(x_end):
         raise ParameterError(f"gamma support not finite for shape {shape:.6g}")
     x = np.linspace(0.0, x_end, n)
-    g = _gamma.pdf(x, shape)
+    g = np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape))  # Gamma density
     m = g.max()
     if not np.isfinite(m) or m <= 0:
         raise ParameterError(f"degenerate gamma density for shape {shape:.6g}")

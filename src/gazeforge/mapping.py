@@ -149,40 +149,33 @@ def _choose_target(
 
 
 def _effective_labels(labels: np.ndarray) -> np.ndarray:
-    """Assign each NOISE sample the movement type of its surrounding run."""
-    out = labels.copy()
-    noise = MovementLabel.NOISE
-    last = None
-    for i in range(len(out)):
-        if out[i] != noise:
-            last = out[i]
-        elif last is not None:
-            out[i] = last
-    # Leading noise samples take the first real label.
-    first = None
-    for lab in out:
-        if lab != noise:
-            first = lab
-            break
-    if first is None:
+    """Assign each NOISE sample the movement type of its surrounding run.
+
+    NOISE takes the label of the last real sample before it; leading NOISE
+    takes the first real label.
+    """
+    labels = np.asarray(labels)
+    real = labels != int(MovementLabel.NOISE)
+    if not real.any():
         raise MappingError("signal contains only noise samples")
-    for i in range(len(out)):
-        if out[i] == noise:
-            out[i] = first
-        else:
-            break
-    return out
+    # Index of the latest real sample at or before each position; leading
+    # NOISE points at the first real sample.
+    first = int(np.argmax(real))
+    src = np.where(real, np.arange(len(labels)), first)
+    np.maximum.accumulate(src, out=src)
+    return labels[src]
 
 
 def _label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
     """(start, end, label) for each maximal constant run; end is exclusive."""
-    runs = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            runs.append((start, i, int(labels[start])))
-            start = i
-    return runs
+    labels = np.asarray(labels)
+    n = len(labels)
+    if n == 0:
+        return []
+    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), n]
+    return [
+        (start, end, int(labels[start])) for start, end in zip(bounds, bounds[1:])
+    ]
 
 
 def map_to_gaze(
@@ -295,15 +288,20 @@ def extract_velocities(trace: GazeTrace) -> np.ndarray:
     if n < 2:
         raise ParameterError("need at least 2 samples to compute velocities")
     t, x, y = trace.timestamps, trace.x, trace.y
-    v = np.empty(n)
-    for i in range(n):
-        a = max(i - 1, 0)
-        b = min(i + 1, n - 1)
-        dt = t[b] - t[a]
-        if dt <= 0:
-            raise ParameterError(f"non-increasing timestamps at sample {i}")
-        v[i] = math.hypot(x[b] - x[a], y[b] - y[a]) / dt / trace.pixels_per_degree
-    return v
+    i = np.arange(n)
+    a = np.maximum(i - 1, 0)
+    b = np.minimum(i + 1, n - 1)
+    dt = t[b] - t[a]
+    bad = np.flatnonzero(dt <= 0)
+    if len(bad):
+        raise ParameterError(f"non-increasing timestamps at sample {int(bad[0])}")
+    # math.hypot per element: np.hypot can differ from it in the last ulp.
+    dist = np.fromiter(
+        map(math.hypot, (x[b] - x[a]).tolist(), (y[b] - y[a]).tolist()),
+        dtype=float,
+        count=n,
+    )
+    return dist / dt / trace.pixels_per_degree
 
 
 def fixation_centroids(trace: GazeTrace) -> TargetSet:

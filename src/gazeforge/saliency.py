@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .core import RandomSource
 from .errors import ParameterError
@@ -47,6 +46,8 @@ class TargetSet:
 
 def _resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize to an exact output shape."""
+    from scipy import ndimage  # deferred: costly to import
+
     h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img.copy()
@@ -72,6 +73,7 @@ def spectral_residual(image: np.ndarray) -> SaliencyMap:
         raise ParameterError(f"image must be at least 8x8 px, got {w}x{h}")
     if float(img.max() - img.min()) < 1e-12:
         return SaliencyMap(np.zeros((h, w)))
+    from scipy import ndimage  # deferred: costly to import
 
     if w > WORKING_WIDTH:
         sh = max(int(round(h * WORKING_WIDTH / w)), 8)

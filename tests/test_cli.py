@@ -228,6 +228,23 @@ def test_failed_run_leaves_no_partial_output(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_remap_rejects_time_going_back(tmp_path, capsys):
+    gaze = tmp_path / "real.csv"
+    gaze.write_text(
+        "t_ms,x_px,y_px,label\n"
+        "0.000,10.0,10.0,FIX\n"
+        "10.000,11.0,10.0,FIX\n"
+        "5.000,30.0,20.0,SACC\n"
+        "15.000,40.0,25.0,FIX\n"
+        "20.000,41.0,25.0,FIX\n"
+    )
+    cfg = write_config(tmp_path, mode="remap", paths={"real_data": str(gaze)})
+    out = str(tmp_path / "remapped.csv")
+    assert run(["remap", "--config", cfg, "--output", out]) == EXIT_IO
+    assert "timestamps not strictly increasing (at row 4)" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_full_pipeline_deterministic(tmp_path):
     stim = write_stimulus(tmp_path)
     results = []

@@ -129,6 +129,8 @@ BAD_VELOCITY = [
     ("t_ms,velocity_deg_s,label\n1.0,2.0,FIX\n1.0,3.0,FIX\n", "row 3"),
     ("t_ms,velocity_deg_s,label\n2.0,2.0,FIX\n1.0,3.0,FIX\n", "row 3"),
     ("t_ms,velocity_deg_s,label\n1.0,2.0,FIX\n2.0,3.0,SACC\nbad,4.0,SP\n", "row 4"),
+    # blank lines are skipped but still counted in row positions
+    ("t_ms,velocity_deg_s,label\n1.0,2.0,FIX\n\n0.5,3.0,FIX\n", "row 4"),
 ]
 
 
@@ -146,6 +148,11 @@ BAD_GAZE = [
     ("t_ms,x_px,y_px,label\n1.0,2.0,oops,FIX\n", "row 2"),
     ("t_ms,x_px,y_px,label\n1.0,2.0,3.0,NOPE\n", "row 2"),
     ("t_ms,x_px,y_px,label\n", "row 2"),
+    # time going back: the full positioned message
+    ("t_ms,x_px,y_px,label\n10.0,1.0,1.0,FIX\n5.0,2.0,2.0,FIX\n",
+     "timestamps not strictly increasing (at row 3)"),
+    ("t_ms,x_px,y_px,label\n1.0,1.0,1.0,FIX\n1.0,2.0,2.0,FIX\n", "row 3"),
+    ("t_ms,x_px,y_px,label\n1.0,1.0,1.0,FIX\n\n\n0.5,2.0,2.0,FIX\n", "row 5"),
 ]
 
 

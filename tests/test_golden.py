@@ -1,0 +1,241 @@
+"""Golden output digests: the byte-level behaviour contract of the CLI.
+
+Each case runs ``gazeforge.cli.main`` in-process on a tiny config and
+asserts the sha256 of every file it writes. The inputs (stimulus, frames,
+real gaze and velocity recordings) are built here from fixed numpy seeds
+and fixed-format text, so they do not depend on gazeforge itself.
+
+A change that alters any output byte on purpose must update the digests
+below in the same change and say what changed and why in CHANGES.md.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+import scipy
+
+from gazeforge.cli import EXIT_OK, main
+from gazeforge.fileio import pgm_bytes
+
+# Versions the digests were recorded with. A mismatch is reported next to a
+# failing digest, since another numpy or scipy may legitimately change bytes.
+RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+GOLDEN = {
+    "generate_normal_burst": {
+        "out.csv": "28e3651c98379485c66265d16c36545081fae749c5d55ac8c916cfe244d421f3",
+    },
+    "generate_decreasing_add": {
+        "out.csv": "d6017a06929e6d6156eda56784e44aa564c876941e9fadc408bbac6f33de8f9c",
+    },
+    "map_static": {
+        "out.csv": "46840454e7231151a5990cb33be3c5a7039b981885bcc0ff475743d617d94db2",
+    },
+    "map_static_velocity_input": {
+        "out.csv": "cee774ee32a271da209847b27ec84ad28426bda44d2a568c7bc8e33fcd5b076e",
+    },
+    "map_dynamic": {
+        "out.csv": "28f4e3fa04f0eba23f596fd5a6e3193e543a11294f5ad9217f70adb24e8e8f8a",
+    },
+    "remap_same_stimulus": {
+        "out.csv": "efbfe65979ff856ba275f335849a0bf48da201625a4cc6aeb4ef793c9af3b36d",
+    },
+    "remap_new_stimulus": {
+        "out.csv": "72edf2c39089b5ffdb9d1634929d6d28cd2881482b5556342cd7706b5c803a96",
+    },
+    "saliency_targets": {
+        "out.pgm": "aae1f7ba89ecd3cf815ebcd9fec8b30e8ebdb0cb82dbbf6d44aef8c29bc2f24f",
+        "targets.csv": "409e622427b1f5ba9189527aeaaf8baa8389ca78d84d38f8193929d2bc0304ab",
+    },
+    "evaluate_errors": {
+        "out.csv": "d8843e22662c8a9723830d8d323e68d389e2b9e8d6608e5e3619ae6f81f38beb",
+        "errors.csv": "80ee0fd78b24dfa1c443bbf5ab2410a9f76279bcf155f6f0daf9d6e7e7042255",
+    },
+}
+
+SEQUENCE = {
+    "counts": {"fixation": 6, "saccade": 5, "smooth_pursuit": 2},
+    "constraints": [{"kind": "after_each", "first": "saccade", "second": "fixation"}],
+}
+
+
+def _stimulus(seed: int, size=(48, 64)) -> bytes:
+    rng = np.random.default_rng(seed)
+    img = rng.random(size) * 0.2
+    img[10:16, 8:14] = 1.0
+    img[30:36, 45:51] = 0.9
+    img[20:25, 30:34] = 0.7
+    return pgm_bytes(img)
+
+
+def _labels_and_speeds(seed: int) -> tuple[list[str], list[float]]:
+    """A labeled recording: leading and trailing NOISE, fixations, saccades
+    (peaks at the first, a middle and the last sample) and pursuits."""
+    rng = np.random.default_rng(seed)
+    runs = [
+        ("NOISE", 3), ("FIX", 40), ("SACC", 12), ("FIX", 35), ("NOISE", 2),
+        ("FIX", 20), ("SACC", 9), ("SP", 45), ("SACC", 7), ("FIX", 30),
+        ("SACC", 15), ("FIX", 25), ("SP", 30), ("NOISE", 4),
+    ]
+    labels: list[str] = []
+    speeds: list[float] = []
+    sacc_peak = {0: 0, 1: 3, 2: 6, 3: 14}  # by saccade ordinal
+    n_sacc = 0
+    for name, n in runs:
+        u = rng.random(n)
+        if name == "FIX":
+            v = 2.0 + 3.0 * u
+        elif name == "SP":
+            v = 15.0 + 5.0 * u
+        elif name == "NOISE":
+            v = 400.0 * u
+        else:
+            peak = sacc_peak[n_sacc]
+            n_sacc += 1
+            v = np.array(
+                [300.0 * math.exp(-0.5 * ((i - peak) / 2.5) ** 2) for i in range(n)]
+            ) + u
+        labels.extend([name] * n)
+        speeds.extend(float(x) for x in v)
+    return labels, speeds
+
+
+def _real_gaze_csv(seed: int) -> str:
+    """Gaze rows at 4 ms whose positions follow the labeled speeds."""
+    labels, speeds = _labels_and_speeds(seed)
+    rng = np.random.default_rng(seed + 1)
+    x, y = 20.0, 30.0
+    lines = ["t_ms,x_px,y_px,label"]
+    for i, (lab, v) in enumerate(zip(labels, speeds)):
+        ang = 2.0 * math.pi * float(rng.random())
+        step = min(v * 0.004 * 0.5, 4.0)
+        x = min(max(x + step * math.cos(ang), 0.0), 63.0)
+        y = min(max(y + step * math.sin(ang), 0.0), 47.0)
+        lines.append(f"{4.0 * (i + 1):.3f},{x:.3f},{y:.3f},{lab}")
+    return "\n".join(lines) + "\n"
+
+
+def _real_velocity_csv(seed: int) -> str:
+    labels, speeds = _labels_and_speeds(seed)
+    lines = ["t_ms,velocity_deg_s,label"]
+    for i, (lab, v) in enumerate(zip(labels, speeds)):
+        lines.append(f"{(i + 1):.3f},{v:.6g},{lab}")
+    return "\n".join(lines) + "\n"
+
+
+def _case(name: str, tmp_path):
+    """(argv, config doc) of one golden case; inputs are written to tmp_path."""
+    stim = tmp_path / "stim.pgm"
+    stim.write_bytes(_stimulus(3))
+    base = {"seed": 11, "sequence": SEQUENCE}
+    if name == "generate_normal_burst":
+        doc = dict(
+            base, mode="velocity",
+            saccade={
+                "peak_velocity": {"kind": "normal", "min": 300, "max": 600, "std": 80},
+                "skewness": {"min": 0.6, "max": 1.2},
+            },
+            pursuit={"trend": "linear_increasing"},
+            sampling={"rate": {"min": 250, "max": 300}},
+            noise={
+                "fraction": 0.08, "burst_length": 3, "location_dist": "normal",
+                "magnitude": {"min": 100, "max": 300},
+            },
+        )
+        return ["generate"], doc
+    if name == "generate_decreasing_add":
+        doc = dict(
+            base, mode="velocity", seed=5,
+            pursuit={
+                "trend": "linear_decreasing",
+                "velocity": {"min": 10, "max": 30},
+                "trend_end_velocity": {"min": 5, "max": 25},
+            },
+            fixation={"duration": {"kind": "normal", "min": 0.1, "max": 0.3, "std": 0.05}},
+            sampling={"rate": {"kind": "normal", "min": 120, "max": 200, "std": 30}},
+            noise={"fraction": 0.05, "mode": "add", "magnitude": {"min": 20, "max": 50}},
+        )
+        return ["generate"], doc
+    mapping = {"max_path_deviation": 3.0, "fixation_dispersion": 4.0}
+    if name == "map_static":
+        doc = dict(
+            base, mode="map_static", mapping=mapping,
+            sampling={"rate": {"min": 250, "max": 300}},
+            noise={"fraction": 0.05, "burst_length": 2},
+            paths={"stimulus": str(stim)},
+        )
+        return ["map"], doc
+    if name == "map_static_velocity_input":
+        vel = tmp_path / "vel.csv"
+        vel.write_text(_real_velocity_csv(21))
+        doc = dict(
+            base, mode="map_static", mapping=mapping,
+            paths={"stimulus": str(stim), "velocity_input": str(vel)},
+        )
+        return ["map"], doc
+    if name == "map_dynamic":
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i in range(3):
+            (frames / f"frame{i:03d}.pgm").write_bytes(_stimulus(10 + i))
+        doc = dict(
+            base, mode="map_dynamic",
+            mapping=dict(mapping, frame_rate=2.0),
+            sampling={"rate": {"min": 100, "max": 140}},
+            paths={"frames_dir": str(frames)},
+        )
+        return ["map"], doc
+    if name in ("remap_same_stimulus", "remap_new_stimulus"):
+        real = tmp_path / "real.csv"
+        real.write_text(_real_gaze_csv(31))
+        mode = name[len("remap_"):]
+        paths = {"real_data": str(real)}
+        if mode == "new_stimulus":
+            paths["stimulus"] = str(stim)
+        doc = dict(
+            base, mode="remap", mapping=dict(mapping, remap_mode=mode), paths=paths
+        )
+        return ["remap"], doc
+    if name == "saliency_targets":
+        doc = dict(
+            base, mode="saliency",
+            mapping={"min_target_distance": 4.0, "target_threshold": 0.05},
+            paths={"stimulus": str(stim), "targets_output": str(tmp_path / "targets.csv")},
+        )
+        return ["saliency"], doc
+    if name == "evaluate_errors":
+        real = tmp_path / "real.csv"
+        real.write_text(_real_velocity_csv(41))
+        doc = dict(
+            base, mode="evaluate",
+            paths={"real_data": str(real), "errors_output": str(tmp_path / "errors.csv")},
+        )
+        return ["evaluate", "--repeats", "3"], doc
+    raise KeyError(name)
+
+
+def _digests(name: str, tmp_path) -> dict[str, str]:
+    argv, doc = _case(name, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = "out.pgm" if name == "saliency_targets" else "out.csv"
+    code = main(argv + ["--config", str(cfg), "--output", str(tmp_path / out)])
+    assert code == EXIT_OK
+    return {
+        fname: hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+        for fname in GOLDEN[name]
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name, tmp_path, capsys):
+    got = _digests(name, tmp_path)
+    running = {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert got == GOLDEN[name], (
+        f"output bytes of {name!r} changed; digests recorded with "
+        f"{RECORDED_WITH}, running {running}"
+    )
