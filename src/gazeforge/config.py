@@ -286,6 +286,13 @@ def read_config(text: str) -> RunConfig:
             sp.get("consistency"), "pursuit.consistency", _DEFAULT_SP.consistency
         ),
     )
+    # Every onset draw would reach the pursuit's end, so no run could finish.
+    if pursuit.onset_duration.min >= pursuit.duration.max:
+        raise ValidationError(
+            f"{pursuit.onset_duration.min:.6g} s must be below "
+            f"pursuit.duration.max {pursuit.duration.max:.6g} s",
+            "pursuit.onset_duration.min",
+        )
 
     sa = doc.get("sampling", {})
     _check_keys(sa, {"rate"}, "sampling")

@@ -18,6 +18,8 @@ from .resampler import SampledSignal
 
 VELOCITY_HEADER = "t_ms,velocity_deg_s,label"
 GAZE_HEADER = "t_ms,x_px,y_px,label"
+# CSV label name by label value.
+_LABEL_NAME = tuple(LABEL_NAMES[label] for label in MovementLabel)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -47,10 +49,6 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def _format_label(lab: int) -> str:
-    return LABEL_NAMES[MovementLabel(int(lab))]
-
-
 def _parse_label(token: str, row: int) -> MovementLabel:
     try:
         return NAME_LABELS[token]
@@ -60,8 +58,10 @@ def _parse_label(token: str, row: int) -> MovementLabel:
 
 def velocity_csv_text(signal: SampledSignal) -> str:
     lines = [VELOCITY_HEADER]
-    for t, v, lab in zip(signal.timestamps, signal.velocities, signal.labels):
-        lines.append(f"{t * 1000.0:.3f},{v:.6g},{_format_label(lab)}")
+    for t, v, lab in zip(
+        signal.timestamps.tolist(), signal.velocities.tolist(), signal.labels.tolist()
+    ):
+        lines.append(f"{t * 1000.0:.3f},{v:.6g},{_LABEL_NAME[lab]}")
     return "\n".join(lines) + "\n"
 
 
@@ -131,10 +131,10 @@ def read_velocity_csv(path: str) -> SampledSignal:
 
 def gaze_csv_text(trace: GazeTrace) -> str:
     lines = [GAZE_HEADER]
-    for t, x, y, lab in zip(trace.timestamps, trace.x, trace.y, trace.labels):
-        lines.append(
-            f"{t * 1000.0:.3f},{x:.3f},{y:.3f},{_format_label(lab)}"
-        )
+    for t, x, y, lab in zip(
+        trace.timestamps.tolist(), trace.x.tolist(), trace.y.tolist(), trace.labels.tolist()
+    ):
+        lines.append(f"{t * 1000.0:.3f},{x:.3f},{y:.3f},{_LABEL_NAME[lab]}")
     return "\n".join(lines) + "\n"
 
 
@@ -216,6 +216,20 @@ class _PgmScanner:
         return v
 
 
+def _p2_plain_pixels(body: bytes, n: int, maxval: int) -> np.ndarray | None:
+    """P2 pixels parsed by numpy when ``body`` is exactly n in-range decimal
+    numbers separated by whitespace; None for anything else (comments,
+    signs, other bytes, a wrong count), which the scanner then reads and
+    positions the error of."""
+    if body.translate(None, b"0123456789 \t\r\n"):
+        return None
+    values = np.fromstring(body, dtype=float, sep=" ")
+    # Whitespace alone parses as [-1.0], hence the lower bound.
+    if len(values) != n or values.min() < 0 or values.max() > maxval:
+        return None
+    return values
+
+
 def read_pgm_bytes(data: bytes) -> np.ndarray:
     """Decode a P2/P5 graymap into a float grid normalized by maxval."""
     sc = _PgmScanner(data)
@@ -227,14 +241,14 @@ def read_pgm_bytes(data: bytes) -> np.ndarray:
     maxval = sc.integer("maxval", 1, 65535)
     n = width * height
     if magic == b"P2":
-        values = np.empty(n, dtype=float)
-        for i in range(n):
-            start = sc.pos
-            v = sc.integer("pixel value", 0, maxval)
-            values[i] = v
-        sc.skip_ws()
-        if sc.pos < len(sc.data):
-            raise ParseError("trailing data after pixels", f"byte {sc.pos}")
+        values = _p2_plain_pixels(data[sc.pos :], n, maxval)
+        if values is None:
+            values = np.empty(n, dtype=float)
+            for i in range(n):
+                values[i] = sc.integer("pixel value", 0, maxval)
+            sc.skip_ws()
+            if sc.pos < len(sc.data):
+                raise ParseError("trailing data after pixels", f"byte {sc.pos}")
     else:
         # Exactly one whitespace byte separates the header from the payload.
         if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in b" \t\r\n":

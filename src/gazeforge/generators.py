@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, xlogy
 
 from .core import (
     BoundedDistribution,
@@ -132,6 +131,8 @@ def gen_fixation(
 
 def gamma_tail(shape: float) -> float:
     """GAMMA_TAIL_QUANTILE quantile of the unit-scale Gamma(shape) law."""
+    from scipy.special import gammaincinv  # deferred: costly to import
+
     return float(gammaincinv(shape, GAMMA_TAIL_QUANTILE))
 
 
@@ -152,6 +153,8 @@ def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
     x_end = gamma_tail(shape)
     if not np.isfinite(x_end):
         raise ParameterError(f"gamma support not finite for shape {shape:.6g}")
+    from scipy.special import gammaln, xlogy  # deferred: costly to import
+
     x = np.linspace(0.0, x_end, n)
     g = np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape))  # Gamma density
     m = g.max()

@@ -6,11 +6,13 @@ their (possibly varying) frame interval.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundedDistribution, RandomSource, VelocityProfile, sample_bounded
+from .core import BoundedDistribution, RandomSource, VelocityProfile, sample_bounded_many
 from .errors import ParameterError
 
 # Slack (in base-sample index units) for window boundary comparisons, so a
@@ -55,17 +57,71 @@ class SampledSignal:
         )
 
 
-def _window_label(labels: np.ndarray) -> int:
-    counts = np.bincount(labels)
-    best = counts.max()
-    tied = set(np.flatnonzero(counts == best))
-    if len(tied) == 1:
-        return int(tied.pop())
-    # Tie: take the label of the latest base sample carrying a tied label.
-    for lab in labels[::-1]:
-        if int(lab) in tied:
-            return int(lab)
-    return int(labels[-1])
+def _window_ends(n: int, base_rate: float, spec: RateSpec, rng: RandomSource):
+    """Output clock times and base-sample window bounds ``lo <= i < hi``.
+
+    Draws the rates in one batch on a copy of ``rng``, finds where the
+    sampling loop stops, then advances ``rng`` by exactly the draws that
+    loop makes, the stopping draw included.
+    """
+    # Every rate is at most rate.max, so m draws reach past the profile end
+    # (the retry covers rounding in the running sum on huge profiles).
+    m = math.ceil(n / base_rate * spec.rate.max) + 2
+    while True:
+        r = sample_bounded_many(spec.rate, m, copy.deepcopy(rng))
+        t = np.cumsum(1.0 / r)  # sequential sums, as t_prev + 1/r
+        hi = np.floor(t * base_rate + _INDEX_EPS)
+        lo = np.concatenate(([0.0], hi[:-1]))
+        stops = np.flatnonzero((hi >= n) | (hi <= lo))
+        if len(stops):
+            break
+        m *= 2
+    k = int(stops[0])
+    sample_bounded_many(spec.rate, k + 1, rng)
+    if hi[k] <= lo[k]:
+        raise ParameterError(
+            f"empty resampling window at t={t[k]:.6g} s (rate draw "
+            f"{r[k]:.6g} Hz above base rate?)"
+        )
+    # A window ending exactly at the profile end is kept; one past it is not.
+    end = k + 1 if hi[k] == n else k
+    return t[:end], lo[:end].astype(np.intp), hi[:end].astype(np.intp)
+
+
+def _window_means(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-window ``v[lo:hi].mean()``, bit for bit.
+
+    Windows are gathered into one 2-D block per width, whose row means sum
+    in the same (pairwise) order as a 1-D ``.mean()``.
+    """
+    widths = hi - lo
+    means = np.empty(len(lo))
+    order = np.argsort(widths, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
+    for sel in groups:
+        if len(sel):
+            means[sel] = v[lo[sel, None] + np.arange(widths[sel[0]])].mean(axis=1)
+    return means
+
+
+def _window_labels(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Majority label per window; ties go to the label of the latest tied
+    base sample."""
+    best = np.zeros(len(lo), dtype=np.uint8)
+    best_count = np.full(len(lo), -1)
+    best_last = np.full(len(lo), -1)
+    for lab in np.flatnonzero(np.bincount(labels)):
+        at = np.flatnonzero(labels == lab)
+        upto_hi = np.searchsorted(at, hi)
+        count = upto_hi - np.searchsorted(at, lo)
+        # Meaningless where count is 0; such a label never wins a window,
+        # since every window holds at least one sample.
+        last = at[upto_hi - 1]
+        wins = (count > best_count) | ((count == best_count) & (last > best_last))
+        best[wins] = lab
+        best_count[wins] = count[wins]
+        best_last[wins] = last[wins]
+    return best
 
 
 def resample(
@@ -77,6 +133,12 @@ def resample(
     output sample at clock t_curr is the mean over base samples in
     (t_prev, t_curr]; its label is the window's majority label, ties broken
     by the latest base sample.
+
+    One rate is drawn per output sample, plus the draw that ends sampling
+    (the first window reaching past the profile end, which is dropped).
+    Clock times are running sums of 1/rate taken left to right, and each
+    window mean equals numpy's ``.mean()`` of that window alone, so the
+    result does not depend on how the windows are computed together.
     """
     n = len(profile)
     if n == 0:
@@ -86,31 +148,9 @@ def resample(
             f"target rate max {spec.rate.max:.6g} Hz exceeds base rate "
             f"{profile.base_rate:.6g} Hz"
         )
-    duration = n / profile.base_rate
-    ts: list[float] = []
-    vs: list[float] = []
-    ls: list[int] = []
-    t_prev = 0.0
-    lo = 0
-    while True:
-        r = sample_bounded(spec.rate, rng)
-        t_curr = t_prev + 1.0 / r
-        hi = int(np.floor(t_curr * profile.base_rate + _INDEX_EPS))
-        if hi > n:
-            # Window would extend past the profile end: stop.
-            break
-        if hi <= lo:
-            raise ParameterError(
-                f"empty resampling window at t={t_curr:.6g} s (rate draw "
-                f"{r:.6g} Hz above base rate?)"
-            )
-        window_v = profile.velocities[lo:hi]
-        window_l = profile.labels[lo:hi]
-        ts.append(t_curr)
-        vs.append(float(window_v.mean()))
-        ls.append(_window_label(window_l))
-        t_prev = t_curr
-        lo = hi
-        if hi == n:
-            break
-    return SampledSignal(np.array(ts), np.array(vs), np.array(ls))
+    t, lo, hi = _window_ends(n, profile.base_rate, spec, rng)
+    return SampledSignal(
+        t,
+        _window_means(profile.velocities, lo, hi),
+        _window_labels(profile.labels, lo, hi),
+    )

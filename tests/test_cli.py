@@ -228,6 +228,22 @@ def test_failed_run_leaves_no_partial_output(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_pursuit_onset_past_duration_is_config_error(tmp_path, capsys):
+    # Used to load, then fail every run after 100 onset redraws (exit 4).
+    cfg = write_config(
+        tmp_path,
+        sequence={"counts": {"fixation": 2, "smooth_pursuit": 1}},
+        pursuit={
+            "duration": {"min": 0.2, "max": 0.3},
+            "onset_duration": {"min": 0.3, "max": 0.4},
+        },
+    )
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", cfg, "--output", out]) == EXIT_CONFIG
+    assert "pursuit.onset_duration.min" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_remap_rejects_time_going_back(tmp_path, capsys):
     gaze = tmp_path / "real.csv"
     gaze.write_text(

@@ -94,6 +94,24 @@ def test_rate_above_base_rate_rejected():
     assert "sampling.rate" in str(e.value)
 
 
+@pytest.mark.parametrize("onset_min", [0.3, 0.5])
+def test_pursuit_onset_not_below_duration_rejected(onset_min):
+    with pytest.raises(ValidationError) as e:
+        read_config(cfg_text(pursuit={
+            "duration": {"min": 0.1, "max": 0.3},
+            "onset_duration": {"min": onset_min, "max": 0.6},
+        }))
+    assert e.value.field == "pursuit.onset_duration.min"
+
+
+def test_pursuit_onset_below_duration_max_accepted():
+    cfg = read_config(cfg_text(pursuit={
+        "duration": {"min": 0.1, "max": 0.3},
+        "onset_duration": {"min": 0.29, "max": 0.6},
+    }))
+    assert cfg.pursuit.onset_duration.min == 0.29
+
+
 def test_bad_constraint_kind():
     with pytest.raises(ValidationError) as e:
         read_config(cfg_text(sequence={

@@ -2,9 +2,11 @@
 
 The loops below are the original per-sample implementations of the label
 segmentation and velocity extraction used by mapping, remap and
-evaluation. The fast versions must return identical bytes and raise the
-same errors. The Gamma helpers are checked against ``scipy.stats.gamma``,
-which they replace.
+evaluation, of the fluctuating-rate resampler, and of the token-by-token
+P2 pixel decode. The fast versions must return identical bytes, raise the
+same errors and, for the resampler, leave the random stream at the same
+place. The Gamma helpers are checked against ``scipy.stats.gamma``, which
+they replace.
 """
 from __future__ import annotations
 
@@ -16,8 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import gamma as sp_gamma
 
-from gazeforge.core import MovementLabel, RandomSource
-from gazeforge.errors import MappingError, ParameterError
+from gazeforge import resampler
+from gazeforge.core import (
+    BoundedDistribution,
+    MovementLabel,
+    RandomSource,
+    VelocityProfile,
+    sample_bounded,
+)
+from gazeforge.errors import MappingError, ParameterError, ParseError
 from gazeforge.evaluation import (
     _mode_index,
     evaluate_dataset,
@@ -25,6 +34,7 @@ from gazeforge.evaluation import (
     simulate_from_descriptor,
     squared_error,
 )
+from gazeforge.fileio import MAX_PGM_DIM, _PgmScanner, read_pgm_bytes
 from gazeforge.generators import GAMMA_TAIL_QUANTILE, gamma_profile, gamma_tail
 from gazeforge.mapping import (
     GazeTrace,
@@ -106,11 +116,76 @@ def evaluate_dataset_loop(velocities, labels, rng, repeats):
     return {label: np.concatenate(chunks) for label, chunks in pooled.items()}
 
 
+def window_label_loop(labels: np.ndarray) -> int:
+    counts = np.bincount(labels)
+    best = counts.max()
+    tied = set(np.flatnonzero(counts == best))
+    if len(tied) == 1:
+        return int(tied.pop())
+    # Tie: take the label of the latest base sample carrying a tied label.
+    for lab in labels[::-1]:
+        if int(lab) in tied:
+            return int(lab)
+    return int(labels[-1])
+
+
+def resample_loop(profile, spec, rng):
+    """One rate draw, window and output sample per loop turn."""
+    n = len(profile)
+    if n == 0:
+        raise ParameterError("cannot resample an empty profile")
+    if spec.rate.max > profile.base_rate:
+        raise ParameterError(
+            f"target rate max {spec.rate.max:.6g} Hz exceeds base rate "
+            f"{profile.base_rate:.6g} Hz"
+        )
+    ts, vs, ls = [], [], []
+    t_prev = 0.0
+    lo = 0
+    while True:
+        r = sample_bounded(spec.rate, rng)
+        t_curr = t_prev + 1.0 / r
+        hi = int(np.floor(t_curr * profile.base_rate + resampler._INDEX_EPS))
+        if hi > n:
+            break
+        if hi <= lo:
+            raise ParameterError(
+                f"empty resampling window at t={t_curr:.6g} s (rate draw "
+                f"{r:.6g} Hz above base rate?)"
+            )
+        ts.append(t_curr)
+        vs.append(float(profile.velocities[lo:hi].mean()))
+        ls.append(window_label_loop(profile.labels[lo:hi]))
+        t_prev = t_curr
+        lo = hi
+        if hi == n:
+            break
+    return resampler.SampledSignal(np.array(ts), np.array(vs), np.array(ls))
+
+
+def read_p2_loop(data: bytes) -> np.ndarray:
+    """P2 decode reading every pixel through the header scanner."""
+    sc = _PgmScanner(data)
+    magic = sc.token("magic number")
+    if magic != b"P2":
+        raise ParseError(f"bad magic {magic!r} (expected P2 or P5)", "byte 0")
+    width = sc.integer("width", 1, MAX_PGM_DIM)
+    height = sc.integer("height", 1, MAX_PGM_DIM)
+    maxval = sc.integer("maxval", 1, 65535)
+    values = np.empty(width * height, dtype=float)
+    for i in range(width * height):
+        values[i] = sc.integer("pixel value", 0, maxval)
+    sc.skip_ws()
+    if sc.pos < len(sc.data):
+        raise ParseError("trailing data after pixels", f"byte {sc.pos}")
+    return values.reshape(height, width) / float(maxval)
+
+
 def outcome(fn, *args):
     """(result, None) or (None, (error type, message)) of fn(*args)."""
     try:
         return fn(*args), None
-    except (MappingError, ParameterError) as e:
+    except (MappingError, ParameterError, ParseError) as e:
         return None, (type(e), str(e))
 
 
@@ -195,6 +270,163 @@ def test_extract_velocities_names_first_bad_sample():
     with pytest.raises(ParameterError, match="at sample 3$"):
         extract_velocities(trace)
     assert outcome(extract_velocities, trace)[1] == outcome(extract_velocities_loop, trace)[1]
+
+
+# --- resampling: batched rate draws, per-width window means, label counts ---
+
+@st.composite
+def rate_specs(draw, base_rate):
+    lo = draw(st.one_of(
+        st.floats(base_rate / 60.0, base_rate / 9.0),  # windows of 9+ samples
+        st.floats(base_rate / 9.0, base_rate),
+    ))
+    hi = draw(st.floats(lo, base_rate))
+    kind = draw(st.sampled_from(["uniform", "normal", "fixed", "base"]))
+    if kind == "uniform":
+        dist = BoundedDistribution.uniform(lo, hi)
+    elif kind == "normal":
+        dist = BoundedDistribution.normal(lo, hi, draw(st.floats(0.0, base_rate)))
+    elif kind == "fixed":
+        dist = BoundedDistribution.fixed(lo)
+    else:
+        dist = BoundedDistribution.fixed(base_rate)
+    return resampler.RateSpec(dist)
+
+
+@st.composite
+def resample_cases(draw):
+    base_rate = draw(st.sampled_from([1000.0, 500.0, 250.0, 997.3, 60.0, 1.5]))
+    n = draw(st.one_of(st.just(1), st.integers(1, 40), st.integers(41, 1500)))
+    seed = draw(st.integers(0, 2**32))
+    data = np.random.default_rng(seed)
+    pattern = draw(st.sampled_from(["random", "two", "alternating", "runs"]))
+    if pattern == "random":
+        labels = data.integers(0, 4, n)
+    elif pattern == "two":  # many exact ties between two labels
+        labels = data.choice(draw(st.sampled_from([[0, 1], [1, 3], [2, 0]])), n)
+    elif pattern == "alternating":
+        labels = np.arange(n) % draw(st.integers(2, 4))
+    else:
+        labels = np.repeat(data.integers(0, 4, n), data.integers(1, 12, n))[:n]
+    velocities = data.normal(0.0, 100.0, n) * data.uniform(0.0, 1e3, n)
+    profile = VelocityProfile(base_rate, velocities, labels.astype(np.uint8))
+    return profile, draw(rate_specs(base_rate)), seed
+
+
+def _assert_resample_matches_loop(profile, spec, seed):
+    got_rng, want_rng = RandomSource(seed), RandomSource(seed)
+    got, got_err = outcome(resampler.resample, profile, spec, got_rng)
+    want, want_err = outcome(resample_loop, profile, spec, want_rng)
+    assert got_err == want_err
+    if want_err is None:
+        for name in ("timestamps", "velocities", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes(), name
+    assert got_rng.uniform() == want_rng.uniform()
+
+
+@settings(max_examples=400, deadline=None)
+@given(resample_cases())
+def test_resample_matches_loop(case):
+    _assert_resample_matches_loop(*case)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 16, 127, 128, 129, 1000])
+def test_resample_long_windows_match_loop(width):
+    # Window sums of 8 or more samples are pairwise inside numpy.
+    n = width * 7 + 3
+    velocities = np.random.default_rng(width).lognormal(0.0, 3.0, n)
+    profile = VelocityProfile(1000.0, velocities, (np.arange(n) % 3).astype(np.uint8))
+    spec = resampler.RateSpec(BoundedDistribution.fixed(1000.0 / width))
+    _assert_resample_matches_loop(profile, spec, width)
+
+
+def test_resample_empty_window_error_matches_loop(monkeypatch):
+    # The window edge slack keeps windows non-empty at any rate up to the
+    # base rate; a negative slack reaches the error branch whenever the
+    # first draw is clamped to the base rate, which about a third of the
+    # seeds below do.
+    monkeypatch.setattr(resampler, "_INDEX_EPS", -1e-6)
+    profile = VelocityProfile(64.0, np.ones(50), np.zeros(50, dtype=np.uint8))
+    spec = resampler.RateSpec(BoundedDistribution.normal(32.0, 64.0, 64.0))
+    for seed in range(20):
+        _assert_resample_matches_loop(profile, spec, seed)
+    with pytest.raises(ParameterError, match="empty resampling window"):
+        resampler.resample(profile, spec, RandomSource(1))
+
+
+# --- P2 decode: numpy fast path against the token scanner ---
+
+P2_CORPUS = [
+    b"P2\n3 2\n255\n0 128 255\n10 20 30\n",
+    b"P2\n3 2\n255\r\n0\t128 255\r\n10  20\n\n30",
+    b"P2 # header comment\n2 1 255 1 2",
+    b"P2\n3 1\n255\n1 # comment between pixels\n2 3\n",
+    b"P2\n2 1\n255\n1 2 # trailing comment",
+    b"P2\n2 1\n255\n1 2#",
+    b"P2\n2 1\n255\n1\x0b2\n",
+    b"P2\n2 1\n255\n1 \x0c2\n",
+    b"P2\n2 1\n255\n1 2\x0b",
+    b"P2\n2 1\n255\n+5 6\n",
+    b"P2\n2 1\n255\n-0 6\n",
+    b"P2\n2 1\n255\n1_0 6\n",
+    b"P2\n2 1\n255\n-1 6\n",
+    b"P2\n3 1\n255\n007 000 0255\n",
+    b"P2\n2 1\n65535\n65535 0\n",
+    b"P2\n2 1\n65535\n65536 0\n",
+    b"P2\n2 1\n255\n0 256\n",
+    b"P2\n2 1\n255\n0 99999999999999999999999999\n",
+    b"P2\n2 1\n255\n0\n",
+    b"P2\n2 1\n255\n",
+    b"P2\n2 1\n255",
+    b"P2\n1 1\n255\n \n",
+    b"P2\n1 1\n255\n  ",
+    b"P2\n2 1\n255\n0 1 2\n",
+    b"P2\n2 1\n255\n0 1 x\n",
+    b"P2\n2 1\n255\n0 x\n",
+    b"P2\n2 1\n255\n0 1.5\n",
+    b"P2\n2 1\n255\n0 1e2\n",
+    b"P2\n2 1\n255\n0 \xd9\xa3\n",
+    b"P2\n2 1\n255\n0 1\x00",
+]
+
+
+def _assert_p2_matches_loop(data):
+    got, got_err = outcome(read_pgm_bytes, data)
+    want, want_err = outcome(read_p2_loop, data)
+    assert got_err == want_err
+    if want_err is None:
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data", P2_CORPUS)
+def test_p2_decode_matches_scanner(data):
+    _assert_p2_matches_loop(data)
+
+
+_P2_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"  ", b" \n ", b"\x0b", b"\x0c", b" #c\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from([1, 15, 255, 256, 65535]),
+    st.integers(-1, 1),
+    st.data(),
+)
+def test_p2_decode_matches_scanner_generated(width, height, maxval, extra, data):
+    count = max(width * height + extra, 0)
+    values = data.draw(st.lists(st.integers(0, maxval + 2), min_size=count, max_size=count))
+    rare = data.draw(st.booleans())
+    seps = _P2_SEPARATORS if rare else _P2_SEPARATORS[:6]
+    body = b""
+    for v in values:
+        body += data.draw(st.sampled_from(seps)) + b"%d" % v
+    body += data.draw(st.sampled_from([b"", b"\n", b" \n"]))
+    _assert_p2_matches_loop(b"P2\n%d %d\n%d\n" % (width, height, maxval) + body)
 
 
 # --- Gamma helpers against scipy.stats.gamma ---
