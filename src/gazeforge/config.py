@@ -253,6 +253,19 @@ def read_config(text: str) -> RunConfig:
             sc.get("consistency"), "saccade.consistency", _DEFAULT_SAC.consistency
         ),
     )
+    # A skewness above 2 gives a Gamma shape (2/skew)^2 below 1, which has no
+    # finite peak, and a saccade needs two samples; both would fail by seed.
+    if saccade.skewness.max > 2.0:
+        raise ValidationError(
+            f"{saccade.skewness.max:.6g} must be <= 2 (Gamma shape >= 1)",
+            "saccade.skewness.max",
+        )
+    if int(round(saccade.duration.min * base_rate)) < 2:
+        raise ValidationError(
+            f"{saccade.duration.min:.6g} s gives fewer than 2 samples at "
+            f"base_rate_hz {base_rate:.6g}",
+            "saccade.duration.min",
+        )
 
     sp = doc.get("pursuit", {})
     _check_keys(
@@ -286,11 +299,11 @@ def read_config(text: str) -> RunConfig:
             sp.get("consistency"), "pursuit.consistency", _DEFAULT_SP.consistency
         ),
     )
-    # Every onset draw would reach the pursuit's end, so no run could finish.
-    if pursuit.onset_duration.min >= pursuit.duration.max:
+    # A duration draw at or below every onset draw can never finish its onset.
+    if pursuit.onset_duration.min >= pursuit.duration.min:
         raise ValidationError(
             f"{pursuit.onset_duration.min:.6g} s must be below "
-            f"pursuit.duration.max {pursuit.duration.max:.6g} s",
+            f"pursuit.duration.min {pursuit.duration.min:.6g} s",
             "pursuit.onset_duration.min",
         )
 

@@ -44,17 +44,92 @@ class TargetSet:
         return len(self.points)
 
 
-def _resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize to an exact output shape."""
-    from scipy import ndimage  # deferred: costly to import
+def _bilinear_axis(n: int, m: int):
+    """Source neighbours and weights for m points spread over [0, n-1]."""
+    c = np.linspace(0, n - 1, m)
+    lo = np.floor(c)
+    w0 = 1.0 - (c - lo)
+    i0 = lo.astype(np.intp)
+    return i0, np.minimum(i0 + 1, n - 1), w0, 1.0 - w0
 
+
+def _resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize to an exact output shape; corners sample corners.
+
+    Bit-identical to SciPy's ``map_coordinates(order=1, mode="nearest")``
+    on the same ``linspace`` grid, which fixes the arithmetic order: the
+    lower weight is ``w0 = 1 - (c - floor(c))`` and the upper ``1 - w0``
+    (not the fractional part); the upper neighbour is clamped to the last
+    index; each corner term is ``(v * wy) * wx``; the terms are summed v00,
+    v01, v10, v11 in that order onto +0.0 (so an all -0.0 sum comes out
+    +0.0). Applying the row weight to whole source rows before the column
+    gather gives the same products.
+    """
     h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img.copy()
-    ys = np.linspace(0, h - 1, out_h)
-    xs = np.linspace(0, w - 1, out_w)
-    grid = np.meshgrid(ys, xs, indexing="ij")
-    return ndimage.map_coordinates(img, grid, order=1, mode="nearest")
+    y0, y1, wy0, wy1 = _bilinear_axis(h, out_h)
+    x0, x1, wx0, wx1 = _bilinear_axis(w, out_w)
+    r0 = img[y0] * wy0[:, None]
+    r1 = img[y1] * wy1[:, None]
+    out = r0[:, x0]
+    out *= wx0
+    term = r0[:, x1]
+    term *= wx1
+    out += term
+    np.multiply(r1[:, x0], wx0, out=term)
+    out += term
+    np.multiply(r1[:, x1], wx1, out=term)
+    out += term
+    out += 0.0
+    return out
+
+
+def _wrap_lines(x: np.ndarray, axis: int, r: int) -> np.ndarray:
+    """x with `axis` moved first and extended by r wrapped lines per side."""
+    n = x.shape[axis]
+    return np.moveaxis(np.take(x, np.arange(-r, n + r) % n, axis=axis), axis, 0)
+
+
+def _box3_wrap(x: np.ndarray) -> np.ndarray:
+    """3x3 mean with periodic borders, axis 0 then axis 1.
+
+    Bit-identical to SciPy's ``uniform_filter(size=3, mode="wrap")``:
+    a running sum that starts as ``((0.0 + x[-1]) + x[0]) + x[1]`` and adds
+    ``x[i+1] - x[i-2]`` per step (a sequential ``cumsum``), each sum divided
+    by 3 afterwards.
+    """
+    for axis in (0, 1):
+        n = x.shape[axis]
+        e = _wrap_lines(x, axis, 1)  # e[i + 1] is line i
+        steps = np.empty((n,) + e.shape[1:])
+        steps[0] = ((0.0 + e[0]) + e[1]) + e[2]
+        np.subtract(e[3:], e[: n - 1], out=steps[1:])
+        s = np.cumsum(steps, axis=0)
+        s /= 3.0
+        x = np.moveaxis(s, 0, axis)
+    return x
+
+
+def _gauss1_wrap(x: np.ndarray) -> np.ndarray:
+    """Gaussian smoothing, sigma 1 and radius 4, periodic borders, per axis.
+
+    Bit-identical to SciPy's ``gaussian_filter(sigma=1, mode="wrap")``:
+    the kernel is ``phi(k) = exp(-0.5 k^2)`` over k = -4..4 divided by its
+    sum, and each output starts at ``x[i] * phi(0)`` and adds
+    ``(x[i-j] + x[i+j]) * phi(j)`` for j = 4, 3, 2, 1 in that order.
+    """
+    k = np.arange(-4, 5)
+    phi = np.exp(-0.5 * k**2)
+    phi = phi / phi.sum()
+    for axis in (0, 1):
+        n = x.shape[axis]
+        e = _wrap_lines(x, axis, 4)  # e[i + 4] is line i
+        out = e[4 : 4 + n] * phi[4]
+        for j in (4, 3, 2, 1):
+            out += (e[4 - j : 4 - j + n] + e[4 + j : 4 + j + n]) * phi[4 + j]
+        x = np.moveaxis(out, 0, axis)
+    return x
 
 
 def spectral_residual(image: np.ndarray) -> SaliencyMap:
@@ -64,6 +139,11 @@ def spectral_residual(image: np.ndarray) -> SaliencyMap:
     3x3 box smoothing, invert with the original phase, square, smooth, and
     upscale back. Constant images have no residual structure and yield the
     all-zero map.
+
+    The resize and the two periodic filters are numpy code that repeats the
+    arithmetic order of the SciPy 1.17 image filters they replace (see each
+    helper), so maps keep their bytes and no longer depend on the installed
+    SciPy.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2 or img.size == 0:
@@ -73,7 +153,6 @@ def spectral_residual(image: np.ndarray) -> SaliencyMap:
         raise ParameterError(f"image must be at least 8x8 px, got {w}x{h}")
     if float(img.max() - img.min()) < 1e-12:
         return SaliencyMap(np.zeros((h, w)))
-    from scipy import ndimage  # deferred: costly to import
 
     if w > WORKING_WIDTH:
         sh = max(int(round(h * WORKING_WIDTH / w)), 8)
@@ -88,9 +167,9 @@ def spectral_residual(image: np.ndarray) -> SaliencyMap:
     # scaling of the input.
     eps = 1e-12 * max(float(amp.max()), 1e-300)
     log_amp = np.log(amp + eps)
-    residual = log_amp - ndimage.uniform_filter(log_amp, size=3, mode="wrap")
+    residual = log_amp - _box3_wrap(log_amp)
     sal = np.abs(np.fft.ifft2(np.exp(residual + 1j * phase))) ** 2
-    sal = ndimage.gaussian_filter(sal, sigma=1.0, mode="wrap")
+    sal = _gauss1_wrap(sal)
     sal = _resize(sal, h, w)
     sal = np.clip(sal, 0.0, None)
     m = float(sal.max())
@@ -105,7 +184,15 @@ def local_maxima(
     smap: SaliencyMap, min_distance: float = 0.0, threshold: float = 0.0
 ) -> TargetSet:
     """Pixels strictly above their 8-neighborhood with value >= threshold,
-    thinned greedily so kept points are at least min_distance apart."""
+    thinned greedily so kept points are at least min_distance apart.
+
+    Candidates are visited by descending value, ties by row-major index; a
+    candidate is kept when ``math.hypot`` to every kept point is
+    >= min_distance. Kept points are bucketed in a grid of min_distance
+    cells and only the 5x5 block of cells around a candidate is checked:
+    anything farther is more than min_distance away even after rounding of
+    the cell index, so each candidate costs O(1) instead of O(kept).
+    """
     if min_distance < 0:
         raise ParameterError("min_distance must be >= 0")
     v = smap.values
@@ -120,15 +207,31 @@ def local_maxima(
             is_max &= center > padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
     is_max &= center >= threshold
     ys, xs = np.nonzero(is_max)
-    # Descending value, ties by row-major index.
-    order = sorted(range(len(ys)), key=lambda i: (-v[ys[i], xs[i]], ys[i] * w + xs[i]))
+    vals = v[ys, xs]
+    order = np.lexsort((ys * w + xs, -vals))
+    cands = zip(
+        xs[order].astype(float).tolist(),
+        ys[order].astype(float).tolist(),
+        vals[order].tolist(),
+    )
+    if min_distance <= 1.0:
+        # Distinct pixels are at least 1 apart: every candidate is kept.
+        return TargetSet(list(cands), width=w, height=h)
+    # An infinite or NaN distance keeps only the first candidate, as the
+    # comparison fails against any kept point; one cell holds them all.
+    cell = min_distance if math.isfinite(min_distance) else math.inf
+    grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
     kept: list[tuple[float, float, float]] = []
-    for i in order:
-        y, x = float(ys[i]), float(xs[i])
+    for x, y, val in cands:
+        cx, cy = math.floor(x / cell), math.floor(y / cell)
         if all(
-            math.hypot(x - kx, y - ky) >= min_distance for kx, ky, _ in kept
+            math.hypot(x - kx, y - ky) >= min_distance
+            for gy in range(cy - 2, cy + 3)
+            for gx in range(cx - 2, cx + 3)
+            for kx, ky in grid.get((gx, gy), ())
         ):
-            kept.append((x, y, float(v[int(y), int(x)])))
+            kept.append((x, y, val))
+            grid.setdefault((cx, cy), []).append((x, y))
     return TargetSet(kept, width=w, height=h)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from gazeforge.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from gazeforge.fileio import pgm_bytes, read_pgm, read_velocity_csv
@@ -242,6 +243,25 @@ def test_pursuit_onset_past_duration_is_config_error(tmp_path, capsys):
     assert run(["generate", "--config", cfg, "--output", out]) == EXIT_CONFIG
     assert "pursuit.onset_duration.min" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"saccade": {"skewness": {"min": 2.5, "max": 3.0}}}, "saccade.skewness.max"),
+    ({"base_rate_hz": 40}, "saccade.duration.min"),
+    ({"sequence": {"counts": {"fixation": 2, "smooth_pursuit": 1}},
+      "pursuit": {"duration": {"min": 0.2, "max": 0.4},
+                  "onset_duration": {"min": 0.35, "max": 0.4}}},
+     "pursuit.onset_duration.min"),
+])
+def test_seed_dependent_failure_is_config_error(tmp_path, capsys, doc, field):
+    # Each of these used to pass validation, then exit 4 mid-run on seed 0.
+    cfg = write_config(tmp_path, **doc)
+    out = str(tmp_path / "o.csv")
+    for seed in ("0", "1"):
+        assert run(["generate", "--config", cfg, "--seed", seed, "--output", out]) \
+            == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_remap_rejects_time_going_back(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_rate_above_base_rate_rejected():
     assert "sampling.rate" in str(e.value)
 
 
-@pytest.mark.parametrize("onset_min", [0.3, 0.5])
+@pytest.mark.parametrize("onset_min", [0.1, 0.2, 0.3, 0.5])
 def test_pursuit_onset_not_below_duration_rejected(onset_min):
     with pytest.raises(ValidationError) as e:
         read_config(cfg_text(pursuit={
@@ -107,9 +107,38 @@ def test_pursuit_onset_not_below_duration_rejected(onset_min):
 def test_pursuit_onset_below_duration_max_accepted():
     cfg = read_config(cfg_text(pursuit={
         "duration": {"min": 0.1, "max": 0.3},
-        "onset_duration": {"min": 0.29, "max": 0.6},
+        "onset_duration": {"min": 0.0999, "max": 0.6},
     }))
-    assert cfg.pursuit.onset_duration.min == 0.29
+    assert cfg.pursuit.onset_duration.min == 0.0999
+
+
+def test_saccade_skewness_max_two_accepted():
+    cfg = read_config(cfg_text(saccade={"skewness": {"min": 1.5, "max": 2.0}}))
+    assert cfg.saccade.skewness.max == 2.0
+
+
+@pytest.mark.parametrize("skew_max", [2.000001, 3.0])
+def test_saccade_skewness_above_two_rejected(skew_max):
+    with pytest.raises(ValidationError) as e:
+        read_config(cfg_text(saccade={"skewness": {"min": 1.5, "max": skew_max}}))
+    assert e.value.field == "saccade.skewness.max"
+
+
+@pytest.mark.parametrize("dur_min", [0.05, 0.0376])  # 2.0 and 1.504 samples
+def test_saccade_two_samples_accepted(dur_min):
+    cfg = read_config(cfg_text(
+        base_rate_hz=40, saccade={"duration": {"min": dur_min, "max": 0.08}}
+    ))
+    assert cfg.saccade.duration.min == dur_min
+
+
+@pytest.mark.parametrize("dur_min", [0.0374, 0.03])  # 1.496 and 1.2 samples
+def test_saccade_under_two_samples_rejected(dur_min):
+    with pytest.raises(ValidationError) as e:
+        read_config(cfg_text(
+            base_rate_hz=40, saccade={"duration": {"min": dur_min, "max": 0.08}}
+        ))
+    assert e.value.field == "saccade.duration.min"
 
 
 def test_bad_constraint_kind():

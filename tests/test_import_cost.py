@@ -1,9 +1,19 @@
-"""Cold start: importing the CLI must not load any scipy subpackage.
+"""Cold start and SciPy footprint of each CLI subcommand.
 
 Every CLI run pays its import time. ``scipy.stats`` alone takes about a
-second and ``scipy.special`` about half of one; the Gamma helpers,
-``scipy.optimize`` and ``scipy.ndimage`` are imported only by the functions
-that need them.
+second, ``scipy.special`` about half of one and ``scipy.optimize`` about a
+third. Importing the CLI loads no SciPy at all; each subcommand then loads
+only what it computes with:
+
+- ``saliency`` and ``remap`` in ``same_stimulus`` mode: no SciPy (saliency
+  maps are computed with numpy alone);
+- ``generate`` and ``map``: ``scipy.special`` for the Gamma saccade profile;
+- ``evaluate``: ``scipy.special`` and ``scipy.optimize`` (``brentq``).
+
+Each subcommand runs on a tiny golden-case config in a fresh interpreter.
+Its first-level ``scipy.*`` modules must equal those that importing the
+expected subpackages loads by itself, so a stray import of any other
+subpackage (``ndimage``, ``stats``, ...) fails.
 """
 from __future__ import annotations
 
@@ -12,23 +22,72 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import gazeforge
+from test_golden import _case
 
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.ndimage", "scipy.special")
 
+# Expression for which scipy modules are loaded; each run prints it last.
+_LOADED = (
+    "{'scipy': 'scipy' in sys.modules, 'subs': sorted("
+    "{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})}"
+)
 
-def test_cli_import_loads_no_heavy_scipy_module():
+
+def _python(code: str) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(gazeforge.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
     code = (
-        "import json, sys\n"
         "import gazeforge.cli\n"
         f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120,
+    assert _python(code) == []
+
+
+@pytest.fixture(scope="module")
+def footprints() -> dict[tuple[str, ...], list[str]]:
+    """First-level scipy modules loaded by importing only the given
+    subpackages, in a fresh interpreter."""
+    special, both = _python(
+        "import scipy.special\n"
+        f"special = {_LOADED}\n"
+        "import scipy.optimize\n"
+        f"print(json.dumps([special, {_LOADED}]))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return {("special",): special["subs"], ("optimize", "special"): both["subs"]}
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("saliency_targets", ()),
+    ("remap_same_stimulus", ()),
+    ("generate_normal_burst", ("special",)),
+    ("map_static", ("special",)),
+    ("evaluate_errors", ("optimize", "special")),
+])
+def test_subcommand_scipy_footprint(case, expected, tmp_path, footprints):
+    argv, doc = _case(case, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / ("out.pgm" if argv[0] == "saliency" else "out.csv")
+    argv = argv + ["--config", str(cfg), "--output", str(out)]
+    got = _python(
+        "from gazeforge.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print(json.dumps({_LOADED}))\n"
+    )
+    if not expected:
+        assert got == {"scipy": False, "subs": []}
+    else:
+        assert got == {"scipy": True, "subs": footprints[expected]}

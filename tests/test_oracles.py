@@ -3,10 +3,12 @@
 The loops below are the original per-sample implementations of the label
 segmentation and velocity extraction used by mapping, remap and
 evaluation, of the fluctuating-rate resampler, and of the token-by-token
-P2 pixel decode. The fast versions must return identical bytes, raise the
-same errors and, for the resampler, leave the random stream at the same
-place. The Gamma helpers are checked against ``scipy.stats.gamma``, which
-they replace.
+P2 pixel decode, and of the greedy local-maxima thinning. The fast
+versions must return identical bytes, raise the same errors and, for the
+resampler, leave the random stream at the same place. The Gamma helpers are
+checked against ``scipy.stats.gamma``, and the saliency resize and periodic
+filters (and ``spectral_residual`` built on them) against the
+``scipy.ndimage`` calls they replace, bit for bit on uint64 views.
 """
 from __future__ import annotations
 
@@ -16,9 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 from scipy.stats import gamma as sp_gamma
 
-from gazeforge import resampler
+from gazeforge import resampler, saliency
 from gazeforge.core import (
     BoundedDistribution,
     MovementLabel,
@@ -483,3 +487,231 @@ def test_evaluate_dataset_matches_loop(runs, repeats, seed):
     assert list(got) == list(want)
     for label in want:
         assert got[label].tobytes() == want[label].tobytes()
+
+
+# --- saliency: numpy kernels against scipy.ndimage, grid thinning against the loop ---
+
+def resize_ndimage(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    h, w = img.shape
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    ys = np.linspace(0, h - 1, out_h)
+    xs = np.linspace(0, w - 1, out_w)
+    grid = np.meshgrid(ys, xs, indexing="ij")
+    return ndimage.map_coordinates(img, grid, order=1, mode="nearest")
+
+
+def spectral_residual_ndimage(image: np.ndarray) -> np.ndarray:
+    img = np.asarray(image, dtype=float)
+    h, w = img.shape
+    if float(img.max() - img.min()) < 1e-12:
+        return np.zeros((h, w))
+    if w > saliency.WORKING_WIDTH:
+        sh = max(int(round(h * saliency.WORKING_WIDTH / w)), 8)
+        small = resize_ndimage(img, sh, saliency.WORKING_WIDTH)
+    else:
+        small = img
+    spec = np.fft.fft2(small)
+    amp = np.abs(spec)
+    phase = np.angle(spec)
+    eps = 1e-12 * max(float(amp.max()), 1e-300)
+    log_amp = np.log(amp + eps)
+    residual = log_amp - ndimage.uniform_filter(log_amp, size=3, mode="wrap")
+    sal = np.abs(np.fft.ifft2(np.exp(residual + 1j * phase))) ** 2
+    sal = ndimage.gaussian_filter(sal, sigma=1.0, mode="wrap")
+    sal = resize_ndimage(sal, h, w)
+    sal = np.clip(sal, 0.0, None)
+    m = float(sal.max())
+    return sal / m if m > 1e-12 else np.zeros_like(sal)
+
+
+def local_maxima_loop(smap, min_distance=0.0, threshold=0.0):
+    if min_distance < 0:
+        raise ParameterError("min_distance must be >= 0")
+    v = smap.values
+    h, w = v.shape
+    padded = np.pad(v, 1, mode="constant", constant_values=-np.inf)
+    center = padded[1:-1, 1:-1]
+    is_max = np.ones((h, w), dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            is_max &= center > padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+    is_max &= center >= threshold
+    ys, xs = np.nonzero(is_max)
+    order = sorted(range(len(ys)), key=lambda i: (-v[ys[i], xs[i]], ys[i] * w + xs[i]))
+    kept = []
+    for i in order:
+        y, x = float(ys[i]), float(xs[i])
+        if all(math.hypot(x - kx, y - ky) >= min_distance for kx, ky, _ in kept):
+            kept.append((x, y, float(v[int(y), int(x)])))
+    return saliency.TargetSet(kept, width=w, height=h)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(
+        np.ascontiguousarray(got).view(np.uint64),
+        np.ascontiguousarray(want).view(np.uint64),
+    )
+
+
+def _mixed_magnitudes(rng, shape) -> np.ndarray:
+    """Signed values from 1e-200 to 1e200, with some -0.0 and +0.0."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-200.0, 200.0, shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape) < 0.05] = 0.0
+    return x
+
+
+@st.composite
+def resize_cases(draw):
+    h, w = draw(st.integers(8, 200)), draw(st.integers(8, 200))
+
+    def out_side(n):
+        how = draw(st.sampled_from(["same", "up", "down", "ratio"]))
+        if how == "same":
+            return n
+        if how == "up":
+            return min(n * draw(st.integers(2, 5)), 600)
+        if how == "down":
+            return max(n // draw(st.integers(2, 9)), 1)
+        return max(int(n * draw(st.floats(0.13, 3.7))), 1)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        img = _mixed_magnitudes(rng, (h, w))
+    else:
+        img = rng.uniform(-1.0, 1.0, (h, w))
+    return img, out_side(h), out_side(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(resize_cases())
+def test_resize_matches_map_coordinates(case):
+    img, out_h, out_w = case
+    assert_same_bits(saliency._resize(img, out_h, out_w), resize_ndimage(img, out_h, out_w))
+
+
+@pytest.mark.parametrize("shape, out", [
+    ((48, 64), (480, 640)), ((8, 8), (8, 8)), ((8, 200), (1, 1)), ((200, 8), (3, 600)),
+    ((768, 1024), (48, 64)), ((9, 10), (17, 19)),
+])
+def test_resize_fixed_shapes_match_map_coordinates(shape, out):
+    rng = np.random.default_rng(sum(shape) + sum(out))
+    for img in (rng.random(shape), _mixed_magnitudes(rng, shape), np.full(shape, -0.0)):
+        assert_same_bits(saliency._resize(img, *out), resize_ndimage(img, *out))
+
+
+_finite = st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def filter_inputs(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["hypothesis", "mixed", "constant_rows", "signed_zero"]))
+    if kind == "hypothesis":
+        return draw(arrays(np.float64, (h, w), elements=_finite))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _mixed_magnitudes(rng, (h, w))
+    if kind == "constant_rows":
+        for r in range(0, h, 2):
+            x[r] = draw(_finite)
+    elif kind == "signed_zero":
+        x[rng.random((h, w)) < 0.7] = -0.0
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_inputs())
+def test_box3_wrap_matches_uniform_filter(x):
+    assert_same_bits(saliency._box3_wrap(x), ndimage.uniform_filter(x, size=3, mode="wrap"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_inputs())
+def test_gauss1_wrap_matches_gaussian_filter(x):
+    assert_same_bits(
+        saliency._gauss1_wrap(x), ndimage.gaussian_filter(x, sigma=1.0, mode="wrap")
+    )
+
+
+@pytest.mark.parametrize("fill", [-0.0, 0.0, -3.5, 1e-200, -1e200])
+def test_filters_on_constant_arrays_match_ndimage(fill):
+    x = np.full((9, 12), fill)
+    assert_same_bits(saliency._box3_wrap(x), ndimage.uniform_filter(x, size=3, mode="wrap"))
+    assert_same_bits(
+        saliency._gauss1_wrap(x), ndimage.gaussian_filter(x, sigma=1.0, mode="wrap")
+    )
+
+
+@st.composite
+def stimulus_images(draw):
+    h, w = draw(st.integers(8, 160)), draw(st.integers(8, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "pgm", "signed", "blob"]))
+    if kind == "uniform":
+        return rng.random((h, w))
+    if kind == "pgm":
+        return np.round(rng.random((h, w)) * 255.0) / 255.0
+    if kind == "signed":
+        return rng.normal(size=(h, w)) * 1e3 - 500.0
+    img = np.zeros((h, w))
+    img[h // 3 : h // 3 + 3, w // 2 : w // 2 + 4] = 1.0
+    return img
+
+
+@settings(max_examples=120, deadline=None)
+@given(stimulus_images())
+@example(np.random.default_rng(0).random((48, 64)))  # w == 64: no downscale
+@example(np.random.default_rng(1).random((48, 65)))
+@example(np.random.default_rng(2).random((8, 8)))
+@example(np.full((20, 90), 0.25))  # constant: the all-zero map
+def test_spectral_residual_matches_ndimage_pipeline(img):
+    assert_same_bits(saliency.spectral_residual(img).values, spectral_residual_ndimage(img))
+
+
+def test_spectral_residual_large_image_matches_ndimage_pipeline():
+    img = np.round(np.random.default_rng(7).random((480, 640)) * 255.0) / 255.0
+    assert_same_bits(saliency.spectral_residual(img).values, spectral_residual_ndimage(img))
+
+
+MIN_DISTANCES = [0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, 7.3]
+
+
+@st.composite
+def saliency_maps(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(0, draw(st.integers(1, 6)), (h, w)) / 5.0  # ties
+    else:
+        values = rng.random((h, w))
+    return saliency.SaliencyMap(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    saliency_maps(),
+    st.one_of(st.sampled_from(MIN_DISTANCES), st.floats(0.0, 30.0)),
+    st.sampled_from([0.0, 0.2, 0.5, 0.99]),
+)
+def test_local_maxima_matches_loop(smap, min_distance, threshold):
+    got = saliency.local_maxima(smap, min_distance, threshold)
+    want = local_maxima_loop(smap, min_distance, threshold)
+    assert (got.points, got.width, got.height) == (want.points, want.width, want.height)
+
+
+@pytest.mark.parametrize("min_distance", MIN_DISTANCES + [3.0, 100.0, math.inf, math.nan])
+def test_local_maxima_noise_map_matches_loop(min_distance):
+    smap = saliency.SaliencyMap(np.random.default_rng(11).random((60, 60)))
+    got = saliency.local_maxima(smap, min_distance, 0.1)
+    want = local_maxima_loop(smap, min_distance, 0.1)
+    assert (got.points, got.width, got.height) == (want.points, want.width, want.height)
+
+
+def test_local_maxima_negative_distance_error_matches_loop():
+    smap = saliency.SaliencyMap(np.zeros((4, 4)))
+    assert outcome(saliency.local_maxima, smap, -1.0) == outcome(local_maxima_loop, smap, -1.0)
