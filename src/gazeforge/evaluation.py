@@ -7,6 +7,7 @@ movement type into whisker-plot statistics.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,95 @@ def _mode_index(shape: float, length: int) -> float:
     return (length - 1) * (shape - 1.0) / gamma_tail(shape)
 
 
+def _brentq(
+    f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100
+) -> float:
+    """Root of f in [a, b] by Brent's method.
+
+    A line-for-line port of SciPy's ``brentq.c`` (same variables, branch
+    order and arithmetic order), so it returns the bits that SciPy's
+    ``brentq`` returns, without the cost of importing SciPy's optimize
+    package. Like it, raises ValueError when f(a) and f(b) have the same
+    sign or f returns NaN, and RuntimeError after maxiter iterations.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            lim = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < lim else lim):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {maxiter} iterations, value is {xcur}"
+    )
+
+
 def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]:
     """Gamma shape whose profile argmax lands on peak_index (within 1 sample).
 
@@ -98,8 +188,6 @@ def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]
     run boundary), the nearest attainable mode is used and exact is False.
     The fit is deterministic and draws no random numbers.
     """
-    from scipy.optimize import brentq  # deferred: costly to import
-
     if length < 2:
         raise ParameterError("saccade run must have at least 2 samples")
     if peak_index <= 0:
@@ -113,7 +201,7 @@ def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]
         # Peak at (or past) the final sample cannot be reached; fall back to
         # the latest attainable mode.
         return k_hi, False
-    shape = float(brentq(f, k_lo, k_hi, xtol=1e-9, rtol=1e-12))
+    shape = _brentq(f, k_lo, k_hi, xtol=1e-9, rtol=1e-12)
     return shape, abs(_mode_index(shape, length) - peak_index) <= 1.0
 
 

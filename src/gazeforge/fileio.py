@@ -23,20 +23,11 @@ _LABEL_NAME = tuple(LABEL_NAMES[label] for label in MovementLabel)
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via temp-then-rename so errors never leave partial output."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".gazeforge-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write via temp-then-rename so errors never leave partial output."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".gazeforge-", suffix=".tmp")
     try:
@@ -113,15 +104,66 @@ def _increasing_timestamps(ts: list[float], rows: list[int]) -> np.ndarray:
     return ts_arr
 
 
-def read_velocity_csv_text(text: str) -> SampledSignal:
-    ts, vs, ls, rows = [], [], [], []
-    for row, (t_ms, v, lab) in _read_rows(text, VELOCITY_HEADER, 3):
-        ts.append(_parse_float(t_ms, row, "timestamp") / 1000.0)
-        vs.append(_parse_float(v, row, "velocity"))
-        ls.append(int(_parse_label(lab, row)))
+def _columns_by_rows(
+    text: str, header: str, what: tuple[str, ...]
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Timestamps (s), the other numeric columns and the labels, parsed row
+    by row; raises the positioned ParseError of the first bad row."""
+    cols: list[list[float]] = [[] for _ in what]
+    ls, rows = [], []
+    for row, fields in _read_rows(text, header, len(what) + 1):
+        for col, token, name in zip(cols, fields, what):
+            col.append(_parse_float(token, row, name))
+        ls.append(int(_parse_label(fields[-1], row)))
         rows.append(row)
+    ts = [t / 1000.0 for t in cols[0]]
     ts_arr = _increasing_timestamps(ts, rows)
-    return SampledSignal(ts_arr, np.array(vs), np.array(ls))
+    return ts_arr, [np.array(c) for c in cols[1:]], np.array(ls)
+
+
+def _columns_fast(
+    text: str, header: str, n_fields: int
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray] | None:
+    """What :func:`_columns_by_rows` returns for a well-formed file, parsed
+    a column at a time with the same ``float``; None for anything the row
+    loop would reject, so that it reads the text again and positions the
+    error."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        return None
+    data = [line for line in lines[1:] if line.strip()]
+    if not data or any(line.count(",") != n_fields - 1 for line in data):
+        return None
+    tokens = ",".join(data).split(",")
+    try:
+        cols = [
+            np.array(list(map(float, tokens[k::n_fields])))
+            for k in range(n_fields - 1)
+        ]
+        labels = np.array(
+            [NAME_LABELS[tok.strip()] for tok in tokens[n_fields - 1 :: n_fields]]
+        )
+    except (ValueError, KeyError):
+        return None
+    if not all(np.isfinite(c).all() for c in cols):
+        return None
+    ts = cols[0] / 1000.0
+    if (np.diff(ts) <= 0).any():
+        return None
+    return ts, cols[1:], labels
+
+
+def _read_columns(
+    text: str, header: str, what: tuple[str, ...]
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    return _columns_fast(text, header, len(what) + 1) or _columns_by_rows(
+        text, header, what
+    )
+
+
+def read_velocity_csv_text(text: str) -> SampledSignal:
+    ts, (vs,), ls = _read_columns(text, VELOCITY_HEADER, ("timestamp", "velocity"))
+    return SampledSignal(ts, vs, ls)
 
 
 def read_velocity_csv(path: str) -> SampledSignal:
@@ -148,22 +190,14 @@ def read_gaze_csv_text(
     height: int = 0,
     pixels_per_degree: float = 30.0,
 ) -> GazeTrace:
-    ts, xs, ys, ls, rows = [], [], [], [], []
-    for row, (t_ms, x, y, lab) in _read_rows(text, GAZE_HEADER, 4):
-        ts.append(_parse_float(t_ms, row, "timestamp") / 1000.0)
-        xs.append(_parse_float(x, row, "x coordinate"))
-        ys.append(_parse_float(y, row, "y coordinate"))
-        ls.append(int(_parse_label(lab, row)))
-        rows.append(row)
-    ts_arr = _increasing_timestamps(ts, rows)
-    if width == 0:
-        width = int(np.ceil(max(xs))) + 1
-    if height == 0:
-        height = int(np.ceil(max(ys))) + 1
-    return GazeTrace(
-        ts_arr, np.array(xs), np.array(ys), np.array(ls),
-        width, height, pixels_per_degree,
+    ts, (xs, ys), ls = _read_columns(
+        text, GAZE_HEADER, ("timestamp", "x coordinate", "y coordinate")
     )
+    if width == 0:
+        width = int(np.ceil(xs.max())) + 1
+    if height == 0:
+        height = int(np.ceil(ys.max())) + 1
+    return GazeTrace(ts, xs, ys, ls, width, height, pixels_per_degree)
 
 
 def read_gaze_csv(path: str, **kwargs) -> GazeTrace:

@@ -7,7 +7,7 @@ logistic ramp pinned to 1% / 99% of the plateau at its endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -216,17 +216,31 @@ def gen_pursuit(
     rng: RandomSource,
 ) -> VelocityProfile:
     """Smooth pursuit: logistic onset up to the plateau, then a constant or
-    linear trend phase."""
+    linear trend phase.
+
+    An onset draw at or above the drawn duration is redrawn, at most
+    MAX_ONSET_REDRAWS times; after that the onset is drawn once from the
+    part of its range below the duration, which is impossible (and raises)
+    only when onset_duration.min is not below it.
+    """
     dur = sample_bounded(p.duration, rng)
     onset = sample_bounded(p.onset_duration, rng)
     attempts = 0
     while onset >= dur:
         attempts += 1
         if attempts > MAX_ONSET_REDRAWS:
-            raise ParameterError(
-                "pursuit onset duration could not be drawn below the total "
-                f"duration in {MAX_ONSET_REDRAWS} attempts"
-            )
+            if p.onset_duration.min >= dur:
+                raise ParameterError(
+                    "pursuit onset duration could not be drawn below the total "
+                    f"duration in {MAX_ONSET_REDRAWS} attempts"
+                )
+            # A duration draw close to onset_duration.min leaves few onset
+            # draws below it. Rounding in the draw could still reach dur,
+            # hence the clamp.
+            below = math.nextafter(dur, -math.inf)
+            capped = replace(p.onset_duration, max=below)
+            onset = min(sample_bounded(capped, rng), below)
+            break
         onset = sample_bounded(p.onset_duration, rng)
     n = _segment_length(dur, base_rate, "smooth pursuit")
     n_on = min(int(round(onset * base_rate)), n)

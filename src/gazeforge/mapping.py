@@ -127,25 +127,28 @@ def fixation_walk(
     return pts
 
 
+def _weight_sums(targets: TargetSet) -> np.ndarray:
+    """Running sums of the target weights clipped at 0, for
+    :func:`_choose_target`. ``np.cumsum`` adds in order, one weight at a
+    time, so each sum has the bits of a scalar ``acc += w`` loop."""
+    return np.cumsum(np.maximum([p[2] for p in targets.points], 0.0))
+
+
 def _choose_target(
-    targets: TargetSet, rng: RandomSource
+    targets: TargetSet, sums: np.ndarray, rng: RandomSource
 ) -> tuple[float, float, float]:
     """Weighted target choice (probability proportional to saliency weight;
-    uniform if all weights are zero)."""
+    uniform if all weights are zero). ``sums`` is ``_weight_sums(targets)``."""
     if len(targets) == 0:
         raise MappingError("empty target set")
-    weights = [max(p[2], 0.0) for p in targets.points]
-    total = sum(weights)
+    total = float(sums[-1])
     u = rng.uniform()
     if total <= 0:
         return targets.points[min(int(u * len(targets)), len(targets) - 1)]
-    u *= total
-    acc = 0.0
-    for p, w in zip(targets.points, weights):
-        acc += w
-        if u < acc:
-            return p
-    return targets.points[-1]
+    # The first target whose running sum exceeds u; none for a NaN or
+    # infinite total or u at the total, which picks the last target.
+    i = int(np.searchsorted(sums, u * total, side="right"))
+    return targets.points[min(i, len(targets) - 1)]
 
 
 def _effective_labels(labels: np.ndarray) -> np.ndarray:
@@ -200,6 +203,13 @@ def map_to_gaze(
     ts = signal.timestamps
     xs = np.empty(len(signal))
     ys = np.empty(len(signal))
+    sums: dict[int, np.ndarray] = {}  # by id of a target set held by targets
+
+    def choose(tset: TargetSet) -> tuple[float, float, float]:
+        if id(tset) not in sums:
+            sums[id(tset)] = _weight_sums(tset)
+        return _choose_target(tset, sums[id(tset)], rng)
+
     cur: tuple[float, float] | None = None
     for start, end, label in runs:
         n = end - start
@@ -208,16 +218,16 @@ def map_to_gaze(
         if len(tset) == 0:
             raise MappingError(f"no fixation targets available at t={t_end:.6g} s")
         if label == MovementLabel.FIXATION:
-            tx, ty, _ = _choose_target(tset, rng)
+            tx, ty, _ = choose(tset)
             pts = fixation_walk((tx, ty), n, p.fixation_dispersion, rng)
             for j, (px, py) in enumerate(pts):
                 xs[start + j], ys[start + j] = px, py
             cur = pts[-1]
         else:
             if cur is None:
-                sx, sy, _ = _choose_target(targets.at(float(ts[start])), rng)
+                sx, sy, _ = choose(targets.at(float(ts[start])))
                 cur = (sx, sy)
-            tx, ty, _ = _choose_target(tset, rng)
+            tx, ty, _ = choose(tset)
             _place_movement_run(
                 signal, start, end, cur, (tx, ty), p, rng, xs, ys
             )

@@ -7,8 +7,11 @@ only what it computes with:
 
 - ``saliency`` and ``remap`` in ``same_stimulus`` mode: no SciPy (saliency
   maps are computed with numpy alone);
-- ``generate`` and ``map``: ``scipy.special`` for the Gamma saccade profile;
-- ``evaluate``: ``scipy.special`` and ``scipy.optimize`` (``brentq``).
+- ``generate``, ``map`` and ``evaluate``: ``scipy.special`` for the Gamma
+  saccade profile (``evaluate`` fits its shapes with a port of ``brentq``,
+  so it loads no ``scipy.optimize``).
+
+No module of the package imports ``scipy.optimize`` at all.
 
 Each subcommand runs on a tiny golden-case config in a fresh interpreter.
 Its first-level ``scipy.*`` modules must equal those that importing the
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -60,13 +64,8 @@ def test_cli_import_loads_no_heavy_scipy_module():
 def footprints() -> dict[tuple[str, ...], list[str]]:
     """First-level scipy modules loaded by importing only the given
     subpackages, in a fresh interpreter."""
-    special, both = _python(
-        "import scipy.special\n"
-        f"special = {_LOADED}\n"
-        "import scipy.optimize\n"
-        f"print(json.dumps([special, {_LOADED}]))\n"
-    )
-    return {("special",): special["subs"], ("optimize", "special"): both["subs"]}
+    special = _python(f"import scipy.special\nprint(json.dumps({_LOADED}))\n")
+    return {("special",): special["subs"]}
 
 
 @pytest.mark.parametrize("case, expected", [
@@ -74,7 +73,7 @@ def footprints() -> dict[tuple[str, ...], list[str]]:
     ("remap_same_stimulus", ()),
     ("generate_normal_burst", ("special",)),
     ("map_static", ("special",)),
-    ("evaluate_errors", ("optimize", "special")),
+    ("evaluate_errors", ("special",)),
 ])
 def test_subcommand_scipy_footprint(case, expected, tmp_path, footprints):
     argv, doc = _case(case, tmp_path)
@@ -91,3 +90,18 @@ def test_subcommand_scipy_footprint(case, expected, tmp_path, footprints):
         assert got == {"scipy": False, "subs": []}
     else:
         assert got == {"scipy": True, "subs": footprints[expected]}
+
+
+def test_no_module_imports_scipy_optimize():
+    pkg = os.path.dirname(os.path.abspath(gazeforge.__file__))
+    pattern = re.compile(r"^\s*(from\s+scipy\s+import\s+.*\boptimize\b|"
+                         r"(from|import)\s+scipy\.optimize\b)", re.M)
+    offenders = []
+    for root, _, names in os.walk(pkg):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as fh:
+                    if pattern.search(fh.read()):
+                        offenders.append(os.path.relpath(path, pkg))
+    assert offenders == []

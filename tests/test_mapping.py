@@ -194,10 +194,11 @@ def test_target_choice_proportional_to_weights():
     hits = 0
     n = 10_000
     rng = RandomSource(9)
-    from gazeforge.mapping import _choose_target
+    from gazeforge.mapping import _choose_target, _weight_sums
 
+    sums = _weight_sums(scene.static)
     for _ in range(n):
-        if _choose_target(scene.static, rng)[0] == 20.0:
+        if _choose_target(scene.static, sums, rng)[0] == 20.0:
             hits += 1
     p = hits / n
     sigma = math.sqrt(0.8 * 0.2 / n)

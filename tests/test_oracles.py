@@ -3,11 +3,13 @@
 The loops below are the original per-sample implementations of the label
 segmentation and velocity extraction used by mapping, remap and
 evaluation, of the fluctuating-rate resampler, and of the token-by-token
-P2 pixel decode, and of the greedy local-maxima thinning. The fast
-versions must return identical bytes, raise the same errors and, for the
-resampler, leave the random stream at the same place. The Gamma helpers are
-checked against ``scipy.stats.gamma``, and the saliency resize and periodic
-filters (and ``spectral_residual`` built on them) against the
+P2 pixel decode, of the greedy local-maxima thinning, of the row-by-row
+CSV readers, of the weighted target choice and of the pursuit onset
+redraws. The fast versions must return identical bytes, raise the same
+errors and, for the resampler, leave the random stream at the same place.
+The Gamma helpers are checked against ``scipy.stats.gamma``, the Brent
+root finder against ``scipy.optimize.brentq``, and the saliency resize and
+periodic filters (and ``spectral_residual`` built on them) against the
 ``scipy.ndimage`` calls they replace, bit for bit on uint64 views.
 """
 from __future__ import annotations
@@ -20,11 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
+from scipy.optimize import brentq as sp_brentq
 from scipy.stats import gamma as sp_gamma
 
-from gazeforge import resampler, saliency
+from gazeforge import fileio, generators, resampler, saliency
 from gazeforge.core import (
     BoundedDistribution,
+    DistKind,
     MovementLabel,
     RandomSource,
     VelocityProfile,
@@ -32,6 +36,7 @@ from gazeforge.core import (
 )
 from gazeforge.errors import MappingError, ParameterError, ParseError
 from gazeforge.evaluation import (
+    _brentq,
     _mode_index,
     evaluate_dataset,
     extract_descriptors,
@@ -39,13 +44,23 @@ from gazeforge.evaluation import (
     squared_error,
 )
 from gazeforge.fileio import MAX_PGM_DIM, _PgmScanner, read_pgm_bytes
-from gazeforge.generators import GAMMA_TAIL_QUANTILE, gamma_profile, gamma_tail
+from gazeforge.generators import (
+    GAMMA_TAIL_QUANTILE,
+    MAX_ONSET_REDRAWS,
+    PursuitTrend,
+    gamma_profile,
+    gamma_tail,
+)
 from gazeforge.mapping import (
     GazeTrace,
+    _choose_target,
     _effective_labels,
     _label_runs,
+    _weight_sums,
     extract_velocities,
 )
+from gazeforge.resampler import SampledSignal
+from gazeforge.saliency import TargetSet
 
 NOISE = int(MovementLabel.NOISE)
 
@@ -715,3 +730,469 @@ def test_local_maxima_noise_map_matches_loop(min_distance):
 def test_local_maxima_negative_distance_error_matches_loop():
     smap = saliency.SaliencyMap(np.zeros((4, 4)))
     assert outcome(saliency.local_maxima, smap, -1.0) == outcome(local_maxima_loop, smap, -1.0)
+
+
+# --- saccade shape fit: the brentq port against scipy.optimize.brentq ---
+
+def brentq_outcome(solver, f, a, b, **kw):
+    """The root's bits, or the exception type, of solver(f, a, b, ...)."""
+    try:
+        return _bits(solver(f, a, b, **kw))
+    except (ValueError, RuntimeError) as e:
+        return type(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n - 1))
+))
+@example((2, 1))
+@example((5000, 4999))
+@example((5000, 1))
+@example((301, 150))
+def test_brentq_matches_scipy_on_shape_fits(case):
+    length, peak_index = case
+
+    def f(k):
+        return _mode_index(k, length) - peak_index
+
+    kw = dict(xtol=1e-9, rtol=1e-12)
+    want = brentq_outcome(sp_brentq, f, 1.0 + 1e-9, 1e8, **kw)
+    assert brentq_outcome(_brentq, f, 1.0 + 1e-9, 1e8, **kw) == want
+
+
+BRENTQ_FUNCTIONS = [
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+    (math.sin, -1.0, 1.0),  # root at 0
+    (lambda x: x, -1.0, 2.0),  # root at 0, linear
+    (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
+    (lambda x: math.atan(x - 0.3), -10.0, 50.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: (x - 1e-300) * 1e300, -1.0, 1.0),  # tiny root
+    (lambda x: x - 0.375, 0.0, 1.0),  # dyadic: steps tie with the tolerance
+]
+BRENTQ_TOLERANCES = [
+    (2e-12, 4 * np.finfo(float).eps),  # SciPy's defaults
+    (1e-9, 1e-12),
+    (5e-324, 4 * np.finfo(float).eps),
+    (1e-3, 1e-3),
+    (1.0, 2**-10),  # coarse enough to stop at the first bisection
+]
+
+
+@pytest.mark.parametrize("fab", BRENTQ_FUNCTIONS)
+@pytest.mark.parametrize("tol", BRENTQ_TOLERANCES)
+def test_brentq_matches_scipy_on_generic_functions(fab, tol):
+    f, a, b = fab
+    kw = dict(xtol=tol[0], rtol=tol[1])
+    want = brentq_outcome(sp_brentq, f, a, b, **kw)
+    assert isinstance(want, bytes)
+    assert brentq_outcome(_brentq, f, a, b, **kw) == want
+    # The bracket reversed walks a different path to the same contract.
+    assert brentq_outcome(_brentq, f, b, a, **kw) == brentq_outcome(sp_brentq, f, b, a, **kw)
+
+
+@pytest.mark.parametrize("f, a, b, kw", [
+    (lambda x: x - 1.0, 1.0, 3.0, {}),  # root at a
+    (lambda x: x - 3.0, 1.0, 3.0, {}),  # root at b
+    (lambda x: -0.0 * x, 1.0, 3.0, {}),  # f(a) == -0.0
+    (lambda x: x * x + 1.0, -1.0, 1.0, {}),  # same sign
+    (lambda x: -(x * x) - 1.0, -1.0, 1.0, {}),  # same sign, negative
+    (lambda x: math.nan, 0.0, 1.0, {}),  # NaN at a
+    (lambda x: x if x < 0.5 else math.nan, -1.0, 2.0, {}),  # NaN at b
+    (lambda x: x - 0.7 if x != 0.5 else math.nan, 0.0, 1.0, {}),  # NaN mid-way
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, {"maxiter": 2}),  # no convergence
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, {"maxiter": 0}),
+    (lambda x: x - math.pi, 0, 10, {"maxiter": 100}),  # integer bracket
+])
+def test_brentq_edge_cases_match_scipy(f, a, b, kw):
+    kw = dict(xtol=2e-12, rtol=4 * np.finfo(float).eps, **kw)
+    assert brentq_outcome(_brentq, f, a, b, **kw) == brentq_outcome(sp_brentq, f, a, b, **kw)
+
+
+# --- CSV readers: column-at-a-time parse against the row loop ---
+
+def read_velocity_csv_loop(text: str) -> SampledSignal:
+    ts, vs, ls, rows = [], [], [], []
+    for row, (t_ms, v, lab) in fileio._read_rows(text, fileio.VELOCITY_HEADER, 3):
+        ts.append(fileio._parse_float(t_ms, row, "timestamp") / 1000.0)
+        vs.append(fileio._parse_float(v, row, "velocity"))
+        ls.append(int(fileio._parse_label(lab, row)))
+        rows.append(row)
+    ts_arr = fileio._increasing_timestamps(ts, rows)
+    return SampledSignal(ts_arr, np.array(vs), np.array(ls))
+
+
+def read_gaze_csv_loop(text: str) -> GazeTrace:
+    ts, xs, ys, ls, rows = [], [], [], [], []
+    for row, (t_ms, x, y, lab) in fileio._read_rows(text, fileio.GAZE_HEADER, 4):
+        ts.append(fileio._parse_float(t_ms, row, "timestamp") / 1000.0)
+        xs.append(fileio._parse_float(x, row, "x coordinate"))
+        ys.append(fileio._parse_float(y, row, "y coordinate"))
+        ls.append(int(fileio._parse_label(lab, row)))
+        rows.append(row)
+    ts_arr = fileio._increasing_timestamps(ts, rows)
+    width = int(np.ceil(max(xs))) + 1
+    height = int(np.ceil(max(ys))) + 1
+    return GazeTrace(ts_arr, np.array(xs), np.array(ys), np.array(ls), width, height, 30.0)
+
+
+VELOCITY_WHAT = ("timestamp", "velocity")
+GAZE_WHAT = ("timestamp", "x coordinate", "y coordinate")
+
+
+def _assert_reader_matches_loop(kind: str, text: str) -> None:
+    if kind == "velocity":
+        header, what = fileio.VELOCITY_HEADER, VELOCITY_WHAT
+        new, old = fileio.read_velocity_csv_text, read_velocity_csv_loop
+        fields = ("timestamps", "velocities", "labels")
+    else:
+        header, what = fileio.GAZE_HEADER, GAZE_WHAT
+        new, old = fileio.read_gaze_csv_text, read_gaze_csv_loop
+        fields = ("timestamps", "x", "y", "labels")
+    got, got_err = outcome(new, text)
+    want, want_err = outcome(old, text)
+    assert got_err == want_err
+    # The fast path takes exactly the files the row loop accepts.
+    fast = fileio._columns_fast(text, header, len(what) + 1)
+    assert (fast is None) == (want_err is not None)
+    if want_err is None:
+        if kind == "gaze":
+            assert (got.width, got.height) == (want.width, want.height)
+        for name in fields:
+            g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+        slow = fileio._columns_by_rows(text, header, what)
+        for g, w in zip([fast[0], *fast[1], fast[2]], [slow[0], *slow[1], slow[2]]):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert fast[0].dtype == np.float64 and fast[2].dtype == np.int64
+
+
+VH = fileio.VELOCITY_HEADER
+GH = fileio.GAZE_HEADER
+VELOCITY_CORPUS = [
+    f"{VH}\n1,2.5,FIX\n2,300,SACC\n3,20,SP\n4,0,NOISE\n",
+    f"{VH}\r\n1,2.5,FIX\r\n2,300,SACC\r\n",
+    f"{VH}\n1,2.5,FIX\x0b2,3,FIX\x0c3,4,FIX\x1c4,5,FIX\x1d5,6,FIX\x1e6,7,FIX\x85"
+    "7,8,FIX\u20288,9,FIX\u20299,1,FIX",
+    f"{VH}\n\n1,2,FIX\n   \n2,3,FIX\n\t\n",
+    f"{VH}\n1,2,FIX",
+    f"{VH}\n",
+    f"{VH}\n\n  \n",
+    "",
+    "\n",
+    f" {VH} \n1,2,FIX\n",
+    f"\ufeff{VH}\n1,2,FIX\n",
+    "t_ms,velocity,label\n1,2,FIX\n",
+    f"{VH}\n1,2,FIX,\n",
+    f"{VH}\n1,,FIX\n",
+    f"{VH}\n,2,FIX\n",
+    f"{VH}\n1,2,\n",
+    f"{VH}\n 1.5 , 2 , FIX \n",
+    f"{VH}\n\xa01.5\xa0,2\u2003,\u3000FIX\n",
+    f"{VH}\n1_0,2,FIX\n",
+    f"{VH}\n1__0,2,FIX\n",
+    f"{VH}\n+1,-0,FIX\n",
+    f"{VH}\n1,nan,FIX\n",
+    f"{VH}\nnan,1,FIX\n",
+    f"{VH}\n1,inf,FIX\n",
+    f"{VH}\n1,-Infinity,FIX\n",
+    f"{VH}\n1,1e400,FIX\n",
+    f"{VH}\n1e400,1,FIX\n",
+    f"{VH}\n1,1e-400,FIX\n",
+    f"{VH}\n\u0661,\u0662.5,FIX\n2,3,FIX\n",  # Arabic-Indic digits
+    f"{VH}\n1,0x10,FIX\n",
+    f"{VH}\n1,2,fix\n",
+    f"{VH}\n1,2,Fix\n",
+    f"{VH}\n1,2, FIX\t\n",
+    f"{VH}\n1,2,FIXATION\n",
+    f"{VH}\n1,2,\x00FIX\n",
+    f"{VH}\n1,2\n3,4,5,FIX\n",  # 2 and 4 fields: 6 in all
+    f"{VH}\n1,2\nFIX,3,4,FIX\n",
+    f"{VH}\n1,2,FIX\n2,3,FIX,4\n",
+    f"{VH}\n2,1,FIX\n1,1,FIX\n",
+    f"{VH}\n1,1,FIX\n\n\n0.5,1,FIX\n",  # time going back after blank rows
+    f"{VH}\n1,1,FIX\n1,1,FIX\n",
+    f"{VH}\n1,1,FIX\n1.0000000000000001,1,FIX\n",  # same double
+    f"{VH}\n4.9e-324,1,FIX\n9.9e-324,1,FIX\n",  # equal once divided by 1000
+    f"{VH}\n-5,1,FIX\n-4,1,FIX\n",
+    f"{VH}\n1e308,1,FIX\n1.7e308,1,FIX\n",
+]
+GAZE_CORPUS = [
+    f"{GH}\n1,10,20,FIX\n2,11.5,21,SACC\n3,12,22,SP\n4,13,23,NOISE\n",
+    f"{GH}\r\n1,10,20,FIX\r\n\r\n2,11,21,FIX",
+    f"{GH}\n1,10,20,FIX\x0b2,11,21,FIX\x0c3,12,22,FIX\x1c4,1,1,FIX\u20285,2,2,FIX",
+    f"{GH}\n\n1,10,20,FIX\n \t \n2,11,21,FIX\n\n",
+    f"{GH}\n",
+    f"{GH}\n\n",
+    f"{GH} \n1,10,20,FIX\n",
+    f"{VH}\n1,10,FIX\n",
+    f"{GH}\n1,10,20,FIX,\n",
+    f"{GH}\n1,10,,FIX\n",
+    f"{GH}\n1, 10.5 , 20 ,FIX\n",
+    f"{GH}\n1,1_0,20,FIX\n",
+    f"{GH}\n1,+10,-0.0,FIX\n",
+    f"{GH}\n1,nan,20,FIX\n",
+    f"{GH}\n1,10,inf,FIX\n",
+    f"{GH}\n1,10,1e400,FIX\n",
+    f"{GH}\n1,\u0661\u0660,20,FIX\n",
+    f"{GH}\n1,10,20,sacc\n",
+    f"{GH}\n1,10,20,  SP  \n",
+    f"{GH}\n1,10,20,NOISE \n2,-3.5,-7,FIX\n",
+    f"{GH}\n1,10,20\nFIX,2,11,21,FIX\n",  # 3 and 5 fields: 8 in all
+    f"{GH}\n1,10,20,FIX,FIX\n2,11,FIX\n",
+    f"{GH}\n1,10,20\n2,11,21,FIX\n",
+    f"{GH}\n10,10,20,FIX\n5,11,21,FIX\n",
+    f"{GH}\n10,10,20,FIX\n10,11,21,FIX\n",
+    f"{GH}\n1,1,1,FIX\n\n\n0,1,1,FIX\n",  # time going back after blank rows
+    f"{GH}\n1,0.2,0.7,FIX\n2,1e-300,-1e-300,FIX\n",
+    f"{GH}\n1,1e300,2,FIX\n",
+]
+
+
+@pytest.mark.parametrize("text", VELOCITY_CORPUS)
+def test_velocity_reader_matches_row_loop(text):
+    _assert_reader_matches_loop("velocity", text)
+
+
+@pytest.mark.parametrize("text", GAZE_CORPUS)
+def test_gaze_reader_matches_row_loop(text):
+    _assert_reader_matches_loop("gaze", text)
+
+
+_CSV_LABEL_NAMES = ["FIX", "SACC", "SP", "NOISE"]
+_CSV_NUMBERS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.3f}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " 1 ", "1_0", "+2", "1e400", "x", "-0", ".5", "5.", "1e-320"]),
+)
+
+
+@st.composite
+def csv_files(draw, n_fields):
+    header = fileio.VELOCITY_HEADER if n_fields == 3 else fileio.GAZE_HEADER
+    n = draw(st.integers(1, 40))
+    steps = draw(st.lists(st.floats(1e-3, 50.0), min_size=n, max_size=n))
+    start = draw(st.floats(-1e4, 1e4))
+    times = (start + np.cumsum(steps)).tolist()
+    lines = [header]
+    for t in times:
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        values = [f"{t:.3f}" if draw(st.booleans()) else repr(t)]
+        values += [
+            f"{v:.6g}" for v in draw(st.lists(
+                st.floats(-1e4, 1e4, allow_nan=False), min_size=n_fields - 2,
+                max_size=n_fields - 2,
+            ))
+        ]
+        values.append(draw(st.sampled_from(_CSV_LABEL_NAMES)))
+        lines.append(",".join(values))
+    if draw(st.booleans()):
+        # One corrupted field, row or separator.
+        row = draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        how = draw(st.integers(0, 3))
+        if how == 0 and len(fields) > 1:
+            col = draw(st.integers(0, len(fields) - 2))
+            fields[col] = draw(_CSV_NUMBERS)
+        elif how == 1:
+            fields[-1] = draw(st.sampled_from(["fix", " SP", "SACC ", "", "N0ISE"]))
+        elif how == 2:
+            fields.insert(draw(st.integers(0, len(fields))), draw(_CSV_NUMBERS))
+        else:
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        lines[row] = ",".join(fields)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files(3))
+def test_velocity_reader_matches_row_loop_generated(text):
+    _assert_reader_matches_loop("velocity", text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files(4))
+def test_gaze_reader_matches_row_loop_generated(text):
+    _assert_reader_matches_loop("gaze", text)
+
+
+# --- target choice: running sums and searchsorted against the scalar loop ---
+
+def choose_target_loop(targets, rng):
+    if len(targets) == 0:
+        raise MappingError("empty target set")
+    weights = [max(p[2], 0.0) for p in targets.points]
+    total = sum(weights)
+    u = rng.uniform()
+    if total <= 0:
+        return targets.points[min(int(u * len(targets)), len(targets) - 1)]
+    u *= total
+    acc = 0.0
+    for p, w in zip(targets.points, weights):
+        acc += w
+        if u < acc:
+            return p
+    return targets.points[-1]
+
+
+class _FixedUniform:
+    """A stand-in stream whose every uniform draw is u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def uniform(self) -> float:
+        return self.u
+
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 0.1, 0.2, 0.3, math.nan, math.inf, -math.inf]),
+    st.floats(-10.0, 10.0),
+    st.floats(0.0, 1e300),
+)
+_UNIFORMS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 0.5, 1.0 - 2**-53, 1.0 - 2**-52, 0.1, 1 / 3]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_WEIGHTS, min_size=1, max_size=12), _UNIFORMS)
+@example([0.0, 0.0, 0.0], 0.5)
+@example([-1.0, -2.0], 0.99)
+@example([1.0, 0.0, 0.0], 1.0 - 2**-53)
+@example([0.1, 0.2, 0.3], 1.0 - 2**-53)
+@example([0.1, 0.2, 0.3, 0.0], 0.5)
+@example([1.0, math.nan, 1.0], 0.2)
+@example([math.inf, 1.0], 0.0)
+@example([1.0, math.inf, 1.0], 0.3)
+def test_choose_target_matches_loop(weights, u):
+    targets = TargetSet([(float(i), 0.0, w) for i, w in enumerate(weights)], 64, 64)
+    want = choose_target_loop(targets, _FixedUniform(u))
+    assert _choose_target(targets, _weight_sums(targets), _FixedUniform(u)) is want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8), st.integers(0, 2**32))
+def test_choose_target_on_a_stream_matches_loop(weights, seed):
+    targets = TargetSet([(float(i), 0.0, w) for i, w in enumerate(weights)], 64, 64)
+    sums = _weight_sums(targets)
+    a, b = RandomSource(seed), RandomSource(seed)
+    for _ in range(20):
+        assert _choose_target(targets, sums, a) is choose_target_loop(targets, b)
+
+
+def test_choose_target_empty_set_error_matches_loop():
+    targets = TargetSet([], 64, 64)
+    assert outcome(_choose_target, targets, _weight_sums(targets), _FixedUniform(0.5)) == (
+        outcome(choose_target_loop, targets, _FixedUniform(0.5))
+    )
+
+
+# --- pursuit onset: 100 redraws, then one draw below the duration ---
+
+def gen_pursuit_loop(p, base_rate, rng):
+    """The pursuit generator that raised after 100 onset redraws."""
+    dur = sample_bounded(p.duration, rng)
+    onset = sample_bounded(p.onset_duration, rng)
+    attempts = 0
+    while onset >= dur:
+        attempts += 1
+        if attempts > MAX_ONSET_REDRAWS:
+            raise ParameterError(
+                "pursuit onset duration could not be drawn below the total "
+                f"duration in {MAX_ONSET_REDRAWS} attempts"
+            )
+        onset = sample_bounded(p.onset_duration, rng)
+    n = generators._segment_length(dur, base_rate, "smooth pursuit")
+    n_on = min(int(round(onset * base_rate)), n)
+    plateau = sample_bounded(p.velocity, rng)
+    end = plateau
+    if p.trend != PursuitTrend.CONSTANT:
+        end = sample_bounded(p.trend_end_velocity, rng)
+        if p.trend == PursuitTrend.LINEAR_DECREASING and end > plateau:
+            plateau, end = end, plateau
+        if p.trend == PursuitTrend.LINEAR_INCREASING and end < plateau:
+            plateau, end = end, plateau
+    v = np.empty(n, dtype=float)
+    if n_on > 0:
+        t_on = n_on / base_rate
+        a = generators._ONSET_STEEPNESS / t_on
+        t = (np.arange(1, n_on + 1)) / base_rate
+        v[:n_on] = plateau / (1.0 + np.exp(-a * (t - t_on / 2.0)))
+    m = n - n_on
+    if m > 0:
+        if p.trend == PursuitTrend.CONSTANT:
+            v[n_on:] = plateau
+        elif m == 1:
+            v[n_on:] = end
+        else:
+            v[n_on:] = np.linspace(plateau, end, m)
+    v = np.maximum(0.0, v + generators._consistency_draws(p.consistency, n, rng))
+    labels = np.full(n, MovementLabel.SMOOTH_PURSUIT, dtype=np.uint8)
+    return VelocityProfile(base_rate, v, labels)
+
+
+@pytest.mark.parametrize("onset, trend", [
+    (BoundedDistribution.uniform(0.199, 0.4), PursuitTrend.CONSTANT),
+    (BoundedDistribution.normal(0.199, 0.4, 0.1), PursuitTrend.LINEAR_INCREASING),
+])
+def test_pursuit_onset_never_exhausts_and_keeps_old_draws(onset, trend):
+    U = BoundedDistribution.uniform
+    p = generators.PursuitParams(
+        U(0.2, 0.4), U(10.0, 30.0), onset, trend, U(5.0, 40.0), U(0.0, 2.0)
+    )
+    old_failures = 0
+    for seed in range(2000):
+        a, b = RandomSource(seed), RandomSource(seed)
+        got = generators.gen_pursuit(p, 1000.0, a)  # never raises
+        want, err = outcome(gen_pursuit_loop, p, 1000.0, b)
+        if err is not None:
+            old_failures += 1
+            assert 200 <= len(got) <= 400
+            continue
+        assert got.velocities.tobytes() == want.velocities.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert a.uniform() == b.uniform()
+    if onset.kind == DistKind.UNIFORM:
+        assert old_failures == 12  # seeds on which the old loop gave up
+
+
+def test_pursuit_onset_fallback_draws_one_onset_below_the_duration():
+    U = BoundedDistribution.uniform
+    p = generators.PursuitParams(
+        U(0.2, 0.4), U(10.0, 30.0), U(0.199, 0.4), PursuitTrend.CONSTANT,
+        U(5.0, 40.0), U(0.0, 2.0),
+    )
+    seed = 150  # the old loop gave up on this seed
+    assert outcome(gen_pursuit_loop, p, 1000.0, RandomSource(seed))[1] is not None
+    a, b = RandomSource(seed), RandomSource(seed)
+    got = generators.gen_pursuit(p, 1000.0, a)
+    dur = sample_bounded(p.duration, b)
+    for _ in range(MAX_ONSET_REDRAWS + 1):
+        assert sample_bounded(p.onset_duration, b) >= dur
+    below = math.nextafter(dur, -math.inf)
+    onset = sample_bounded(BoundedDistribution.uniform(0.199, below), b)
+    assert onset < dur
+    plateau = sample_bounded(p.velocity, b)
+    n_on = int(round(onset * 1000.0))
+    assert got.velocities[n_on - 1] == pytest.approx(0.99 * plateau, abs=2.0)
+    b.uniforms(len(got))  # consistency draws
+    assert a.uniform() == b.uniform()
+
+
+def test_pursuit_onset_at_or_above_every_duration_still_raises():
+    U = BoundedDistribution.uniform
+    p = generators.PursuitParams(
+        U(0.2, 0.3), U(20.0, 20.0), U(0.3, 0.5), PursuitTrend.CONSTANT,
+        U(20.0, 20.0), U(0.0, 0.0),
+    )
+    for seed in range(5):
+        got = outcome(generators.gen_pursuit, p, 1000.0, RandomSource(seed))
+        assert got == outcome(gen_pursuit_loop, p, 1000.0, RandomSource(seed))
+        assert got[1] is not None
