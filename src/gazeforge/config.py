@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 from .core import BoundedDistribution, DistKind, MovementLabel
 from .errors import ParseError, ValidationError
-from .generators import FixationParams, PursuitParams, PursuitTrend, SaccadeParams
+from .generators import (
+    MAX_GAMMA_SHAPE,
+    MIN_SKEWNESS,
+    FixationParams,
+    PursuitParams,
+    PursuitTrend,
+    SaccadeParams,
+)
 from .mapping import MappingParams, REMAP_NEW_STIMULUS, REMAP_SAME_STIMULUS
 from .noise import MODE_ADD, MODE_REPLACE, NoiseSpec
 from .resampler import RateSpec
@@ -254,11 +261,18 @@ def read_config(text: str) -> RunConfig:
         ),
     )
     # A skewness above 2 gives a Gamma shape (2/skew)^2 below 1, which has no
-    # finite peak, and a saccade needs two samples; both would fail by seed.
+    # finite peak, one below 2e-4 a shape above MAX_GAMMA_SHAPE, and a saccade
+    # needs two samples; all would fail by seed.
     if saccade.skewness.max > 2.0:
         raise ValidationError(
             f"{saccade.skewness.max:.6g} must be <= 2 (Gamma shape >= 1)",
             "saccade.skewness.max",
+        )
+    if saccade.skewness.min < MIN_SKEWNESS:
+        raise ValidationError(
+            f"{saccade.skewness.min:.6g} must be >= {MIN_SKEWNESS:.6g} (Gamma "
+            f"shape <= {MAX_GAMMA_SHAPE:.6g})",
+            "saccade.skewness.min",
         )
     if int(round(saccade.duration.min * base_rate)) < 2:
         raise ValidationError(
@@ -433,9 +447,3 @@ def check_paths(cfg: RunConfig) -> None:
         if p is not None and not os.path.exists(p):
             raise ValidationError(f"file not found: {p}", f"paths.{key}")
 
-
-def load_config(path: str) -> RunConfig:
-    with open(path, "r") as fh:
-        cfg = read_config(fh.read())
-    check_paths(cfg)
-    return cfg

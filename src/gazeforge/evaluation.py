@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import MovementLabel, RandomSource, VelocityProfile
 from .errors import ParameterError
-from .generators import gamma_profile, gamma_tail
+from .generators import MAX_GAMMA_SHAPE, gamma_profile, gamma_tail
 from .mapping import _label_runs  # run segmentation shared with mapping
 
 DEFAULT_REPEATS = 10
@@ -192,7 +192,7 @@ def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]
         raise ParameterError("saccade run must have at least 2 samples")
     if peak_index <= 0:
         return 1.0, True  # mode at the first sample
-    k_lo, k_hi = 1.0 + 1e-9, 1e8
+    k_lo, k_hi = 1.0 + 1e-9, MAX_GAMMA_SHAPE
 
     def f(k):
         return _mode_index(k, length) - peak_index

@@ -1,17 +1,21 @@
 """Velocity-profile generators for fixations, saccades and smooth pursuits.
 
 Saccades follow a Gamma-shaped velocity profile whose asymmetry is set by a
-skewness parameter (shape = (2/skew)^2). Smooth pursuit onsets follow a
-logistic ramp pinned to 1% / 99% of the plateau at its endpoints.
+skewness parameter (shape = (2/skew)^2). The Gamma quantile and log-Gamma
+come from the pure-Python port in ``_gamma``, which returns SciPy's bits, so
+no SciPy is needed at run time. Smooth pursuit onsets follow a logistic ramp
+pinned to 1% / 99% of the plateau at its endpoints.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
+from ._gamma import MAX_GAMMA_SHAPE, gammaincinv, lgam
 from .core import (
     BoundedDistribution,
     MovementLabel,
@@ -27,6 +31,10 @@ from .errors import ParameterError
 # the 1 - 1e-6 quantile keeps profile skewness within 0.1% of the request
 # while the boundary velocity stays far below 1% of the peak.
 GAMMA_TAIL_QUANTILE = 1.0 - 1e-6
+
+# Smallest saccade skewness: skew_to_shape(MIN_SKEWNESS) == MAX_GAMMA_SHAPE
+# (2e-4), and smaller skewness draws give larger shapes.
+MIN_SKEWNESS = 2.0 / math.sqrt(MAX_GAMMA_SHAPE)
 
 _ONSET_STEEPNESS = 2.0 * math.log(99.0)  # times 1/onset_duration
 
@@ -129,11 +137,11 @@ def gen_fixation(
     return VelocityProfile(base_rate, v, labels)
 
 
+@functools.lru_cache(maxsize=4096)
 def gamma_tail(shape: float) -> float:
-    """GAMMA_TAIL_QUANTILE quantile of the unit-scale Gamma(shape) law."""
-    from scipy.special import gammaincinv  # deferred: costly to import
-
-    return float(gammaincinv(shape, GAMMA_TAIL_QUANTILE))
+    """GAMMA_TAIL_QUANTILE quantile of the unit-scale Gamma(shape) law, for
+    1 <= shape <= MAX_GAMMA_SHAPE."""
+    return gammaincinv(float(shape), GAMMA_TAIL_QUANTILE)
 
 
 def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
@@ -150,13 +158,15 @@ def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
         )
     if n < 2:
         raise ParameterError("saccade needs at least 2 samples")
-    x_end = gamma_tail(shape)
-    if not np.isfinite(x_end):
-        raise ParameterError(f"gamma support not finite for shape {shape:.6g}")
-    from scipy.special import gammaln, xlogy  # deferred: costly to import
-
-    x = np.linspace(0.0, x_end, n)
-    g = np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape))  # Gamma density
+    x = np.linspace(0.0, gamma_tail(shape), n)
+    # (shape - 1) * log(x) per element with libm's log, as SciPy's xlogy
+    # computes it (np.log can differ in the last bit); 0 when shape == 1.
+    k1 = float(shape) - 1.0
+    xlogy = np.zeros(n)
+    if k1 != 0.0:
+        xlogy[0] = -np.inf  # x[0] == 0
+        xlogy[1:] = [k1 * math.log(v) for v in x[1:].tolist()]
+    g = np.exp(xlogy - x - lgam(float(shape)))  # Gamma density
     m = g.max()
     if not np.isfinite(m) or m <= 0:
         raise ParameterError(f"degenerate gamma density for shape {shape:.6g}")

@@ -264,6 +264,17 @@ def test_seed_dependent_failure_is_config_error(tmp_path, capsys, doc, field):
         assert not os.path.exists(out)
 
 
+def test_tiny_skewness_is_config_error(tmp_path, capsys):
+    # Used to load, then exit 4 mid-run: a skewness draw near 1e-9 gives a
+    # Gamma shape near 1e17, whose density overflows.
+    cfg = write_config(tmp_path, saccade={"skewness": {"min": 1e-9, "max": 1e-8}})
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", cfg, "--seed", "5", "--output", out]) \
+        == EXIT_CONFIG
+    assert "saccade.skewness.min" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_remap_rejects_time_going_back(tmp_path, capsys):
     gaze = tmp_path / "real.csv"
     gaze.write_text(

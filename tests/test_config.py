@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -122,6 +123,19 @@ def test_saccade_skewness_above_two_rejected(skew_max):
     with pytest.raises(ValidationError) as e:
         read_config(cfg_text(saccade={"skewness": {"min": 1.5, "max": skew_max}}))
     assert e.value.field == "saccade.skewness.max"
+
+
+def test_saccade_skewness_min_at_shape_limit_accepted():
+    cfg = read_config(cfg_text(saccade={"skewness": {"min": 2e-4, "max": 1.0}}))
+    assert cfg.saccade.skewness.min == 2e-4
+
+
+@pytest.mark.parametrize("skew_min", [math.nextafter(2e-4, 0.0), 1e-9])
+def test_saccade_skewness_below_shape_limit_rejected(skew_min):
+    # (2/skew)^2 above 1e8: the Gamma profile is not computed for such shapes.
+    with pytest.raises(ValidationError) as e:
+        read_config(cfg_text(saccade={"skewness": {"min": skew_min, "max": 1.0}}))
+    assert e.value.field == "saccade.skewness.min"
 
 
 @pytest.mark.parametrize("dur_min", [0.05, 0.0376])  # 2.0 and 1.504 samples

@@ -1,22 +1,16 @@
-"""Cold start and SciPy footprint of each CLI subcommand.
+"""Cold start of the CLI: no subcommand loads SciPy.
 
 Every CLI run pays its import time. ``scipy.stats`` alone takes about a
 second, ``scipy.special`` about half of one and ``scipy.optimize`` about a
-third. Importing the CLI loads no SciPy at all; each subcommand then loads
-only what it computes with:
+third. The package needs none of them at run time: the saccade profile's
+Gamma quantile and log-Gamma are a port of SciPy's kernels (``_gamma``),
+the shape fit in ``evaluate`` a port of ``brentq``, and the saliency maps
+are computed with numpy alone. SciPy is a test-only dependency, the oracle
+those ports are checked against.
 
-- ``saliency`` and ``remap`` in ``same_stimulus`` mode: no SciPy (saliency
-  maps are computed with numpy alone);
-- ``generate``, ``map`` and ``evaluate``: ``scipy.special`` for the Gamma
-  saccade profile (``evaluate`` fits its shapes with a port of ``brentq``,
-  so it loads no ``scipy.optimize``).
-
-No module of the package imports ``scipy.optimize`` at all.
-
-Each subcommand runs on a tiny golden-case config in a fresh interpreter.
-Its first-level ``scipy.*`` modules must equal those that importing the
-expected subpackages loads by itself, so a stray import of any other
-subpackage (``ndimage``, ``stats``, ...) fails.
+Each subcommand runs on a tiny golden-case config in a fresh interpreter
+and must leave no ``scipy`` module in ``sys.modules``; a source scan finds
+no SciPy import anywhere in the package.
 """
 from __future__ import annotations
 
@@ -31,16 +25,11 @@ import pytest
 import gazeforge
 from test_golden import _case
 
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.ndimage", "scipy.special")
-
-# Expression for which scipy modules are loaded; each run prints it last.
-_LOADED = (
-    "{'scipy': 'scipy' in sys.modules, 'subs': sorted("
-    "{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})}"
-)
+# Expression for the scipy modules that are loaded; each run prints it last.
+_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
-def _python(code: str) -> dict:
+def _python(code: str):
     src = os.path.dirname(os.path.dirname(os.path.abspath(gazeforge.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -53,29 +42,18 @@ def _python(code: str) -> dict:
 
 
 def test_cli_import_loads_no_heavy_scipy_module():
-    code = (
-        "import gazeforge.cli\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
-    )
-    assert _python(code) == []
+    assert _python(f"import gazeforge.cli\nprint(json.dumps({_LOADED}))\n") == []
 
 
-@pytest.fixture(scope="module")
-def footprints() -> dict[tuple[str, ...], list[str]]:
-    """First-level scipy modules loaded by importing only the given
-    subpackages, in a fresh interpreter."""
-    special = _python(f"import scipy.special\nprint(json.dumps({_LOADED}))\n")
-    return {("special",): special["subs"]}
-
-
+# The scipy modules each subcommand may load: none.
 @pytest.mark.parametrize("case, expected", [
     ("saliency_targets", ()),
     ("remap_same_stimulus", ()),
-    ("generate_normal_burst", ("special",)),
-    ("map_static", ("special",)),
-    ("evaluate_errors", ("special",)),
+    ("generate_normal_burst", ()),
+    ("map_static", ()),
+    ("evaluate_errors", ()),
 ])
-def test_subcommand_scipy_footprint(case, expected, tmp_path, footprints):
+def test_subcommand_scipy_footprint(case, expected, tmp_path):
     argv, doc = _case(case, tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -86,16 +64,12 @@ def test_subcommand_scipy_footprint(case, expected, tmp_path, footprints):
         f"assert main({argv!r}) == 0\n"
         f"print(json.dumps({_LOADED}))\n"
     )
-    if not expected:
-        assert got == {"scipy": False, "subs": []}
-    else:
-        assert got == {"scipy": True, "subs": footprints[expected]}
+    assert got == sorted(expected)
 
 
-def test_no_module_imports_scipy_optimize():
+def test_no_module_imports_scipy():
     pkg = os.path.dirname(os.path.abspath(gazeforge.__file__))
-    pattern = re.compile(r"^\s*(from\s+scipy\s+import\s+.*\boptimize\b|"
-                         r"(from|import)\s+scipy\.optimize\b)", re.M)
+    pattern = re.compile(r"^\s*(from|import)\s+scipy\b", re.M)
     offenders = []
     for root, _, names in os.walk(pkg):
         for name in sorted(names):

@@ -7,8 +7,10 @@ P2 pixel decode, of the greedy local-maxima thinning, of the row-by-row
 CSV readers, of the weighted target choice and of the pursuit onset
 redraws. The fast versions must return identical bytes, raise the same
 errors and, for the resampler, leave the random stream at the same place.
-The Gamma helpers are checked against ``scipy.stats.gamma``, the Brent
-root finder against ``scipy.optimize.brentq``, and the saliency resize and
+The Gamma helpers are checked against ``scipy.stats.gamma``, and their
+pure-Python port of ``gammaln`` and ``gammaincinv`` against
+``scipy.special``; the Brent root finder against ``scipy.optimize.brentq``,
+and the saliency resize and
 periodic filters (and ``spectral_residual`` built on them) against the
 ``scipy.ndimage`` calls they replace, bit for bit on uint64 views.
 """
@@ -22,10 +24,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
+from scipy import special as sp_special
 from scipy.optimize import brentq as sp_brentq
 from scipy.stats import gamma as sp_gamma
 
-from gazeforge import fileio, generators, resampler, saliency
+from gazeforge import _gamma, fileio, generators, resampler, saliency
 from gazeforge.core import (
     BoundedDistribution,
     DistKind,
@@ -482,6 +485,94 @@ def test_mode_index_equals_stats(shape, length):
     x_end = float(sp_gamma.ppf(GAMMA_TAIL_QUANTILE, shape))
     want = (length - 1) * (shape - 1.0) / x_end
     assert _bits(_mode_index(shape, length)) == _bits(want)
+
+
+# --- the Gamma port against scipy.special, bit for bit ---
+
+# Branch edges of the port: a == 1 and just above it; the DiDonato & Morris
+# start switching from Eq 25 to Eq 33 (near 2.9448) and from Eq 33 to Eq 31
+# (near 12.08); lgam's x < 13 and x >= 1000 forms; the Lanczos form of
+# igam_fac switching to log1pmx at 200; and the largest shape.
+PORT_SPOT_SHAPES = [
+    1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, 2.0, 2.9448, 2.94486, 3.0,
+    12.08, 12.0908, math.nextafter(13.0, 0.0), 13.0, 199.0, 200.0, 201.0,
+    math.nextafter(1000.0, 0.0), 1000.0, math.nextafter(1e8, 0.0), 1e8,
+]
+
+uniform_shapes = st.floats(1.0, 12.0)
+log_uniform_shapes = st.floats(0.0, 8.0).map(lambda e: min(10.0 ** e, 1e8))
+port_shapes = st.one_of(uniform_shapes, log_uniform_shapes)
+
+
+def _spread_shapes() -> list[float]:
+    rng = np.random.default_rng(1986)
+    return (
+        rng.uniform(1.0, 12.0, 1500).tolist()
+        + (10.0 ** rng.uniform(0.0, 8.0, 1500)).tolist()
+        + (1.0 + rng.uniform(0.0, 1e-6, 200)).tolist()
+        + [float(k) for k in range(1, 200)]
+    )
+
+
+def _assert_port_matches(shape: float) -> None:
+    assert _bits(_gamma.lgam(shape)) == _bits(sp_special.gammaln(shape)), shape
+    want = sp_special.gammaincinv(shape, GAMMA_TAIL_QUANTILE)
+    assert _bits(_gamma.gammaincinv(shape, GAMMA_TAIL_QUANTILE)) == _bits(want), shape
+
+
+def _profile_with_special(n: int, shape: float, peak: float) -> np.ndarray:
+    """gamma_profile as computed with scipy.special before the port."""
+    x_end = float(sp_special.gammaincinv(shape, GAMMA_TAIL_QUANTILE))
+    x = np.linspace(0.0, x_end, n)
+    g = np.exp(sp_special.xlogy(shape - 1.0, x) - x - sp_special.gammaln(shape))
+    return peak * g / g.max()
+
+
+@pytest.mark.parametrize("shape", PORT_SPOT_SHAPES)
+def test_gamma_port_matches_special_at_branch_edges(shape):
+    _assert_port_matches(shape)
+    assert _bits(gamma_tail(shape)) == _bits(
+        sp_special.gammaincinv(shape, GAMMA_TAIL_QUANTILE)
+    )
+
+
+def test_gamma_port_matches_special_on_spread_shapes():
+    for shape in _spread_shapes():
+        _assert_port_matches(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(port_shapes)
+def test_gamma_port_matches_special(shape):
+    _assert_port_matches(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 399), st.one_of(st.just(1.0), port_shapes), st.floats(1.0, 900.0))
+@example(2, 1.0, 432.1)
+@example(399, 1.0, 432.1)
+@example(40, 1e8, 500.0)
+def test_gamma_profile_matches_special(n, shape, peak):
+    # x[0] == 0 always: its log term is -inf, or 0 when shape == 1.
+    got = gamma_profile(n, shape, peak)
+    assert _bits(got) == _bits(_profile_with_special(n, shape, peak))
+
+
+@pytest.mark.parametrize("shape", [
+    math.nextafter(1.0, 0.0), 0.5, math.nextafter(1e8, math.inf), 1e9, 1.65e17,
+    math.inf, math.nan,
+])
+def test_gamma_port_rejects_shapes_outside_domain(shape):
+    with pytest.raises(ParameterError, match="outside"):
+        _gamma.gammaincinv(shape, GAMMA_TAIL_QUANTILE)
+    with pytest.raises(ParameterError):
+        gamma_profile(40, shape, 400.0)
+
+
+@pytest.mark.parametrize("p", [0.9, 0.5, 1.0])
+def test_gamma_port_rejects_unported_probabilities(p):
+    with pytest.raises(ValueError, match="0.9 < p < 1"):
+        _gamma.gammaincinv(2.0, p)
 
 
 # --- evaluation: one simulation per saccade ---
