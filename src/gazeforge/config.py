@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -59,6 +60,9 @@ def _expect(obj: dict, key: str, types, path: str, default=None, required=False)
             f"expected {getattr(types, '__name__', types)}, got {type(v).__name__}",
             f"{path}{key}",
         )
+    # JSON's NaN and Infinity tokens parse; no setting can run with them.
+    if types is float and not math.isfinite(v):
+        raise ValidationError(f"must be finite, got {v!r}", f"{path}{key}")
     return v
 
 
@@ -395,6 +399,10 @@ def read_config(text: str) -> RunConfig:
         remap_mode=remap_mode,
         frame_rate=_expect(mp, "frame_rate", float, "mapping.", default=30.0),
     )
+    if mapping.frame_rate <= 0:
+        raise ValidationError("must be > 0", "mapping.frame_rate")
+    if mapping.min_target_distance < 0:
+        raise ValidationError("must be >= 0", "mapping.min_target_distance")
 
     pt = doc.get("paths", {})
     allowed_paths = {

@@ -306,7 +306,8 @@ def read_pgm_bytes(data: bytes) -> np.ndarray:
                 f"pixel value {int(values[bad])} exceeds maxval {maxval}",
                 f"byte {sc.pos + bad * bpp}",
             )
-    return values.reshape(height, width) / float(maxval)
+    values /= float(maxval)  # a new array on every path, so divide in place
+    return values.reshape(height, width)
 
 
 def read_pgm(path: str) -> np.ndarray:

@@ -108,12 +108,12 @@ def fixation_walk(
     if dispersion < 0:
         raise ParameterError("dispersion must be >= 0")
     cx, cy = center
+    if dispersion == 0:
+        return [(cx, cy)] * n  # no step is drawn
     px, py = cx, cy
     pts: list[tuple[float, float]] = []
     for _ in range(n):
         pts.append((px, py))
-        if dispersion == 0:
-            continue
         ang = 2.0 * math.pi * rng.uniform()
         step = min(abs(rng.normal()) * (dispersion / 3.0), dispersion / 2.0)
         nx = px + step * math.cos(ang) + 0.1 * (cx - px)
@@ -220,8 +220,7 @@ def map_to_gaze(
         if label == MovementLabel.FIXATION:
             tx, ty, _ = choose(tset)
             pts = fixation_walk((tx, ty), n, p.fixation_dispersion, rng)
-            for j, (px, py) in enumerate(pts):
-                xs[start + j], ys[start + j] = px, py
+            xs[start:end], ys[start:end] = np.array(pts).T
             cur = pts[-1]
         else:
             if cur is None:
@@ -271,17 +270,17 @@ def _place_movement_run(
     else:
         ux, uy = 0.0, 0.0
     perp_x, perp_y = -uy, ux
-    for j in range(n):
-        prog = float(progress[j])
-        px = ox + prog * dx
-        py = oy + prog * dy
-        amp = p.max_path_deviation * 2.0 * min(prog, 1.0 - prog)
-        if amp > 0:
-            off = (2.0 * rng.uniform() - 1.0) * amp
-            px += off * perp_x
-            py += off * perp_y
-        xs[start + j] = px
-        ys[start + j] = py
+    px = ox + progress * dx
+    py = oy + progress * dy
+    amp = p.max_path_deviation * 2.0 * np.minimum(progress, 1.0 - progress)
+    # One uniform per sample with amp > 0, in sample order: the draws of a
+    # per-sample loop that draws only where the path deviates.
+    dev = amp > 0
+    off = (2.0 * rng.uniforms(int(np.count_nonzero(dev))) - 1.0) * amp[dev]
+    px[dev] += off * perp_x
+    py[dev] += off * perp_y
+    xs[start:end] = px
+    ys[start:end] = py
     # Endpoint renormalization guarantees the final sample is exactly on target.
     xs[end - 1] = dest[0]
     ys[end - 1] = dest[1]

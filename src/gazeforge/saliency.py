@@ -10,6 +10,7 @@ from .core import RandomSource
 from .errors import ParameterError
 
 WORKING_WIDTH = 64  # downscale width used by the spectral-residual method
+_RESIZE_BLOCK_ROWS = 32  # output rows per block of the bilinear resize
 
 
 @dataclass
@@ -64,24 +65,36 @@ def _resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     v01, v10, v11 in that order onto +0.0 (so an all -0.0 sum comes out
     +0.0). Applying the row weight to whole source rows before the column
     gather gives the same products.
+
+    The ``linspace`` grid never decreases, so neither do the column
+    neighbours ``x0`` and ``x1``: gathering them is repeating each source
+    column as often as it occurs (zero times for columns a downscale
+    skips). The output is computed ``_RESIZE_BLOCK_ROWS`` rows at a time
+    into one preallocated array; every output element still gets the same
+    four products summed in the same order, so blocking changes no bit.
     """
     h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img.copy()
     y0, y1, wy0, wy1 = _bilinear_axis(h, out_h)
     x0, x1, wx0, wx1 = _bilinear_axis(w, out_w)
-    r0 = img[y0] * wy0[:, None]
-    r1 = img[y1] * wy1[:, None]
-    out = r0[:, x0]
-    out *= wx0
-    term = r0[:, x1]
-    term *= wx1
-    out += term
-    np.multiply(r1[:, x0], wx0, out=term)
-    out += term
-    np.multiply(r1[:, x1], wx1, out=term)
-    out += term
-    out += 0.0
+    n0 = np.bincount(x0, minlength=w)
+    n1 = np.bincount(x1, minlength=w)
+    out = np.empty((out_h, out_w))
+    term = np.empty((min(_RESIZE_BLOCK_ROWS, out_h), out_w))
+    for a in range(0, out_h, _RESIZE_BLOCK_ROWS):
+        b = min(a + _RESIZE_BLOCK_ROWS, out_h)
+        o, t = out[a:b], term[: b - a]
+        r0 = img[y0[a:b]] * wy0[a:b, None]
+        r1 = img[y1[a:b]] * wy1[a:b, None]
+        np.multiply(np.repeat(r0, n0, axis=1), wx0, out=o)
+        np.multiply(np.repeat(r0, n1, axis=1), wx1, out=t)
+        o += t
+        np.multiply(np.repeat(r1, n0, axis=1), wx0, out=t)
+        o += t
+        np.multiply(np.repeat(r1, n1, axis=1), wx1, out=t)
+        o += t
+        o += 0.0
     return out
 
 
@@ -170,13 +183,13 @@ def spectral_residual(image: np.ndarray) -> SaliencyMap:
     residual = log_amp - _box3_wrap(log_amp)
     sal = np.abs(np.fft.ifft2(np.exp(residual + 1j * phase))) ** 2
     sal = _gauss1_wrap(sal)
-    sal = _resize(sal, h, w)
-    sal = np.clip(sal, 0.0, None)
+    sal = _resize(sal, h, w)  # a new array, so the steps below work in place
+    np.clip(sal, 0.0, None, out=sal)
     m = float(sal.max())
     if m > 1e-12:
-        sal = sal / m
+        sal /= m
     else:
-        sal = np.zeros_like(sal)
+        sal.fill(0.0)
     return SaliencyMap(sal)
 
 
@@ -185,6 +198,13 @@ def local_maxima(
 ) -> TargetSet:
     """Pixels strictly above their 8-neighborhood with value >= threshold,
     thinned greedily so kept points are at least min_distance apart.
+
+    The map is framed by -inf. The threshold and the four edge-neighbour
+    comparisons are made densely; the four diagonal ones only for the
+    pixels that pass them, by flat index into the framed map. These are the
+    float comparisons of a dense 8-neighbour test (a NaN pixel is never a
+    maximum and beats no neighbour; NaN beside a pixel keeps it from being
+    one), and ``np.flatnonzero`` lists the survivors in row-major order.
 
     Candidates are visited by descending value, ties by row-major index; a
     candidate is kept when ``math.hypot`` to every kept point is
@@ -197,17 +217,30 @@ def local_maxima(
         raise ParameterError("min_distance must be >= 0")
     v = smap.values
     h, w = v.shape
-    padded = np.pad(v, 1, mode="constant", constant_values=-np.inf)
-    center = padded[1:-1, 1:-1]
-    is_max = np.ones((h, w), dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            is_max &= center > padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-    is_max &= center >= threshold
-    ys, xs = np.nonzero(is_max)
-    vals = v[ys, xs]
+    # Row-major over the framed map, pixel (y, x) is at (y + 1) * fw + x + 1.
+    # One flat run from the first pixel to the last covers every pixel and
+    # the frame columns between rows; a -inf frame value beats no neighbour.
+    fw = w + 2
+    framed = np.full((h + 2, fw), -np.inf)
+    framed[1:-1, 1:-1] = v
+    flat = framed.ravel()
+    n = max(h * fw - 2, 0)
+    center = flat[fw + 1 : fw + 1 + n]
+    is_max = center >= threshold
+    beats = np.empty(n, dtype=bool)
+    for off in (-fw, -1, 1, fw):
+        np.greater(center, flat[fw + 1 + off : fw + 1 + off + n], out=beats)
+        is_max &= beats
+    at = np.flatnonzero(is_max)
+    at += fw + 1
+    vals = flat[at]
+    diag = np.ones(len(at), dtype=bool)
+    for off in (-fw - 1, -fw + 1, fw - 1, fw + 1):
+        diag &= vals > flat[at + off]
+    at, vals = at[diag], vals[diag]
+    ys, xs = np.divmod(at, fw)
+    ys -= 1
+    xs -= 1
     order = np.lexsort((ys * w + xs, -vals))
     cands = zip(
         xs[order].astype(float).tolist(),

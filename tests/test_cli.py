@@ -184,6 +184,29 @@ def test_map_dynamic_over_frames(tmp_path):
     assert run(["map", "--config", cfg, "--output", out]) == EXIT_OK
 
 
+@pytest.mark.parametrize("override, field", [
+    ("mapping.frame_rate=0", "mapping.frame_rate"),
+    ("mapping.fixation_dispersion=NaN", "mapping.fixation_dispersion"),
+])
+def test_map_bad_mapping_number_is_config_error(tmp_path, capsys, override, field):
+    # frame_rate 0 used to raise ZeroDivisionError (exit 1); a NaN
+    # dispersion ran and wrote nan coordinates (exit 0).
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(3):
+        write_stimulus(frames, name=f"frame{i:03d}.pgm", seed=i)
+    cfg = write_config(
+        tmp_path, mode="map_dynamic",
+        sequence={"counts": {"fixation": 2, "saccade": 1}},
+        paths={"frames_dir": str(frames)},
+    )
+    out = str(tmp_path / "gaze.csv")
+    assert run(["map", "--config", cfg, "--output", out, "--set", override]) \
+        == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_remap_same_stimulus(tmp_path):
     stim = write_stimulus(tmp_path)
     gaze = str(tmp_path / "real.csv")

@@ -105,6 +105,49 @@ def test_pursuit_onset_not_below_duration_rejected(onset_min):
     assert e.value.field == "pursuit.onset_duration.min"
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"base_rate_hz": math.nan}, "base_rate_hz"),
+    ({"base_rate_hz": math.inf}, "base_rate_hz"),
+    ({"fixation": {"base_velocity": math.nan}}, "fixation.base_velocity"),
+    ({"saccade": {"peak_velocity": {"kind": "normal", "min": 300, "max": 500,
+                                    "std": math.inf}}},
+     "saccade.peak_velocity.std"),
+    ({"noise": {"fraction": math.nan}}, "noise.fraction"),
+    ({"mapping": {"pixels_per_degree": math.inf}}, "mapping.pixels_per_degree"),
+    ({"mapping": {"max_path_deviation": math.inf}}, "mapping.max_path_deviation"),
+    ({"mapping": {"fixation_dispersion": math.nan}}, "mapping.fixation_dispersion"),
+    ({"mapping": {"target_jitter_px": math.nan}}, "mapping.target_jitter_px"),
+    ({"mapping": {"min_target_distance": math.inf}}, "mapping.min_target_distance"),
+    ({"mapping": {"target_threshold": -math.inf}}, "mapping.target_threshold"),
+    ({"mapping": {"frame_rate": math.nan}}, "mapping.frame_rate"),
+    ({"mapping": {"frame_rate": math.inf}}, "mapping.frame_rate"),
+])
+def test_non_finite_number_rejected_at_its_field(doc, field):
+    # json.loads accepts the NaN and Infinity tokens that json.dumps writes.
+    with pytest.raises(ValidationError) as e:
+        read_config(cfg_text(**doc))
+    assert e.value.field == field
+    assert "must be finite" in str(e.value)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"mapping": {"frame_rate": 0}}, "mapping.frame_rate"),
+    ({"mapping": {"frame_rate": -5}}, "mapping.frame_rate"),
+    ({"mapping": {"min_target_distance": -1}}, "mapping.min_target_distance"),
+    ({"mapping": {"min_target_distance": -1e-300}}, "mapping.min_target_distance"),
+])
+def test_out_of_range_mapping_number_rejected(doc, field):
+    with pytest.raises(ValidationError) as e:
+        read_config(cfg_text(**doc))
+    assert e.value.field == field
+
+
+def test_smallest_mapping_numbers_accepted():
+    cfg = read_config(cfg_text(mapping={"frame_rate": 1e-9, "min_target_distance": 0}))
+    assert cfg.mapping.frame_rate == 1e-9
+    assert cfg.mapping.min_target_distance == 0.0
+
+
 def test_pursuit_onset_below_duration_max_accepted():
     cfg = read_config(cfg_text(pursuit={
         "duration": {"min": 0.1, "max": 0.3},

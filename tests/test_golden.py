@@ -41,6 +41,9 @@ GOLDEN = {
     "map_dynamic": {
         "out.csv": "28f4e3fa04f0eba23f596fd5a6e3193e543a11294f5ad9217f70adb24e8e8f8a",
     },
+    "map_dynamic_wide": {
+        "out.csv": "ccce1f6845fa5fcacdad7e91de3df671006de9150b21701ba7c992e90b6cac01",
+    },
     "remap_same_stimulus": {
         "out.csv": "efbfe65979ff856ba275f335849a0bf48da201625a4cc6aeb4ef793c9af3b36d",
     },
@@ -50,6 +53,10 @@ GOLDEN = {
     "saliency_targets": {
         "out.pgm": "aae1f7ba89ecd3cf815ebcd9fec8b30e8ebdb0cb82dbbf6d44aef8c29bc2f24f",
         "targets.csv": "409e622427b1f5ba9189527aeaaf8baa8389ca78d84d38f8193929d2bc0304ab",
+    },
+    "saliency_targets_wide": {
+        "out.pgm": "1c7eca356111c038c9659c8e278b09802f04abceb9d7f731e4dda5bec2a306d9",
+        "targets.csv": "9d4ba1a69b28354d8af03acfbcbf6bc7e0c1ed0845751c56bf38a12867347e48",
     },
     "evaluate_errors": {
         "out.csv": "d8843e22662c8a9723830d8d323e68d389e2b9e8d6608e5e3619ae6f81f38beb",
@@ -177,11 +184,14 @@ def _case(name: str, tmp_path):
             paths={"stimulus": str(stim), "velocity_input": str(vel)},
         )
         return ["map"], doc
-    if name == "map_dynamic":
+    if name in ("map_dynamic", "map_dynamic_wide"):
+        # The wide frames are downscaled to the 64 px working width and
+        # upscaled back in blocks of rows, the last one partial.
+        size = (120, 160) if name == "map_dynamic_wide" else (48, 64)
         frames = tmp_path / "frames"
         frames.mkdir()
         for i in range(3):
-            (frames / f"frame{i:03d}.pgm").write_bytes(_stimulus(10 + i))
+            (frames / f"frame{i:03d}.pgm").write_bytes(_stimulus(10 + i, size))
         doc = dict(
             base, mode="map_dynamic",
             mapping=dict(mapping, frame_rate=2.0),
@@ -200,6 +210,13 @@ def _case(name: str, tmp_path):
             base, mode="remap", mapping=dict(mapping, remap_mode=mode), paths=paths
         )
         return ["remap"], doc
+    if name == "saliency_targets_wide":
+        stim.write_bytes(_stimulus(4, (150, 200)))
+        doc = dict(
+            base, mode="saliency",
+            paths={"stimulus": str(stim), "targets_output": str(tmp_path / "targets.csv")},
+        )
+        return ["saliency"], doc
     if name == "saliency_targets":
         doc = dict(
             base, mode="saliency",
@@ -222,7 +239,7 @@ def _digests(name: str, tmp_path) -> dict[str, str]:
     argv, doc = _case(name, tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    out = "out.pgm" if name == "saliency_targets" else "out.csv"
+    out = "out.pgm" if name.startswith("saliency_targets") else "out.csv"
     code = main(argv + ["--config", str(cfg), "--output", str(tmp_path / out)])
     assert code == EXIT_OK
     return {

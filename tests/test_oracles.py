@@ -4,9 +4,11 @@ The loops below are the original per-sample implementations of the label
 segmentation and velocity extraction used by mapping, remap and
 evaluation, of the fluctuating-rate resampler, and of the token-by-token
 P2 pixel decode, of the greedy local-maxima thinning, of the row-by-row
-CSV readers, of the weighted target choice and of the pursuit onset
-redraws. The fast versions must return identical bytes, raise the same
-errors and, for the resampler, leave the random stream at the same place.
+CSV readers, of the weighted target choice, of the pursuit onset
+redraws and of the gaze placement along a movement run and in a fixation
+without dispersion. The fast versions must return identical bytes, raise
+the same errors and, for the resampler and the gaze placement, leave the
+random stream at the same place.
 The Gamma helpers are checked against ``scipy.stats.gamma``, and their
 pure-Python port of ``gammaln`` and ``gammaincinv`` against
 ``scipy.special``; the Brent root finder against ``scipy.optimize.brentq``,
@@ -56,11 +58,14 @@ from gazeforge.generators import (
 )
 from gazeforge.mapping import (
     GazeTrace,
+    MappingParams,
     _choose_target,
     _effective_labels,
     _label_runs,
+    _place_movement_run,
     _weight_sums,
     extract_velocities,
+    fixation_walk,
 )
 from gazeforge.resampler import SampledSignal
 from gazeforge.saliency import TargetSet
@@ -704,6 +709,12 @@ def test_resize_matches_map_coordinates(case):
 @pytest.mark.parametrize("shape, out", [
     ((48, 64), (480, 640)), ((8, 8), (8, 8)), ((8, 200), (1, 1)), ((200, 8), (3, 600)),
     ((768, 1024), (48, 64)), ((9, 10), (17, 19)),
+    # the upscale of a 1024x768 stimulus; a row count below, at and above
+    # one block; a single source row or column; a downscale that repeats
+    # most source columns zero times
+    ((48, 64), (768, 1024)), ((48, 64), (31, 640)), ((48, 64), (32, 640)),
+    ((48, 64), (33, 640)), ((1, 64), (480, 640)), ((48, 1), (480, 640)),
+    ((480, 640), (48, 64)),
 ])
 def test_resize_fixed_shapes_match_map_coordinates(shape, out):
     rng = np.random.default_rng(sum(shape) + sum(out))
@@ -784,25 +795,49 @@ def test_spectral_residual_large_image_matches_ndimage_pipeline():
     assert_same_bits(saliency.spectral_residual(img).values, spectral_residual_ndimage(img))
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (48, 64), (48, 65), (150, 200)])
+def test_spectral_residual_leaves_its_input_unchanged(shape):
+    # w <= 64 runs the FFT on the caller's array itself, w > 64 on a resize.
+    img = np.random.default_rng(sum(shape)).random(shape)
+    before = img.copy()
+    got = saliency.spectral_residual(img)
+    assert_same_bits(img, before)
+    assert not np.shares_memory(got.values, img)
+
+
 MIN_DISTANCES = [0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, 7.3]
+_SPECIAL_PIXELS = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0])
 
 
 @st.composite
 def saliency_maps(draw):
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    layout = draw(st.sampled_from(["grid", "grid", "row", "column"]))
+    if layout == "row":
+        h = 1
+    elif layout == "column":
+        w = 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        values = rng.integers(0, draw(st.integers(1, 6)), (h, w)) / 5.0  # ties
-    else:
+    kind = draw(st.sampled_from(["ties", "uniform", "special", "constant"]))
+    if kind == "constant":
+        fill = draw(st.sampled_from([0.0, -0.0, 0.5, math.nan, math.inf, -math.inf]))
+        return saliency.SaliencyMap(np.full((h, w), fill))
+    if kind == "uniform":
         values = rng.random((h, w))
+    else:
+        values = rng.integers(0, draw(st.integers(1, 6)), (h, w)) / 5.0  # ties
+    if kind == "special":  # NaN, +-inf and +-0.0 pixels among the ties
+        hit = rng.random((h, w)) < draw(st.sampled_from([0.05, 0.3, 0.7]))
+        values[hit] = rng.choice(_SPECIAL_PIXELS, int(hit.sum()))
     return saliency.SaliencyMap(values)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
     saliency_maps(),
     st.one_of(st.sampled_from(MIN_DISTANCES), st.floats(0.0, 30.0)),
-    st.sampled_from([0.0, 0.2, 0.5, 0.99]),
+    # 2.0 and inf are above every finite map value: no finite candidate
+    st.sampled_from([0.0, 0.2, 0.5, 0.99, -math.inf, -1.0, math.nan, 2.0, math.inf]),
 )
 def test_local_maxima_matches_loop(smap, min_distance, threshold):
     got = saliency.local_maxima(smap, min_distance, threshold)
@@ -816,6 +851,20 @@ def test_local_maxima_noise_map_matches_loop(min_distance):
     got = saliency.local_maxima(smap, min_distance, 0.1)
     want = local_maxima_loop(smap, min_distance, 0.1)
     assert (got.points, got.width, got.height) == (want.points, want.width, want.height)
+
+
+@pytest.mark.parametrize("threshold", [-math.inf, -1.0, 0.0, math.nan, "max", "above_max"])
+def test_local_maxima_thresholds_on_noise_map_match_loop(threshold):
+    values = np.random.default_rng(12).random((50, 70))
+    if threshold == "max":
+        threshold = float(values.max())
+    elif threshold == "above_max":  # no candidates at all
+        threshold = math.nextafter(float(values.max()), math.inf)
+    smap = saliency.SaliencyMap(values)
+    got = saliency.local_maxima(smap, 0.0, threshold)
+    want = local_maxima_loop(smap, 0.0, threshold)
+    assert (got.points, got.width, got.height) == (want.points, want.width, want.height)
+    assert (len(got) == 0) == (math.isnan(threshold) or threshold > values.max())
 
 
 def test_local_maxima_negative_distance_error_matches_loop():
@@ -1183,6 +1232,118 @@ def test_choose_target_empty_set_error_matches_loop():
     assert outcome(_choose_target, targets, _weight_sums(targets), _FixedUniform(0.5)) == (
         outcome(choose_target_loop, targets, _FixedUniform(0.5))
     )
+
+
+# --- gaze placement: array arithmetic and one batch of draws against the loops ---
+
+def place_movement_run_loop(signal, start, end, origin, dest, p, rng, xs, ys):
+    """The per-sample placement of a saccade or pursuit run."""
+    ts = signal.timestamps
+    t_before = float(ts[start - 1]) if start > 0 else 0.0
+    dts = np.diff(ts[start - 1 : end]) if start > 0 else np.diff(
+        np.concatenate(([t_before], ts[start:end]))
+    )
+    steps = signal.velocities[start:end] * dts * p.pixels_per_degree
+    cum = np.cumsum(np.maximum(steps, 0.0))
+    total = float(cum[-1])
+    n = end - start
+    if total > 0:
+        progress = cum / total
+    else:
+        progress = np.arange(1, n + 1) / n
+    ox, oy = origin
+    dx, dy = dest[0] - ox, dest[1] - oy
+    dist = math.hypot(dx, dy)
+    if dist > 0:
+        ux, uy = dx / dist, dy / dist
+    else:
+        ux, uy = 0.0, 0.0
+    perp_x, perp_y = -uy, ux
+    for j in range(n):
+        prog = float(progress[j])
+        px = ox + prog * dx
+        py = oy + prog * dy
+        amp = p.max_path_deviation * 2.0 * min(prog, 1.0 - prog)
+        if amp > 0:
+            off = (2.0 * rng.uniform() - 1.0) * amp
+            px += off * perp_x
+            py += off * perp_y
+        xs[start + j] = px
+        ys[start + j] = py
+    xs[end - 1] = dest[0]
+    ys[end - 1] = dest[1]
+
+
+def fixation_walk_loop(center, n, dispersion, rng):
+    """The walk that looped, without drawing, when dispersion is 0."""
+    cx, cy = center
+    px, py = cx, cy
+    pts = []
+    for _ in range(n):
+        pts.append((px, py))
+        if dispersion == 0:
+            continue
+        ang = 2.0 * math.pi * rng.uniform()
+        step = min(abs(rng.normal()) * (dispersion / 3.0), dispersion / 2.0)
+        nx = px + step * math.cos(ang) + 0.1 * (cx - px)
+        ny = py + step * math.sin(ang) + 0.1 * (cy - py)
+        d = math.hypot(nx - cx, ny - cy)
+        if d > dispersion:
+            nx = cx + (nx - cx) * dispersion / d
+            ny = cy + (ny - cy) * dispersion / d
+        px, py = nx, ny
+    return pts
+
+
+_POINT = st.floats(0.0, 640.0)
+
+
+@st.composite
+def movement_runs(draw):
+    total = draw(st.integers(1, 50))
+    start = draw(st.sampled_from([0, draw(st.integers(0, total - 1))]))
+    end = draw(st.sampled_from([start + 1, draw(st.integers(start + 1, total))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ts = np.cumsum(rng.uniform(0.001, 0.02, total))
+    v = rng.uniform(0.0, 600.0, total)
+    speed = draw(st.sampled_from(["positive", "zero", "some_zero", "some_negative"]))
+    if speed == "zero":  # total path 0: even progress
+        v[:] = 0.0
+    elif speed == "some_zero":
+        v[rng.random(total) < 0.5] = 0.0
+    elif speed == "some_negative":  # negative steps are clipped to 0
+        v[rng.random(total) < 0.3] *= -1.0
+    origin = (draw(_POINT), draw(_POINT))
+    dest = origin if draw(st.booleans()) else (draw(_POINT), draw(_POINT))
+    deviation = draw(st.one_of(st.sampled_from([0.0, 1e-300, 3.0, 15.0]), st.floats(0.0, 50.0)))
+    p = MappingParams(draw(st.sampled_from([1.0, 30.0, 57.3])), deviation)
+    signal = SampledSignal(ts, v, np.full(total, int(MovementLabel.SACCADE)))
+    return signal, start, end, origin, dest, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(movement_runs(), st.integers(0, 2**32))
+def test_place_movement_run_matches_loop(run, seed):
+    signal, start, end, origin, dest, p = run
+    a, b = RandomSource(seed), RandomSource(seed)
+    fill = np.random.default_rng(seed).random(len(signal))  # samples outside the run
+    xs, ys = fill.copy(), fill[::-1].copy()
+    want_x, want_y = fill.copy(), fill[::-1].copy()
+    _place_movement_run(signal, start, end, origin, dest, p, a, xs, ys)
+    place_movement_run_loop(signal, start, end, origin, dest, p, b, want_x, want_y)
+    assert_same_bits(xs, want_x)
+    assert_same_bits(ys, want_y)
+    assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize("dispersion", [0.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 37])
+def test_fixation_walk_matches_loop(dispersion, n):
+    for seed in range(5):
+        a, b = RandomSource(seed), RandomSource(seed)
+        got = fixation_walk((12.5, 40.25), n, dispersion, a)
+        assert got == fixation_walk_loop((12.5, 40.25), n, dispersion, b)
+        assert a.uniform() == b.uniform()
 
 
 # --- pursuit onset: 100 redraws, then one draw below the duration ---
