@@ -48,16 +48,152 @@ def _parse_label(token: str, row: int) -> MovementLabel:
 
 
 def velocity_csv_text(signal: SampledSignal) -> str:
-    lines = [VELOCITY_HEADER]
-    for t, v, lab in zip(
-        signal.timestamps.tolist(), signal.velocities.tolist(), signal.labels.tolist()
-    ):
-        lines.append(f"{t * 1000.0:.3f},{v:.6g},{_LABEL_NAME[lab]}")
-    return "\n".join(lines) + "\n"
+    return _velocity_csv_bytes(signal).decode("ascii")
+
+
+def _velocity_csv_bytes(signal: SampledSignal) -> bytes:
+    def row(i: int) -> str:
+        t, v = float(signal.timestamps[i]), float(signal.velocities[i])
+        return f"{t * 1000.0:.3f},{v:.6g},{_LABEL_NAME[signal.labels[i]]}"
+
+    with np.errstate(over="ignore"):  # as the f-string, inf past the largest float
+        fields = [_fixed3(signal.timestamps * 1000.0), _general6(signal.velocities)]
+    return _csv_bytes(VELOCITY_HEADER, fields, signal.labels, row)
 
 
 def write_velocity_csv(path: str, signal: SampledSignal) -> None:
-    atomic_write_text(path, velocity_csv_text(signal))
+    atomic_write_bytes(path, _velocity_csv_bytes(signal))
+
+
+# --- CSV number formatting ---
+#
+# A CSV is built as one byte matrix, a column per byte of a line and a row
+# per line; every field has its own block of columns, and the bytes a
+# shorter value leaves unused hold _PAD, which one mask drops at the end.
+# The matrix is filled transposed, one contiguous array per column. Each
+# number becomes a correctly rounded fixed-point integer spelled out through
+# a digit table. A row whose rounding the float product cannot settle
+# (within a few ulps of a tie, or too large), or whose value the fixed
+# notation does not cover, is formatted by the f-string instead, so the
+# bytes are always the f-string's.
+
+_PAD = 0  # a byte no CSV line contains; a digit byte times 0 is _PAD
+# Hundreds, tens and units digit of 0..999 as ASCII.
+_DIGITS3 = ((np.arange(1000) // np.array([[100], [10], [1]])) % 10 + ord("0")).astype(
+    np.uint8
+)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_F10 = 10.0 ** np.arange(10)  # exact doubles
+# Lower bounds of the decades of .6g's fixed notation, 1e-4 to 1e5. The
+# doubles of 1e-4 to 1e-1 lie above the powers of ten they stand for, so a
+# comparison with them finds the exact decade.
+_G_DECADES = np.array([float(f"1e{e}") for e in range(-4, 6)])
+_LABEL_WIDTH = max(map(len, _LABEL_NAME))
+_LABEL_BYTES = np.array(
+    [list(name.encode().ljust(_LABEL_WIDTH, b"\0")) for name in _LABEL_NAME],
+    dtype=np.uint8,
+).T
+
+
+def _put_digits(q: np.ndarray, out: np.ndarray) -> None:
+    """Write the ASCII digits of non-negative int64 values into the columns
+    ``out`` (one row per digit, most significant first), zero-filled."""
+    hi = len(out)
+    while hi > 0:
+        q, r = np.divmod(q, 1000)
+        for k in range(max(hi - 3, 0), hi):
+            out[k] = _DIGITS3[k - hi + 3].take(r)
+        hi -= 3
+
+
+def _drop_leading_zeros(q: np.ndarray, out: np.ndarray) -> None:
+    """Pad the leading zeros of the integers ``q`` written in ``out``,
+    keeping the units digit."""
+    w = len(out)
+    for k in range(w - 1):
+        out[k] *= q >= _POW10[w - 1 - k]
+
+
+def _rounded(y: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``y`` rounded to int64 where ``ok``, and the mask of values to format
+    by f-string: not ``ok``, or so close to a tie that the rounding error of
+    the product ``y`` could put it on the wrong side (or exactly on it)."""
+    y = np.where(ok, y, 0.0)
+    slow = ~ok | (np.abs(y - np.floor(y) - 0.5) <= 4.0 * np.spacing(y))
+    return np.rint(y).astype(np.int64), slow
+
+
+def _fixed3(v: np.ndarray):
+    """``f"{v:.3f}"`` of each value: (width, fill, slow), where ``fill(out)``
+    writes the padded bytes into ``width`` columns and ``slow`` marks the
+    rows to format by f-string (non-finite, ``|v|·1000 >= 2**52``, or near a
+    tie)."""
+    y = np.abs(v) * 1000.0
+    q, slow = _rounded(y, y < 2.0**52)
+    ip, frac = np.divmod(q, 1000)
+    digits = len(str(int(ip.max(initial=0))))
+
+    def fill(out: np.ndarray) -> None:
+        out[0] = np.signbit(v) * ord("-")
+        _put_digits(ip, out[1 : 1 + digits])
+        _drop_leading_zeros(ip, out[1 : 1 + digits])
+        out[1 + digits] = ord(".")
+        _put_digits(frac, out[2 + digits :])
+
+    return digits + 5, fill, slow
+
+
+def _general6(v: np.ndarray):
+    """``f"{v:.6g}"`` of each value, as :func:`_fixed3` returns it; the
+    f-string rows are those other than zero outside 1e-4 <= |v| < 1e6 (.6g
+    writes them with an exponent), those near a tie, and those that round up
+    to the next decade."""
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e6)
+    # 6 significant digits: 5 - e decimals in decade e (10**e <= |v| < 10**(e+1)).
+    decimals = np.where(fixed, 10 - np.searchsorted(_G_DECADES, a, side="right"), 0)
+    q, slow = _rounded(a * _F10[decimals], fixed | (a == 0.0))
+    slow |= q >= _POW10[6]
+    ip, frac = np.divmod(q * _POW10[9 - decimals], _POW10[9])  # 9 decimals
+    # Decimals left once trailing zeros go; q >= 1e5 has at most 5 of them,
+    # and q == 0 comes with decimals 0.
+    kept = decimals - sum(q % _POW10[k] == 0 for k in range(1, 6))
+
+    def fill(out: np.ndarray) -> None:
+        out[0] = np.signbit(v) * ord("-")
+        _put_digits(ip, out[1:7])
+        _drop_leading_zeros(ip, out[1:7])
+        out[7] = (kept > 0) * ord(".")
+        _put_digits(frac, out[8:])
+        for k in range(9):
+            out[8 + k] *= kept > k
+
+    return 17, fill, slow
+
+
+def _csv_bytes(header: str, fields: list, labels: np.ndarray, row) -> bytes:
+    """The CSV of the numeric ``fields`` (from :func:`_fixed3` and
+    :func:`_general6`) and the labels, one line per row; ``row(i)`` is the
+    f-string line of row ``i``, used for the rows a field marks."""
+    width = sum(w + 1 for w, _, _ in fields) + _LABEL_WIDTH + 1
+    out = np.empty((width, len(labels)), dtype=np.uint8)
+    col = 0
+    for w, fill, _ in fields:
+        fill(out[col : col + w])
+        out[col + w] = ord(",")
+        col += w + 1
+    for k in range(_LABEL_WIDTH):
+        out[col + k] = _LABEL_BYTES[k].take(labels)
+    out[-1] = ord("\n")
+    flat = out.T.ravel()
+    body = flat[flat != _PAD].tobytes()
+    slow = np.flatnonzero(np.logical_or.reduce([s for _, _, s in fields]))
+    if len(slow):
+        lines = body.split(b"\n")
+        for i in slow.tolist():
+            lines[i] = row(i).encode("ascii")
+        body = b"\n".join(lines)
+    return header.encode("ascii") + b"\n" + body
 
 
 def _read_rows(text: str, header: str, n_fields: int) -> Iterable[tuple[int, list[str]]]:
@@ -172,16 +308,21 @@ def read_velocity_csv(path: str) -> SampledSignal:
 
 
 def gaze_csv_text(trace: GazeTrace) -> str:
-    lines = [GAZE_HEADER]
-    for t, x, y, lab in zip(
-        trace.timestamps.tolist(), trace.x.tolist(), trace.y.tolist(), trace.labels.tolist()
-    ):
-        lines.append(f"{t * 1000.0:.3f},{x:.3f},{y:.3f},{_LABEL_NAME[lab]}")
-    return "\n".join(lines) + "\n"
+    return _gaze_csv_bytes(trace).decode("ascii")
+
+
+def _gaze_csv_bytes(trace: GazeTrace) -> bytes:
+    def row(i: int) -> str:
+        t, x, y = float(trace.timestamps[i]), float(trace.x[i]), float(trace.y[i])
+        return f"{t * 1000.0:.3f},{x:.3f},{y:.3f},{_LABEL_NAME[trace.labels[i]]}"
+
+    with np.errstate(over="ignore"):  # as the f-string, inf past the largest float
+        fields = [_fixed3(trace.timestamps * 1000.0), _fixed3(trace.x), _fixed3(trace.y)]
+    return _csv_bytes(GAZE_HEADER, fields, trace.labels, row)
 
 
 def write_gaze_csv(path: str, trace: GazeTrace) -> None:
-    atomic_write_text(path, gaze_csv_text(trace))
+    atomic_write_bytes(path, _gaze_csv_bytes(trace))
 
 
 def read_gaze_csv_text(

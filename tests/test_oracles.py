@@ -4,7 +4,7 @@ The loops below are the original per-sample implementations of the label
 segmentation and velocity extraction used by mapping, remap and
 evaluation, of the fluctuating-rate resampler, and of the token-by-token
 P2 pixel decode, of the greedy local-maxima thinning, of the row-by-row
-CSV readers, of the weighted target choice, of the pursuit onset
+CSV readers and f-string CSV writers, of the weighted target choice, of the pursuit onset
 redraws and of the gaze placement along a movement run and in a fixation
 without dispersion. The fast versions must return identical bytes, raise
 the same errors and, for the resampler and the gaze placement, leave the
@@ -1159,6 +1159,93 @@ def test_velocity_reader_matches_row_loop_generated(text):
 @given(csv_files(4))
 def test_gaze_reader_matches_row_loop_generated(text):
     _assert_reader_matches_loop("gaze", text)
+
+
+# --- CSV writers: the byte matrix against the f-string per row ---
+
+def velocity_csv_text_loop(signal: SampledSignal) -> str:
+    lines = [fileio.VELOCITY_HEADER]
+    for t, v, lab in zip(
+        signal.timestamps.tolist(), signal.velocities.tolist(), signal.labels.tolist()
+    ):
+        lines.append(f"{t * 1000.0:.3f},{v:.6g},{_CSV_LABEL_NAMES[lab]}")
+    return "\n".join(lines) + "\n"
+
+
+def gaze_csv_text_loop(trace: GazeTrace) -> str:
+    lines = [fileio.GAZE_HEADER]
+    for t, x, y, lab in zip(
+        trace.timestamps.tolist(), trace.x.tolist(), trace.y.tolist(), trace.labels.tolist()
+    ):
+        lines.append(f"{t * 1000.0:.3f},{x:.3f},{y:.3f},{_CSV_LABEL_NAMES[lab]}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_writers_match_loops(a: np.ndarray, b: np.ndarray, labels: np.ndarray) -> None:
+    """Both writers on every pairing of the columns a and b (as timestamps,
+    values and coordinates), byte for byte against the f-string loops."""
+    for ts, vs in ((a, b), (b, a), (a / 1000.0, b)):
+        signal = SampledSignal(ts, vs, labels)
+        assert fileio.velocity_csv_text(signal) == velocity_csv_text_loop(signal)
+        trace = GazeTrace(ts, vs, a, labels, 64, 64, 30.0)
+        assert fileio.gaze_csv_text(trace) == gaze_csv_text_loop(trace)
+
+
+_TINY = 5e-324
+WRITER_CORPUS = np.array([
+    # odd multiples of 1/16: exact .3f ties, rounded half to even
+    0.0625, 0.1875, -0.0625, 1.0625, 100000.5, 123456.5, 2.5, 0.5,
+    0.0, -0.0, -1e-9, -0.0004, -0.0005, -0.0006, -1.0,
+    # the edges of .6g's fixed notation and of its decades
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 999999.5, 999999.4, 1e6,
+    math.nextafter(1e6, 0.0), 9.999995, 9.9999949, 0.00099999951, 0.001, 0.1, 1e5,
+    math.nextafter(1e5, 0.0), 99999.95, 99999.75, 1.00000049999,
+    2.0**53 / 1000.0, 2.0**52 / 1000.0, math.nextafter(2.0**52 / 1000.0, 0.0), 2.0**60,
+    math.inf, -math.inf, math.nan, _TINY, -_TINY, 2.2250738585072014e-308, 1e-300, 1e300,
+])
+
+
+@pytest.mark.parametrize("n", [0, 1, 70_000])
+def test_writers_match_loops_on_the_corpus(n):
+    rng = np.random.default_rng(n)
+    values = np.resize(WRITER_CORPUS, n)
+    noise = rng.uniform(-1e4, 1e4, n)
+    labels = np.resize(np.arange(len(_CSV_LABEL_NAMES), dtype=np.uint8), n)
+    _assert_writers_match_loops(values, noise, labels)
+
+
+@pytest.mark.parametrize("label", range(len(_CSV_LABEL_NAMES)))
+def test_writers_match_loops_on_every_label(label):
+    labels = np.full(len(WRITER_CORPUS), label, dtype=np.uint8)
+    _assert_writers_match_loops(WRITER_CORPUS, WRITER_CORPUS[::-1].copy(), labels)
+
+
+_WRITER_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e7, 1e7),
+    st.floats(-1e-3, 1e-3),
+    st.integers(-10**7, 10**7).map(lambda k: k / 16.0),
+    st.integers(-10**9, 10**9).map(lambda k: (2 * k + 1) / 2000.0),
+    st.tuples(st.integers(10**5, 10**6), st.integers(-12, 2)).map(
+        lambda p: (p[0] + 0.5) * 10.0 ** p[1]
+    ),
+    st.sampled_from(WRITER_CORPUS.tolist()),
+)
+
+
+@st.composite
+def writer_columns(draw):
+    n = draw(st.integers(0, 30))
+    a = draw(arrays(np.float64, n, elements=_WRITER_FLOATS))
+    b = draw(arrays(np.float64, n, elements=_WRITER_FLOATS))
+    labels = draw(arrays(np.uint8, n, elements=st.integers(0, len(_CSV_LABEL_NAMES) - 1)))
+    return a, b, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer_columns())
+def test_writers_match_loops_generated(columns):
+    _assert_writers_match_loops(*columns)
 
 
 # --- target choice: running sums and searchsorted against the scalar loop ---
