@@ -1,8 +1,9 @@
 """Mapping labeled velocity signals to 2D gaze traces over a stimulus."""
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +35,9 @@ class SceneTargets:
     static: TargetSet | None = None
     frames: list[tuple[float, TargetSet]] | None = None  # (frame_time, targets)
     frame_rate: float = 0.0
+    _times: list[float] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if (self.static is None) == (self.frames is None):
@@ -42,6 +46,7 @@ class SceneTargets:
             times = [t for t, _ in self.frames]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ParameterError("frame times must be strictly increasing")
+            self._times = times
 
     @classmethod
     def from_static(cls, targets: TargetSet) -> "SceneTargets":
@@ -59,11 +64,22 @@ class SceneTargets:
         return ts.width, ts.height
 
     def at(self, time: float) -> TargetSet:
-        """Target set in effect at the given time (nearest frame for dynamic)."""
+        """Target set in effect at the given time: for dynamic targets, the
+        frame nearest in ``abs(frame_time - time)``, the earliest on a tie."""
         if self.static is not None:
             return self.static
-        best = min(self.frames, key=lambda ft: abs(ft[0] - time))
-        return best[1]
+        times = self._times
+        # Distances fall up to the first frame at or after `time`, then rise
+        # (a NaN time finds index 0, which is also the scan's pick).
+        k = bisect.bisect_left(times, time)
+        if k == 0:
+            return self.frames[0][1]
+        best = time - times[k - 1]
+        if k < len(times) and times[k] - time < best:
+            return self.frames[k][1]
+        # Rounding can give earlier frames the same distance: take the first.
+        first = bisect.bisect_left(times, -best, 0, k, key=lambda t: t - time)
+        return self.frames[first][1]
 
 
 @dataclass

@@ -3,9 +3,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BoundedDistribution, DistKind, RandomSource, sample_bounded
+import numpy as np
+
+from .core import (
+    BoundedDistribution,
+    DistKind,
+    MovementLabel,
+    RandomSource,
+    sample_bounded_many,
+)
 from .errors import ParameterError
-from .core import MovementLabel
 from .resampler import SampledSignal
 
 MODE_REPLACE = "replace"
@@ -79,11 +86,11 @@ def inject_noise(
     if k == 0:
         return out
     indices = _select_indices(n, k, spec, rng)
-    for i in indices:
-        mag = sample_bounded(spec.magnitude, rng)
-        if spec.mode == MODE_REPLACE:
-            out.velocities[i] = mag
-        else:
-            out.velocities[i] = max(0.0, out.velocities[i] + mag)
-        out.labels[i] = MovementLabel.NOISE
+    # One magnitude per index in index order, as drawn one at a time.
+    mags = sample_bounded_many(spec.magnitude, len(indices), rng)
+    if spec.mode == MODE_ADD:
+        s = out.velocities[indices] + mags
+        mags = np.where(s > 0.0, s, 0.0)  # max(0.0, s), also for -0.0 and NaN
+    out.velocities[indices] = mags
+    out.labels[indices] = MovementLabel.NOISE
     return out

@@ -30,7 +30,7 @@ from scipy import special as sp_special
 from scipy.optimize import brentq as sp_brentq
 from scipy.stats import gamma as sp_gamma
 
-from gazeforge import _gamma, fileio, generators, resampler, saliency
+from gazeforge import _gamma, fileio, generators, noise, resampler, saliency
 from gazeforge.core import (
     BoundedDistribution,
     DistKind,
@@ -59,6 +59,7 @@ from gazeforge.generators import (
 from gazeforge.mapping import (
     GazeTrace,
     MappingParams,
+    SceneTargets,
     _choose_target,
     _effective_labels,
     _label_runs,
@@ -1535,3 +1536,104 @@ def test_pursuit_onset_at_or_above_every_duration_still_raises():
         got = outcome(generators.gen_pursuit, p, 1000.0, RandomSource(seed))
         assert got == outcome(gen_pursuit_loop, p, 1000.0, RandomSource(seed))
         assert got[1] is not None
+
+
+# --- noise: one batch of magnitudes against a draw per selected index ---
+
+def inject_noise_loop(signal, spec, rng):
+    out = signal.copy()
+    n = len(signal)
+    k = int(round(spec.fraction * n))
+    if k == 0:
+        return out
+    for i in noise._select_indices(n, k, spec, rng):
+        mag = sample_bounded(spec.magnitude, rng)
+        if spec.mode == noise.MODE_REPLACE:
+            out.velocities[i] = mag
+        else:
+            out.velocities[i] = max(0.0, out.velocities[i] + mag)
+        out.labels[i] = MovementLabel.NOISE
+    return out
+
+
+NOISE_MAGNITUDES = [
+    BoundedDistribution.uniform(100.0, 300.0),
+    BoundedDistribution.uniform(-40.0, 10.0),
+    BoundedDistribution.normal(-30.0, 30.0, 20.0),
+    BoundedDistribution.fixed(0.0),
+    BoundedDistribution.normal(-5.0, -5.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("mode", [noise.MODE_REPLACE, noise.MODE_ADD])
+@pytest.mark.parametrize("magnitude", NOISE_MAGNITUDES)
+@pytest.mark.parametrize("burst", [1, 3])
+@pytest.mark.parametrize("location", [DistKind.UNIFORM, DistKind.NORMAL])
+def test_inject_noise_matches_loop(mode, magnitude, burst, location):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        v = rng.uniform(-20.0, 400.0, n)
+        v[rng.random(n) < 0.1] = -0.0
+        v[rng.random(n) < 0.05] = math.nan
+        signal = SampledSignal(np.arange(1, n + 1) / 250.0, v, rng.integers(0, 3, n))
+        spec = noise.NoiseSpec(float(rng.uniform(0.0, 0.6)), location, magnitude, mode, burst)
+        a, b = RandomSource(seed), RandomSource(seed)
+        got = noise.inject_noise(signal, spec, a)
+        want = inject_noise_loop(signal, spec, b)
+        assert_same_bits(got.velocities, want.velocities)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert a.uniform() == b.uniform()
+
+
+# --- dynamic targets: binary search against the nearest-frame scan ---
+
+def scene_at_loop(scene: SceneTargets, time: float) -> TargetSet:
+    return min(scene.frames, key=lambda ft: abs(ft[0] - time))[1]
+
+
+def _scene(times: list[float]) -> SceneTargets:
+    return SceneTargets.from_frames(
+        [(t, TargetSet([(float(i), 0.0, 1.0)], 8, 8)) for i, t in enumerate(times)], 1.0
+    )
+
+
+def _assert_at_matches_scan(times: list[float], queries: list[float]) -> None:
+    scene = _scene(times)
+    for q in queries:
+        assert scene.at(q) is scene_at_loop(scene, q), (times, q)
+
+
+def _probe_times(times: list[float]) -> list[float]:
+    """Every frame time, the midpoints and the floats beside them, and
+    times before the first and after the last frame."""
+    mids = [a + (b - a) / 2 for a, b in zip(times, times[1:])]
+    near = [math.nextafter(t, d) for t in times + mids for d in (-math.inf, math.inf)]
+    ends = [times[0] - 1.0, times[0] - 1e17, times[-1] + 1.0, times[-1] + 1e17]
+    return times + mids + near + ends + [math.inf, -math.inf, math.nan]
+
+
+_FRAME_TIMES = st.lists(
+    st.one_of(
+        st.integers(-50, 50).map(float),
+        st.floats(-1e3, 1e3),
+        st.integers(-8, 8).map(lambda k: 1e17 + 16.0 * k),
+    ),
+    min_size=1, max_size=12, unique=True,
+).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRAME_TIMES, st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5))
+@example([0.0], [0.0, -1.0, 1.0])
+@example([0.0, 1.0, 2.0, 3.0], [1e17, -1e17, 0.5, 1.5, 2.5])
+@example([1e17, 1e17 + 16.0, 1e17 + 32.0], [0.0, 1e17 + 8.0, 1e17 + 24.0, 2e17])
+@example([-1.0, 1e17], [5e16, 5e16 + 8.0])
+def test_scene_targets_at_matches_scan(times, queries):
+    _assert_at_matches_scan(times, _probe_times(times) + queries)
+
+
+def test_scene_targets_at_matches_scan_on_many_frames():
+    times = [i / 30.0 for i in range(1000)]
+    queries = np.random.default_rng(0).uniform(-1.0, 35.0, 2000).tolist()
+    _assert_at_matches_scan(times, queries + _probe_times(times[:50]))
