@@ -222,16 +222,22 @@ def simulate_from_descriptor(
             shape, _ = fit_shape_for_peak_index(n, d.peak_index)
             v = gamma_profile(n, shape, d.peak_velocity)
     else:
-        v = d.mean_velocity + d.std_velocity * rng.normals(n)
-        np.clip(
-            v,
-            d.mean_velocity - 10.0 * d.std_velocity,
-            d.mean_velocity + 10.0 * d.std_velocity,
-            out=v,
-        )
-        v = np.maximum(0.0, v)
+        v = _velocities_from_normals(d, rng.normals(n))
     labels = np.full(n, d.label, dtype=np.uint8)
     return VelocityProfile(base_rate, v, labels)
+
+
+def _velocities_from_normals(d: SegmentDescriptor, z: np.ndarray) -> np.ndarray:
+    """Fixation or pursuit velocities from unit normals ``z`` (any shape):
+    the observed mean and std, clipped to 10 std around the mean and at 0."""
+    v = d.mean_velocity + d.std_velocity * z
+    np.clip(
+        v,
+        d.mean_velocity - 10.0 * d.std_velocity,
+        d.mean_velocity + 10.0 * d.std_velocity,
+        out=v,
+    )
+    return np.maximum(0.0, v)
 
 
 def squared_error(sim: np.ndarray, real: np.ndarray) -> np.ndarray:
@@ -274,10 +280,12 @@ def evaluate_dataset(
     repeats: int = DEFAULT_REPEATS,
 ) -> ErrorSummary:
     """Simulate every labeled segment `repeats` times and pool the per-sample
-    squared errors by movement type.
+    squared errors by movement type, repeat after repeat.
 
-    Saccade re-simulations are deterministic: each saccade is simulated
-    once and its errors are pooled `repeats` times.
+    Saccade re-simulations draw no random numbers: each saccade is simulated
+    once and its errors are pooled `repeats` times. Random stream v2: each
+    fixation or pursuit draws all of its repeats as one block of normals
+    from ``rng.derive(i)``, where i counts the non-noise segments.
     """
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
@@ -293,14 +301,12 @@ def evaluate_dataset(
         descr = _descriptor(label, seg)
         chunks = pooled.setdefault(label, [])
         if label == MovementLabel.SACCADE:
-            # Saccade re-simulation draws no random numbers: every repeat
-            # yields the same errors.
-            sim = simulate_from_descriptor(descr, rng.derive(seg_index, 0))
-            chunks.extend([squared_error(sim.velocities, seg)] * repeats)
+            sim = simulate_from_descriptor(descr, rng).velocities
+            chunks.extend([squared_error(sim, seg)] * repeats)
         else:
-            for rep in range(repeats):
-                sim = simulate_from_descriptor(descr, rng.derive(seg_index, rep))
-                chunks.append(squared_error(sim.velocities, seg))
+            z = rng.derive(seg_index).normals(repeats * len(seg))
+            sim = _velocities_from_normals(descr, z.reshape(repeats, len(seg)))
+            chunks.append(squared_error(sim, np.broadcast_to(seg, sim.shape)).ravel())
         seg_index += 1
     per_type = {}
     vectors = {}

@@ -115,32 +115,47 @@ def fixation_walk(
 ) -> list[tuple[float, float]]:
     """Mean-reverting random walk around a fixation center.
 
-    Steps have uniform direction and |Normal(0, dispersion/3)| length clamped
-    to dispersion/2, plus a restoring pull of 0.1x the offset from the
-    center. All points stay within the dispersion radius.
+    The walk starts at the center. Each of its n - 1 steps has a uniform
+    direction and |Normal(0, dispersion/3)| length clamped to dispersion/2,
+    plus a restoring pull of 0.1x the offset from the center; a point that
+    lands outside the dispersion disc is pulled back onto its edge.
+    Random stream v2: the n - 1 direction uniforms are drawn as one block,
+    then the n - 1 normals; dispersion 0 draws nothing.
     """
+    return list(zip(*_walk_xy(center, n, dispersion, rng)))
+
+
+def _walk_xy(
+    center: tuple[float, float], n: int, dispersion: float, rng: RandomSource
+) -> tuple[list[float], list[float]]:
+    """The x and the y coordinates of :func:`fixation_walk`'s points."""
     if n < 1:
         raise ParameterError("fixation walk needs n >= 1")
     if dispersion < 0:
         raise ParameterError("dispersion must be >= 0")
     cx, cy = center
     if dispersion == 0:
-        return [(cx, cy)] * n  # no step is drawn
+        return [cx] * n, [cy] * n
+    angs = (2.0 * math.pi * rng.uniforms(n - 1)).tolist()
+    steps = np.minimum(np.abs(rng.normals(n - 1)) * (dispersion / 3.0), dispersion / 2.0)
+    # math.cos and math.sin per element: numpy's SIMD versions can differ
+    # from libm in the last ulp, and by host.
+    sx = (steps * np.fromiter(map(math.cos, angs), float, n - 1)).tolist()
+    sy = (steps * np.fromiter(map(math.sin, angs), float, n - 1)).tolist()
+    xs, ys = [cx], [cy]
     px, py = cx, cy
-    pts: list[tuple[float, float]] = []
-    for _ in range(n):
-        pts.append((px, py))
-        ang = 2.0 * math.pi * rng.uniform()
-        step = min(abs(rng.normal()) * (dispersion / 3.0), dispersion / 2.0)
-        nx = px + step * math.cos(ang) + 0.1 * (cx - px)
-        ny = py + step * math.sin(ang) + 0.1 * (cy - py)
+    for dx, dy in zip(sx, sy):
+        nx = px + dx + 0.1 * (cx - px)
+        ny = py + dy + 0.1 * (cy - py)
         # Clamp into the dispersion disc.
         d = math.hypot(nx - cx, ny - cy)
         if d > dispersion:
             nx = cx + (nx - cx) * dispersion / d
             ny = cy + (ny - cy) * dispersion / d
+        xs.append(nx)
+        ys.append(ny)
         px, py = nx, ny
-    return pts
+    return xs, ys
 
 
 def _weight_sums(targets: TargetSet) -> np.ndarray:
@@ -235,9 +250,10 @@ def map_to_gaze(
             raise MappingError(f"no fixation targets available at t={t_end:.6g} s")
         if label == MovementLabel.FIXATION:
             tx, ty, _ = choose(tset)
-            pts = fixation_walk((tx, ty), n, p.fixation_dispersion, rng)
-            xs[start:end], ys[start:end] = np.array(pts).T
-            cur = pts[-1]
+            wx, wy = _walk_xy((tx, ty), n, p.fixation_dispersion, rng)
+            xs[start:end] = wx
+            ys[start:end] = wy
+            cur = (wx[-1], wy[-1])
         else:
             if cur is None:
                 sx, sy, _ = choose(targets.at(float(ts[start])))

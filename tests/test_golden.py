@@ -7,12 +7,20 @@ and fixed-format text, so they do not depend on gazeforge itself.
 
 A change that alters any output byte on purpose must update the digests
 below in the same change and say what changed and why in CHANGES.md.
+``python tests/test_golden.py`` (with gazeforge importable, e.g.
+``PYTHONPATH=src``) prints the digest table of the code as it is, ready to
+paste over ``GOLDEN``, and names the cases that differ from it on stderr.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,22 +41,22 @@ GOLDEN = {
         "out.csv": "d6017a06929e6d6156eda56784e44aa564c876941e9fadc408bbac6f33de8f9c",
     },
     "map_static": {
-        "out.csv": "46840454e7231151a5990cb33be3c5a7039b981885bcc0ff475743d617d94db2",
+        "out.csv": "8038b4b3bf26f96443fc29d4e0a31200235b27249d583554475e2bbc8031ac10",
     },
     "map_static_velocity_input": {
-        "out.csv": "cee774ee32a271da209847b27ec84ad28426bda44d2a568c7bc8e33fcd5b076e",
+        "out.csv": "27e20c41938946a9bbc3852ccaa9f8c603e7ca1b591b2bc40f4bd16c2b9d5439",
     },
     "map_dynamic": {
-        "out.csv": "28f4e3fa04f0eba23f596fd5a6e3193e543a11294f5ad9217f70adb24e8e8f8a",
+        "out.csv": "afe34e1afecee23a45d63f402a026508a0d422932919433cbca23075a674a8b9",
     },
     "map_dynamic_wide": {
-        "out.csv": "ccce1f6845fa5fcacdad7e91de3df671006de9150b21701ba7c992e90b6cac01",
+        "out.csv": "8f6a2235c6f65f5c2ea6196794a9d2b0eb8e99bb6bd0beea470085b28c8da130",
     },
     "remap_same_stimulus": {
-        "out.csv": "efbfe65979ff856ba275f335849a0bf48da201625a4cc6aeb4ef793c9af3b36d",
+        "out.csv": "25e169a31cddc05018bd7a6150a27bab3646c5d044b70d1e094849e7cb14f1b7",
     },
     "remap_new_stimulus": {
-        "out.csv": "72edf2c39089b5ffdb9d1634929d6d28cd2881482b5556342cd7706b5c803a96",
+        "out.csv": "f9020a0681ec474d0695f03b27ed48bc7ef072216a4b0f8a26447abc5a697a62",
     },
     "saliency_targets": {
         "out.pgm": "aae1f7ba89ecd3cf815ebcd9fec8b30e8ebdb0cb82dbbf6d44aef8c29bc2f24f",
@@ -59,8 +67,8 @@ GOLDEN = {
         "targets.csv": "9d4ba1a69b28354d8af03acfbcbf6bc7e0c1ed0845751c56bf38a12867347e48",
     },
     "evaluate_errors": {
-        "out.csv": "d8843e22662c8a9723830d8d323e68d389e2b9e8d6608e5e3619ae6f81f38beb",
-        "errors.csv": "80ee0fd78b24dfa1c443bbf5ab2410a9f76279bcf155f6f0daf9d6e7e7042255",
+        "out.csv": "9859dd50aa0fb6c9d2e6d0270d2eafc8fbfd3b90f9f77349e5c79ae65ceec6b0",
+        "errors.csv": "5a654733ae4993be4c7e743e32963e5d20fc30189125b968edcfe904e2d5897a",
     },
 }
 
@@ -256,3 +264,31 @@ def test_golden_digest(name, tmp_path, capsys):
         f"output bytes of {name!r} changed; digests recorded with "
         f"{RECORDED_WITH}, running {running}"
     )
+
+
+def _print_table() -> int:
+    """Print GOLDEN as the code computes it now; return how many cases
+    differ from the recorded table."""
+    changed = []
+    print("GOLDEN = {")
+    for name in GOLDEN:
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):  # the CLI's report
+                got = _digests(name, Path(tmp))
+        print(f'    "{name}": {{')
+        for fname, digest in got.items():
+            print(f'        "{fname}": "{digest}",')
+        print("    },")
+        if got != GOLDEN[name]:
+            changed.append(name)
+    print("}")
+    print(f"# numpy {np.__version__}; recorded with {RECORDED_WITH}", file=sys.stderr)
+    for name in changed:
+        print(f"# differs from GOLDEN: {name}", file=sys.stderr)
+    if not changed:
+        print("# every case matches GOLDEN", file=sys.stderr)
+    return len(changed)
+
+
+if __name__ == "__main__":
+    sys.exit(1 if _print_table() else 0)

@@ -126,9 +126,21 @@ def extract_velocities_loop(trace: GazeTrace) -> np.ndarray:
     return v
 
 
+def resimulate_loop(d, rng):
+    """A fixation or pursuit re-simulation as written before stream v2."""
+    v = d.mean_velocity + d.std_velocity * rng.normals(d.length)
+    np.clip(
+        v,
+        d.mean_velocity - 10.0 * d.std_velocity,
+        d.mean_velocity + 10.0 * d.std_velocity,
+        out=v,
+    )
+    return np.maximum(0.0, v)
+
+
 def evaluate_dataset_loop(velocities, labels, rng, repeats):
     """Pooled errors with every segment re-described and re-simulated
-    `repeats` times."""
+    `repeats` times, each from its own derived stream (stream v1)."""
     pooled = {}
     seg_index = 0
     for start, end, lab in label_runs_loop(labels):
@@ -138,8 +150,11 @@ def evaluate_dataset_loop(velocities, labels, rng, repeats):
         seg = velocities[start:end]
         descr = extract_descriptors(seg, labels[start:end])[0]
         for rep in range(repeats):
-            sim = simulate_from_descriptor(descr, rng.derive(seg_index, rep))
-            pooled.setdefault(label, []).append(squared_error(sim.velocities, seg))
+            if label == MovementLabel.SACCADE:
+                sim = simulate_from_descriptor(descr, rng).velocities
+            else:
+                sim = resimulate_loop(descr, rng.derive(seg_index, rep))
+            pooled.setdefault(label, []).append(squared_error(sim, seg))
         seg_index += 1
     return {label: np.concatenate(chunks) for label, chunks in pooled.items()}
 
@@ -581,7 +596,15 @@ def test_gamma_port_rejects_unported_probabilities(p):
         _gamma.gammaincinv(2.0, p)
 
 
-# --- evaluation: one simulation per saccade ---
+# --- evaluation: stream v2 against the simulation per repeat ---
+
+def _evaluate_case(runs, seed):
+    labels = np.concatenate([np.full(n, lab, dtype=np.uint8) for lab, n in runs])
+    if not np.any(labels != NOISE):
+        labels[0] = 0
+    velocities = np.random.default_rng(seed).uniform(0.0, 500.0, len(labels))
+    return velocities, labels
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -589,16 +612,38 @@ def test_gamma_port_rejects_unported_probabilities(p):
     st.integers(1, 4),
     st.integers(0, 2**32),
 )
-def test_evaluate_dataset_matches_loop(runs, repeats, seed):
-    labels = np.concatenate([np.full(n, lab, dtype=np.uint8) for lab, n in runs])
-    if not np.any(labels != NOISE):
-        labels[0] = 0
-    velocities = np.random.default_rng(seed).uniform(0.0, 500.0, len(labels))
+def test_evaluate_dataset_pools_what_the_loop_pools(runs, repeats, seed):
+    """Same types in the same order, repeats x samples errors per type, and
+    the saccade errors bit for bit (saccades draw nothing)."""
+    velocities, labels = _evaluate_case(runs, seed)
     got = evaluate_dataset(velocities, labels, RandomSource(seed), repeats).pooled
     want = evaluate_dataset_loop(velocities, labels, RandomSource(seed), repeats)
     assert list(got) == list(want)
     for label in want:
-        assert got[label].tobytes() == want[label].tobytes()
+        samples = np.count_nonzero(labels == label)
+        assert len(got[label]) == len(want[label]) == repeats * samples
+        assert np.all(got[label] >= 0.0)
+    if MovementLabel.SACCADE in want:
+        sacc = MovementLabel.SACCADE
+        assert got[sacc].tobytes() == want[sacc].tobytes()
+
+
+def test_evaluate_dataset_errors_follow_the_loops_distribution():
+    """Two-sample KS test per movement type: the pooled squared errors of one
+    block of normals per segment against one derived stream per repeat, on
+    segments whose spread sets the errors' scale."""
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(7)
+    runs = [(0, 40, 4.0, 1.5), (1, 12, 300.0, 80.0), (2, 60, 20.0, 4.0), (3, 5, 50.0, 50.0),
+            (0, 25, 2.0, 0.5), (2, 33, 12.0, 2.0), (0, 70, 6.0, 3.0)] * 3
+    labels = np.concatenate([np.full(n, lab, dtype=np.uint8) for lab, n, _, _ in runs])
+    velocities = np.concatenate([rng.normal(mu, sd, n) for _, n, mu, sd in runs])
+    got = evaluate_dataset(velocities, labels, RandomSource(11), 100).pooled
+    want = evaluate_dataset_loop(velocities, labels, RandomSource(12), 100)
+    for label in (MovementLabel.FIXATION, MovementLabel.SMOOTH_PURSUIT):
+        assert len(got[label]) == len(want[label])
+        assert ks_2samp(got[label], want[label]).pvalue > 1e-3, label
 
 
 # --- saliency: numpy kernels against scipy.ndimage, grid thinning against the loop ---
@@ -1363,7 +1408,8 @@ def place_movement_run_loop(signal, start, end, origin, dest, p, rng, xs, ys):
 
 
 def fixation_walk_loop(center, n, dispersion, rng):
-    """The walk that looped, without drawing, when dispersion is 0."""
+    """The stream v1 walk: a uniform then a normal per point (the last pair
+    unused); it loops without drawing when dispersion is 0."""
     cx, cy = center
     px, py = cx, cy
     pts = []
@@ -1424,14 +1470,53 @@ def test_place_movement_run_matches_loop(run, seed):
     assert a.uniform() == b.uniform()
 
 
-@pytest.mark.parametrize("dispersion", [0.0, 4.0])
 @pytest.mark.parametrize("n", [1, 2, 37])
-def test_fixation_walk_matches_loop(dispersion, n):
+def test_fixation_walk_without_dispersion_matches_loop(n):
     for seed in range(5):
         a, b = RandomSource(seed), RandomSource(seed)
-        got = fixation_walk((12.5, 40.25), n, dispersion, a)
-        assert got == fixation_walk_loop((12.5, 40.25), n, dispersion, b)
+        got = fixation_walk((12.5, 40.25), n, 0.0, a)
+        assert got == fixation_walk_loop((12.5, 40.25), n, 0.0, b)
         assert a.uniform() == b.uniform()
+
+
+def _walk_statistics(walk, seeds, center=(12.5, 40.25), dispersion=4.0):
+    """Length and angle of the first step of a 2-point walk (taken from the
+    center, so it is the drawn step itself) and radius of the last point of
+    a 25-point walk, per seed: independent samples, where the points of one
+    walk are not. Also checks that every point lies in the disc."""
+    steps, angles, radii = [], [], []
+    for seed in seeds:
+        (x0, y0), (x1, y1) = walk(center, 2, dispersion, RandomSource(seed))
+        steps.append(math.hypot(x1 - x0, y1 - y0))
+        angles.append(math.atan2(y1 - y0, x1 - x0))
+        if seed % 3 == 0:
+            pts = np.array(walk(center, 25, dispersion, RandomSource(seed)))
+            r = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+            assert np.all(r <= dispersion * (1 + 1e-12))
+            radii.append(r[-1])
+    return steps, angles, radii
+
+
+def test_fixation_walk_follows_the_loops_distribution():
+    """Stream v2 draws the walk's uniforms and normals in two blocks, so it
+    cannot match the interleaved loop bit for bit: two-sample KS tests on
+    step length, step angle and walk radius instead."""
+    from scipy.stats import ks_2samp
+
+    got = _walk_statistics(fixation_walk, range(9000))
+    want = _walk_statistics(fixation_walk_loop, range(10_000, 19_000))
+    for name, g, w in zip(("step", "angle", "radius"), got, want):
+        assert ks_2samp(g, w).pvalue > 1e-3, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+def test_fixation_walk_draws_two_blocks(n):
+    """n - 1 uniforms, then n - 1 normals: nothing else is drawn."""
+    a, b = RandomSource(5), RandomSource(5)
+    fixation_walk((0.0, 0.0), n, 4.0, a)
+    b.uniforms(n - 1)
+    b.normals(n - 1)
+    assert a.uniform() == b.uniform()
 
 
 # --- pursuit onset: 100 redraws, then one draw below the duration ---
