@@ -56,9 +56,10 @@ def _velocity_csv_bytes(signal: SampledSignal) -> bytes:
         t, v = float(signal.timestamps[i]), float(signal.velocities[i])
         return f"{t * 1000.0:.3f},{v:.6g},{_LABEL_NAME[signal.labels[i]]}"
 
-    with np.errstate(over="ignore"):  # as the f-string, inf past the largest float
-        fields = [_fixed3(signal.timestamps * 1000.0), _general6(signal.velocities)]
-    return _csv_bytes(VELOCITY_HEADER, fields, signal.labels, row)
+    with np.errstate(over="ignore"):  # as the f-string: inf past the largest float
+        t_ms = signal.timestamps * 1000.0
+    columns = [(_fixed3, t_ms), (_general6, signal.velocities)]
+    return _csv_bytes(VELOCITY_HEADER, columns, signal.labels, row)
 
 
 def write_velocity_csv(path: str, signal: SampledSignal) -> None:
@@ -78,6 +79,7 @@ def write_velocity_csv(path: str, signal: SampledSignal) -> None:
 # bytes are always the f-string's.
 
 _PAD = 0  # a byte no CSV line contains; a digit byte times 0 is _PAD
+_CSV_BLOCK_ROWS = 16384
 # Hundreds, tens and units digit of 0..999 as ASCII.
 _DIGITS3 = ((np.arange(1000) // np.array([[100], [10], [1]])) % 10 + ord("0")).astype(
     np.uint8
@@ -128,7 +130,8 @@ def _fixed3(v: np.ndarray):
     writes the padded bytes into ``width`` columns and ``slow`` marks the
     rows to format by f-string (non-finite, ``|v|·1000 >= 2**52``, or near a
     tie)."""
-    y = np.abs(v) * 1000.0
+    with np.errstate(over="ignore"):
+        y = np.abs(v) * 1000.0
     q, slow = _rounded(y, y < 2.0**52)
     ip, frac = np.divmod(q, 1000)
     digits = len(str(int(ip.max(initial=0))))
@@ -171,29 +174,35 @@ def _general6(v: np.ndarray):
     return 17, fill, slow
 
 
-def _csv_bytes(header: str, fields: list, labels: np.ndarray, row) -> bytes:
-    """The CSV of the numeric ``fields`` (from :func:`_fixed3` and
-    :func:`_general6`) and the labels, one line per row; ``row(i)`` is the
-    f-string line of row ``i``, used for the rows a field marks."""
-    width = sum(w + 1 for w, _, _ in fields) + _LABEL_WIDTH + 1
-    out = np.empty((width, len(labels)), dtype=np.uint8)
-    col = 0
-    for w, fill, _ in fields:
-        fill(out[col : col + w])
-        out[col + w] = ord(",")
-        col += w + 1
-    for k in range(_LABEL_WIDTH):
-        out[col + k] = _LABEL_BYTES[k].take(labels)
-    out[-1] = ord("\n")
-    flat = out.T.ravel()
-    body = flat[flat != _PAD].tobytes()
-    slow = np.flatnonzero(np.logical_or.reduce([s for _, _, s in fields]))
-    if len(slow):
-        lines = body.split(b"\n")
-        for i in slow.tolist():
-            lines[i] = row(i).encode("ascii")
-        body = b"\n".join(lines)
-    return header.encode("ascii") + b"\n" + body
+def _csv_bytes(header: str, columns: list, labels: np.ndarray, row) -> bytes:
+    """The CSV of the numeric ``columns`` (pairs of :func:`_fixed3` or
+    :func:`_general6` and the values) and the labels, one line per row;
+    ``row(i)`` is the f-string line of row ``i``, used for the rows a field
+    marks. Built in blocks of rows, so that the temporaries stay small."""
+    parts = [header.encode("ascii") + b"\n"]
+    for lo in range(0, len(labels), _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        fields = [fmt(values[lo:hi]) for fmt, values in columns]
+        width = sum(w + 1 for w, _, _ in fields) + _LABEL_WIDTH + 1
+        out = np.empty((width, len(labels[lo:hi])), dtype=np.uint8)
+        col = 0
+        for w, fill, _ in fields:
+            fill(out[col : col + w])
+            out[col + w] = ord(",")
+            col += w + 1
+        for k in range(_LABEL_WIDTH):
+            out[col + k] = _LABEL_BYTES[k].take(labels[lo:hi])
+        out[-1] = ord("\n")
+        flat = out.T.ravel()
+        body = flat[flat != _PAD].tobytes()
+        slow = np.flatnonzero(np.logical_or.reduce([s for _, _, s in fields]))
+        if len(slow):
+            lines = body.split(b"\n")
+            for i in slow.tolist():
+                lines[i] = row(lo + i).encode("ascii")
+            body = b"\n".join(lines)
+        parts.append(body)
+    return b"".join(parts)
 
 
 def _read_rows(text: str, header: str, n_fields: int) -> Iterable[tuple[int, list[str]]]:
@@ -316,9 +325,10 @@ def _gaze_csv_bytes(trace: GazeTrace) -> bytes:
         t, x, y = float(trace.timestamps[i]), float(trace.x[i]), float(trace.y[i])
         return f"{t * 1000.0:.3f},{x:.3f},{y:.3f},{_LABEL_NAME[trace.labels[i]]}"
 
-    with np.errstate(over="ignore"):  # as the f-string, inf past the largest float
-        fields = [_fixed3(trace.timestamps * 1000.0), _fixed3(trace.x), _fixed3(trace.y)]
-    return _csv_bytes(GAZE_HEADER, fields, trace.labels, row)
+    with np.errstate(over="ignore"):  # as the f-string: inf past the largest float
+        t_ms = trace.timestamps * 1000.0
+    columns = [(_fixed3, t_ms), (_fixed3, trace.x), (_fixed3, trace.y)]
+    return _csv_bytes(GAZE_HEADER, columns, trace.labels, row)
 
 
 def write_gaze_csv(path: str, trace: GazeTrace) -> None:
