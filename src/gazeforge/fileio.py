@@ -80,12 +80,16 @@ def write_velocity_csv(path: str, signal: SampledSignal) -> None:
 
 _PAD = 0  # a byte no CSV line contains; a digit byte times 0 is _PAD
 _CSV_BLOCK_ROWS = 16384
-# Hundreds, tens and units digit of 0..999 as ASCII.
-_DIGITS3 = ((np.arange(1000) // np.array([[100], [10], [1]])) % 10 + ord("0")).astype(
-    np.uint8
+# Hundreds, tens and units digit of 0..999 as ASCII. The tables are built
+# without numpy arithmetic, whose first use maps more of numpy's code into
+# every process that imports this module.
+_DIGITS3 = (
+    np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(), dtype=np.uint8)
+    .reshape(1000, 3)
+    .T.copy()
 )
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-_F10 = 10.0 ** np.arange(10)  # exact doubles
+_POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
+_F10 = np.array([float(10**k) for k in range(10)])  # exact doubles
 # Lower bounds of the decades of .6g's fixed notation, 1e-4 to 1e5. The
 # doubles of 1e-4 to 1e-1 lie above the powers of ten they stand for, so a
 # comparison with them finds the exact decade.

@@ -29,6 +29,7 @@ from scipy import ndimage
 from scipy import special as sp_special
 from scipy.optimize import brentq as sp_brentq
 from scipy.stats import gamma as sp_gamma
+from scipy.stats import ks_2samp
 
 from gazeforge import _gamma, fileio, generators, noise, resampler, saliency
 from gazeforge.core import (
@@ -598,24 +599,21 @@ def test_gamma_port_rejects_unported_probabilities(p):
 
 # --- evaluation: stream v2 against the simulation per repeat ---
 
-def _evaluate_case(runs, seed):
-    labels = np.concatenate([np.full(n, lab, dtype=np.uint8) for lab, n in runs])
-    if not np.any(labels != NOISE):
-        labels[0] = 0
-    velocities = np.random.default_rng(seed).uniform(0.0, 500.0, len(labels))
-    return velocities, labels
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 3), st.integers(1, 30)), min_size=1, max_size=12),
     st.integers(1, 4),
     st.integers(0, 2**32),
 )
-def test_evaluate_dataset_pools_what_the_loop_pools(runs, repeats, seed):
+def test_evaluate_dataset_matches_loop(runs, repeats, seed):
     """Same types in the same order, repeats x samples errors per type, and
-    the saccade errors bit for bit (saccades draw nothing)."""
-    velocities, labels = _evaluate_case(runs, seed)
+    the saccade errors bit for bit (saccades draw nothing). Stream v2 draws
+    the fixation and pursuit errors otherwise; their distribution is checked
+    against the loop's below."""
+    labels = np.concatenate([np.full(n, lab, dtype=np.uint8) for lab, n in runs])
+    if not np.any(labels != NOISE):
+        labels[0] = 0
+    velocities = np.random.default_rng(seed).uniform(0.0, 500.0, len(labels))
     got = evaluate_dataset(velocities, labels, RandomSource(seed), repeats).pooled
     want = evaluate_dataset_loop(velocities, labels, RandomSource(seed), repeats)
     assert list(got) == list(want)
@@ -632,8 +630,6 @@ def test_evaluate_dataset_errors_follow_the_loops_distribution():
     """Two-sample KS test per movement type: the pooled squared errors of one
     block of normals per segment against one derived stream per repeat, on
     segments whose spread sets the errors' scale."""
-    from scipy.stats import ks_2samp
-
     rng = np.random.default_rng(7)
     runs = [(0, 40, 4.0, 1.5), (1, 12, 300.0, 80.0), (2, 60, 20.0, 4.0), (3, 5, 50.0, 50.0),
             (0, 25, 2.0, 0.5), (2, 33, 12.0, 2.0), (0, 70, 6.0, 3.0)] * 3
@@ -1470,12 +1466,27 @@ def test_place_movement_run_matches_loop(run, seed):
     assert a.uniform() == b.uniform()
 
 
+@pytest.mark.parametrize("dispersion", [0.0, 4.0])
 @pytest.mark.parametrize("n", [1, 2, 37])
-def test_fixation_walk_without_dispersion_matches_loop(n):
+def test_fixation_walk_matches_loop(dispersion, n):
+    """Without dispersion, bit for bit with the loop, and nothing drawn.
+    With it, stream v2 draws n - 1 uniforms, then n - 1 normals, and
+    nothing else; the walk starts at the center and stays in the disc. Its
+    distribution is checked against the loop's below."""
+    center = (12.5, 40.25)
     for seed in range(5):
         a, b = RandomSource(seed), RandomSource(seed)
-        got = fixation_walk((12.5, 40.25), n, 0.0, a)
-        assert got == fixation_walk_loop((12.5, 40.25), n, 0.0, b)
+        got = fixation_walk(center, n, dispersion, a)
+        want = fixation_walk_loop(center, n, dispersion, RandomSource(seed))
+        assert len(got) == len(want) == n
+        assert got[0] == want[0] == center
+        if dispersion == 0:
+            assert got == want
+        else:
+            b.uniforms(n - 1)
+            b.normals(n - 1)
+            r = [math.hypot(x - center[0], y - center[1]) for x, y in got]
+            assert max(r) <= dispersion * (1 + 1e-12)
         assert a.uniform() == b.uniform()
 
 
@@ -1501,22 +1512,10 @@ def test_fixation_walk_follows_the_loops_distribution():
     """Stream v2 draws the walk's uniforms and normals in two blocks, so it
     cannot match the interleaved loop bit for bit: two-sample KS tests on
     step length, step angle and walk radius instead."""
-    from scipy.stats import ks_2samp
-
     got = _walk_statistics(fixation_walk, range(9000))
     want = _walk_statistics(fixation_walk_loop, range(10_000, 19_000))
     for name, g, w in zip(("step", "angle", "radius"), got, want):
         assert ks_2samp(g, w).pvalue > 1e-3, name
-
-
-@pytest.mark.parametrize("n", [1, 2, 37])
-def test_fixation_walk_draws_two_blocks(n):
-    """n - 1 uniforms, then n - 1 normals: nothing else is drawn."""
-    a, b = RandomSource(5), RandomSource(5)
-    fixation_walk((0.0, 0.0), n, 4.0, a)
-    b.uniforms(n - 1)
-    b.normals(n - 1)
-    assert a.uniform() == b.uniform()
 
 
 # --- pursuit onset: 100 redraws, then one draw below the duration ---
