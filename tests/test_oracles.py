@@ -4,11 +4,15 @@ The loops below are the original per-sample implementations of the label
 segmentation and velocity extraction used by mapping, remap and
 evaluation, of the fluctuating-rate resampler, and of the token-by-token
 P2 pixel decode, of the greedy local-maxima thinning, of the row-by-row
-CSV readers and f-string CSV writers, of the weighted target choice, of the pursuit onset
-redraws and of the gaze placement along a movement run and in a fixation
+CSV readers and f-string CSV writers, of the weighted target choice, of
+the pursuit onset redraws, of the noise magnitudes, of the nearest-frame
+scan and of the gaze placement along a movement run and in a fixation
 without dispersion. The fast versions must return identical bytes, raise
-the same errors and, for the resampler and the gaze placement, leave the
-random stream at the same place.
+the same errors and, for the resampler, the noise and the gaze placement,
+leave the random stream at the same place.
+Random stream v2 draws the fixation walk and the evaluate simulations in
+blocks, so their stream v1 loops are statistical references: two-sample KS
+tests on the walk's steps and radii and on the pooled errors.
 The Gamma helpers are checked against ``scipy.stats.gamma``, and their
 pure-Python port of ``gammaln`` and ``gammaincinv`` against
 ``scipy.special``; the Brent root finder against ``scipy.optimize.brentq``,
