@@ -22,6 +22,7 @@ from .errors import (
 from .evaluation import DEFAULT_REPEATS, evaluate_dataset
 from .fileio import (
     atomic_write_text,
+    decode_utf8,
     read_gaze_csv,
     read_pgm,
     read_velocity_csv,
@@ -67,8 +68,8 @@ def _apply_override(doc: dict, item: str) -> None:
 
 def _load_config(args) -> RunConfig:
     try:
-        with open(args.config, "r") as fh:
-            doc = json.load(fh)
+        with open(args.config, "rb") as fh:
+            doc = json.loads(decode_utf8(fh.read(), "line"))
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno} col {e.colno}")
     except OSError as e:

@@ -89,7 +89,7 @@ _DIGITS3 = (
     .T.copy()
 )
 _POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
-_F10 = np.array([float(10**k) for k in range(10)])  # exact doubles
+_F10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 # Lower bounds of the decades of .6g's fixed notation, 1e-4 to 1e5. The
 # doubles of 1e-4 to 1e-1 lie above the powers of ten they stand for, so a
 # comparison with them finds the exact decade.
@@ -230,6 +230,9 @@ def _read_rows(text: str, header: str, n_fields: int) -> Iterable[tuple[int, lis
 
 
 def _parse_float(token: str, row: int, what: str) -> float:
+    # float() also takes "1_0" and non-ASCII digits; the file format does not.
+    if "_" in token or not token.isascii():
+        raise ParseError(f"invalid {what} {token!r}", f"row {row}")
     try:
         v = float(token)
     except ValueError:
@@ -270,54 +273,181 @@ def _columns_by_rows(
     return ts_arr, [np.array(c) for c in cols[1:]], np.array(ls)
 
 
-def _columns_fast(
-    text: str, header: str, n_fields: int
+# --- CSV decoding ---
+#
+# The fast reader takes a file of printable ASCII, tabs and LF or CRLF line
+# ends, in which every line but a blank one has n_fields - 1 commas; any
+# other file goes to the row loop, which positions the error. A numeric
+# field is decoded from the 16 bytes up to its end, a row of a byte matrix
+# per field: a token -?\d+(\.\d+)? whose digits spell q < 2**53 is
+# ±(q / 10**k), where q and 10**k are exact doubles, so the one correctly
+# rounded division is float(token). Other tokens (exponents, "+5", ".5",
+# spaces, more bytes) go through _parse_float one at a time. A label is
+# matched as the integer of its bytes.
+
+_CSV_PLAIN = bytes(range(32, 127)) + b"\t\n\r"
+_NUMBER_BYTES = 16
+# Row j: the positions at or after j of a 16-byte row. Like the digit
+# tables, these are built without numpy arithmetic.
+_FROM = np.array([[k >= j for k in range(_NUMBER_BYTES)] for j in range(_NUMBER_BYTES + 1)])
+# Each label's bytes as a little-endian integer, in sorted order, and the
+# label value of each.
+_KEY_LABEL = sorted((int.from_bytes(name.encode(), "little"), v) for v, name in enumerate(_LABEL_NAME))
+_LABEL_KEYS = np.array([key for key, _ in _KEY_LABEL], dtype=np.uint64)
+_LABEL_VALUES = np.array([v for _, v in _KEY_LABEL])
+
+
+def _windows(u: np.ndarray, size: int) -> np.ndarray:
+    """Item i is the ``size`` bytes of ``u`` from byte i."""
+    dtype = "<u8" if size == 8 else np.dtype((np.void, size))
+    return np.ndarray((len(u) - size + 1,), dtype, u, strides=(1,))
+
+
+def _digit_words(v: np.ndarray) -> np.ndarray:
+    """The number spelled by each little-endian word of ``v``, whose bytes
+    are ASCII digits or 0 for a 0: its bytes are combined in pairs, then
+    fours, then eights."""
+    v = v & 0x0F0F0F0F0F0F0F0F
+    v = (v * 2561) >> 8
+    v = ((v & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    return ((v & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
+
+
+def _byte_count(mask: np.ndarray) -> np.ndarray:
+    """True bytes per row of a (n, 16) bool array."""
+    v = mask.view("<u8")
+    return ((v[:, 0] + v[:, 1]) * 0x0101010101010101) >> 56
+
+
+def _decode_numbers(win, length, neg):
+    """The values of the tokens that end the rows of ``win`` (n, 16), with
+    ``length`` bytes and a leading "-" where ``neg``, and the mask of the
+    tokens not of the simple form, whose values are undefined."""
+    inside = _FROM.take(np.clip(_NUMBER_BYTES - length, 0, _NUMBER_BYTES), axis=0)
+    digit = inside & (win - 48 < 10)
+    dot = inside & (win == 46)
+    w = _digit_words((win * digit).view("<u8"))  # the dot reads as a 0 digit
+    q = w[:, 0] * 100000000 + w[:, 1]
+    w = _digit_words(dot.view("<u8"))
+    scale = (w[:, 0] * 100000000 + w[:, 1]).astype(float)  # 10**k, or 0
+    digits, dots = _byte_count(digit), _byte_count(dot)
+    simple = (
+        (length <= _NUMBER_BYTES)
+        & (length > neg)
+        & (digits + dots + neg == length)  # nothing but digits, dots, a sign
+        & (dots <= 1)
+        & (_F10.take(digits, mode="clip") > scale)  # a digit before the dot
+        & (scale != 1.0)  # and after it
+        & (q < 2**53)
+    )
+    # With k decimals q spells i * 10**(k+1) + f; take out the 0 of the dot.
+    q = q.astype(float)
+    one = np.maximum(scale, 1.0)
+    q -= 9.0 * np.floor(q / (10.0 * one)) * scale
+    values = q / one
+    np.negative(values, out=values, where=neg)
+    return values, ~simple
+
+
+def _decode_columns(
+    data: bytes, header: str, n_fields: int
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray] | None:
-    """What :func:`_columns_by_rows` returns for a well-formed file, parsed
-    a column at a time with the same ``float``; None for anything the row
-    loop would reject, so that it reads the text again and positions the
-    error."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != header:
+    """What :func:`_columns_by_rows` returns for the text of ``data``, or None
+    for a file it does not take (see above) or would reject."""
+    if data.translate(None, _CSV_PLAIN):
         return None
-    data = [line for line in lines[1:] if line.strip()]
-    if not data or any(line.count(",") != n_fields - 1 for line in data):
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
+    first = data.find(b"\n")
+    if first < 0 or data[:first].strip() != header.encode():
         return None
-    tokens = ",".join(data).split(",")
-    try:
-        cols = [
-            np.array(list(map(float, tokens[k::n_fields])))
-            for k in range(n_fields - 1)
-        ]
-        labels = np.array(
-            [NAME_LABELS[tok.strip()] for tok in tokens[n_fields - 1 :: n_fields]]
-        )
-    except (ValueError, KeyError):
+    # Byte i of data at i + 16, so that each field has 16 bytes before its
+    # end and after its start; u is data with a newline after the last line.
+    padded = np.frombuffer(b"".join([b"\n" * 16, data, b"\n" * 16]), dtype=np.uint8)
+    u = padded[16 : 16 + len(data) + (not data.endswith(b"\n"))]
+    sep = first + np.flatnonzero((u[first:] == 44) | (u[first:] == 10))
+    newline = u.take(sep) == 10
+    prev, sep, end = sep[:-1], sep[1:], newline[1:]
+    blank = end & newline[:-1]  # no comma in the line
+    if blank.any():
+        for a, b in zip(prev[blank].tolist(), sep[blank].tolist()):
+            if data[a + 1 : b].strip():
+                return None
+        keep = ~blank
+        prev, sep, end = prev[keep], sep[keep], end[keep]
+    if len(sep) == 0 or len(sep) % n_fields:
         return None
-    if not all(np.isfinite(c).all() for c in cols):
+    if not (end.reshape(-1, n_fields) == (np.arange(n_fields) == n_fields - 1)).all():
         return None
+    starts = (prev + 1).reshape(-1, n_fields)
+    ends = sep.reshape(-1, n_fields)
+    rows = _windows(padded, 16)
+    cols = []
+    for c in range(n_fields - 1):
+        values = np.empty(len(starts))
+        for lo in range(0, len(starts), _CSV_BLOCK_ROWS):
+            s = starts[lo : lo + _CSV_BLOCK_ROWS, c]
+            e = ends[lo : lo + _CSV_BLOCK_ROWS, c]
+            win = rows[e].view(np.uint8).reshape(-1, 16)
+            block, slow = _decode_numbers(win, e - s, u.take(s) == 45)
+            for i in np.flatnonzero(slow).tolist():
+                try:
+                    block[i] = _parse_float(data[s[i] : e[i]].decode().strip(), 0, "")
+                except ParseError:
+                    return None
+            values[lo : lo + len(block)] = block
+        cols.append(values)
+    # The last 8 bytes up to a label's end, shifted down to the label.
+    s, e = starts[:, -1], ends[:, -1]
+    keys = _windows(padded, 8)[e + 8]
+    keys >>= (64 - 8 * np.minimum(e - s, 8)).astype(np.uint64)
+    at = np.searchsorted(_LABEL_KEYS, keys)
+    labels = _LABEL_VALUES.take(at, mode="clip")
+    for i in np.flatnonzero(_LABEL_KEYS.take(at, mode="clip") != keys).tolist():
+        label = NAME_LABELS.get(data[s[i] : e[i]].decode().strip())
+        if label is None:
+            return None
+        labels[i] = label
     ts = cols[0] / 1000.0
     if (np.diff(ts) <= 0).any():
         return None
     return ts, cols[1:], labels
 
 
+def decode_utf8(data: bytes, line: str = "row") -> str:
+    """``data`` as UTF-8 text; a ParseError names the line and byte of the
+    first byte that is not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lines = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{data[e.start]:02x}", f"{line} {lines}, byte {e.start}"
+        ) from None
+
+
 def _read_columns(
-    text: str, header: str, what: tuple[str, ...]
+    data: bytes, header: str, what: tuple[str, ...]
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    return _columns_fast(text, header, len(what) + 1) or _columns_by_rows(
-        text, header, what
+    return _decode_columns(data, header, len(what) + 1) or _columns_by_rows(
+        decode_utf8(data), header, what
     )
 
 
 def read_velocity_csv_text(text: str) -> SampledSignal:
-    ts, (vs,), ls = _read_columns(text, VELOCITY_HEADER, ("timestamp", "velocity"))
+    return _velocity_signal(text.encode("utf-8", "surrogatepass"))
+
+
+def _velocity_signal(data: bytes) -> SampledSignal:
+    ts, (vs,), ls = _read_columns(data, VELOCITY_HEADER, ("timestamp", "velocity"))
     return SampledSignal(ts, vs, ls)
 
 
 def read_velocity_csv(path: str) -> SampledSignal:
-    with open(path, "r", newline="") as fh:
-        return read_velocity_csv_text(fh.read())
+    with open(path, "rb") as fh:
+        return _velocity_signal(fh.read())
 
 
 def gaze_csv_text(trace: GazeTrace) -> str:
@@ -345,9 +475,15 @@ def read_gaze_csv_text(
     height: int = 0,
     pixels_per_degree: float = 30.0,
 ) -> GazeTrace:
-    ts, (xs, ys), ls = _read_columns(
-        text, GAZE_HEADER, ("timestamp", "x coordinate", "y coordinate")
-    )
+    data = text.encode("utf-8", "surrogatepass")
+    return _gaze_trace(data, width, height, pixels_per_degree)
+
+
+def _gaze_trace(
+    data: bytes, width: int = 0, height: int = 0, pixels_per_degree: float = 30.0
+) -> GazeTrace:
+    what = ("timestamp", "x coordinate", "y coordinate")
+    ts, (xs, ys), ls = _read_columns(data, GAZE_HEADER, what)
     if width == 0:
         width = int(np.ceil(xs.max())) + 1
     if height == 0:
@@ -356,8 +492,8 @@ def read_gaze_csv_text(
 
 
 def read_gaze_csv(path: str, **kwargs) -> GazeTrace:
-    with open(path, "r", newline="") as fh:
-        return read_gaze_csv_text(fh.read(), **kwargs)
+    with open(path, "rb") as fh:
+        return _gaze_trace(fh.read(), **kwargs)
 
 
 # --- Portable graymap (P2 ASCII / P5 binary) ---
@@ -397,12 +533,56 @@ class _PgmScanner:
         start = self.pos
         tok = self.token(what)
         try:
+            if b"_" in tok:  # int() takes "1_0"; the file format does not
+                raise ValueError
             v = int(tok)
         except ValueError:
             raise ParseError(f"invalid {what} {tok!r}", f"byte {start}") from None
         if not lo <= v <= hi:
             raise ParseError(f"{what} {v} out of range [{lo}, {hi}]", f"byte {start}")
         return v
+
+
+_P2_BLOCK_BYTES = 1 << 16  # more than 5, the digits of the largest maxval
+_P2_PLAIN = b"0123456789 \t\r\n"
+
+
+def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray | None:
+    """P2 pixels decoded in blocks of about ``_P2_BLOCK_BYTES`` cut at
+    whitespace, when the body from ``pos`` is exactly n numbers of at most
+    ``len(str(maxval))`` digits, none above maxval, separated by whitespace;
+    else None. Each number is read from the 8 bytes up to its end."""
+    width = len(str(maxval))
+    values = np.empty(n)
+    done = 0
+    while pos < len(data):
+        end = min(pos + _P2_BLOCK_BYTES, len(data))
+        cut = end
+        while cut < len(data) and data[cut] >= 48 and data[cut - 1] >= 48:
+            cut -= 1  # back to whitespace, so that no number spans blocks
+            if end - cut > width:
+                return None
+        block = data[pos:cut]
+        pos = cut
+        if block.translate(None, _P2_PLAIN):
+            return None
+        # Whitespace around the block, and 8 bytes before every number's end.
+        u = np.frombuffer(b"".join([b" " * 8, block, b" "]), dtype=np.uint8)
+        digit = u >= 48
+        ends = np.flatnonzero(digit[:-1] > digit[1:]) + 1
+        w = _windows(u, 8).take(ends - 8)  # take copies 8 bytes per block byte first
+        # Digits have bit 4 set and whitespace does not, so the highest
+        # flag of the whitespace bytes marks the byte before the number.
+        before = (np.frexp(~w & 0x1010101010101010)[1] - 5) // 8
+        if done + len(ends) > n or 7 - before.min(initial=7) > width:
+            return None
+        shift = (8 * before + 8).astype(np.uint64)
+        v = _digit_words(w >> shift << shift)
+        if v.max(initial=0) > maxval:
+            return None
+        values[done : done + len(v)] = v
+        done += len(v)
+    return values if done == n else None
 
 
 def _p2_plain_pixels(body: bytes, n: int, maxval: int) -> np.ndarray | None:
@@ -430,7 +610,9 @@ def read_pgm_bytes(data: bytes) -> np.ndarray:
     maxval = sc.integer("maxval", 1, 65535)
     n = width * height
     if magic == b"P2":
-        values = _p2_plain_pixels(data[sc.pos :], n, maxval)
+        values = _p2_digit_pixels(data, sc.pos, n, maxval)
+        if values is None:  # numbers with leading zeros, or a fault
+            values = _p2_plain_pixels(data[sc.pos :], n, maxval)
         if values is None:
             values = np.empty(n, dtype=float)
             for i in range(n):

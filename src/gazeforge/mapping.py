@@ -361,6 +361,18 @@ def fixation_centroids(trace: GazeTrace) -> TargetSet:
     return TargetSet(pts, width=trace.width, height=trace.height)
 
 
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, bit for bit: the mean of the
+    middle one or two values of the same partition, or its NaN. (np.median
+    checks for NaN through numpy.ma, whose import every remap would pay.)"""
+    mid = len(a) // 2
+    kth = [mid - 1, mid] if len(a) % 2 == 0 else [mid]
+    part = np.partition(a, kth + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[kth[0] : mid + 1].mean())
+
+
 def remap_real(
     real: GazeTrace,
     mode: str,
@@ -390,7 +402,7 @@ def remap_real(
     positive = dts[dts > 0]
     if len(positive) == 0:
         raise ParameterError("real trace has no positive inter-sample intervals")
-    dts = np.where(dts > 0, dts, float(np.median(positive)))
+    dts = np.where(dts > 0, dts, _median(positive))
     segments = []
     for start, end, _ in _label_runs(eff):
         segments.append(

@@ -315,6 +315,53 @@ def test_remap_rejects_time_going_back(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_non_utf8_csv_is_io_error(tmp_path, capsys):
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"t_ms,velocity_deg_s,label\n1.0,2.0,FIX\n2.0,3\xff,FIX\n")
+    cfg = write_config(tmp_path, mode="evaluate", paths={"real_data": str(real)})
+    out = str(tmp_path / "summary.csv")
+    assert run(["evaluate", "--config", cfg, "--output", out]) == EXIT_IO
+    assert "invalid UTF-8 byte 0xff (at row 3, byte 43)" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_non_utf8_config_is_io_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'{"mode": "velocity",\n "seed": "\xff"}')
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", str(p), "--output", out]) == EXIT_IO
+    assert "invalid UTF-8 byte 0xff (at line 2, byte 31)" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1_0.5", "invalid velocity '1_0.5' (at row 3)"),
+    ("\u0661\u0662", "invalid velocity '\u0661\u0662' (at row 3)"),
+])
+def test_python_only_number_in_csv_is_io_error(tmp_path, capsys, token, message):
+    real = tmp_path / "real.csv"
+    real.write_text(f"t_ms,velocity_deg_s,label\n1.0,2.0,FIX\n2.0,{token},FIX\n", "utf-8")
+    cfg = write_config(tmp_path, mode="evaluate", paths={"real_data": str(real)})
+    out = str(tmp_path / "summary.csv")
+    assert run(["evaluate", "--config", cfg, "--output", out]) == EXIT_IO
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P2\n2 1\n255\n0 1_0\n", "invalid pixel value b'1_0' (at byte 13)"),
+    (b"P2\n2 1\n2_55\n0 1\n", "invalid maxval b'2_55' (at byte 7)"),
+])
+def test_python_only_number_in_pgm_is_io_error(tmp_path, capsys, data, message):
+    stim = tmp_path / "stim.pgm"
+    stim.write_bytes(data)
+    cfg = write_config(tmp_path, mode="saliency", paths={"stimulus": str(stim)})
+    out = str(tmp_path / "map.pgm")
+    assert run(["saliency", "--config", cfg, "--output", out]) == EXIT_IO
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_full_pipeline_deterministic(tmp_path):
     stim = write_stimulus(tmp_path)
     results = []

@@ -1,5 +1,8 @@
-"""CSV and PGM round-trips plus a malformed-input corpus with positions."""
+"""CSV and PGM round-trips, a malformed-input corpus with positions, and
+the memory the decoders may take."""
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +12,14 @@ from gazeforge.errors import ParseError
 from gazeforge.fileio import (
     gaze_csv_text,
     pgm_bytes,
+    read_gaze_csv,
     read_gaze_csv_text,
     read_pgm,
     read_pgm_bytes,
     read_velocity_csv,
     read_velocity_csv_text,
     velocity_csv_text,
+    write_gaze_csv,
     write_pgm,
     write_velocity_csv,
 )
@@ -131,6 +136,9 @@ BAD_VELOCITY = [
     ("t_ms,velocity_deg_s,label\n1.0,2.0,FIX\n2.0,3.0,SACC\nbad,4.0,SP\n", "row 4"),
     # blank lines are skipped but still counted in row positions
     ("t_ms,velocity_deg_s,label\n1.0,2.0,FIX\n\n0.5,3.0,FIX\n", "row 4"),
+    # float() takes these; the file format does not
+    ("t_ms,velocity_deg_s,label\n1.0,1_0.5,FIX\n", "invalid velocity '1_0.5' (at row 2)"),
+    ("t_ms,velocity_deg_s,label\n\u0661\u0662,1,FIX\n", "invalid timestamp '\u0661\u0662' (at row 2)"),
 ]
 
 
@@ -153,6 +161,8 @@ BAD_GAZE = [
      "timestamps not strictly increasing (at row 3)"),
     ("t_ms,x_px,y_px,label\n1.0,1.0,1.0,FIX\n1.0,2.0,2.0,FIX\n", "row 3"),
     ("t_ms,x_px,y_px,label\n1.0,1.0,1.0,FIX\n\n\n0.5,2.0,2.0,FIX\n", "row 5"),
+    ("t_ms,x_px,y_px,label\n1.0,1_0.5,3.0,FIX\n", "invalid x coordinate '1_0.5' (at row 2)"),
+    ("t_ms,x_px,y_px,label\n1.0,2.0,\u0663,FIX\n", "invalid y coordinate '\u0663' (at row 2)"),
 ]
 
 
@@ -179,6 +189,9 @@ BAD_PGM = [
     (b"P2\n2 1\n255\n0 300\n", "out of range"),
     (b"P2\n2 1\n255\n0 1 2\n", "trailing"),
     (b"P2\n2 1\n255\n0 x\n", "invalid pixel value"),
+    (b"P2\n2 1\n255\n0 1_0\n", "invalid pixel value b'1_0' (at byte 13)"),
+    (b"P2\n2 1\n2_55\n0 1\n", "invalid maxval b'2_55' (at byte 7)"),
+    (b"P5\n2 1\n2_55\n\x00\x01", "invalid maxval b'2_55' (at byte 7)"),
 ]
 
 
@@ -200,3 +213,53 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_velocity_csv(str(path), make_signal())
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.csv"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("read", [read_velocity_csv, read_gaze_csv])
+@pytest.mark.parametrize("body, row, offset", [
+    (b"\r\n\n1,\xc3\xa9\xff", 3, 7),  # CRLF and a blank line; a valid é first
+    (b"\n1,2\n\xff", 3, 5),  # the first byte of a line
+    (b"\xff", 1, 0),
+])
+def test_non_utf8_csv_reports_row_and_byte(tmp_path, read, body, row, offset):
+    path = tmp_path / "bad.csv"
+    header = b"t_ms,velocity_deg_s,label" if read is read_velocity_csv else b"t_ms,x_px,y_px,label"
+    path.write_bytes(header + body)
+    with pytest.raises(ParseError) as e:
+        read(str(path))
+    byte = len(header) + offset
+    assert str(e.value).endswith(f"invalid UTF-8 byte 0xff (at row {row}, byte {byte})")
+
+
+# --- memory ---
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_p2_decode_peak_memory_is_bounded():
+    # The body is decoded in blocks into the one array that is returned.
+    pixels = np.random.default_rng(0).integers(0, 256, (768, 1024))
+    data = b"P2\n1024 768\n255\n" + "\n".join(
+        " ".join(map(str, row)) for row in pixels.tolist()
+    ).encode() + b"\n"
+    peak = _traced_peak(read_pgm_bytes, data)
+    assert peak <= 1.5 * pixels.size * 8
+
+
+def test_gaze_reader_peak_memory_is_bounded(tmp_path):
+    # 54,000 rows, about 1.6 MB of text; the row-at-a-time reader took 22.5 MB.
+    n = 54_000
+    rng = np.random.default_rng(1)
+    trace = GazeTrace(
+        np.cumsum(rng.uniform(0.003, 0.004, n)), rng.uniform(0, 1024, n),
+        rng.uniform(0, 768, n), rng.integers(0, 4, n).astype(np.uint8), 1024, 768, 30.0,
+    )
+    path = str(tmp_path / "gaze.csv")
+    write_gaze_csv(path, trace)
+    assert _traced_peak(read_gaze_csv, path) <= 22.5e6

@@ -11,6 +11,10 @@ those ports are checked against.
 Each subcommand runs on a tiny golden-case config in a fresh interpreter
 and must leave no ``scipy`` module in ``sys.modules``; a source scan finds
 no SciPy import anywhere in the package.
+
+Neither may a subcommand load ``numpy.ma`` (13-17 ms): ``np.median`` and
+``np.percentile`` import it, so remap and evaluate take their quantiles
+from ``np.partition`` instead.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from test_golden import _case
 
 # Expression for the scipy modules that are loaded; each run prints it last.
 _LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+_MASKED = "sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))"
 
 
 def _python(code: str):
@@ -52,6 +57,7 @@ def test_cli_import_loads_no_heavy_scipy_module():
     ("generate_normal_burst", ()),
     ("map_static", ()),
     ("evaluate_errors", ()),
+    ("remap_new_stimulus", ()),
 ])
 def test_subcommand_scipy_footprint(case, expected, tmp_path):
     argv, doc = _case(case, tmp_path)
@@ -59,12 +65,13 @@ def test_subcommand_scipy_footprint(case, expected, tmp_path):
     cfg.write_text(json.dumps(doc))
     out = tmp_path / ("out.pgm" if argv[0] == "saliency" else "out.csv")
     argv = argv + ["--config", str(cfg), "--output", str(out)]
-    got = _python(
+    got, masked = _python(
         "from gazeforge.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        f"print(json.dumps({_LOADED}))\n"
+        f"print(json.dumps([{_LOADED}, {_MASKED}]))\n"
     )
     assert got == sorted(expected)
+    assert masked == []
 
 
 def test_no_module_imports_scipy():

@@ -9,7 +9,10 @@ the pursuit onset redraws, of the noise magnitudes, of the nearest-frame
 scan and of the gaze placement along a movement run and in a fixation
 without dispersion. The fast versions must return identical bytes, raise
 the same errors and, for the resampler, the noise and the gaze placement,
-leave the random stream at the same place.
+leave the random stream at the same place. The byte decoders of the CSV
+readers are also held to the earlier str-based fast path, kept here as a
+reference, and the partition quantiles of remap and evaluate to
+``np.median`` and ``np.percentile``.
 Random stream v2 draws the fixation walk and the evaluate simulations in
 blocks, so their stream v1 loops are statistical references: two-sample KS
 tests on the walk's steps and radii and on the pooled errors.
@@ -37,6 +40,7 @@ from scipy.stats import ks_2samp
 
 from gazeforge import _gamma, fileio, generators, noise, resampler, saliency
 from gazeforge.core import (
+    NAME_LABELS,
     BoundedDistribution,
     DistKind,
     MovementLabel,
@@ -48,6 +52,7 @@ from gazeforge.errors import MappingError, ParameterError, ParseError
 from gazeforge.evaluation import (
     _brentq,
     _mode_index,
+    _quartiles,
     evaluate_dataset,
     extract_descriptors,
     simulate_from_descriptor,
@@ -68,6 +73,7 @@ from gazeforge.mapping import (
     _choose_target,
     _effective_labels,
     _label_runs,
+    _median,
     _place_movement_run,
     _weight_sums,
     extract_velocities,
@@ -437,6 +443,23 @@ P2_CORPUS = [
     b"P2\n2 1\n255\n0 1e2\n",
     b"P2\n2 1\n255\n0 \xd9\xa3\n",
     b"P2\n2 1\n255\n0 1\x00",
+    b"P2\n2 1\n2_55\n0 1\n",
+    b"P2\n3 1\n1\n0 1 1\n",
+    b"P2\n3 1\n1\n0 1 2\n",
+    b"P2\n2 1\n1\n01 1\n",
+    b"P2\n3 1\n255\n0255 255 0\n",
+    b"P2\n3 1\n255\n0256 255 0\n",
+    b"P2\n3 1\n65535\n65535 00001 9\n",
+    b"P2\n2 1\n65535\n065535 1\n",
+    b"P2\n2 1\n65535\n99999 1\n",
+    b"P2\n1 1\n255\n7",
+    b"P2\n1 1\n255\n7\n",
+    b"P2\n1 1\n255\n\n\t \r\n",
+    b"P2\n1 1\n255\n",
+    b"P2 1 1 255 255",
+    b"P2\n1 1 # size\n255 # maxval\n# body\n9 # the pixel\n",
+    b"P2\n1 1\n255#c\n9\n",
+    b"P2\n2 1\n255\n9#c\n8\n",
 ]
 
 
@@ -447,6 +470,24 @@ def _assert_p2_matches_loop(data):
     if want_err is None:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+    # The block decoder takes every body of short plain numbers the scanner
+    # accepts, and nothing it rejects.
+    try:
+        sc = _PgmScanner(data)
+        assert sc.token("magic number") == b"P2"
+        n = sc.integer("width", 1, MAX_PGM_DIM) * sc.integer("height", 1, MAX_PGM_DIM)
+        maxval = sc.integer("maxval", 1, 65535)
+    except (AssertionError, ParseError):
+        return
+    fast = fileio._p2_digit_pixels(data, sc.pos, n, maxval)
+    body = data[sc.pos :]
+    plain = not body.translate(None, b"0123456789 \t\r\n") and all(
+        len(tok) <= len(str(maxval)) for tok in body.split()
+    )
+    if want_err is None and plain:
+        assert fast is not None and (fast / maxval).tobytes() == want.tobytes()
+    if want_err is not None:
+        assert fast is None
 
 
 @pytest.mark.parametrize("data", P2_CORPUS)
@@ -466,6 +507,52 @@ _P2_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"  ", b" \n ", b"\x0b", b"\x0c",
     st.data(),
 )
 def test_p2_decode_matches_scanner_generated(width, height, maxval, extra, data):
+    _assert_p2_matches_loop(_p2_file(width, height, maxval, extra, data))
+
+
+@pytest.mark.parametrize("block", [6, 7, 8, 9, 13])
+@pytest.mark.parametrize("data", P2_CORPUS)
+def test_p2_decode_matches_scanner_at_block_edges(block, data, monkeypatch):
+    # Blocks of a few bytes put an edge at or inside almost every number.
+    monkeypatch.setattr(fileio, "_P2_BLOCK_BYTES", block)
+    _assert_p2_matches_loop(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(6, 20),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from([1, 9, 255, 65535]),
+    st.integers(-1, 1),
+    st.data(),
+)
+def test_p2_decode_matches_scanner_generated_at_block_edges(
+    block, width, height, maxval, extra, data
+):
+    file = _p2_file(width, height, maxval, extra, data)
+    original = fileio._P2_BLOCK_BYTES
+    fileio._P2_BLOCK_BYTES = block
+    try:
+        _assert_p2_matches_loop(file)
+    finally:
+        fileio._P2_BLOCK_BYTES = original
+
+
+def test_p2_decode_matches_scanner_on_a_large_image():
+    # 1024 x 768 in 8-bit, several full blocks with numbers across their
+    # edges, and the same pixels at maxval 65535.
+    rng = np.random.default_rng(5)
+    pixels = rng.integers(0, 256, (768, 1024))
+    for maxval, scale in ((255, 1), (65535, 257)):
+        lines = [" ".join(map(str, row)) for row in (pixels * scale).tolist()]
+        data = b"P2\n1024 768\n%d\n" % maxval + "\n".join(lines).encode() + b"\n"
+        got = read_pgm_bytes(data)
+        want = (pixels * scale).astype(float) / maxval
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _p2_file(width, height, maxval, extra, data) -> bytes:
     count = max(width * height + extra, 0)
     values = data.draw(st.lists(st.integers(0, maxval + 2), min_size=count, max_size=count))
     rare = data.draw(st.booleans())
@@ -474,7 +561,7 @@ def test_p2_decode_matches_scanner_generated(width, height, maxval, extra, data)
     for v in values:
         body += data.draw(st.sampled_from(seps)) + b"%d" % v
     body += data.draw(st.sampled_from([b"", b"\n", b" \n"]))
-    _assert_p2_matches_loop(b"P2\n%d %d\n%d\n" % (width, height, maxval) + body)
+    return b"P2\n%d %d\n%d\n" % (width, height, maxval) + body
 
 
 # --- Gamma helpers against scipy.stats.gamma ---
@@ -996,7 +1083,7 @@ def test_brentq_edge_cases_match_scipy(f, a, b, kw):
     assert brentq_outcome(_brentq, f, a, b, **kw) == brentq_outcome(sp_brentq, f, a, b, **kw)
 
 
-# --- CSV readers: column-at-a-time parse against the row loop ---
+# --- CSV readers: the byte decoder against the row loop ---
 
 def read_velocity_csv_loop(text: str) -> SampledSignal:
     ts, vs, ls, rows = [], [], [], []
@@ -1023,8 +1110,43 @@ def read_gaze_csv_loop(text: str) -> GazeTrace:
     return GazeTrace(ts_arr, np.array(xs), np.array(ys), np.array(ls), width, height, 30.0)
 
 
+def columns_fast_reference(text: str, header: str, n_fields: int):
+    """The earlier str fast path of the readers: the columns of a file it
+    takes, parsed with ``float`` a column at a time, or None. It predates
+    the rejection of "1_0" and non-ASCII digits, so it still takes them."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        return None
+    data = [line for line in lines[1:] if line.strip()]
+    if not data or any(line.count(",") != n_fields - 1 for line in data):
+        return None
+    tokens = ",".join(data).split(",")
+    try:
+        cols = [
+            np.array(list(map(float, tokens[k::n_fields])))
+            for k in range(n_fields - 1)
+        ]
+        labels = np.array(
+            [NAME_LABELS[tok.strip()] for tok in tokens[n_fields - 1 :: n_fields]]
+        )
+    except (ValueError, KeyError):
+        return None
+    if not all(np.isfinite(c).all() for c in cols):
+        return None
+    ts = cols[0] / 1000.0
+    if (np.diff(ts) <= 0).any():
+        return None
+    return ts, cols[1:], labels
+
+
 VELOCITY_WHAT = ("timestamp", "velocity")
 GAZE_WHAT = ("timestamp", "x coordinate", "y coordinate")
+_PLAIN_TEXT = set(map(chr, range(32, 127))) | set("\t\n\r")
+
+
+def _assert_same_columns(got, want) -> None:
+    for g, w in zip([got[0], *got[1], got[2]], [want[0], *want[1], want[2]]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def _assert_reader_matches_loop(kind: str, text: str) -> None:
@@ -1039,9 +1161,12 @@ def _assert_reader_matches_loop(kind: str, text: str) -> None:
     got, got_err = outcome(new, text)
     want, want_err = outcome(old, text)
     assert got_err == want_err
-    # The fast path takes exactly the files the row loop accepts.
-    fast = fileio._columns_fast(text, header, len(what) + 1)
-    assert (fast is None) == (want_err is not None)
+    # The byte decoder takes exactly the files of printable ASCII, tabs and
+    # LF or CRLF line ends that the row loop accepts.
+    data = text.encode("utf-8", "surrogatepass")
+    fast = fileio._decode_columns(data, header, len(what) + 1)
+    plain = set(text) <= _PLAIN_TEXT and "\r" not in text.replace("\r\n", "")
+    assert (fast is not None) == (want_err is None and plain)
     if want_err is None:
         if kind == "gaze":
             assert (got.width, got.height) == (want.width, want.height)
@@ -1049,9 +1174,12 @@ def _assert_reader_matches_loop(kind: str, text: str) -> None:
             g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
         slow = fileio._columns_by_rows(text, header, what)
-        for g, w in zip([fast[0], *fast[1], fast[2]], [slow[0], *slow[1], slow[2]]):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-        assert fast[0].dtype == np.float64 and fast[2].dtype == np.int64
+        assert slow[0].dtype == np.float64 and slow[2].dtype == np.int64
+        if fast is not None:
+            _assert_same_columns(fast, slow)
+        reference = columns_fast_reference(text, header, len(what) + 1)
+        if reference is not None:
+            _assert_same_columns(reference, slow)
 
 
 VH = fileio.VELOCITY_HEADER
@@ -1103,6 +1231,40 @@ VELOCITY_CORPUS = [
     f"{VH}\n4.9e-324,1,FIX\n9.9e-324,1,FIX\n",  # equal once divided by 1000
     f"{VH}\n-5,1,FIX\n-4,1,FIX\n",
     f"{VH}\n1e308,1,FIX\n1.7e308,1,FIX\n",
+    f"{VH}\n1,-0.000,FIX\n2,-0,SACC\n3,0.000,SP\n4,-0.0,NOISE\n",
+    f"{VH}\n007.500,0001,FIX\n08,00.10,FIX\n0009.0,-000,FIX\n",
+    f"{VH}\n1,123456789012345,FIX\n2,12345678901234.5,FIX\n3,-0.123456789012345,FIX\n",
+    f"{VH}\n1,1234567890123456,FIX\n2,123456789012345.6,FIX\n3,-1.234567890123456,FIX\n",
+    f"{VH}\n1,9007199254740993,FIX\n2,900719925474099.3,FIX\n3,9007199254740.991,FIX\n",
+    f"{VH}\n1,12345678901234567890,FIX\n2,0000000000000000000001,FIX\n",
+    f"{VH}\n1,0.1234567890123456789012,FIX\n2,0.12345678901234567890123,FIX\n",
+    f"{VH}\n1,0.0000000000000000000001,FIX\n2,-0.00000000000000000000001,FIX\n",
+    f"{VH}\n1,1e-05,FIX\n2,1.23457e+06,SACC\n3,-2.5E-3,SP\n4,1e22,FIX\n",
+    f"{VH}\n+5,+5,FIX\n6,.5,FIX\n7,5.,FIX\n8,-.5,FIX\n9,-5.,FIX\n",
+    f"{VH}\n1,-,FIX\n",
+    f"{VH}\n1,.,FIX\n",
+    f"{VH}\n1,1..5,FIX\n",
+    f"{VH}\n1,12.3.4,FIX\n",
+    f"{VH}\n1,1.5.,FIX\n",
+    f"{VH}\n1,--1,FIX\n",
+    f"{VH}\n1,1-,FIX\n",
+    f"{VH}\n1,1.-5,FIX\n",
+    f"{VH}\n1,1_0.5,FIX\n",
+    f"{VH}\n1,\u0661\u0662,FIX\n",
+    f"{VH} \r\n 1 , 2.5 ,\tFIX \r\n\r\n2,3,SACC",
+    f"{VH}\n1,2,FIX\r\n2,3,SACC\n3,4,SP\r\n",
+    f"{VH}\n1,2,FIX\r\r\n",
+    f"{VH}\n1,2,SP\n2,3,NOISE\n3,4,SACC\n4,5,FIX\n",
+    f"{VH}\n1,2,NOISEX\n",
+    f"{VH}\n1,2,NOIS\n",
+    f"{VH}\n1,2,FIXFIXFIX\n",
+    f"{VH}\n1,2,FIX\n\x7f\n",
+    f"{VH}\n1,2,FIX\n2,3,FIX\x1f\n",
+    f"{VH}\n1,2,FIX\n,\n",
+    f"{VH}\n1,2,FIX\n,,\n",
+    f"{VH}\n1,2,FIX\n\n\n\n",
+    f"{VH}\n1,2,FIX\nFIX\n2,3,FIX\n",  # a line without a comma
+    f"{VH}\n7\n",
 ]
 GAZE_CORPUS = [
     f"{GH}\n1,10,20,FIX\n2,11.5,21,SACC\n3,12,22,SP\n4,13,23,NOISE\n",
@@ -1133,6 +1295,19 @@ GAZE_CORPUS = [
     f"{GH}\n1,1,1,FIX\n\n\n0,1,1,FIX\n",  # time going back after blank rows
     f"{GH}\n1,0.2,0.7,FIX\n2,1e-300,-1e-300,FIX\n",
     f"{GH}\n1,1e300,2,FIX\n",
+    f"\ufeff{GH}\n1,10,20,FIX\n",
+    f"{GH}\n1,-0.000,-0.000,FIX\n2.000,0007.250,-00.5,SP\n",
+    f"{GH}\n1,123456789012.345,1234567890123.456,FIX\n",
+    f"{GH}\n1,1e-05,1.23457e+06,FIX\n2,+5,.5,SACC\n3,5.,-5.,SP\n",
+    f"{GH}\n1,1_0.5,20,FIX\n",
+    f"{GH}\n1,10,\u0661\u0662,FIX\n",
+    f"{GH} \r\n 1 , 10 , 20 , SACC \r\n\r\n2,11,21,NOISE",
+    f"{GH}\n1,10,20,FIX\n2,11,21,SACC\n3,12,22,SP\n4,13,23,NOISE",
+    f"{GH}\n1,10,20,FIX\n2,11,21,FIXATION\n",
+    f"{GH}\n1,10,20,FIX\n2,11,21,FI\n",
+    f"{GH}\n1,10,20,FIX\n2,11,21\n3,12,22,SP,\n",
+    f"{GH}\n1,10,20,FIX\n,,,\n",
+    f"{GH}\n1,10,20,FIX\n \t2 \n",
 ]
 
 
@@ -1152,7 +1327,9 @@ _CSV_NUMBERS = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.3f}"),
     st.integers(-10**6, 10**6).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["", " 1 ", "1_0", "+2", "1e400", "x", "-0", ".5", "5.", "1e-320"]),
+    st.sampled_from(
+        ["", " 1 ", "1_0", "+2", "1e400", "x", "-0", ".5", "5.", "1e-320", "12.3.4", "-"]
+    ),
 )
 
 
@@ -1205,6 +1382,43 @@ def test_velocity_reader_matches_row_loop_generated(text):
 @given(csv_files(4))
 def test_gaze_reader_matches_row_loop_generated(text):
     _assert_reader_matches_loop("gaze", text)
+
+
+@st.composite
+def written_files(draw, kind):
+    """The writers' text for increasing timestamps and hypothesis columns."""
+    values, other, labels = draw(writer_columns())
+    steps = draw(arrays(np.float64, len(values), elements=st.floats(1e-3, 50.0)))
+    ts = draw(st.floats(-1e4, 1e4)) + np.cumsum(steps)
+    if kind == "velocity":
+        return fileio.velocity_csv_text(SampledSignal(ts, values, labels))
+    return fileio.gaze_csv_text(GazeTrace(ts, values, other, labels, 64, 64, 30.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(written_files("velocity"))
+def test_velocity_reader_matches_row_loop_on_written_files(text):
+    _assert_reader_matches_loop("velocity", text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(written_files("gaze"))
+def test_gaze_reader_matches_row_loop_on_written_files(text):
+    _assert_reader_matches_loop("gaze", text)
+
+
+@pytest.mark.parametrize("kind", ["velocity", "gaze"])
+def test_readers_match_row_loop_on_70000_written_rows(kind):
+    n = 70_000
+    rng = np.random.default_rng(70)
+    ts = np.cumsum(rng.uniform(1e-3, 5e-3, n))
+    values = np.resize(WRITER_CORPUS[np.isfinite(WRITER_CORPUS)], n) * rng.choice([1.0, 1e-3], n)
+    labels = rng.integers(0, len(_CSV_LABEL_NAMES), n).astype(np.uint8)
+    if kind == "velocity":
+        text = fileio.velocity_csv_text(SampledSignal(ts, values, labels))
+    else:
+        text = fileio.gaze_csv_text(GazeTrace(ts, values, values[::-1].copy(), labels, 64, 64, 30.0))
+    _assert_reader_matches_loop(kind, text)
 
 
 # --- CSV writers: the byte matrix against the f-string per row ---
@@ -1725,3 +1939,48 @@ def test_scene_targets_at_matches_scan_on_many_frames():
     times = [i / 30.0 for i in range(1000)]
     queries = np.random.default_rng(0).uniform(-1.0, 35.0, 2000).tolist()
     _assert_at_matches_scan(times, queries + _probe_times(times[:50]))
+
+
+# --- quantiles: one partition against np.percentile and np.median ---
+
+QUANTILE_ARRAYS = [
+    [3.5], [-0.0], [math.inf], [math.nan],
+    [1.0, 2.0], [2.0, 1.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.0, math.inf],
+    [-math.inf, math.inf], [math.inf, math.inf], [1.0, math.nan], [-math.nan, 1.0],
+    [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [5.0, 1.0, 4.0, 2.0, 3.0],
+    [1.0, 1.0, 1.0, 2.0], [2.0, 2.0, 2.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0],
+    [1.0, math.inf, math.inf, 2.0], [1e308, 1.7e308, 1.7e308, 1e308],
+    [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7], [5e-324, 0.0, -5e-324, 1e-300],
+]
+
+
+def _assert_quantiles_match_numpy(values) -> None:
+    a = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):  # inf - inf, and sums past the largest float
+        assert _bits(_quartiles(a)) == _bits(np.percentile(a, [25, 50, 75]))
+        assert _bits(_median(a)) == _bits(np.median(a))
+
+
+@pytest.mark.parametrize("values", QUANTILE_ARRAYS)
+def test_quantiles_match_numpy(values):
+    _assert_quantiles_match_numpy(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(0.0, 10.0),
+        st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]),
+    ),
+    min_size=1, max_size=60,
+))
+def test_quantiles_match_numpy_generated(values):
+    _assert_quantiles_match_numpy(values)
+
+
+@pytest.mark.parametrize("n", [999, 1000, 20_001])
+def test_quantiles_match_numpy_on_squared_errors(n):
+    rng = np.random.default_rng(n)
+    errors = (rng.normal(size=n) * rng.lognormal(0.0, 3.0, n)) ** 2
+    _assert_quantiles_match_numpy(errors.tolist())
