@@ -69,7 +69,7 @@ def _apply_override(doc: dict, item: str) -> None:
 def _load_config(args) -> RunConfig:
     try:
         with open(args.config, "rb") as fh:
-            doc = json.loads(decode_utf8(fh.read(), "line"))
+            doc = json.loads(decode_utf8(fh.read(), json=True))
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno} col {e.colno}")
     except OSError as e:

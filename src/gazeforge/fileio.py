@@ -416,16 +416,20 @@ def _decode_columns(
     return ts, cols[1:], labels
 
 
-def decode_utf8(data: bytes, line: str = "row") -> str:
-    """``data`` as UTF-8 text; a ParseError names the line and byte of the
-    first byte that is not UTF-8."""
+def decode_utf8(data: bytes, json: bool = False) -> str:
+    """``data`` as UTF-8 text; a ParseError names the row and byte of the
+    first byte that is not UTF-8, with rows broken as ``str.splitlines``
+    breaks them, like the CSV readers. For a JSON document it names the
+    line, counted at "\\n" as JSON errors count them."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        lines = len((data[: e.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(
-            f"invalid UTF-8 byte 0x{data[e.start]:02x}", f"{line} {lines}, byte {e.start}"
-        ) from None
+        if json:
+            at = "line %d" % (data.count(b"\n", 0, e.start) + 1)
+        else:
+            at = "row %d" % len((data[: e.start].decode() + "x").splitlines())
+        bad = f"invalid UTF-8 byte 0x{data[e.start]:02x}"
+        raise ParseError(bad, f"{at}, byte {e.start}") from None
 
 
 def _read_columns(
@@ -543,16 +547,15 @@ class _PgmScanner:
         return v
 
 
-_P2_BLOCK_BYTES = 1 << 16  # more than 5, the digits of the largest maxval
+_P2_BLOCK_BYTES = 1 << 16  # more than 7, the most digits of a block number
 _P2_PLAIN = b"0123456789 \t\r\n"
 
 
 def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray | None:
     """P2 pixels decoded in blocks of about ``_P2_BLOCK_BYTES`` cut at
     whitespace, when the body from ``pos`` is exactly n numbers of at most
-    ``len(str(maxval))`` digits, none above maxval, separated by whitespace;
-    else None. Each number is read from the 8 bytes up to its end."""
-    width = len(str(maxval))
+    7 digits, none above maxval, separated by whitespace; else None. Each
+    number is read from the 8 bytes up to its end, leading zeros included."""
     values = np.empty(n)
     done = 0
     while pos < len(data):
@@ -560,7 +563,7 @@ def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray |
         cut = end
         while cut < len(data) and data[cut] >= 48 and data[cut - 1] >= 48:
             cut -= 1  # back to whitespace, so that no number spans blocks
-            if end - cut > width:
+            if end - cut > 7:
                 return None
         block = data[pos:cut]
         pos = cut
@@ -572,9 +575,10 @@ def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray |
         ends = np.flatnonzero(digit[:-1] > digit[1:]) + 1
         w = _windows(u, 8).take(ends - 8)  # take copies 8 bytes per block byte first
         # Digits have bit 4 set and whitespace does not, so the highest
-        # flag of the whitespace bytes marks the byte before the number.
+        # flag of the whitespace bytes marks the byte before the number;
+        # -1 for a window of 8 digits.
         before = (np.frexp(~w & 0x1010101010101010)[1] - 5) // 8
-        if done + len(ends) > n or 7 - before.min(initial=7) > width:
+        if done + len(ends) > n or before.min(initial=0) < 0:
             return None
         shift = (8 * before + 8).astype(np.uint64)
         v = _digit_words(w >> shift << shift)
@@ -583,20 +587,6 @@ def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray |
         values[done : done + len(v)] = v
         done += len(v)
     return values if done == n else None
-
-
-def _p2_plain_pixels(body: bytes, n: int, maxval: int) -> np.ndarray | None:
-    """P2 pixels parsed by numpy when ``body`` is exactly n in-range decimal
-    numbers separated by whitespace; None for anything else (comments,
-    signs, other bytes, a wrong count), which the scanner then reads and
-    positions the error of."""
-    if body.translate(None, b"0123456789 \t\r\n"):
-        return None
-    values = np.fromstring(body, dtype=float, sep=" ")
-    # Whitespace alone parses as [-1.0], hence the lower bound.
-    if len(values) != n or values.min() < 0 or values.max() > maxval:
-        return None
-    return values
 
 
 def read_pgm_bytes(data: bytes) -> np.ndarray:
@@ -611,9 +601,7 @@ def read_pgm_bytes(data: bytes) -> np.ndarray:
     n = width * height
     if magic == b"P2":
         values = _p2_digit_pixels(data, sc.pos, n, maxval)
-        if values is None:  # numbers with leading zeros, or a fault
-            values = _p2_plain_pixels(data[sc.pos :], n, maxval)
-        if values is None:
+        if values is None:  # long numbers, or a fault the scanner positions
             values = np.empty(n, dtype=float)
             for i in range(n):
                 values[i] = sc.integer("pixel value", 0, maxval)

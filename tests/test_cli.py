@@ -325,12 +325,17 @@ def test_non_utf8_csv_is_io_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_non_utf8_config_is_io_error(tmp_path, capsys):
+@pytest.mark.parametrize("doc, where", [
+    (b'{"mode": "velocity",\n "seed": "\xff"}', "line 2, byte 31"),
+    # Lines are counted at "\n" only, as JSON errors count them.
+    (b'{"mode": "velocity",\r "name": "a\xe2\x80\xa8b",\n "seed": "\xff"}', "line 2, byte 49"),
+])
+def test_non_utf8_config_is_io_error(tmp_path, capsys, doc, where):
     p = tmp_path / "bad.json"
-    p.write_bytes(b'{"mode": "velocity",\n "seed": "\xff"}')
+    p.write_bytes(doc)
     out = str(tmp_path / "o.csv")
     assert run(["generate", "--config", str(p), "--output", out]) == EXIT_IO
-    assert "invalid UTF-8 byte 0xff (at line 2, byte 31)" in capsys.readouterr().err
+    assert f"invalid UTF-8 byte 0xff (at {where})" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

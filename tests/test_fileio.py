@@ -242,11 +242,13 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_p2_decode_peak_memory_is_bounded():
-    # The body is decoded in blocks into the one array that is returned.
+@pytest.mark.parametrize("digits", ["{}", "{:04d}"])
+def test_p2_decode_peak_memory_is_bounded(digits):
+    # The body is decoded in blocks into the one array that is returned,
+    # also when its numbers are zero-padded.
     pixels = np.random.default_rng(0).integers(0, 256, (768, 1024))
     data = b"P2\n1024 768\n255\n" + "\n".join(
-        " ".join(map(str, row)) for row in pixels.tolist()
+        " ".join(map(digits.format, row)) for row in pixels.tolist()
     ).encode() + b"\n"
     peak = _traced_peak(read_pgm_bytes, data)
     assert peak <= 1.5 * pixels.size * 8

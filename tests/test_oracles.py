@@ -452,6 +452,10 @@ P2_CORPUS = [
     b"P2\n3 1\n65535\n65535 00001 9\n",
     b"P2\n2 1\n65535\n065535 1\n",
     b"P2\n2 1\n65535\n99999 1\n",
+    b"P2\n3 1\n65535\n0065535 00000001 0000000\n",
+    b"P2\n2 1\n255\n0000255\n00000255\n",
+    b"P2\n2 1\n65535\n9999999 1\n",
+    b"P2\n2 1\n65535\n99999999 1\n",
     b"P2\n1 1\n255\n7",
     b"P2\n1 1\n255\n7\n",
     b"P2\n1 1\n255\n\n\t \r\n",
@@ -470,8 +474,8 @@ def _assert_p2_matches_loop(data):
     if want_err is None:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    # The block decoder takes every body of short plain numbers the scanner
-    # accepts, and nothing it rejects.
+    # The block decoder takes every body of plain numbers of up to 7 digits
+    # the scanner accepts, and nothing it rejects.
     try:
         sc = _PgmScanner(data)
         assert sc.token("magic number") == b"P2"
@@ -482,7 +486,7 @@ def _assert_p2_matches_loop(data):
     fast = fileio._p2_digit_pixels(data, sc.pos, n, maxval)
     body = data[sc.pos :]
     plain = not body.translate(None, b"0123456789 \t\r\n") and all(
-        len(tok) <= len(str(maxval)) for tok in body.split()
+        len(tok) <= 7 for tok in body.split()
     )
     if want_err is None and plain:
         assert fast is not None and (fast / maxval).tobytes() == want.tobytes()
@@ -510,7 +514,7 @@ def test_p2_decode_matches_scanner_generated(width, height, maxval, extra, data)
     _assert_p2_matches_loop(_p2_file(width, height, maxval, extra, data))
 
 
-@pytest.mark.parametrize("block", [6, 7, 8, 9, 13])
+@pytest.mark.parametrize("block", [8, 9, 10, 13])
 @pytest.mark.parametrize("data", P2_CORPUS)
 def test_p2_decode_matches_scanner_at_block_edges(block, data, monkeypatch):
     # Blocks of a few bytes put an edge at or inside almost every number.
@@ -520,7 +524,7 @@ def test_p2_decode_matches_scanner_at_block_edges(block, data, monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(6, 20),
+    st.integers(8, 20),
     st.integers(1, 6),
     st.integers(1, 4),
     st.sampled_from([1, 9, 255, 65535]),
@@ -541,12 +545,15 @@ def test_p2_decode_matches_scanner_generated_at_block_edges(
 
 def test_p2_decode_matches_scanner_on_a_large_image():
     # 1024 x 768 in 8-bit, several full blocks with numbers across their
-    # edges, and the same pixels at maxval 65535.
+    # edges, the same pixels at maxval 65535, and zero-padded to 7 digits;
+    # the block decoder takes them all.
     rng = np.random.default_rng(5)
     pixels = rng.integers(0, 256, (768, 1024))
-    for maxval, scale in ((255, 1), (65535, 257)):
-        lines = [" ".join(map(str, row)) for row in (pixels * scale).tolist()]
-        data = b"P2\n1024 768\n%d\n" % maxval + "\n".join(lines).encode() + b"\n"
+    for maxval, scale, digits in ((255, 1, "{}"), (65535, 257, "{}"), (65535, 257, "{:07d}")):
+        lines = [" ".join(map(digits.format, row)) for row in (pixels * scale).tolist()]
+        header = b"P2\n1024 768\n%d\n" % maxval
+        data = header + "\n".join(lines).encode() + b"\n"
+        assert fileio._p2_digit_pixels(data, len(header), pixels.size, maxval) is not None
         got = read_pgm_bytes(data)
         want = (pixels * scale).astype(float) / maxval
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -559,7 +566,8 @@ def _p2_file(width, height, maxval, extra, data) -> bytes:
     seps = _P2_SEPARATORS if rare else _P2_SEPARATORS[:6]
     body = b""
     for v in values:
-        body += data.draw(st.sampled_from(seps)) + b"%d" % v
+        zeros = b"0" * data.draw(st.sampled_from([0, 0, 0, 1, 3, 6]))
+        body += data.draw(st.sampled_from(seps)) + zeros + b"%d" % v
     body += data.draw(st.sampled_from([b"", b"\n", b" \n"]))
     return b"P2\n%d %d\n%d\n" % (width, height, maxval) + body
 
