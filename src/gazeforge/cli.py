@@ -15,7 +15,6 @@ from .errors import (
     ConstraintError,
     GazeforgeError,
     MappingError,
-    ParameterError,
     ParseError,
     ValidationError,
 )
@@ -86,9 +85,14 @@ def _load_config(args) -> RunConfig:
         except ValueError:
             raise ValidationError(f"{ENV_SEED} must be an integer", "seed")
     if args.output is not None:
-        doc.setdefault("paths", {})["output"] = args.output
+        if doc.get("paths") is None:
+            doc["paths"] = {}
+        if isinstance(doc["paths"], dict):  # read_config rejects any other value
+            doc["paths"]["output"] = args.output
     cfg = config_mod.read_config(json.dumps(doc))
     config_mod.check_paths(cfg)
+    if not cfg.paths.output:
+        raise ValidationError("required for this subcommand", "paths.output")
     return cfg
 
 
@@ -103,12 +107,6 @@ def generate_signal(cfg: RunConfig) -> SampledSignal:
     return inject_noise(signal, cfg.noise, rng.derive(4))
 
 
-def _require_output(cfg: RunConfig) -> str:
-    if not cfg.paths.output:
-        raise ValidationError("required for this subcommand", "paths.output")
-    return cfg.paths.output
-
-
 def _summary(signal: SampledSignal) -> str:
     parts = []
     for lab in MovementLabel:
@@ -121,7 +119,7 @@ def _summary(signal: SampledSignal) -> str:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    out = _require_output(cfg)
+    out = cfg.paths.output
     signal = generate_signal(cfg)
     write_velocity_csv(out, signal)
     print(f"generate: {_summary(signal)} -> {out}")
@@ -173,7 +171,7 @@ def _dynamic_targets(cfg: RunConfig, rng: RandomSource) -> SceneTargets:
 
 def cmd_map(args) -> int:
     cfg = _load_config(args)
-    out = _require_output(cfg)
+    out = cfg.paths.output
     rng = RandomSource(cfg.seed)
     if cfg.paths.velocity_input:
         signal = read_velocity_csv(cfg.paths.velocity_input)
@@ -191,7 +189,7 @@ def cmd_map(args) -> int:
 
 def cmd_remap(args) -> int:
     cfg = _load_config(args)
-    out = _require_output(cfg)
+    out = cfg.paths.output
     rng = RandomSource(cfg.seed)
     real = read_gaze_csv(
         cfg.paths.real_data, pixels_per_degree=cfg.mapping.params.pixels_per_degree
@@ -209,7 +207,7 @@ def cmd_remap(args) -> int:
 
 def cmd_saliency(args) -> int:
     cfg = _load_config(args)
-    out = _require_output(cfg)
+    out = cfg.paths.output
     rng = RandomSource(cfg.seed)
     smap = spectral_residual(read_pgm(cfg.paths.stimulus))
     write_pgm(out, smap.values)
@@ -227,7 +225,7 @@ def cmd_saliency(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    out = _require_output(cfg)
+    out = cfg.paths.output
     rng = RandomSource(cfg.seed)
     real = read_velocity_csv(cfg.paths.real_data)
     summary = evaluate_dataset(
@@ -254,39 +252,46 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-_COMMON_KEYS = "seed, base_rate_hz"
-_HELP_KEYS = {
-    "generate": (
-        f"Config keys read: {_COMMON_KEYS}; sequence.counts|length|explicit|"
-        "constraints; fixation.duration|base_velocity|consistency; "
-        "saccade.duration|peak_velocity|skewness|consistency; "
-        "pursuit.duration|velocity|onset_duration|trend|trend_end_velocity|"
-        "consistency; sampling.rate; noise.fraction|location_dist|magnitude|"
-        "mode|burst_length; paths.output"
-    ),
+# The root keys, sections and section.key entries each subcommand reads; its
+# help lists them with the key names of config.SCHEMA.
+_ROOT_READS = ("mode", "seed", "base_rate_hz")
+_SIGNAL_READS = ("sequence", "fixation", "saccade", "pursuit", "sampling", "noise")
+_WALK_READS = (
+    "mapping.pixels_per_degree", "mapping.max_path_deviation",
+    "mapping.fixation_dispersion",
+)
+_TARGET_READS = (
+    "mapping.min_target_distance", "mapping.target_threshold",
+    "mapping.target_jitter_px",
+)
+_READS = {
+    "generate": (*_ROOT_READS, *_SIGNAL_READS, "paths.output"),
     "map": (
-        f"Config keys read: all generate keys (when paths.velocity_input is "
-        "absent) plus mapping.pixels_per_degree|max_path_deviation|"
-        "fixation_dispersion|target_jitter_px|min_target_distance|"
-        "target_threshold|frame_rate; paths.stimulus|saliency_map|frames_dir|"
-        "velocity_input|output"
+        *_ROOT_READS, *_SIGNAL_READS, *_WALK_READS, *_TARGET_READS,
+        "mapping.frame_rate", "paths.stimulus", "paths.saliency_map",
+        "paths.frames_dir", "paths.velocity_input", "paths.output",
     ),
     "remap": (
-        f"Config keys read: {_COMMON_KEYS}; mapping.remap_mode|"
-        "pixels_per_degree|max_path_deviation|fixation_dispersion|"
-        "target_jitter_px|min_target_distance|target_threshold; "
-        "paths.real_data|stimulus|saliency_map|output"
+        *_ROOT_READS, "mapping.remap_mode", *_WALK_READS, *_TARGET_READS,
+        "paths.real_data", "paths.stimulus", "paths.saliency_map", "paths.output",
     ),
     "saliency": (
-        f"Config keys read: {_COMMON_KEYS}; mapping.min_target_distance|"
-        "target_threshold|target_jitter_px; paths.stimulus|output|"
-        "targets_output"
+        *_ROOT_READS, *_TARGET_READS, "paths.stimulus", "paths.output",
+        "paths.targets_output",
     ),
-    "evaluate": (
-        f"Config keys read: {_COMMON_KEYS}; paths.real_data|output|"
-        "errors_output"
-    ),
+    "evaluate": (*_ROOT_READS, "paths.real_data", "paths.output", "paths.errors_output"),
 }
+
+
+def _help_keys(reads: tuple[str, ...]) -> str:
+    """The dotted config keys of ``reads``, each section expanded to its keys."""
+    keys = []
+    for entry in reads:
+        if entry in config_mod.SCHEMA:
+            keys += [f"{entry}.{key}" for key in config_mod.SCHEMA[entry]]
+        else:
+            keys.append(entry)
+    return "Config keys read: " + ", ".join(keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate": ("squared-error evaluation against labeled real data", cmd_evaluate),
     }
     for name, (help_text, fn) in handlers.items():
-        p = sub.add_parser(name, help=help_text, epilog=_HELP_KEYS[name])
+        p = sub.add_parser(name, help=help_text, epilog=_help_keys(_READS[name]))
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
                        help=f"seed override (beats {ENV_SEED} and the config)")
@@ -327,9 +332,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (MappingError, ParameterError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     except GazeforgeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

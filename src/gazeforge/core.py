@@ -11,7 +11,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import MappingError, ParameterError
 
 MASK64 = (1 << 64) - 1
 
@@ -31,6 +31,36 @@ LABEL_NAMES = {
     MovementLabel.NOISE: "NOISE",
 }
 NAME_LABELS = {v: k for k, v in LABEL_NAMES.items()}
+
+
+def effective_labels(labels: np.ndarray) -> np.ndarray:
+    """Assign each NOISE sample the movement type of its surrounding run.
+
+    NOISE takes the label of the last real sample before it; leading NOISE
+    takes the first real label.
+    """
+    labels = np.asarray(labels)
+    real = labels != int(MovementLabel.NOISE)
+    if not real.any():
+        raise MappingError("signal contains only noise samples")
+    # Index of the latest real sample at or before each position; leading
+    # NOISE points at the first real sample.
+    first = int(np.argmax(real))
+    src = np.where(real, np.arange(len(labels)), first)
+    np.maximum.accumulate(src, out=src)
+    return labels[src]
+
+
+def label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, end, label) for each maximal constant run; end is exclusive."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    if n == 0:
+        return []
+    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), n]
+    return [
+        (start, end, int(labels[start])) for start, end in zip(bounds, bounds[1:])
+    ]
 
 
 class DistKind(IntEnum):
@@ -159,11 +189,6 @@ class VelocityProfile:
 
     def __len__(self) -> int:
         return len(self.velocities)
-
-    @property
-    def duration(self) -> float:
-        """Signal duration in seconds."""
-        return len(self.velocities) / self.base_rate
 
     @classmethod
     def concat(cls, parts: list["VelocityProfile"]) -> "VelocityProfile":

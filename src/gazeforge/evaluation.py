@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MovementLabel, RandomSource, VelocityProfile
+from .core import MovementLabel, RandomSource, VelocityProfile, label_runs
 from .errors import ParameterError
 from .generators import MAX_GAMMA_SHAPE, gamma_profile, gamma_tail
-from .mapping import _label_runs  # run segmentation shared with mapping
 
 DEFAULT_REPEATS = 10
 
@@ -55,21 +54,6 @@ class TypeStats:
 class ErrorSummary:
     per_type: dict[MovementLabel, TypeStats]
     pooled: dict[MovementLabel, np.ndarray]
-
-
-def extract_descriptors(
-    velocities: np.ndarray, labels: np.ndarray
-) -> list[SegmentDescriptor]:
-    """One descriptor per contiguous label run; noise runs are skipped."""
-    velocities = np.asarray(velocities, dtype=float)
-    labels = np.asarray(labels)
-    if len(velocities) != len(labels):
-        raise ParameterError("velocities and labels must have equal length")
-    return [
-        _descriptor(MovementLabel(lab), velocities[start:end])
-        for start, end, lab in _label_runs(labels)
-        if lab != MovementLabel.NOISE
-    ]
 
 
 def _descriptor(label: MovementLabel, seg: np.ndarray) -> SegmentDescriptor:
@@ -315,7 +299,7 @@ def evaluate_dataset(
     labels = np.asarray(labels)
     pooled: dict[MovementLabel, list[np.ndarray]] = {}
     seg_index = 0
-    for start, end, lab in _label_runs(labels):
+    for start, end, lab in label_runs(labels):
         label = MovementLabel(lab)
         if label == MovementLabel.NOISE:
             continue

@@ -47,11 +47,7 @@ def _parse_label(token: str, row: int) -> MovementLabel:
         raise ParseError(f"unknown label {token!r}", f"row {row}") from None
 
 
-def velocity_csv_text(signal: SampledSignal) -> str:
-    return _velocity_csv_bytes(signal).decode("ascii")
-
-
-def _velocity_csv_bytes(signal: SampledSignal) -> bytes:
+def velocity_csv_bytes(signal: SampledSignal) -> bytes:
     def row(i: int) -> str:
         t, v = float(signal.timestamps[i]), float(signal.velocities[i])
         return f"{t * 1000.0:.3f},{v:.6g},{_LABEL_NAME[signal.labels[i]]}"
@@ -63,7 +59,7 @@ def _velocity_csv_bytes(signal: SampledSignal) -> bytes:
 
 
 def write_velocity_csv(path: str, signal: SampledSignal) -> None:
-    atomic_write_bytes(path, _velocity_csv_bytes(signal))
+    atomic_write_bytes(path, velocity_csv_bytes(signal))
 
 
 # --- CSV number formatting ---
@@ -440,25 +436,17 @@ def _read_columns(
     )
 
 
-def read_velocity_csv_text(text: str) -> SampledSignal:
-    return _velocity_signal(text.encode("utf-8", "surrogatepass"))
-
-
-def _velocity_signal(data: bytes) -> SampledSignal:
+def read_velocity_csv_bytes(data: bytes) -> SampledSignal:
     ts, (vs,), ls = _read_columns(data, VELOCITY_HEADER, ("timestamp", "velocity"))
     return SampledSignal(ts, vs, ls)
 
 
 def read_velocity_csv(path: str) -> SampledSignal:
     with open(path, "rb") as fh:
-        return _velocity_signal(fh.read())
+        return read_velocity_csv_bytes(fh.read())
 
 
-def gaze_csv_text(trace: GazeTrace) -> str:
-    return _gaze_csv_bytes(trace).decode("ascii")
-
-
-def _gaze_csv_bytes(trace: GazeTrace) -> bytes:
+def gaze_csv_bytes(trace: GazeTrace) -> bytes:
     def row(i: int) -> str:
         t, x, y = float(trace.timestamps[i]), float(trace.x[i]), float(trace.y[i])
         return f"{t * 1000.0:.3f},{x:.3f},{y:.3f},{_LABEL_NAME[trace.labels[i]]}"
@@ -470,20 +458,10 @@ def _gaze_csv_bytes(trace: GazeTrace) -> bytes:
 
 
 def write_gaze_csv(path: str, trace: GazeTrace) -> None:
-    atomic_write_bytes(path, _gaze_csv_bytes(trace))
+    atomic_write_bytes(path, gaze_csv_bytes(trace))
 
 
-def read_gaze_csv_text(
-    text: str,
-    width: int = 0,
-    height: int = 0,
-    pixels_per_degree: float = 30.0,
-) -> GazeTrace:
-    data = text.encode("utf-8", "surrogatepass")
-    return _gaze_trace(data, width, height, pixels_per_degree)
-
-
-def _gaze_trace(
+def read_gaze_csv_bytes(
     data: bytes, width: int = 0, height: int = 0, pixels_per_degree: float = 30.0
 ) -> GazeTrace:
     what = ("timestamp", "x coordinate", "y coordinate")
@@ -497,7 +475,7 @@ def _gaze_trace(
 
 def read_gaze_csv(path: str, **kwargs) -> GazeTrace:
     with open(path, "rb") as fh:
-        return _gaze_trace(fh.read(), **kwargs)
+        return read_gaze_csv_bytes(fh.read(), **kwargs)
 
 
 # --- Portable graymap (P2 ASCII / P5 binary) ---

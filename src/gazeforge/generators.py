@@ -125,13 +125,9 @@ def gen_fixation(
     p: FixationParams,
     base_rate: float,
     rng: RandomSource,
-    n_samples: int | None = None,
 ) -> VelocityProfile:
     """Fixation: base drift velocity plus per-sample fluctuation, floored at 0."""
-    if n_samples is None:
-        n = _segment_length(sample_bounded(p.duration, rng), base_rate, "fixation")
-    else:
-        n = n_samples
+    n = _segment_length(sample_bounded(p.duration, rng), base_rate, "fixation")
     v = np.maximum(0.0, p.base_velocity + _consistency_draws(p.consistency, n, rng))
     labels = np.full(n, MovementLabel.FIXATION, dtype=np.uint8)
     return VelocityProfile(base_rate, v, labels)

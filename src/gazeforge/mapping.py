@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MovementLabel, RandomSource
+from .core import MovementLabel, RandomSource, effective_labels, label_runs
 from .errors import MappingError, ParameterError
 from .resampler import SampledSignal
 from .saliency import TargetSet
@@ -182,36 +182,6 @@ def _choose_target(
     return targets.points[min(i, len(targets) - 1)]
 
 
-def _effective_labels(labels: np.ndarray) -> np.ndarray:
-    """Assign each NOISE sample the movement type of its surrounding run.
-
-    NOISE takes the label of the last real sample before it; leading NOISE
-    takes the first real label.
-    """
-    labels = np.asarray(labels)
-    real = labels != int(MovementLabel.NOISE)
-    if not real.any():
-        raise MappingError("signal contains only noise samples")
-    # Index of the latest real sample at or before each position; leading
-    # NOISE points at the first real sample.
-    first = int(np.argmax(real))
-    src = np.where(real, np.arange(len(labels)), first)
-    np.maximum.accumulate(src, out=src)
-    return labels[src]
-
-
-def _label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, end, label) for each maximal constant run; end is exclusive."""
-    labels = np.asarray(labels)
-    n = len(labels)
-    if n == 0:
-        return []
-    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), n]
-    return [
-        (start, end, int(labels[start])) for start, end in zip(bounds, bounds[1:])
-    ]
-
-
 def map_to_gaze(
     signal: SampledSignal,
     targets: SceneTargets,
@@ -229,8 +199,8 @@ def map_to_gaze(
     if len(signal) == 0:
         raise MappingError("cannot map an empty signal")
     width, height = targets.bounds
-    eff = _effective_labels(signal.labels)
-    runs = _label_runs(eff)
+    eff = effective_labels(signal.labels)
+    runs = label_runs(eff)
     ts = signal.timestamps
     xs = np.empty(len(signal))
     ys = np.empty(len(signal))
@@ -347,9 +317,9 @@ def extract_velocities(trace: GazeTrace) -> np.ndarray:
 
 def fixation_centroids(trace: GazeTrace) -> TargetSet:
     """Centroids of the trace's fixation runs, weight 1 each."""
-    eff = _effective_labels(trace.labels)
+    eff = effective_labels(trace.labels)
     pts = []
-    for start, end, label in _label_runs(eff):
+    for start, end, label in label_runs(eff):
         if label == MovementLabel.FIXATION:
             pts.append(
                 (
@@ -388,7 +358,7 @@ def remap_real(
     if len(real) < 2:
         raise ParameterError("real trace too short to remap")
     velocities = extract_velocities(real)
-    eff = _effective_labels(real.labels)
+    eff = effective_labels(real.labels)
     if mode == REMAP_SAME_STIMULUS:
         targets = fixation_centroids(real)
         if len(targets) == 0:
@@ -404,7 +374,7 @@ def remap_real(
         raise ParameterError("real trace has no positive inter-sample intervals")
     dts = np.where(dts > 0, dts, _median(positive))
     segments = []
-    for start, end, _ in _label_runs(eff):
+    for start, end, _ in label_runs(eff):
         segments.append(
             (dts[start:end], velocities[start:end], real.labels[start:end])
         )

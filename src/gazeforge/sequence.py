@@ -49,6 +49,8 @@ class SequenceSpec:
 
     def __post_init__(self):
         if self.explicit is not None:
+            if not self.explicit:
+                raise ParameterError("explicit sequence must be non-empty")
             return
         if self.counts is not None:
             if any(c < 0 for c in self.counts.values()):

@@ -19,12 +19,12 @@ from gazeforge.core import (
     RandomSource,
     VelocityProfile,
 )
-from gazeforge.evaluation import evaluate_dataset, extract_descriptors
+from gazeforge.evaluation import evaluate_dataset
 from gazeforge.fileio import (
     pgm_bytes,
     read_pgm_bytes,
-    read_velocity_csv_text,
-    velocity_csv_text,
+    read_velocity_csv_bytes,
+    velocity_csv_bytes,
 )
 from gazeforge.generators import (
     FixationParams,
@@ -45,6 +45,7 @@ from gazeforge.sequence import OrderingRule, SequenceSpec, build_sequence, find_
 from gazeforge.errors import ParseError
 
 from conftest import fixed
+from test_evaluation import extract_descriptors
 from test_saliency import brute_force_maxima
 
 U = BoundedDistribution.uniform
@@ -337,7 +338,7 @@ def test_io_round_trips():
         np.linspace(0.0, 450.0, 30),
         np.array([F] * 10 + [S] * 10 + [SP] * 10, dtype=np.uint8),
     )
-    back = read_velocity_csv_text(velocity_csv_text(sig))
+    back = read_velocity_csv_bytes(velocity_csv_bytes(sig))
     assert np.allclose(back.timestamps, sig.timestamps, atol=1e-6)
     assert np.allclose(back.velocities, sig.velocities, rtol=1e-5)
     assert np.array_equal(back.labels, sig.labels)
@@ -346,11 +347,11 @@ def test_io_round_trips():
     assert np.all(np.abs(dec - grid) <= 0.5 / 255 + 1e-12)
     # malformed corpus: every case rejected with a positioned error
     from test_fileio import BAD_GAZE, BAD_PGM, BAD_VELOCITY
-    from gazeforge.fileio import read_gaze_csv_text
+    from gazeforge.fileio import read_gaze_csv_bytes
 
     cases = (
-        [(read_velocity_csv_text, t) for t, _ in BAD_VELOCITY]
-        + [(read_gaze_csv_text, t) for t, _ in BAD_GAZE]
+        [(read_velocity_csv_bytes, t.encode("utf-8", "surrogatepass")) for t, _ in BAD_VELOCITY]
+        + [(read_gaze_csv_bytes, t.encode("utf-8", "surrogatepass")) for t, _ in BAD_GAZE]
         + [(read_pgm_bytes, d) for d, _ in BAD_PGM]
     )
     assert len(cases) >= 20

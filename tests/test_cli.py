@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from gazeforge.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from gazeforge.config import SCHEMA, read_config
+from gazeforge.errors import ValidationError
 from gazeforge.fileio import pgm_bytes, read_pgm, read_velocity_csv
 
 
@@ -296,6 +298,71 @@ def test_tiny_skewness_is_config_error(tmp_path, capsys):
         == EXIT_CONFIG
     assert "saccade.skewness.min" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"fixation": 5}, "fixation"),
+    ({"fixation": []}, "fixation"),
+    ({"fixation": "abc"}, "fixation"),
+    ({"sequence": 5}, "sequence"),
+    ({"sequence": {"constraints": 5}}, "sequence.constraints"),
+    ({"sequence": {"explicit": [{}]}}, "sequence.explicit[0]"),
+    ({"sequence": {"explicit": []}}, "sequence"),
+    ({"paths": []}, "paths"),
+    ({"base_rate_hz": 10**400}, "base_rate_hz"),
+])
+def test_malformed_config_value_is_config_error(tmp_path, capsys, doc, field):
+    # Each of these used to crash with a traceback (exit 1), or with exit 4
+    # mid-run for the empty explicit sequence, or blame key 'a' for "abc".
+    cfg = write_config(tmp_path, **doc)
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", cfg, "--output", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "unknown key" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key", ["fixation", "sequence", "noise", "paths", "mode"])
+def test_null_reads_as_absent(tmp_path, key):
+    absent, null = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    run(["generate", "--config", write_config(tmp_path, "a.json"), "--output", absent])
+    cfg = write_config(tmp_path, "b.json", **{key: None})
+    assert run(["generate", "--config", cfg, "--output", null]) == EXIT_OK
+    assert open(absent, "rb").read() == open(null, "rb").read()
+
+
+def _keys_in_help(capsys, monkeypatch) -> set[tuple[str, str]]:
+    """(section, key) for each config key named in a subcommand's --help;
+    the section of a root key is ""."""
+    monkeypatch.setenv("COLUMNS", "10000")  # no line wrapping inside a key
+    named = set()
+    for name in ("generate", "map", "remap", "saliency", "evaluate"):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        text = capsys.readouterr().out.split("Config keys read: ")[1].strip()
+        named |= {tuple(key.rpartition(".")[::2]) for key in text.split(", ")}
+    return named
+
+
+def test_help_keys_are_config_keys(capsys, monkeypatch):
+    named = _keys_in_help(capsys, monkeypatch)
+    assert len(named) > 40
+    for section, key in named:
+        for name, known in ((key, True), (key + "x", False)):
+            # null reads as absent, so only an unknown key can fail on its own
+            doc = {section: {name: None}} if section else {name: None}
+            try:
+                read_config(json.dumps(doc))
+                err = ""
+            except ValidationError as e:
+                err = str(e)
+            assert ("unknown key" not in err) == known, (section, name, err)
+
+
+def test_every_schema_key_is_in_some_help(capsys, monkeypatch):
+    named = _keys_in_help(capsys, monkeypatch)
+    assert {(s, key) for s, keys in SCHEMA.items() for key in keys} <= named
 
 
 def test_remap_rejects_time_going_back(tmp_path, capsys):

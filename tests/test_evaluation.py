@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as sp_gamma
 
-from gazeforge.core import MovementLabel, RandomSource
+from gazeforge.core import MovementLabel, RandomSource, label_runs
 from gazeforge.errors import ParameterError
 from gazeforge.evaluation import (
     SegmentDescriptor,
+    _descriptor,
     evaluate_dataset,
-    extract_descriptors,
     fit_shape_for_peak_index,
     simulate_from_descriptor,
     squared_error,
@@ -21,6 +21,20 @@ F = MovementLabel.FIXATION
 S = MovementLabel.SACCADE
 SP = MovementLabel.SMOOTH_PURSUIT
 NOISE = MovementLabel.NOISE
+
+
+def extract_descriptors(velocities, labels) -> list[SegmentDescriptor]:
+    """Reference: one descriptor per contiguous label run; noise runs are
+    skipped."""
+    velocities = np.asarray(velocities, dtype=float)
+    labels = np.asarray(labels)
+    if len(velocities) != len(labels):
+        raise ParameterError("velocities and labels must have equal length")
+    return [
+        _descriptor(MovementLabel(lab), velocities[start:end])
+        for start, end, lab in label_runs(labels)
+        if lab != NOISE
+    ]
 
 
 def test_extract_fixation_mean_std():

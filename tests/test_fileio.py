@@ -10,15 +10,15 @@ import pytest
 from gazeforge.core import MovementLabel
 from gazeforge.errors import ParseError
 from gazeforge.fileio import (
-    gaze_csv_text,
+    gaze_csv_bytes,
     pgm_bytes,
     read_gaze_csv,
-    read_gaze_csv_text,
+    read_gaze_csv_bytes,
     read_pgm,
     read_pgm_bytes,
     read_velocity_csv,
-    read_velocity_csv_text,
-    velocity_csv_text,
+    read_velocity_csv_bytes,
+    velocity_csv_bytes,
     write_gaze_csv,
     write_pgm,
     write_velocity_csv,
@@ -52,7 +52,7 @@ def make_trace(n=5):
 
 def test_velocity_csv_round_trip():
     sig = make_signal(20)
-    back = read_velocity_csv_text(velocity_csv_text(sig))
+    back = read_velocity_csv_bytes(velocity_csv_bytes(sig))
     assert np.allclose(back.timestamps, sig.timestamps, atol=1e-6)
     assert np.allclose(back.velocities, sig.velocities, rtol=1e-5)
     assert np.array_equal(back.labels, sig.labels)
@@ -69,13 +69,13 @@ def test_velocity_csv_file_round_trip(tmp_path):
 
 def test_velocity_csv_text_stable():
     sig = make_signal(3)
-    assert velocity_csv_text(sig) == velocity_csv_text(sig)
-    assert velocity_csv_text(sig).startswith("t_ms,velocity_deg_s,label\n")
+    assert velocity_csv_bytes(sig) == velocity_csv_bytes(sig)
+    assert velocity_csv_bytes(sig).startswith(b"t_ms,velocity_deg_s,label\n")
 
 
 def test_gaze_csv_round_trip():
     tr = make_trace(10)
-    back = read_gaze_csv_text(gaze_csv_text(tr), width=640, height=480)
+    back = read_gaze_csv_bytes(gaze_csv_bytes(tr), width=640, height=480)
     assert np.allclose(back.x, tr.x, atol=1e-3)
     assert np.allclose(back.y, tr.y, atol=1e-3)
     assert np.array_equal(back.labels, tr.labels)
@@ -83,7 +83,7 @@ def test_gaze_csv_round_trip():
 
 
 def test_gaze_header_format():
-    assert gaze_csv_text(make_trace(1)).startswith("t_ms,x_px,y_px,label\n")
+    assert gaze_csv_bytes(make_trace(1)).startswith(b"t_ms,x_px,y_px,label\n")
 
 
 @pytest.mark.parametrize("maxval", [255])
@@ -145,7 +145,7 @@ BAD_VELOCITY = [
 @pytest.mark.parametrize("text,where", BAD_VELOCITY)
 def test_malformed_velocity_csv(text, where):
     with pytest.raises(ParseError) as e:
-        read_velocity_csv_text(text)
+        read_velocity_csv_bytes(text.encode("utf-8", "surrogatepass"))
     assert where in str(e.value)
 
 
@@ -169,7 +169,7 @@ BAD_GAZE = [
 @pytest.mark.parametrize("text,where", BAD_GAZE)
 def test_malformed_gaze_csv(text, where):
     with pytest.raises(ParseError) as e:
-        read_gaze_csv_text(text)
+        read_gaze_csv_bytes(text.encode("utf-8", "surrogatepass"))
     assert where in str(e.value)
 
 

@@ -14,10 +14,15 @@ no SciPy import anywhere in the package.
 
 Neither may a subcommand load ``numpy.ma`` (13-17 ms): ``np.median`` and
 ``np.percentile`` import it, so remap and evaluate take their quantiles
-from ``np.partition`` instead.
+from ``np.partition`` instead. Nor may ``import gazeforge.cli`` load
+``difflib``, which only words the "did you mean" hint of a config error.
+
+A second source scan keeps each module's private names its own: no module
+imports a ``_``-prefixed name from a sibling.
 """
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -50,6 +55,10 @@ def test_cli_import_loads_no_heavy_scipy_module():
     assert _python(f"import gazeforge.cli\nprint(json.dumps({_LOADED}))\n") == []
 
 
+def test_cli_import_loads_no_difflib():
+    assert _python("import gazeforge.cli\nprint(json.dumps('difflib' in sys.modules))\n") is False
+
+
 # The scipy modules each subcommand may load: none.
 @pytest.mark.parametrize("case, expected", [
     ("saliency_targets", ()),
@@ -74,15 +83,30 @@ def test_subcommand_scipy_footprint(case, expected, tmp_path):
     assert masked == []
 
 
-def test_no_module_imports_scipy():
+def _sources():
     pkg = os.path.dirname(os.path.abspath(gazeforge.__file__))
-    pattern = re.compile(r"^\s*(from|import)\s+scipy\b", re.M)
-    offenders = []
     for root, _, names in os.walk(pkg):
         for name in sorted(names):
             if name.endswith(".py"):
                 path = os.path.join(root, name)
                 with open(path, encoding="utf-8") as fh:
-                    if pattern.search(fh.read()):
-                        offenders.append(os.path.relpath(path, pkg))
+                    yield os.path.relpath(path, pkg), fh.read()
+
+
+def test_no_module_imports_scipy():
+    pattern = re.compile(r"^\s*(from|import)\s+scipy\b", re.M)
+    assert [name for name, text in _sources() if pattern.search(text)] == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    offenders = []
+    for name, text in _sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("gazeforge")
+            ):
+                offenders += [
+                    f"{name}: {alias.name}" for alias in node.names
+                    if alias.name.startswith("_")
+                ]
     assert offenders == []

@@ -46,6 +46,8 @@ from gazeforge.core import (
     MovementLabel,
     RandomSource,
     VelocityProfile,
+    effective_labels,
+    label_runs,
     sample_bounded,
 )
 from gazeforge.errors import MappingError, ParameterError, ParseError
@@ -54,7 +56,6 @@ from gazeforge.evaluation import (
     _mode_index,
     _quartiles,
     evaluate_dataset,
-    extract_descriptors,
     simulate_from_descriptor,
     squared_error,
 )
@@ -71,8 +72,6 @@ from gazeforge.mapping import (
     MappingParams,
     SceneTargets,
     _choose_target,
-    _effective_labels,
-    _label_runs,
     _median,
     _place_movement_run,
     _weight_sums,
@@ -81,6 +80,7 @@ from gazeforge.mapping import (
 )
 from gazeforge.resampler import SampledSignal
 from gazeforge.saliency import TargetSet
+from test_evaluation import extract_descriptors
 
 NOISE = int(MovementLabel.NOISE)
 
@@ -269,7 +269,7 @@ def _edge_examples(test):
 @given(label_arrays)
 @_edge_examples
 def test_effective_labels_matches_loop(labels):
-    got, got_err = outcome(_effective_labels, labels)
+    got, got_err = outcome(effective_labels, labels)
     want, want_err = outcome(effective_labels_loop, labels)
     assert got_err == want_err
     if want_err is None:
@@ -281,7 +281,7 @@ def test_effective_labels_matches_loop(labels):
 @given(label_arrays)
 @_edge_examples
 def test_label_runs_matches_loop(labels):
-    got = _label_runs(labels)
+    got = label_runs(labels)
     want = label_runs_loop(labels)
     assert got == want
     assert all(type(v) is int for run in got for v in run)
@@ -1160,18 +1160,18 @@ def _assert_same_columns(got, want) -> None:
 def _assert_reader_matches_loop(kind: str, text: str) -> None:
     if kind == "velocity":
         header, what = fileio.VELOCITY_HEADER, VELOCITY_WHAT
-        new, old = fileio.read_velocity_csv_text, read_velocity_csv_loop
+        new, old = fileio.read_velocity_csv_bytes, read_velocity_csv_loop
         fields = ("timestamps", "velocities", "labels")
     else:
         header, what = fileio.GAZE_HEADER, GAZE_WHAT
-        new, old = fileio.read_gaze_csv_text, read_gaze_csv_loop
+        new, old = fileio.read_gaze_csv_bytes, read_gaze_csv_loop
         fields = ("timestamps", "x", "y", "labels")
-    got, got_err = outcome(new, text)
+    data = text.encode("utf-8", "surrogatepass")
+    got, got_err = outcome(new, data)
     want, want_err = outcome(old, text)
     assert got_err == want_err
     # The byte decoder takes exactly the files of printable ASCII, tabs and
     # LF or CRLF line ends that the row loop accepts.
-    data = text.encode("utf-8", "surrogatepass")
     fast = fileio._decode_columns(data, header, len(what) + 1)
     plain = set(text) <= _PLAIN_TEXT and "\r" not in text.replace("\r\n", "")
     assert (fast is not None) == (want_err is None and plain)
@@ -1399,8 +1399,8 @@ def written_files(draw, kind):
     steps = draw(arrays(np.float64, len(values), elements=st.floats(1e-3, 50.0)))
     ts = draw(st.floats(-1e4, 1e4)) + np.cumsum(steps)
     if kind == "velocity":
-        return fileio.velocity_csv_text(SampledSignal(ts, values, labels))
-    return fileio.gaze_csv_text(GazeTrace(ts, values, other, labels, 64, 64, 30.0))
+        return fileio.velocity_csv_bytes(SampledSignal(ts, values, labels)).decode()
+    return fileio.gaze_csv_bytes(GazeTrace(ts, values, other, labels, 64, 64, 30.0)).decode()
 
 
 @settings(max_examples=150, deadline=None)
@@ -1423,9 +1423,9 @@ def test_readers_match_row_loop_on_70000_written_rows(kind):
     values = np.resize(WRITER_CORPUS[np.isfinite(WRITER_CORPUS)], n) * rng.choice([1.0, 1e-3], n)
     labels = rng.integers(0, len(_CSV_LABEL_NAMES), n).astype(np.uint8)
     if kind == "velocity":
-        text = fileio.velocity_csv_text(SampledSignal(ts, values, labels))
+        text = fileio.velocity_csv_bytes(SampledSignal(ts, values, labels)).decode()
     else:
-        text = fileio.gaze_csv_text(GazeTrace(ts, values, values[::-1].copy(), labels, 64, 64, 30.0))
+        text = fileio.gaze_csv_bytes(GazeTrace(ts, values, values[::-1].copy(), labels, 64, 64, 30.0)).decode()
     _assert_reader_matches_loop(kind, text)
 
 
@@ -1454,9 +1454,9 @@ def _assert_writers_match_loops(a: np.ndarray, b: np.ndarray, labels: np.ndarray
     values and coordinates), byte for byte against the f-string loops."""
     for ts, vs in ((a, b), (b, a), (a / 1000.0, b)):
         signal = SampledSignal(ts, vs, labels)
-        assert fileio.velocity_csv_text(signal) == velocity_csv_text_loop(signal)
+        assert fileio.velocity_csv_bytes(signal).decode() == velocity_csv_text_loop(signal)
         trace = GazeTrace(ts, vs, a, labels, 64, 64, 30.0)
-        assert fileio.gaze_csv_text(trace) == gaze_csv_text_loop(trace)
+        assert fileio.gaze_csv_bytes(trace).decode() == gaze_csv_text_loop(trace)
 
 
 _TINY = 5e-324
