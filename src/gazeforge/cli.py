@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import config as config_mod
-from .config import MappingConfig, RunConfig
+from .config import ENV_SEED, MappingConfig, RunConfig
 from .core import LABEL_NAMES, MovementLabel, RandomSource
 from .errors import (
     ConstraintError,
@@ -21,7 +21,6 @@ from .errors import (
 from .evaluation import DEFAULT_REPEATS, evaluate_dataset
 from .fileio import (
     atomic_write_text,
-    decode_utf8,
     read_gaze_csv,
     read_pgm,
     read_velocity_csv,
@@ -41,64 +40,21 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-ENV_SEED = "GAZEFORGE_SEED"
-
-
-def _apply_override(doc: dict, item: str) -> None:
-    if "=" not in item:
-        raise ValidationError(f"override {item!r} must be KEY.PATH=VALUE")
-    key, raw = item.split("=", 1)
-    parts = key.strip().split(".")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = doc
-    for p in parts[:-1]:
-        nxt = node.get(p)
-        if nxt is None:
-            nxt = {}
-            node[p] = nxt
-        if not isinstance(nxt, dict):
-            raise ValidationError(f"cannot descend into non-object", key)
-        node = nxt
-    node[parts[-1]] = value
-
 
 def _load_config(args) -> RunConfig:
     try:
         with open(args.config, "rb") as fh:
-            doc = json.loads(decode_utf8(fh.read(), json=True))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno} col {e.colno}")
+            data = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read config: {e}")
-    if not isinstance(doc, dict):
-        raise ValidationError("config document must be a JSON object", "<root>")
-    for item in args.set or []:
-        _apply_override(doc, item)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    elif ENV_SEED in os.environ:
-        try:
-            doc["seed"] = int(os.environ[ENV_SEED])
-        except ValueError:
-            raise ValidationError(f"{ENV_SEED} must be an integer", "seed")
-    if args.output is not None:
-        if doc.get("paths") is None:
-            doc["paths"] = {}
-        if isinstance(doc["paths"], dict):  # read_config rejects any other value
-            doc["paths"]["output"] = args.output
-    cfg = config_mod.read_config(json.dumps(doc))
-    config_mod.check_paths(cfg)
-    if not cfg.paths.output:
-        raise ValidationError("required for this subcommand", "paths.output")
-    return cfg
+    return config_mod.load_config(
+        data, sets=args.set or (), seed=args.seed,
+        env_seed=os.environ.get(ENV_SEED), output=args.output,
+    )
 
 
-def generate_signal(cfg: RunConfig) -> SampledSignal:
-    """sequence -> generators -> resampler -> noise."""
-    rng = RandomSource(cfg.seed)
+def generate_signal(cfg: RunConfig, rng: RandomSource) -> SampledSignal:
+    """sequence -> generators -> resampler -> noise, from the run's root stream."""
     seq = build_sequence(cfg.sequence, rng.derive(1))
     profile = assemble(
         seq, cfg.fixation, cfg.saccade, cfg.pursuit, cfg.base_rate_hz, rng.derive(2)
@@ -117,23 +73,11 @@ def _summary(signal: SampledSignal) -> str:
     return f"{len(signal)} samples, {dur:.3f} s ({', '.join(parts)})"
 
 
-def cmd_generate(args) -> int:
-    cfg = _load_config(args)
+def cmd_generate(args, cfg: RunConfig, rng: RandomSource) -> None:
     out = cfg.paths.output
-    signal = generate_signal(cfg)
+    signal = generate_signal(cfg, rng)
     write_velocity_csv(out, signal)
     print(f"generate: {_summary(signal)} -> {out}")
-    return EXIT_OK
-
-
-def _static_targets(cfg: RunConfig, rng: RandomSource) -> SceneTargets:
-    if cfg.paths.saliency_map and not os.path.isdir(cfg.paths.saliency_map):
-        smap = SaliencyMap(read_pgm(cfg.paths.saliency_map))
-    elif cfg.paths.stimulus:
-        smap = spectral_residual(read_pgm(cfg.paths.stimulus))
-    else:
-        raise ValidationError("need paths.stimulus or paths.saliency_map", "paths")
-    return SceneTargets.from_static(_targets_from_map(smap, cfg.mapping, rng))
 
 
 def _targets_from_map(
@@ -147,68 +91,61 @@ def _targets_from_map(
     return jitter_targets(targets, mcfg.params.target_jitter_px, rng)
 
 
-def _dynamic_targets(cfg: RunConfig, rng: RandomSource) -> SceneTargets:
-    frames_dir = cfg.paths.frames_dir
-    names = sorted(
-        f for f in os.listdir(frames_dir) if f.lower().endswith((".pgm", ".pnm"))
-    )
-    if not names:
-        raise ValidationError(f"no PGM frames in {frames_dir}", "paths.frames_dir")
-    precomputed = cfg.paths.saliency_map if (
-        cfg.paths.saliency_map and os.path.isdir(cfg.paths.saliency_map)
-    ) else None
+def _scene_targets(cfg: RunConfig, dynamic: bool, rng: RandomSource) -> SceneTargets:
+    """Targets of paths.stimulus or of each frame in paths.frames_dir, from the
+    image's saliency or paths.saliency_map (a file, or a folder of frame maps)."""
+    paths, rate = cfg.paths, cfg.mapping.frame_rate
+    is_map = bool(paths.saliency_map) and os.path.isdir(paths.saliency_map) == dynamic
+    if dynamic:
+        names = sorted(
+            f for f in os.listdir(paths.frames_dir) if f.lower().endswith((".pgm", ".pnm"))
+        )
+        if not names:
+            raise ValidationError(f"no PGM frames in {paths.frames_dir}", "paths.frames_dir")
+        folder = paths.saliency_map if is_map else paths.frames_dir
+        entries = [(i / rate, os.path.join(folder, name)) for i, name in enumerate(names)]
+    elif is_map or paths.stimulus:
+        entries = [(0.0, paths.saliency_map if is_map else paths.stimulus)]
+    else:
+        raise ValidationError("need paths.stimulus or paths.saliency_map", "paths")
     frames = []
-    for i, name in enumerate(names):
-        if precomputed:
-            mapfile = os.path.join(precomputed, name)
-            smap = SaliencyMap(read_pgm(mapfile))
-        else:
-            smap = spectral_residual(read_pgm(os.path.join(frames_dir, name)))
-        t = i / cfg.mapping.frame_rate
+    for t, path in entries:
+        grid = read_pgm(path)
+        smap = SaliencyMap(grid) if is_map else spectral_residual(grid)
         frames.append((t, _targets_from_map(smap, cfg.mapping, rng)))
-    return SceneTargets.from_frames(frames, cfg.mapping.frame_rate)
+    return SceneTargets.from_frames(frames, rate)
 
 
-def cmd_map(args) -> int:
-    cfg = _load_config(args)
+def cmd_map(args, cfg: RunConfig, rng: RandomSource) -> None:
     out = cfg.paths.output
-    rng = RandomSource(cfg.seed)
     if cfg.paths.velocity_input:
         signal = read_velocity_csv(cfg.paths.velocity_input)
     else:
-        signal = generate_signal(cfg)
-    if cfg.mode == "map_dynamic" or cfg.paths.frames_dir:
-        targets = _dynamic_targets(cfg, rng.derive(10))
-    else:
-        targets = _static_targets(cfg, rng.derive(10))
+        signal = generate_signal(cfg, rng)
+    dynamic = cfg.mode == "map_dynamic" or bool(cfg.paths.frames_dir)
+    targets = _scene_targets(cfg, dynamic, rng.derive(10))
     trace = map_to_gaze(signal, targets, cfg.mapping.params, rng.derive(11))
     write_gaze_csv(out, trace)
     print(f"map: {len(trace)} samples over {trace.width}x{trace.height} px -> {out}")
-    return EXIT_OK
 
 
-def cmd_remap(args) -> int:
-    cfg = _load_config(args)
+def cmd_remap(args, cfg: RunConfig, rng: RandomSource) -> None:
     out = cfg.paths.output
-    rng = RandomSource(cfg.seed)
     real = read_gaze_csv(
         cfg.paths.real_data, pixels_per_degree=cfg.mapping.params.pixels_per_degree
     )
     new_targets = None
     if cfg.mapping.remap_mode == REMAP_NEW_STIMULUS:
-        new_targets = _static_targets(cfg, rng.derive(10))
+        new_targets = _scene_targets(cfg, False, rng.derive(10))
     trace = remap_real(
         real, cfg.mapping.remap_mode, cfg.mapping.params, rng.derive(11), new_targets
     )
     write_gaze_csv(out, trace)
     print(f"remap: {len(trace)} samples -> {out}")
-    return EXIT_OK
 
 
-def cmd_saliency(args) -> int:
-    cfg = _load_config(args)
+def cmd_saliency(args, cfg: RunConfig, rng: RandomSource) -> None:
     out = cfg.paths.output
-    rng = RandomSource(cfg.seed)
     smap = spectral_residual(read_pgm(cfg.paths.stimulus))
     write_pgm(out, smap.values)
     msg = f"saliency: {smap.width}x{smap.height} map -> {out}"
@@ -220,13 +157,10 @@ def cmd_saliency(args) -> int:
         atomic_write_text(cfg.paths.targets_output, "\n".join(lines) + "\n")
         msg += f", {len(targets)} targets -> {cfg.paths.targets_output}"
     print(msg)
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
+def cmd_evaluate(args, cfg: RunConfig, rng: RandomSource) -> None:
     out = cfg.paths.output
-    rng = RandomSource(cfg.seed)
     real = read_velocity_csv(cfg.paths.real_data)
     summary = evaluate_dataset(
         real.velocities, real.labels, rng, repeats=args.repeats
@@ -234,11 +168,8 @@ def cmd_evaluate(args) -> int:
     lines = ["type,stat,value"]
     for lab, st in summary.per_type.items():
         name = LABEL_NAMES[lab]
-        for stat in (
-            "count", "mean", "median", "q1", "q3",
-            "whisker_low", "whisker_high", "min", "max",
-        ):
-            lines.append(f"{name},{stat},{getattr(st, stat):.6g}")
+        for stat in fields(st):
+            lines.append(f"{name},{stat.name},{getattr(st, stat.name):.6g}")
     atomic_write_text(out, "\n".join(lines) + "\n")
     msg = f"evaluate: {len(summary.per_type)} movement types -> {out}"
     if cfg.paths.errors_output:
@@ -249,7 +180,6 @@ def cmd_evaluate(args) -> int:
         atomic_write_text(cfg.paths.errors_output, "\n".join(err_lines) + "\n")
         msg += f", pooled errors -> {cfg.paths.errors_output}"
     print(msg)
-    return EXIT_OK
 
 
 # The root keys, sections and section.key entries each subcommand reads; its
@@ -325,16 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (ValidationError, ConstraintError) as e:
+        cfg = _load_config(args)
+        args.handler(args, cfg, RandomSource(cfg.seed))
+    except (GazeforgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except GazeforgeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(e, (ValidationError, ConstraintError)):
+            return EXIT_CONFIG
+        return EXIT_IO if isinstance(e, (ParseError, OSError)) else EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,10 +10,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import sys
 from dataclasses import dataclass, fields
 
 from .core import BoundedDistribution, DistKind, MovementLabel
 from .errors import ParameterError, ParseError, ValidationError
+from .fileio import decode_utf8
 from .generators import (
     MAX_GAMMA_SHAPE,
     MIN_SKEWNESS,
@@ -28,6 +31,7 @@ from .resampler import RateSpec
 from .sequence import OrderingRule, SequenceSpec
 
 MODES = ("velocity", "map_static", "map_dynamic", "remap", "evaluate", "saliency")
+ENV_SEED = "GAZEFORGE_SEED"
 
 _LABEL_KEYS = {
     "fixation": MovementLabel.FIXATION,
@@ -244,14 +248,76 @@ def _sequence(obj) -> SequenceSpec:
     return _build(SequenceSpec, "sequence", **seq)
 
 
-def read_config(text: str) -> RunConfig:
-    """Parse and fully validate a JSON config document."""
+def _document(text: str) -> dict:
+    """The JSON object of ``text``; a parse failure is a positioned ParseError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno} col {e.colno}") from e
+    except ValueError as e:  # int() of more than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        # The first integer token past the limit: strings and floats pass.
+        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)([.eE][-+.eE0-9]*)?', text)
+        at = next(m.start(1) for m in tokens if m[1] and not m[2] and len(m[1]) > limit)
+        line = text.count("\n", 0, at) + 1
+        raise ParseError(f"integer of more than {limit} digits", f"line {line}") from e
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object", "<root>")
+    return doc
+
+
+def _apply_override(doc: dict, item: str) -> None:
+    if "=" not in item:
+        raise ValidationError(f"override {item!r} must be KEY.PATH=VALUE")
+    key, raw = item.split("=", 1)
+    parts = key.strip().split(".")
+    try:
+        value = json.loads(raw)
+    except ValueError:  # not JSON, or an integer too long to read: the text
+        value = raw
+    node = doc
+    for p in parts[:-1]:
+        if node.get(p) is None:
+            node[p] = {}
+        node = node[p]
+        if not isinstance(node, dict):
+            raise ValidationError("cannot descend into non-object", key)
+    node[parts[-1]] = value
+
+
+def load_config(data: bytes, *, sets=(), seed: int | None = None,
+                env_seed: str | None = None, output: str | None = None) -> RunConfig:
+    """The config file ``data`` with each ``KEY.PATH=VALUE`` of ``sets``, the
+    seed (``seed``, else ``env_seed``, the text of ENV_SEED, else the file's)
+    and ``output`` as paths.output; checked, with its inputs and an output."""
+    doc = _document(decode_utf8(data, json=True))
+    for item in sets:
+        _apply_override(doc, item)
+    if seed is not None:
+        doc["seed"] = seed
+    elif env_seed is not None:
+        try:
+            doc["seed"] = int(env_seed)
+        except ValueError:
+            raise ValidationError(f"{ENV_SEED} must be an integer", "seed")
+    if output is not None:
+        if doc.get("paths") is None:
+            doc["paths"] = {}
+        if isinstance(doc["paths"], dict):  # _validate rejects any other value
+            doc["paths"]["output"] = output
+    cfg = _validate(doc)
+    check_paths(cfg)
+    if not cfg.paths.output:
+        raise ValidationError("required for this subcommand", "paths.output")
+    return cfg
+
+
+def read_config(text: str) -> RunConfig:
+    """Parse and fully validate a JSON config document."""
+    return _validate(_document(text))
+
+
+def _validate(doc: dict) -> RunConfig:
     root = _read(doc, _ROOT, "")
     base_rate = root["base_rate_hz"]
     if base_rate <= 0:
@@ -274,7 +340,7 @@ def read_config(text: str) -> RunConfig:
             f"shape <= {MAX_GAMMA_SHAPE:.6g})",
             "saccade.skewness.min",
         )
-    if int(round(saccade.duration.min * base_rate)) < 2:
+    if saccade.duration.min * base_rate < 1.5:  # rounds to fewer than 2 samples
         raise ValidationError(
             f"{saccade.duration.min:.6g} s gives fewer than 2 samples at "
             f"base_rate_hz {base_rate:.6g}",

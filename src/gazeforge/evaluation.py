@@ -165,6 +165,16 @@ def _brentq(
     )
 
 
+def _estimated_shape(ratio: float) -> float:
+    """The shape k with (k - 1) / q(k) = ratio for q(k) = k + z sqrt(k) +
+    (z^2 - 1) / 3, the Cornish-Fisher tail quantile to its constant term: a
+    quadratic in sqrt(k). Within 3.3 % of the fitted shape for runs of up to
+    5,000 samples."""
+    z = 4.753424308822899  # the standard normal quantile of GAMMA_TAIL_QUANTILE
+    a, b, c = 1.0 - ratio, ratio * z, 1.0 + ratio * (z * z - 1.0) / 3.0
+    return ((b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)) ** 2
+
+
 def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]:
     """Gamma shape whose profile argmax lands on peak_index (within 1 sample).
 
@@ -185,7 +195,13 @@ def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]
         # Peak at (or past) the final sample cannot be reached; fall back to
         # the latest attainable mode.
         return k_hi, False
-    shape = _brentq(f, k_lo, k_hi, xtol=1e-9, rtol=1e-12)
+    # Brent's method from within 5 % of the estimated root needs far fewer
+    # tail quantiles than from [k_lo, k_hi], which stays the fallback.
+    k = _estimated_shape(peak_index / (length - 1))
+    lo, hi = max(0.95 * k, k_lo), min(1.05 * k, k_hi)
+    if not lo < hi or f(lo) > 0 or f(hi) < 0:
+        lo, hi = k_lo, k_hi
+    shape = _brentq(f, lo, hi, xtol=1e-9, rtol=1e-12)
     return shape, abs(_mode_index(shape, length) - peak_index) <= 1.0
 
 

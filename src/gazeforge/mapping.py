@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,44 +30,35 @@ class MappingParams:
 
 @dataclass
 class SceneTargets:
-    """Fixation targets for a static stimulus or per-frame for a dynamic one."""
+    """Fixation targets per frame, as (frame_time, targets) in time order; a
+    static stimulus is one frame at t = 0."""
 
-    static: TargetSet | None = None
-    frames: list[tuple[float, TargetSet]] | None = None  # (frame_time, targets)
+    frames: list[tuple[float, TargetSet]]
     frame_rate: float = 0.0
-    _times: list[float] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        if (self.static is None) == (self.frames is None):
-            raise ParameterError("scene targets must be static or dynamic")
-        if self.frames is not None:
-            times = [t for t, _ in self.frames]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise ParameterError("frame times must be strictly increasing")
-            self._times = times
+        self._times = [t for t, _ in self.frames]
+        if any(b <= a for a, b in zip(self._times, self._times[1:])):
+            raise ParameterError("frame times must be strictly increasing")
 
     @classmethod
     def from_static(cls, targets: TargetSet) -> "SceneTargets":
-        return cls(static=targets)
+        return cls([(0.0, targets)])
 
     @classmethod
     def from_frames(
         cls, frames: list[tuple[float, TargetSet]], frame_rate: float
     ) -> "SceneTargets":
-        return cls(frames=frames, frame_rate=frame_rate)
+        return cls(frames, frame_rate)
 
     @property
     def bounds(self) -> tuple[int, int]:
-        ts = self.static if self.static is not None else self.frames[0][1]
+        ts = self.frames[0][1]
         return ts.width, ts.height
 
     def at(self, time: float) -> TargetSet:
-        """Target set in effect at the given time: for dynamic targets, the
-        frame nearest in ``abs(frame_time - time)``, the earliest on a tie."""
-        if self.static is not None:
-            return self.static
+        """Target set in effect at the given time: the frame nearest in
+        ``abs(frame_time - time)``, the earliest on a tie."""
         times = self._times
         # Distances fall up to the first frame at or after `time`, then rise
         # (a NaN time finds index 0, which is also the scan's pick).
@@ -252,10 +243,7 @@ def _place_movement_run(
     ys: np.ndarray,
 ) -> None:
     ts = signal.timestamps
-    t_before = float(ts[start - 1]) if start > 0 else 0.0
-    dts = np.diff(ts[start - 1 : end]) if start > 0 else np.diff(
-        np.concatenate(([t_before], ts[start:end]))
-    )
+    dts = np.diff(ts[start - 1 : end]) if start > 0 else np.diff(ts[:end], prepend=0.0)
     steps = signal.velocities[start:end] * dts * p.pixels_per_degree
     cum = np.cumsum(np.maximum(steps, 0.0))
     total = float(cum[-1])
@@ -379,9 +367,5 @@ def remap_real(
             (dts[start:end], velocities[start:end], real.labels[start:end])
         )
     rng.shuffle(segments)
-    new_dts = np.concatenate([s[0] for s in segments])
-    new_v = np.concatenate([s[1] for s in segments])
-    new_l = np.concatenate([s[2] for s in segments])
-    new_ts = np.cumsum(new_dts)
-    signal = SampledSignal(new_ts, new_v, new_l)
-    return map_to_gaze(signal, scene, p, rng)
+    new_dts, new_v, new_l = (np.concatenate(column) for column in zip(*segments))
+    return map_to_gaze(SampledSignal(np.cumsum(new_dts), new_v, new_l), scene, p, rng)

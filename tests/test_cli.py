@@ -97,6 +97,21 @@ def test_bad_override_key_is_config_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_output_flag_beats_config_output(tmp_path):
+    in_file = str(tmp_path / "in_file.csv")
+    cfg = write_config(tmp_path, paths={"output": in_file})
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", cfg, "--output", out]) == EXIT_OK
+    assert os.path.exists(out) and not os.path.exists(in_file)
+
+
+def test_unwritable_output_is_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "missing_dir" / "o.csv")
+    assert run(["generate", "--config", cfg, "--output", out]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     code = run(["generate", "--config", str(tmp_path / "nope.json"),
                 "--output", str(tmp_path / "o.csv")])
@@ -184,6 +199,31 @@ def test_map_dynamic_over_frames(tmp_path):
     )
     out = str(tmp_path / "gaze.csv")
     assert run(["map", "--config", cfg, "--output", out]) == EXIT_OK
+
+
+def test_precomputed_saliency_map_and_one_frame_of_maps_agree(tmp_path):
+    # A saliency map file for a stimulus, and a folder of maps named as the
+    # frames, are read instead of the images: with one frame the two scenes
+    # give the same bytes, although the frame itself is noise.
+    stim = write_stimulus(tmp_path)
+    smap = str(tmp_path / "map.pgm")
+    sal = write_config(tmp_path, "s.json", mode="saliency", paths={"stimulus": stim})
+    assert run(["saliency", "--config", sal, "--output", smap]) == EXIT_OK
+    frames, maps = tmp_path / "frames", tmp_path / "maps"
+    frames.mkdir()
+    maps.mkdir()
+    (frames / "f0.pgm").write_bytes(pgm_bytes(np.random.default_rng(0).random((48, 64))))
+    (maps / "f0.pgm").write_bytes(open(smap, "rb").read())
+    seq = {"counts": {"fixation": 3, "saccade": 2}}
+    # The map file wins over a stimulus given beside it.
+    static = write_config(tmp_path, "a.json", mode="map_static", sequence=seq,
+                          paths={"saliency_map": smap, "stimulus": str(frames / "f0.pgm")})
+    dynamic = write_config(tmp_path, "b.json", mode="map_dynamic", sequence=seq,
+                           paths={"frames_dir": str(frames), "saliency_map": str(maps)})
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert run(["map", "--config", static, "--output", a]) == EXIT_OK
+    assert run(["map", "--config", dynamic, "--output", b]) == EXIT_OK
+    assert open(a, "rb").read() == open(b, "rb").read()
 
 
 @pytest.mark.parametrize("override, field", [
@@ -457,3 +497,57 @@ def test_full_pipeline_deterministic(tmp_path):
             tuple(open(p, "rb").read() for p in (vel, gaze, summ))
         )
     assert results[0] == results[1]
+
+
+LONG_DIGITS = "1" * 5000  # past Python's default int-to-string limit of 4,300
+
+
+@pytest.mark.parametrize("before", [
+    "",
+    # The same digits in a string or as a float's part are read and are not
+    # the integer named.
+    f' "paths": {{"output": "{LONG_DIGITS}"}},\n',
+    f' "base_rate_hz": {LONG_DIGITS}.5e-4990,\n "mapping": {{"frame_rate": 1{LONG_DIGITS}e-4990}},\n',
+])
+def test_over_long_integer_in_config_is_io_error(tmp_path, capsys, before):
+    # Used to crash with a ValueError traceback (exit 1).
+    p = tmp_path / "long.json"
+    p.write_text('{"mode": "velocity",\n%s "noise": {},\n "seed": -%s}' % (before, LONG_DIGITS))
+    line = 3 + before.count("\n")
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", str(p), "--output", out]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: integer of more than 4300 digits (at line {line})\n"
+    )
+    assert not os.path.exists(out)
+
+
+def test_over_long_integer_in_set_is_config_error(tmp_path, capsys):
+    # Used to crash with a ValueError traceback (exit 1); the value that is
+    # not a readable number is text, which the key rejects.
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "o.csv")
+    code = run(["generate", "--config", cfg, "--output", out,
+                "--set", f"seed={LONG_DIGITS}"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seed: expected int, got str\n"
+    assert not os.path.exists(out)
+
+
+def test_over_long_integer_in_seed_flag_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "o.csv")
+    with pytest.raises(SystemExit) as e:
+        run(["generate", "--config", cfg, "--output", out, "--seed", LONG_DIGITS])
+    assert e.value.code == EXIT_CONFIG
+    assert "argument --seed: invalid int value" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_over_long_integer_in_env_seed_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GAZEFORGE_SEED", LONG_DIGITS)
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", cfg, "--output", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seed: GAZEFORGE_SEED must be an integer\n"
+    assert not os.path.exists(out)

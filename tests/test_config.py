@@ -1,12 +1,15 @@
 """Strict JSON configuration parsing and validation."""
 from __future__ import annotations
 
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from gazeforge.config import check_paths, read_config
+from gazeforge.config import SCHEMA, RunConfig, check_paths, load_config, read_config
 from gazeforge.core import DistKind, MovementLabel
 from gazeforge.errors import ParseError, ValidationError
 
@@ -262,3 +265,156 @@ def test_check_paths_ok_when_file_exists(tmp_path):
 def test_non_object_document_rejected():
     with pytest.raises(ValidationError):
         read_config("[1, 2, 3]")
+
+
+# --- load_config on documents built from the schema ---------------------------
+
+LONG_DIGITS = "9" * 5000  # past Python's default int-to-string limit of 4,300
+LONG = "__long_integer__"  # stands for LONG_DIGITS in a generated document
+LABELS = ["fixation", "saccade", "smooth_pursuit"]
+
+# Values a key of each reader can hold, boundaries included.
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, 2e-4, 0.01, 0.03, 0.1, 0.5, 1.0, 2.0, 1000.0, 1e308]),
+    st.floats(0.0, 2000.0),
+    st.integers(0, 100),
+)
+_ints = st.integers(-1, 12)
+_rule = st.fixed_dictionaries({
+    "kind": st.sampled_from(["after_each", "before"]),
+    "first": st.sampled_from(LABELS),
+    "second": st.sampled_from(LABELS),
+})
+
+
+def _dist():
+    def build(a, b, kind, std):
+        lo, hi = sorted([a, b])
+        return {"kind": kind, "min": lo, "max": hi, "std": std}
+
+    return st.one_of(
+        st.builds(build, _floats, _floats, st.sampled_from(["uniform", "normal"]), _floats),
+        _floats.map(lambda v: {"min": v, "max": v}),
+    )
+
+
+def _value(reader):
+    if isinstance(reader, dict):
+        return st.sampled_from(list(reader))
+    if reader is float:
+        return _floats
+    if reader is int:
+        return _ints
+    if reader is str:  # paths: a missing file, and a folder that exists
+        return st.sampled_from(["out.csv", "missing.pgm", "src"])
+    if reader is dict:  # sequence.counts
+        return st.dictionaries(st.sampled_from(LABELS), st.integers(0, 4), min_size=1, max_size=3)
+    if reader is list:  # sequence.constraints and sequence.explicit
+        return st.lists(_rule, max_size=2) | st.lists(
+            st.sampled_from(LABELS), min_size=1, max_size=4
+        )
+    return _dist()
+
+
+def _section(name):
+    return st.fixed_dictionaries(
+        {}, optional={key: _value(reader) for key, (reader, _) in SCHEMA[name].items()}
+    )
+
+
+# Values no key holds: wrong types, non-finite and over-long numbers, unknown
+# names, inverted or negative bounds.
+_bad = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.just([]), st.just({}),
+    st.lists(st.integers(-1, 2), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -1e-9, 1e308, 10**400, LONG]),
+    st.sampled_from(["bogus", "nromal", {"min": 2, "max": 1}, {"min": -5, "max": -1},
+                     {"min": 0, "max": 1, "kind": "normal", "std": -1},
+                     {"min": 0, "max": 1, "spread": 2}, [{"kind": "after", "first": "x"}]]),
+)
+_KEYS = [(section, key) for section in SCHEMA for key in SCHEMA[section]]
+
+
+def _few(items):
+    """Lists of 0 (most often), 1 or 2 of ``items``."""
+    return st.sampled_from([0, 0, 0, 1, 2]).flatmap(
+        lambda n: st.lists(items, min_size=n, max_size=n)
+    )
+
+
+def _with_faults(doc, faults):
+    """``doc`` with each (section, key, value) of ``faults`` written in; a
+    key of None replaces the whole section."""
+    for section, key, value in faults:
+        value = copy.deepcopy(value)  # a value drawn twice is one object
+        if key is None:
+            doc[section] = value
+        elif not section:
+            doc[key] = value
+        elif isinstance(doc.get(section), dict):
+            doc[section][key] = value
+        else:
+            doc[section] = {key: value}
+    return doc
+
+
+_document = st.builds(
+    _with_faults,
+    st.builds(
+        lambda root, sections: {**root, **sections},
+        _section(""),
+        st.fixed_dictionaries({}, optional={name: _section(name) for name in SCHEMA if name}),
+    ),
+    _few(st.one_of(
+        st.tuples(st.sampled_from([s for s in SCHEMA if s]), st.none(), _bad),
+        st.sampled_from(_KEYS + [("", "unknwn"), ("noise", "fractoin")]).flatmap(
+            lambda sk: st.tuples(st.just(sk[0]), st.just(sk[1]), _bad)
+        ),
+    )),
+)
+_override_item = st.builds(
+    "{}={}".format,
+    st.sampled_from([f"{s}.{k}" if s else k for s, k in _KEYS]
+                    + ["fixation", "paths.output.x", "a.b.c", " seed ", ""]),
+    st.sampled_from(["1", "0.5", "null", "NaN", "-Infinity", "[]", "{}", '"normal"',
+                     "abc", "1_0", '{"min": 1, "max": 1}', LONG_DIGITS]),
+)
+# Mostly KEY.PATH=VALUE items, sometimes any text.
+_override = st.integers(0, 9).flatmap(lambda i: st.text(max_size=6) if i == 0 else _override_item)
+
+
+def _bytes(doc, mangle):
+    data = json.dumps(doc).replace(f'"{LONG}"', LONG_DIGITS).encode()
+    if mangle == "truncate":
+        return data[: len(data) // 2]
+    if mangle == "bad byte":
+        return data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :]
+    return data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    doc=st.integers(0, 9).flatmap(lambda i: st.sampled_from([[], 5, "x"]) if i == 0 else _document),
+    mangle=st.sampled_from(["none"] * 8 + ["truncate", "bad byte"]),
+    sets=_few(_override),
+    seed=st.none() | st.integers(-(2**70), 2**70),
+    env_seed=st.sampled_from([None] * 6 + ["5", " 7 ", "x", "", "1_0", LONG_DIGITS]),
+    output=st.sampled_from([None, "out.csv", "out.csv"]),
+)
+# The saccade sample count overflowed: OverflowError (exit 1) instead of a load.
+@example(doc={"base_rate_hz": 1e308, "saccade": {"duration": {"min": 1e308, "max": 1e308}}},
+         mangle="none", sets=[], seed=None, env_seed=None, output="out.csv")
+def test_load_config_fails_only_with_located_errors(doc, mangle, sets, seed, env_seed, output):
+    # Every load gives a RunConfig, or a ValidationError naming its field
+    # (only a malformed --set item has none to name), or a ParseError naming
+    # its position: never another exception.
+    try:
+        cfg = load_config(
+            _bytes(doc, mangle), sets=sets, seed=seed, env_seed=env_seed, output=output
+        )
+    except ValidationError as e:
+        assert e.field or str(e).startswith("override "), str(e)
+    except ParseError as e:
+        assert e.position, str(e)
+    else:
+        assert isinstance(cfg, RunConfig)

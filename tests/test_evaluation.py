@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as sp_gamma
 
+from gazeforge import evaluation, generators
 from gazeforge.core import MovementLabel, RandomSource, label_runs
 from gazeforge.errors import ParameterError
 from gazeforge.evaluation import (
     SegmentDescriptor,
+    _brentq,
     _descriptor,
+    _estimated_shape,
+    _mode_index,
     evaluate_dataset,
     fit_shape_for_peak_index,
     simulate_from_descriptor,
@@ -89,6 +93,69 @@ def test_fitted_shape_mode_oracle():
 def test_peak_at_zero_gives_shape_one():
     shape, exact = fit_shape_for_peak_index(50, 0)
     assert shape == 1.0 and exact
+
+
+# (length, peak index) of saccade runs: two and three samples, early, middle
+# and late peaks, and peaks at the last sample, which no shape reaches.
+FIT_CORPUS = [
+    (2, 1), (3, 1), (5, 3), (12, 4), (30, 2), (30, 15), (30, 28), (60, 18), (80, 25),
+    (100, 3), (200, 150), (301, 150), (1000, 999), (5000, 1), (5000, 4999),
+]
+
+
+def _full_bracket_fit(length, peak_index):
+    """The fit as Brent's method gives it from the whole shape range."""
+    def f(k):
+        return _mode_index(k, length) - peak_index
+
+    if f(1e8) < 0:
+        return 1e8, False
+    shape = _brentq(f, 1.0 + 1e-9, 1e8, xtol=1e-9, rtol=1e-12)
+    return shape, abs(_mode_index(shape, length) - peak_index) <= 1.0
+
+
+def test_shape_fits_count_tail_quantiles(monkeypatch):
+    # Each uncached tail quantile is one gammaincinv call; from the whole
+    # range [1 + 1e-9, 1e8] this corpus takes 248 of them.
+    calls = []
+    real = generators.gammaincinv
+    monkeypatch.setattr(generators, "gammaincinv", lambda a, p: calls.append(a) or real(a, p))
+    generators.gamma_tail.cache_clear()
+    try:
+        fits = [fit_shape_for_peak_index(n, k) for n, k in FIT_CORPUS]
+    finally:
+        generators.gamma_tail.cache_clear()
+    assert len(calls) == 77
+    for (n, k), (shape, exact) in zip(FIT_CORPUS, fits):
+        want, want_exact = _full_bracket_fit(n, k)
+        assert exact == want_exact
+        assert abs(shape - want) <= 1e-9 + 1e-12 * want, (n, k)
+
+
+def test_shape_fit_falls_back_to_the_whole_range(monkeypatch):
+    # An estimate whose 5 % bracket misses the root, below or above it, gives
+    # the bits of the whole-range fit.
+    # (Half the estimate, at least 1, misses only roots above 1.05.)
+    estimated_shape = evaluation._estimated_shape
+    for factor in (0.5, 2.0):
+        monkeypatch.setattr(
+            evaluation, "_estimated_shape",
+            lambda ratio: max(1.0, factor * estimated_shape(ratio)),
+        )
+        for n, k in FIT_CORPUS:
+            want = _full_bracket_fit(n, k)
+            if factor > 1 or want[0] > 1.1:
+                assert fit_shape_for_peak_index(n, k) == want
+
+
+def test_estimated_shape_is_within_the_bracket():
+    for length in (3, 7, 20, 51, 300, 4000):
+        for peak_index in {1, max(1, length // 5), length // 2, length - 2}:
+            shape, exact = _full_bracket_fit(length, peak_index)
+            if not exact:  # a peak no shape reaches: the fit stops at 1e8
+                continue
+            estimate = _estimated_shape(peak_index / (length - 1))
+            assert abs(estimate / shape - 1.0) < 0.04, (length, peak_index)
 
 
 def test_simulated_saccade_matches_descriptor(rng):

@@ -196,13 +196,38 @@ def test_target_choice_proportional_to_weights():
     rng = RandomSource(9)
     from gazeforge.mapping import _choose_target, _weight_sums
 
-    sums = _weight_sums(scene.static)
+    sums = _weight_sums(scene.at(0.0))
     for _ in range(n):
-        if _choose_target(scene.static, sums, rng)[0] == 20.0:
+        if _choose_target(scene.at(0.0), sums, rng)[0] == 20.0:
             hits += 1
     p = hits / n
     sigma = math.sqrt(0.8 * 0.2 / n)
     assert abs(p - 0.8) <= 3 * sigma
+
+
+def test_static_scene_maps_as_one_frame_scene():
+    # A static stimulus is a one-frame scene: the same targets as a single
+    # frame give the same draws and the same bytes.
+    targets = TargetSet([(10.0, 10.0, 0.2), (150.0, 90.0, 0.8), (60.0, 30.0, 0.5)], 200, 200)
+    sig = signal([F] * 20 + [S] * 10 + [F] * 30 + [SP] * 15 + [F] * 25, rate=100.0)
+    p = params(max_path_deviation=4.0, fixation_dispersion=3.0)
+    static = map_to_gaze(sig, SceneTargets.from_static(targets), p, RandomSource(5))
+    dynamic = map_to_gaze(
+        sig, SceneTargets.from_frames([(0.0, targets)], frame_rate=30.0), p, RandomSource(5)
+    )
+    for name in ("timestamps", "x", "y", "labels"):
+        assert getattr(static, name).tobytes() == getattr(dynamic, name).tobytes()
+    assert (static.width, static.height) == (dynamic.width, dynamic.height)
+
+
+def test_scene_at_returns_the_frame_object():
+    a = TargetSet([(10.0, 10.0, 1.0)], 200, 200)
+    b = TargetSet([(150.0, 90.0, 1.0)], 200, 200)
+    static = SceneTargets.from_static(a)
+    for t in (-1.0, 0.0, 0.5, 1e300, math.inf, math.nan):
+        assert static.at(t) is a
+    scene = SceneTargets.from_frames([(0.0, a), (0.5, b)], frame_rate=2.0)
+    assert scene.at(0.2) is a and scene.at(0.3) is b and scene.at(0.25) is a
 
 
 def test_empty_targets_rejected(rng):
