@@ -48,7 +48,7 @@ def _load_config(args) -> RunConfig:
     except OSError as e:
         raise ParseError(f"cannot read config: {e}")
     return config_mod.load_config(
-        data, sets=args.set or (), seed=args.seed,
+        data, args.command, sets=args.set or (), seed=args.seed,
         env_seed=os.environ.get(ENV_SEED), output=args.output,
     )
 
@@ -95,23 +95,20 @@ def _scene_targets(cfg: RunConfig, dynamic: bool, rng: RandomSource) -> SceneTar
     """Targets of paths.stimulus or of each frame in paths.frames_dir, from the
     image's saliency or paths.saliency_map (a file, or a folder of frame maps)."""
     paths, rate = cfg.paths, cfg.mapping.frame_rate
-    is_map = bool(paths.saliency_map) and os.path.isdir(paths.saliency_map) == dynamic
     if dynamic:
         names = sorted(
             f for f in os.listdir(paths.frames_dir) if f.lower().endswith((".pgm", ".pnm"))
         )
         if not names:
             raise ValidationError(f"no PGM frames in {paths.frames_dir}", "paths.frames_dir")
-        folder = paths.saliency_map if is_map else paths.frames_dir
+        folder = paths.saliency_map or paths.frames_dir
         entries = [(i / rate, os.path.join(folder, name)) for i, name in enumerate(names)]
-    elif is_map or paths.stimulus:
-        entries = [(0.0, paths.saliency_map if is_map else paths.stimulus)]
     else:
-        raise ValidationError("need paths.stimulus or paths.saliency_map", "paths")
+        entries = [(0.0, paths.saliency_map or paths.stimulus)]
     frames = []
     for t, path in entries:
         grid = read_pgm(path)
-        smap = SaliencyMap(grid) if is_map else spectral_residual(grid)
+        smap = SaliencyMap(grid) if paths.saliency_map else spectral_residual(grid)
         frames.append((t, _targets_from_map(smap, cfg.mapping, rng)))
     return SceneTargets.from_frames(frames, rate)
 
@@ -122,8 +119,7 @@ def cmd_map(args, cfg: RunConfig, rng: RandomSource) -> None:
         signal = read_velocity_csv(cfg.paths.velocity_input)
     else:
         signal = generate_signal(cfg, rng)
-    dynamic = cfg.mode == "map_dynamic" or bool(cfg.paths.frames_dir)
-    targets = _scene_targets(cfg, dynamic, rng.derive(10))
+    targets = _scene_targets(cfg, bool(cfg.paths.frames_dir), rng.derive(10))
     trace = map_to_gaze(signal, targets, cfg.mapping.params, rng.derive(11))
     write_gaze_csv(out, trace)
     print(f"map: {len(trace)} samples over {trace.width}x{trace.height} px -> {out}")
@@ -182,41 +178,12 @@ def cmd_evaluate(args, cfg: RunConfig, rng: RandomSource) -> None:
     print(msg)
 
 
-# The root keys, sections and section.key entries each subcommand reads; its
-# help lists them with the key names of config.SCHEMA.
-_ROOT_READS = ("mode", "seed", "base_rate_hz")
-_SIGNAL_READS = ("sequence", "fixation", "saccade", "pursuit", "sampling", "noise")
-_WALK_READS = (
-    "mapping.pixels_per_degree", "mapping.max_path_deviation",
-    "mapping.fixation_dispersion",
-)
-_TARGET_READS = (
-    "mapping.min_target_distance", "mapping.target_threshold",
-    "mapping.target_jitter_px",
-)
-_READS = {
-    "generate": (*_ROOT_READS, *_SIGNAL_READS, "paths.output"),
-    "map": (
-        *_ROOT_READS, *_SIGNAL_READS, *_WALK_READS, *_TARGET_READS,
-        "mapping.frame_rate", "paths.stimulus", "paths.saliency_map",
-        "paths.frames_dir", "paths.velocity_input", "paths.output",
-    ),
-    "remap": (
-        *_ROOT_READS, "mapping.remap_mode", *_WALK_READS, *_TARGET_READS,
-        "paths.real_data", "paths.stimulus", "paths.saliency_map", "paths.output",
-    ),
-    "saliency": (
-        *_ROOT_READS, *_TARGET_READS, "paths.stimulus", "paths.output",
-        "paths.targets_output",
-    ),
-    "evaluate": (*_ROOT_READS, "paths.real_data", "paths.output", "paths.errors_output"),
-}
-
-
-def _help_keys(reads: tuple[str, ...]) -> str:
-    """The dotted config keys of ``reads``, each section expanded to its keys."""
+def _help_keys(name: str) -> str:
+    """The dotted config keys that subcommand ``name`` reads, each section
+    expanded to its keys, the paths it needs last."""
+    reads, needs = config_mod.COMMANDS[name]
     keys = []
-    for entry in reads:
+    for entry in (*reads, *(f"paths.{k}" for ks in (*needs, ("output",)) for k in ks)):
         if entry in config_mod.SCHEMA:
             keys += [f"{entry}.{key}" for key in config_mod.SCHEMA[entry]]
         else:
@@ -238,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate": ("squared-error evaluation against labeled real data", cmd_evaluate),
     }
     for name, (help_text, fn) in handlers.items():
-        p = sub.add_parser(name, help=help_text, epilog=_help_keys(_READS[name]))
+        p = sub.add_parser(name, help=help_text, epilog=_help_keys(name))
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
                        help=f"seed override (beats {ENV_SEED} and the config)")

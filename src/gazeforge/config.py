@@ -30,6 +30,7 @@ from .noise import MODE_ADD, MODE_REPLACE, NoiseSpec
 from .resampler import RateSpec
 from .sequence import OrderingRule, SequenceSpec
 
+# The accepted values of the root key mode; the subcommand decides the run.
 MODES = ("velocity", "map_static", "map_dynamic", "remap", "evaluate", "saliency")
 ENV_SEED = "GAZEFORGE_SEED"
 
@@ -189,6 +190,37 @@ SCHEMA = {
 }
 # The root object: its scalars, then each section as an object.
 _ROOT = {**SCHEMA[""], **{name: (dict, None) for name in SCHEMA if name}}
+
+_SCENE = ("stimulus", "saliency_map")  # a static scene: its image, or its map
+_ROOT_READS = ("mode", "seed", "base_rate_hz")
+_SIGNAL_READS = ("sequence", "fixation", "saccade", "pursuit", "sampling", "noise")
+_WALK_READS = (
+    "mapping.pixels_per_degree", "mapping.max_path_deviation",
+    "mapping.fixation_dispersion",
+)
+_TARGET_READS = (
+    "mapping.min_target_distance", "mapping.target_threshold",
+    "mapping.target_jitter_px",
+)
+# Subcommand -> (the root keys, sections and section.key entries it reads
+# besides the paths it needs; those paths, each a tuple of keys one of which
+# must be set). Its --help lists both, then paths.output, which every
+# subcommand needs. remap under new_stimulus also needs _SCENE.
+COMMANDS = {
+    "generate": ((*_ROOT_READS, *_SIGNAL_READS), ()),
+    "map": (
+        (*_ROOT_READS, *_SIGNAL_READS, *_WALK_READS, *_TARGET_READS,
+         "mapping.frame_rate", "paths.velocity_input"),
+        ((*_SCENE, "frames_dir"),),
+    ),
+    "remap": (
+        (*_ROOT_READS, "mapping.remap_mode", *_WALK_READS, *_TARGET_READS,
+         "paths.stimulus", "paths.saliency_map"),
+        (("real_data",),),
+    ),
+    "saliency": ((*_ROOT_READS, *_TARGET_READS, "paths.targets_output"), (("stimulus",),)),
+    "evaluate": ((*_ROOT_READS, "paths.errors_output"), (("real_data",),)),
+}
 _RULE = {
     "kind": ({k: k for k in (OrderingRule.AFTER_EACH, OrderingRule.BEFORE)}, _REQUIRED),
     "first": (_LABEL_KEYS, _REQUIRED),
@@ -261,6 +293,13 @@ def _document(text: str) -> dict:
         at = next(m.start(1) for m in tokens if m[1] and not m[2] and len(m[1]) > limit)
         line = text.count("\n", 0, at) + 1
         raise ParseError(f"integer of more than {limit} digits", f"line {line}") from e
+    except RecursionError as e:  # the parser recurses once per nesting level
+        depth, deepest = 0, (0, 0)  # (depth, -offset) of its first deepest bracket
+        for m in re.finditer(r'"(?:[^"\\]|\\.)*"|[][{}]', text):
+            depth += (m[0] in "[{") - (m[0] in "]}")
+            deepest = max(deepest, (depth, -m.start()))
+        line = text.count("\n", 0, -deepest[1]) + 1
+        raise ParseError(f"nested {deepest[0]} levels deep", f"line {line}") from e
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object", "<root>")
     return doc
@@ -273,8 +312,8 @@ def _apply_override(doc: dict, item: str) -> None:
     parts = key.strip().split(".")
     try:
         value = json.loads(raw)
-    except ValueError:  # not JSON, or an integer too long to read: the text
-        value = raw
+    except (ValueError, RecursionError):  # not JSON, an integer too long to
+        value = raw  # read, or nested too deeply: the text
     node = doc
     for p in parts[:-1]:
         if node.get(p) is None:
@@ -285,11 +324,12 @@ def _apply_override(doc: dict, item: str) -> None:
     node[parts[-1]] = value
 
 
-def load_config(data: bytes, *, sets=(), seed: int | None = None,
+def load_config(data: bytes, command: str, *, sets=(), seed: int | None = None,
                 env_seed: str | None = None, output: str | None = None) -> RunConfig:
     """The config file ``data`` with each ``KEY.PATH=VALUE`` of ``sets``, the
     seed (``seed``, else ``env_seed``, the text of ENV_SEED, else the file's)
-    and ``output`` as paths.output; checked, with its inputs and an output."""
+    and ``output`` as paths.output; checked, with its inputs and the paths
+    that the subcommand ``command`` needs."""
     doc = _document(decode_utf8(data, json=True))
     for item in sets:
         _apply_override(doc, item)
@@ -307,8 +347,7 @@ def load_config(data: bytes, *, sets=(), seed: int | None = None,
             doc["paths"]["output"] = output
     cfg = _validate(doc)
     check_paths(cfg)
-    if not cfg.paths.output:
-        raise ValidationError("required for this subcommand", "paths.output")
+    _check_needs(cfg, command)
     return cfg
 
 
@@ -381,35 +420,26 @@ def _validate(doc: dict) -> RunConfig:
     )
 
 
-# Inputs each mode must be able to open at load time.
-_MODE_INPUTS = {
-    "map_static": ("stimulus", "saliency_map", "velocity_input"),
-    "map_dynamic": ("frames_dir", "velocity_input"),
-    "remap": ("real_data",),
-    "evaluate": ("real_data",),
-    "saliency": ("stimulus",),
-}
-
-_MODE_REQUIRED = {
-    "map_dynamic": ("frames_dir",),
-    "remap": ("real_data",),
-    "evaluate": ("real_data",),
-    "saliency": ("stimulus",),
-}
-
-
 def check_paths(cfg: RunConfig) -> None:
-    """Referenced input files must exist for the selected mode."""
-    for key in _MODE_REQUIRED.get(cfg.mode, ()):
-        if getattr(cfg.paths, key) is None:
-            raise ValidationError(f"required for mode {cfg.mode!r}", f"paths.{key}")
-    if cfg.mode == "map_static" and not (
-        cfg.paths.stimulus or cfg.paths.saliency_map
-    ):
-        raise ValidationError(
-            "map_static needs paths.stimulus or paths.saliency_map", "paths"
-        )
-    for key in _MODE_INPUTS.get(cfg.mode, ()):
+    """Every input path that is set exists."""
+    for key in ("stimulus", "saliency_map", "frames_dir", "real_data", "velocity_input"):
         p = getattr(cfg.paths, key)
         if p is not None and not os.path.exists(p):
             raise ValidationError(f"file not found: {p}", f"paths.{key}")
+
+
+def _check_needs(cfg: RunConfig, command: str) -> None:
+    """The paths ``command`` needs are set, and a paths.saliency_map it reads is
+    a folder of frame maps beside paths.frames_dir, else a map file."""
+    paths, needs = cfg.paths, COMMANDS[command][1]
+    if command == "remap" and cfg.mapping.remap_mode == REMAP_NEW_STIMULUS:
+        needs += (_SCENE,)
+    for keys in (*needs, ("output",)):
+        if not any(getattr(paths, key) for key in keys):
+            at = " or ".join(f"paths.{key}" for key in keys)
+            raise ValidationError(f"{command} needs {at}", f"paths.{keys[0]}")
+    if paths.saliency_map and any("saliency_map" in keys for keys in needs):
+        dynamic = command == "map" and bool(paths.frames_dir)
+        if os.path.isdir(paths.saliency_map) != dynamic:
+            kind = "a folder beside paths.frames_dir" if dynamic else "a file"
+            raise ValidationError(f"must be {kind}", "paths.saliency_map")

@@ -461,21 +461,18 @@ def write_gaze_csv(path: str, trace: GazeTrace) -> None:
     atomic_write_bytes(path, gaze_csv_bytes(trace))
 
 
-def read_gaze_csv_bytes(
-    data: bytes, width: int = 0, height: int = 0, pixels_per_degree: float = 30.0
-) -> GazeTrace:
+def read_gaze_csv_bytes(data: bytes, pixels_per_degree: float = 30.0) -> GazeTrace:
+    """The gaze trace of ``data``, on an image just large enough for its
+    samples: ``ceil(max) + 1`` pixels in each direction."""
     what = ("timestamp", "x coordinate", "y coordinate")
     ts, (xs, ys), ls = _read_columns(data, GAZE_HEADER, what)
-    if width == 0:
-        width = int(np.ceil(xs.max())) + 1
-    if height == 0:
-        height = int(np.ceil(ys.max())) + 1
+    width, height = int(np.ceil(xs.max())) + 1, int(np.ceil(ys.max())) + 1
     return GazeTrace(ts, xs, ys, ls, width, height, pixels_per_degree)
 
 
-def read_gaze_csv(path: str, **kwargs) -> GazeTrace:
+def read_gaze_csv(path: str, pixels_per_degree: float = 30.0) -> GazeTrace:
     with open(path, "rb") as fh:
-        return read_gaze_csv_bytes(fh.read(), **kwargs)
+        return read_gaze_csv_bytes(fh.read(), pixels_per_degree)
 
 
 # --- Portable graymap (P2 ASCII / P5 binary) ---

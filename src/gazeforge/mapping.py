@@ -38,6 +38,8 @@ class SceneTargets:
 
     def __post_init__(self):
         self._times = [t for t, _ in self.frames]
+        if not self._times:
+            raise ParameterError("a scene needs at least one frame")
         if any(b <= a for a, b in zip(self._times, self._times[1:])):
             raise ParameterError("frame times must be strictly increasing")
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: determinism, overrides, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from gazeforge.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from gazeforge.config import SCHEMA, read_config
+from gazeforge.config import MODES, SCHEMA, read_config
 from gazeforge.errors import ValidationError
 from gazeforge.fileio import pgm_bytes, read_pgm, read_velocity_csv
+from test_golden import GOLDEN, _case
 
 
 def write_config(tmp_path, name="cfg.json", **doc):
@@ -551,3 +553,93 @@ def test_over_long_integer_in_env_seed_is_config_error(tmp_path, capsys, monkeyp
     assert run(["generate", "--config", cfg, "--output", out]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: seed: GAZEFORGE_SEED must be an integer\n"
     assert not os.path.exists(out)
+
+
+def test_nested_config_is_io_error(tmp_path, capsys):
+    # Used to crash with a RecursionError traceback (exit 1).
+    p = tmp_path / "deep.json"
+    p.write_text('{"mode": "velocity",\n "seed": %s}' % ("[" * 5000 + "]" * 5000))
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", str(p), "--output", out]) == EXIT_IO
+    assert capsys.readouterr().err == "error: nested 5001 levels deep (at line 2)\n"
+    assert not os.path.exists(out)
+
+
+def test_nested_set_value_is_config_error(tmp_path, capsys):
+    # Used to crash with a RecursionError traceback (exit 1); the value is
+    # read as text, which the key rejects.
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "o.csv")
+    code = run(["generate", "--config", cfg, "--output", out, "--set", "seed=" + "[" * 5000])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seed: expected int, got str\n"
+    assert not os.path.exists(out)
+
+
+# --- the subcommand, not mode, decides the paths a run needs -----------------
+
+@pytest.mark.parametrize("case", [
+    "generate_normal_burst", "map_static", "map_dynamic", "remap_new_stimulus",
+    "saliency_targets", "evaluate_errors",
+])
+def test_every_mode_gives_the_same_bytes(tmp_path, case):
+    # mode used to require paths and pick map's scene kind; now it is
+    # accepted and read by nothing.
+    argv, doc = _case(case, tmp_path)
+    for mode in MODES:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(doc, mode=mode)))
+        out = tmp_path / ("out.pgm" if argv[0] == "saliency" else "out.csv")
+        assert run(argv + ["--config", str(cfg), "--output", str(out)]) == EXIT_OK, mode
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[case]}
+        assert got == GOLDEN[case], mode
+
+
+@pytest.mark.parametrize("case, key", [
+    ("generate_normal_burst", "output"),
+    ("map_static", "stimulus"),
+    ("map_dynamic", "frames_dir"),
+    ("map_static", "output"),
+    ("remap_same_stimulus", "real_data"),
+    ("remap_new_stimulus", "stimulus"),
+    ("remap_same_stimulus", "output"),
+    ("saliency_targets", "stimulus"),
+    ("saliency_targets", "output"),
+    ("evaluate_errors", "real_data"),
+    ("evaluate_errors", "output"),
+])
+@pytest.mark.parametrize("mode", ["velocity", None])
+def test_missing_required_path_is_config_error(tmp_path, capsys, case, key, mode):
+    # Under mode "velocity", remap, saliency and evaluate used to crash with
+    # a TypeError (exit 1) on a missing input path. None keeps the case's mode.
+    argv, doc = _case(case, tmp_path)
+    doc["mode"] = mode or doc["mode"]
+    doc.get("paths", {}).pop(key, None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = argv + ["--config", str(cfg)]
+    if key != "output":
+        argv += ["--output", str(tmp_path / "o.out")]
+    assert run(argv) == EXIT_CONFIG
+    assert f"paths.{key}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o.out")
+
+
+@pytest.mark.parametrize("case, key, value", [
+    ("map_static", "saliency_map", "."),  # a folder for a static scene
+    ("map_dynamic", "saliency_map", "stim.pgm"),  # a file beside frames_dir
+    ("remap_new_stimulus", "saliency_map", "."),
+    ("evaluate_errors", "stimulus", "missing.pgm"),  # set, not read, not there
+    ("map_dynamic", "velocity_input", "missing.csv"),
+])
+def test_wrong_kind_or_missing_input_is_config_error(tmp_path, capsys, case, key, value):
+    # All but the last used to run: the map of the wrong kind was ignored,
+    # and only the inputs of the mode were checked.
+    argv, doc = _case(case, tmp_path)
+    doc["paths"][key] = str(tmp_path / value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.out"
+    assert run(argv + ["--config", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+    assert f"paths.{key}: " in capsys.readouterr().err
+    assert not out.exists()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gazeforge.config import SCHEMA, RunConfig, check_paths, load_config, read_config
+from gazeforge.config import COMMANDS, SCHEMA, RunConfig, check_paths, load_config, read_config
 from gazeforge.core import DistKind, MovementLabel
 from gazeforge.errors import ParseError, ValidationError
 
@@ -240,9 +240,9 @@ def test_bad_remap_mode_rejected():
 
 
 def test_check_paths_missing_required():
-    cfg = read_config(cfg_text(mode="saliency"))
+    # The subcommand names the paths it needs, whatever the mode.
     with pytest.raises(ValidationError) as e:
-        check_paths(cfg)
+        load_config(cfg_text(mode="saliency").encode(), "saliency", output="o.pgm")
     assert "paths.stimulus" in str(e.value)
 
 
@@ -305,8 +305,8 @@ def _value(reader):
         return _floats
     if reader is int:
         return _ints
-    if reader is str:  # paths: a missing file, and a folder that exists
-        return st.sampled_from(["out.csv", "missing.pgm", "src"])
+    if reader is str:  # paths: missing files, and a folder and a file that exist
+        return st.sampled_from(["out.csv", "missing.pgm", "src", "pyproject.toml"])
     if reader is dict:  # sequence.counts
         return st.dictionaries(st.sampled_from(LABELS), st.integers(0, 4), min_size=1, max_size=3)
     if reader is list:  # sequence.constraints and sequence.explicit
@@ -400,17 +400,21 @@ def _bytes(doc, mangle):
     seed=st.none() | st.integers(-(2**70), 2**70),
     env_seed=st.sampled_from([None] * 6 + ["5", " 7 ", "x", "", "1_0", LONG_DIGITS]),
     output=st.sampled_from([None, "out.csv", "out.csv"]),
+    command=st.sampled_from(sorted(COMMANDS)),
 )
 # The saccade sample count overflowed: OverflowError (exit 1) instead of a load.
 @example(doc={"base_rate_hz": 1e308, "saccade": {"duration": {"min": 1e308, "max": 1e308}}},
-         mangle="none", sets=[], seed=None, env_seed=None, output="out.csv")
-def test_load_config_fails_only_with_located_errors(doc, mangle, sets, seed, env_seed, output):
+         mangle="none", sets=[], seed=None, env_seed=None, output="out.csv",
+         command="generate")
+def test_load_config_fails_only_with_located_errors(
+    doc, mangle, sets, seed, env_seed, output, command
+):
     # Every load gives a RunConfig, or a ValidationError naming its field
     # (only a malformed --set item has none to name), or a ParseError naming
     # its position: never another exception.
     try:
         cfg = load_config(
-            _bytes(doc, mangle), sets=sets, seed=seed, env_seed=env_seed, output=output
+            _bytes(doc, mangle), command, sets=sets, seed=seed, env_seed=env_seed, output=output
         )
     except ValidationError as e:
         assert e.field or str(e).startswith("override "), str(e)

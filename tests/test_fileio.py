@@ -75,11 +75,12 @@ def test_velocity_csv_text_stable():
 
 def test_gaze_csv_round_trip():
     tr = make_trace(10)
-    back = read_gaze_csv_bytes(gaze_csv_bytes(tr), width=640, height=480)
+    back = read_gaze_csv_bytes(gaze_csv_bytes(tr))
     assert np.allclose(back.x, tr.x, atol=1e-3)
     assert np.allclose(back.y, tr.y, atol=1e-3)
     assert np.array_equal(back.labels, tr.labels)
-    assert back.width == 640 and back.height == 480
+    # The size is derived from the samples: ceil(max) + 1 in each direction.
+    assert back.width == 201 and back.height == 101
 
 
 def test_gaze_header_format():

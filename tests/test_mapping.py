@@ -230,6 +230,12 @@ def test_scene_at_returns_the_frame_object():
     assert scene.at(0.2) is a and scene.at(0.3) is b and scene.at(0.25) is a
 
 
+def test_scene_without_frames_rejected():
+    # Used to build, then fail in map_to_gaze with an IndexError in bounds.
+    with pytest.raises(ParameterError, match="at least one frame"):
+        SceneTargets.from_frames([], frame_rate=30.0)
+
+
 def test_empty_targets_rejected(rng):
     sig = signal([F] * 10)
     scene = SceneTargets.from_static(TargetSet([], width=100, height=100))
