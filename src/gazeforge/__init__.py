@@ -1,77 +1,49 @@
-"""gazeforge: deterministic eye-movement velocity and gaze data simulator."""
+"""gazeforge: deterministic eye-movement velocity and gaze data simulator.
 
-from .core import (
-    BoundedDistribution,
-    DistKind,
-    MovementLabel,
-    RandomSource,
-    VelocityProfile,
-    sample_bounded,
-)
-from .errors import (
-    ConstraintError,
-    GazeforgeError,
-    MappingError,
-    ParameterError,
-    ParseError,
-    ValidationError,
-)
-from .generators import (
-    FixationParams,
-    PursuitParams,
-    PursuitTrend,
-    SaccadeParams,
-    assemble,
-    gen_fixation,
-    gen_pursuit,
-    gen_saccade,
-)
-from .mapping import GazeTrace, MappingParams, SceneTargets, fixation_walk, map_to_gaze, remap_real
-from .noise import NoiseSpec, inject_noise
-from .resampler import RateSpec, SampledSignal, resample
-from .saliency import SaliencyMap, TargetSet, jitter_targets, local_maxima, spectral_residual
-from .sequence import OrderingRule, SequenceSpec, build_sequence
+Each export and each submodule loads on first use (PEP 562), so that
+``import gazeforge`` and a config check do not pay for numpy.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundedDistribution",
-    "ConstraintError",
-    "DistKind",
-    "FixationParams",
-    "GazeTrace",
-    "GazeforgeError",
-    "MappingError",
-    "MappingParams",
-    "MovementLabel",
-    "NoiseSpec",
-    "OrderingRule",
-    "ParameterError",
-    "ParseError",
-    "PursuitParams",
-    "PursuitTrend",
-    "RandomSource",
-    "RateSpec",
-    "SaccadeParams",
-    "SaliencyMap",
-    "SampledSignal",
-    "SceneTargets",
-    "SequenceSpec",
-    "TargetSet",
-    "ValidationError",
-    "VelocityProfile",
-    "assemble",
-    "build_sequence",
-    "fixation_walk",
-    "gen_fixation",
-    "gen_pursuit",
-    "gen_saccade",
-    "inject_noise",
-    "jitter_targets",
-    "local_maxima",
-    "map_to_gaze",
-    "remap_real",
-    "resample",
-    "sample_bounded",
-    "spectral_residual",
-]
+# Submodule -> the names it exports from the package.
+_EXPORTS = {
+    "params": (
+        "BoundedDistribution", "DistKind", "FixationParams", "MappingParams",
+        "MovementLabel", "NoiseSpec", "OrderingRule", "PursuitParams",
+        "PursuitTrend", "RateSpec", "SaccadeParams", "SequenceSpec",
+    ),
+    "core": ("RandomSource", "VelocityProfile", "sample_bounded"),
+    "errors": (
+        "ConstraintError", "GazeforgeError", "MappingError", "ParameterError",
+        "ParseError", "ValidationError",
+    ),
+    "generators": ("assemble", "gen_fixation", "gen_pursuit", "gen_saccade"),
+    "mapping": ("GazeTrace", "SceneTargets", "fixation_walk", "map_to_gaze", "remap_real"),
+    "noise": ("inject_noise",),
+    "resampler": ("SampledSignal", "resample"),
+    "saliency": (
+        "SaliencyMap", "TargetSet", "jitter_targets", "local_maxima", "spectral_residual",
+    ),
+    "sequence": ("build_sequence",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    try:
+        return importlib.import_module(f".{name}", __name__)
+    except ModuleNotFoundError as e:
+        if e.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,12 +5,10 @@ import argparse
 import os
 import sys
 from dataclasses import fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import config as config_mod
 from .config import ENV_SEED, MappingConfig, RunConfig
-from .core import LABEL_NAMES, MovementLabel, RandomSource
 from .errors import (
     ConstraintError,
     GazeforgeError,
@@ -18,22 +16,15 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .evaluation import DEFAULT_REPEATS, evaluate_dataset
-from .fileio import (
-    atomic_write_text,
-    read_gaze_csv,
-    read_pgm,
-    read_velocity_csv,
-    write_gaze_csv,
-    write_pgm,
-    write_velocity_csv,
-)
-from .generators import assemble
-from .mapping import REMAP_NEW_STIMULUS, SceneTargets, map_to_gaze, remap_real
-from .noise import inject_noise
-from .resampler import SampledSignal, resample
-from .saliency import SaliencyMap, TargetSet, jitter_targets, local_maxima, spectral_residual
-from .sequence import build_sequence
+from .params import DEFAULT_REPEATS, LABEL_NAMES, REMAP_NEW_STIMULUS, MovementLabel
+
+# numpy and the stage modules load inside the subcommand that runs them, so a
+# config error or --help exits without paying for them.
+if TYPE_CHECKING:
+    from .core import RandomSource
+    from .mapping import SceneTargets
+    from .resampler import SampledSignal
+    from .saliency import SaliencyMap, TargetSet
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,6 +46,11 @@ def _load_config(args) -> RunConfig:
 
 def generate_signal(cfg: RunConfig, rng: RandomSource) -> SampledSignal:
     """sequence -> generators -> resampler -> noise, from the run's root stream."""
+    from .generators import assemble
+    from .noise import inject_noise
+    from .resampler import resample
+    from .sequence import build_sequence
+
     seq = build_sequence(cfg.sequence, rng.derive(1))
     profile = assemble(
         seq, cfg.fixation, cfg.saccade, cfg.pursuit, cfg.base_rate_hz, rng.derive(2)
@@ -64,6 +60,8 @@ def generate_signal(cfg: RunConfig, rng: RandomSource) -> SampledSignal:
 
 
 def _summary(signal: SampledSignal) -> str:
+    import numpy as np
+
     parts = []
     for lab in MovementLabel:
         n = int(np.count_nonzero(signal.labels == lab))
@@ -74,6 +72,8 @@ def _summary(signal: SampledSignal) -> str:
 
 
 def cmd_generate(args, cfg: RunConfig, rng: RandomSource) -> None:
+    from .fileio import write_velocity_csv
+
     out = cfg.paths.output
     signal = generate_signal(cfg, rng)
     write_velocity_csv(out, signal)
@@ -83,6 +83,8 @@ def cmd_generate(args, cfg: RunConfig, rng: RandomSource) -> None:
 def _targets_from_map(
     smap: SaliencyMap, mcfg: MappingConfig, rng: RandomSource
 ) -> TargetSet:
+    from .saliency import jitter_targets, local_maxima
+
     targets = local_maxima(
         smap, mcfg.min_target_distance, mcfg.target_threshold
     )
@@ -94,13 +96,13 @@ def _targets_from_map(
 def _scene_targets(cfg: RunConfig, dynamic: bool, rng: RandomSource) -> SceneTargets:
     """Targets of paths.stimulus or of each frame in paths.frames_dir, from the
     image's saliency or paths.saliency_map (a file, or a folder of frame maps)."""
+    from .fileio import read_pgm
+    from .mapping import SceneTargets
+    from .saliency import SaliencyMap, spectral_residual
+
     paths, rate = cfg.paths, cfg.mapping.frame_rate
     if dynamic:
-        names = sorted(
-            f for f in os.listdir(paths.frames_dir) if f.lower().endswith((".pgm", ".pnm"))
-        )
-        if not names:
-            raise ValidationError(f"no PGM frames in {paths.frames_dir}", "paths.frames_dir")
+        names = config_mod.frame_names(paths.frames_dir)
         folder = paths.saliency_map or paths.frames_dir
         entries = [(i / rate, os.path.join(folder, name)) for i, name in enumerate(names)]
     else:
@@ -114,6 +116,9 @@ def _scene_targets(cfg: RunConfig, dynamic: bool, rng: RandomSource) -> SceneTar
 
 
 def cmd_map(args, cfg: RunConfig, rng: RandomSource) -> None:
+    from .fileio import read_velocity_csv, write_gaze_csv
+    from .mapping import map_to_gaze
+
     out = cfg.paths.output
     if cfg.paths.velocity_input:
         signal = read_velocity_csv(cfg.paths.velocity_input)
@@ -126,6 +131,9 @@ def cmd_map(args, cfg: RunConfig, rng: RandomSource) -> None:
 
 
 def cmd_remap(args, cfg: RunConfig, rng: RandomSource) -> None:
+    from .fileio import read_gaze_csv, write_gaze_csv
+    from .mapping import remap_real
+
     out = cfg.paths.output
     real = read_gaze_csv(
         cfg.paths.real_data, pixels_per_degree=cfg.mapping.params.pixels_per_degree
@@ -141,6 +149,9 @@ def cmd_remap(args, cfg: RunConfig, rng: RandomSource) -> None:
 
 
 def cmd_saliency(args, cfg: RunConfig, rng: RandomSource) -> None:
+    from .fileio import atomic_write_text, read_pgm, write_pgm
+    from .saliency import spectral_residual
+
     out = cfg.paths.output
     smap = spectral_residual(read_pgm(cfg.paths.stimulus))
     write_pgm(out, smap.values)
@@ -156,6 +167,9 @@ def cmd_saliency(args, cfg: RunConfig, rng: RandomSource) -> None:
 
 
 def cmd_evaluate(args, cfg: RunConfig, rng: RandomSource) -> None:
+    from .evaluation import evaluate_dataset
+    from .fileio import atomic_write_text, read_velocity_csv
+
     out = cfg.paths.output
     real = read_velocity_csv(cfg.paths.real_data)
     summary = evaluate_dataset(
@@ -223,6 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        from .core import RandomSource
+
         args.handler(args, cfg, RandomSource(cfg.seed))
     except (GazeforgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

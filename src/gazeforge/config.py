@@ -14,25 +14,34 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .core import BoundedDistribution, DistKind, MovementLabel
+from ._gamma import MAX_GAMMA_SHAPE
 from .errors import ParameterError, ParseError, ValidationError
-from .fileio import decode_utf8
-from .generators import (
-    MAX_GAMMA_SHAPE,
+from .params import (
     MIN_SKEWNESS,
+    MODE_ADD,
+    MODE_REPLACE,
+    REMAP_NEW_STIMULUS,
+    REMAP_SAME_STIMULUS,
+    BoundedDistribution,
+    DistKind,
     FixationParams,
+    MappingParams,
+    MovementLabel,
+    NoiseSpec,
+    OrderingRule,
     PursuitParams,
     PursuitTrend,
+    RateSpec,
     SaccadeParams,
+    SequenceSpec,
+    decode_utf8,
 )
-from .mapping import MappingParams, REMAP_NEW_STIMULUS, REMAP_SAME_STIMULUS
-from .noise import MODE_ADD, MODE_REPLACE, NoiseSpec
-from .resampler import RateSpec
-from .sequence import OrderingRule, SequenceSpec
 
 # The accepted values of the root key mode; the subcommand decides the run.
 MODES = ("velocity", "map_static", "map_dynamic", "remap", "evaluate", "saliency")
 ENV_SEED = "GAZEFORGE_SEED"
+# The most samples a float64 array can index: no segment may be longer.
+_MAX_SAMPLES = sys.maxsize // 8
 
 _LABEL_KEYS = {
     "fixation": MovementLabel.FIXATION,
@@ -387,6 +396,13 @@ def _validate(doc: dict) -> RunConfig:
         )
 
     pursuit = _build(PursuitParams, "pursuit", **_section(root, "pursuit"))
+    for name, params in (("fixation", fixation), ("saccade", saccade), ("pursuit", pursuit)):
+        if params.duration.max * base_rate > _MAX_SAMPLES:  # an inf product too
+            raise ValidationError(
+                f"{params.duration.max:.6g} s gives more than {_MAX_SAMPLES:.3g} samples "
+                f"at base_rate_hz {base_rate:.6g}",
+                f"{name}.duration.max",
+            )
     # A duration draw at or below every onset draw can never finish its onset.
     if pursuit.onset_duration.min >= pursuit.duration.min:
         raise ValidationError(
@@ -428,9 +444,15 @@ def check_paths(cfg: RunConfig) -> None:
             raise ValidationError(f"file not found: {p}", f"paths.{key}")
 
 
+def frame_names(folder: str) -> list[str]:
+    """The PGM frames of ``folder``, in frame order."""
+    return sorted(f for f in os.listdir(folder) if f.lower().endswith((".pgm", ".pnm")))
+
+
 def _check_needs(cfg: RunConfig, command: str) -> None:
-    """The paths ``command`` needs are set, and a paths.saliency_map it reads is
-    a folder of frame maps beside paths.frames_dir, else a map file."""
+    """The paths ``command`` needs are set, a paths.frames_dir it reads holds
+    PGM frames, and a paths.saliency_map it reads is a folder of frame maps
+    beside paths.frames_dir, else a map file."""
     paths, needs = cfg.paths, COMMANDS[command][1]
     if command == "remap" and cfg.mapping.remap_mode == REMAP_NEW_STIMULUS:
         needs += (_SCENE,)
@@ -438,6 +460,8 @@ def _check_needs(cfg: RunConfig, command: str) -> None:
         if not any(getattr(paths, key) for key in keys):
             at = " or ".join(f"paths.{key}" for key in keys)
             raise ValidationError(f"{command} needs {at}", f"paths.{keys[0]}")
+    if command == "map" and paths.frames_dir and not frame_names(paths.frames_dir):
+        raise ValidationError(f"no PGM frames in {paths.frames_dir}", "paths.frames_dir")
     if paths.saliency_map and any("saliency_map" in keys for keys in needs):
         dynamic = command == "map" and bool(paths.frames_dir)
         if os.path.isdir(paths.saliency_map) != dynamic:

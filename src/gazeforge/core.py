@@ -1,36 +1,21 @@
-"""Shared domain types, bounded distributions and the seeded randomness contract.
+"""Bounded draws, label runs, signal types and the seeded randomness contract.
 
 All stochastic quantities in the simulator are drawn through
-:class:`BoundedDistribution` / :func:`sample_bounded` so that every draw is
-clamped to explicit bounds and fully reproducible from a single seed.
+:func:`sample_bounded` from a :class:`~gazeforge.params.BoundedDistribution`,
+so that every draw is clamped to explicit bounds and fully reproducible from
+a single seed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import MappingError, ParameterError
+from .params import BoundedDistribution, DistKind, MovementLabel
+from .params import LABEL_NAMES  # noqa: F401  (perfbench imports it from core)
 
 MASK64 = (1 << 64) - 1
-
-
-class MovementLabel(IntEnum):
-    FIXATION = 0
-    SACCADE = 1
-    SMOOTH_PURSUIT = 2
-    NOISE = 3
-
-
-# Names used in CSV files and config documents.
-LABEL_NAMES = {
-    MovementLabel.FIXATION: "FIX",
-    MovementLabel.SACCADE: "SACC",
-    MovementLabel.SMOOTH_PURSUIT: "SP",
-    MovementLabel.NOISE: "NOISE",
-}
-NAME_LABELS = {v: k for k, v in LABEL_NAMES.items()}
 
 
 def effective_labels(labels: np.ndarray) -> np.ndarray:
@@ -61,44 +46,6 @@ def label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
     return [
         (start, end, int(labels[start])) for start, end in zip(bounds, bounds[1:])
     ]
-
-
-class DistKind(IntEnum):
-    UNIFORM = 0
-    NORMAL = 1
-
-
-@dataclass(frozen=True)
-class BoundedDistribution:
-    """A clamped random source: uniform on [min, max] or a normal centered
-    at the bound midpoint with the given std, clamped into [min, max]."""
-
-    kind: DistKind
-    min: float
-    max: float
-    std: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.min) or not np.isfinite(self.max):
-            raise ParameterError("distribution bounds must be finite")
-        if self.min > self.max:
-            raise ParameterError(
-                f"distribution min {self.min} exceeds max {self.max}"
-            )
-        if self.std < 0:
-            raise ParameterError(f"distribution std must be >= 0, got {self.std}")
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "BoundedDistribution":
-        return cls(DistKind.UNIFORM, lo, hi)
-
-    @classmethod
-    def normal(cls, lo: float, hi: float, std: float) -> "BoundedDistribution":
-        return cls(DistKind.NORMAL, lo, hi, std)
-
-    @classmethod
-    def fixed(cls, value: float) -> "BoundedDistribution":
-        return cls(DistKind.UNIFORM, value, value)
 
 
 class RandomSource:

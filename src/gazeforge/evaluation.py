@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MovementLabel, RandomSource, VelocityProfile, label_runs
+from ._gamma import MAX_GAMMA_SHAPE
+from .core import RandomSource, VelocityProfile, label_runs
 from .errors import ParameterError
-from .generators import MAX_GAMMA_SHAPE, gamma_profile, gamma_tail
-
-DEFAULT_REPEATS = 10
+from .generators import gamma_profile, gamma_tail
+from .params import DEFAULT_REPEATS, MovementLabel
 
 
 @dataclass(frozen=True)

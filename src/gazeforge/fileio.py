@@ -11,9 +11,9 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .core import LABEL_NAMES, NAME_LABELS, MovementLabel
 from .errors import ParseError
 from .mapping import GazeTrace
+from .params import LABEL_NAMES, NAME_LABELS, MovementLabel, decode_utf8
 from .resampler import SampledSignal
 
 VELOCITY_HEADER = "t_ms,velocity_deg_s,label"
@@ -410,22 +410,6 @@ def _decode_columns(
     if (np.diff(ts) <= 0).any():
         return None
     return ts, cols[1:], labels
-
-
-def decode_utf8(data: bytes, json: bool = False) -> str:
-    """``data`` as UTF-8 text; a ParseError names the row and byte of the
-    first byte that is not UTF-8, with rows broken as ``str.splitlines``
-    breaks them, like the CSV readers. For a JSON document it names the
-    line, counted at "\\n" as JSON errors count them."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        if json:
-            at = "line %d" % (data.count(b"\n", 0, e.start) + 1)
-        else:
-            at = "row %d" % len((data[: e.start].decode() + "x").splitlines())
-        bad = f"invalid UTF-8 byte 0x{data[e.start]:02x}"
-        raise ParseError(bad, f"{at}, byte {e.start}") from None
 
 
 def _read_columns(

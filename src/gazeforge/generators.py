@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 
 import numpy as np
 
-from ._gamma import MAX_GAMMA_SHAPE, gammaincinv, lgam
-from .core import (
-    BoundedDistribution,
-    MovementLabel,
-    RandomSource,
-    VelocityProfile,
-    sample_bounded,
-    sample_bounded_many,
-)
+from ._gamma import gammaincinv, lgam
+from .core import RandomSource, VelocityProfile, sample_bounded, sample_bounded_many
 from .errors import ParameterError
+from .params import (
+    BoundedDistribution,
+    FixationParams,
+    MovementLabel,
+    PursuitParams,
+    PursuitTrend,
+    SaccadeParams,
+)
 
 # Upper end of the Gamma support used for a saccade segment. The nominal
 # choice of the 0.999 quantile leaves ~10% skewness bias after truncation;
@@ -32,68 +32,7 @@ from .errors import ParameterError
 # while the boundary velocity stays far below 1% of the peak.
 GAMMA_TAIL_QUANTILE = 1.0 - 1e-6
 
-# Smallest saccade skewness: skew_to_shape(MIN_SKEWNESS) == MAX_GAMMA_SHAPE
-# (2e-4), and smaller skewness draws give larger shapes.
-MIN_SKEWNESS = 2.0 / math.sqrt(MAX_GAMMA_SHAPE)
-
 _ONSET_STEEPNESS = 2.0 * math.log(99.0)  # times 1/onset_duration
-
-
-class PursuitTrend(Enum):
-    CONSTANT = "constant"
-    LINEAR_INCREASING = "linear_increasing"
-    LINEAR_DECREASING = "linear_decreasing"
-
-
-@dataclass(frozen=True)
-class FixationParams:
-    duration: BoundedDistribution  # seconds
-    base_velocity: float  # deg/s, mean drift level
-    consistency: BoundedDistribution  # deg/s fluctuation amplitude
-
-    def __post_init__(self):
-        if self.duration.min <= 0:
-            raise ParameterError("fixation.duration must have min > 0")
-        if self.base_velocity < 0:
-            raise ParameterError("fixation.base_velocity must be >= 0")
-
-
-@dataclass(frozen=True)
-class SaccadeParams:
-    duration: BoundedDistribution  # seconds
-    peak_velocity: BoundedDistribution  # deg/s
-    skewness: BoundedDistribution  # dimensionless, > 0
-    consistency: BoundedDistribution  # deg/s jitter
-
-    def __post_init__(self):
-        if self.duration.min <= 0:
-            raise ParameterError("saccade.duration must have min > 0")
-        if self.peak_velocity.min < 0:
-            raise ParameterError("saccade.peak_velocity must have min >= 0")
-        if self.skewness.min <= 0:
-            raise ParameterError("saccade.skewness must have min > 0")
-
-
-@dataclass(frozen=True)
-class PursuitParams:
-    duration: BoundedDistribution  # seconds
-    velocity: BoundedDistribution  # deg/s plateau
-    onset_duration: BoundedDistribution  # seconds
-    trend: PursuitTrend
-    trend_end_velocity: BoundedDistribution  # deg/s, linear trends only
-    consistency: BoundedDistribution  # deg/s jitter
-
-    def __post_init__(self):
-        if self.duration.min <= 0:
-            raise ParameterError("pursuit.duration must have min > 0")
-        if self.onset_duration.min <= 0:
-            raise ParameterError("pursuit.onset_duration must have min > 0")
-        for name, dist in (
-            ("velocity", self.velocity),
-            ("trend_end_velocity", self.trend_end_velocity),
-        ):
-            if dist.min < 0:
-                raise ParameterError(f"pursuit.{name} must have min >= 0")
 
 
 def _zero_centered(dist: BoundedDistribution) -> BoundedDistribution:

@@ -7,25 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MovementLabel, RandomSource, effective_labels, label_runs
+from .core import RandomSource, effective_labels, label_runs
 from .errors import MappingError, ParameterError
+from .params import REMAP_NEW_STIMULUS, REMAP_SAME_STIMULUS, MappingParams, MovementLabel
 from .resampler import SampledSignal
 from .saliency import TargetSet
-
-
-@dataclass(frozen=True)
-class MappingParams:
-    pixels_per_degree: float = 30.0
-    max_path_deviation: float = 0.0  # px, off the straight line
-    fixation_dispersion: float = 0.0  # px, scatter radius around the center
-    target_jitter_px: float = 5.0
-
-    def __post_init__(self):
-        if self.pixels_per_degree <= 0:
-            raise ParameterError("pixels_per_degree must be > 0")
-        for name in ("max_path_deviation", "fixation_dispersion", "target_jitter_px"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -276,10 +262,6 @@ def _place_movement_run(
     # Endpoint renormalization guarantees the final sample is exactly on target.
     xs[end - 1] = dest[0]
     ys[end - 1] = dest[1]
-
-
-REMAP_SAME_STIMULUS = "same_stimulus"
-REMAP_NEW_STIMULUS = "new_stimulus"
 
 
 def extract_velocities(trace: GazeTrace) -> np.ndarray:

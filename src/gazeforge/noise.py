@@ -1,39 +1,11 @@
 """Noise injection: overwrite a fixed fraction of samples with noise velocities."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    BoundedDistribution,
-    DistKind,
-    MovementLabel,
-    RandomSource,
-    sample_bounded_many,
-)
-from .errors import ParameterError
+from .core import RandomSource, sample_bounded_many
+from .params import MODE_ADD, DistKind, MovementLabel, NoiseSpec
 from .resampler import SampledSignal
-
-MODE_REPLACE = "replace"
-MODE_ADD = "add"
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    fraction: float  # portion of samples affected, [0, 1]
-    location_dist: DistKind  # placement of affected indices
-    magnitude: BoundedDistribution  # deg/s
-    mode: str = MODE_REPLACE
-    burst_length: int = 1  # contiguous run length (blinks: magnitude 0, burst > 1)
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ParameterError(f"noise fraction must be in [0,1], got {self.fraction}")
-        if self.mode not in (MODE_REPLACE, MODE_ADD):
-            raise ParameterError(f"noise mode must be replace|add, got {self.mode!r}")
-        if self.burst_length < 1:
-            raise ParameterError("noise burst_length must be >= 1")
 
 
 def _draw_index(n: int, dist: DistKind, rng: RandomSource) -> int:

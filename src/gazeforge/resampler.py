@@ -12,24 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundedDistribution, RandomSource, VelocityProfile, sample_bounded_many
+from .core import RandomSource, VelocityProfile, sample_bounded_many
 from .errors import ParameterError
+from .params import RateSpec
 
 # Slack (in base-sample index units) for window boundary comparisons, so a
 # sample landing exactly on a window edge is counted once.
 _INDEX_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class RateSpec:
-    """Target sampling rate; min == max gives a constant rate, otherwise the
-    instantaneous rate is re-drawn for every output sample."""
-
-    rate: BoundedDistribution  # Hz
-
-    def __post_init__(self):
-        if self.rate.min <= 0:
-            raise ParameterError("sampling rate must have min > 0")
 
 
 @dataclass

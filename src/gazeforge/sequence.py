@@ -1,67 +1,15 @@
 """Ordered eye-movement type sequences with quantity weighting and ordering rules."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import MovementLabel, RandomSource
-from .errors import ConstraintError, ParameterError
+from .core import RandomSource
+from .errors import ConstraintError
+from .params import MovementLabel, OrderingRule, SequenceSpec
 
 MOVEMENT_TYPES = (
     MovementLabel.FIXATION,
     MovementLabel.SACCADE,
     MovementLabel.SMOOTH_PURSUIT,
 )
-
-
-@dataclass(frozen=True)
-class OrderingRule:
-    """AFTER_EACH: every `first` is immediately followed by `second`.
-    BEFORE: every `second` is immediately preceded by `first`."""
-
-    AFTER_EACH = "after_each"
-    BEFORE = "before"
-
-    kind: str
-    first: MovementLabel
-    second: MovementLabel
-
-    def __post_init__(self):
-        if self.kind not in (self.AFTER_EACH, self.BEFORE):
-            raise ParameterError(f"unknown ordering rule kind {self.kind!r}")
-        if self.first == self.second:
-            raise ParameterError("ordering rule types must differ")
-
-    def __str__(self) -> str:
-        if self.kind == self.AFTER_EACH:
-            return f"after each {self.first.name} a {self.second.name}"
-        return f"before each {self.second.name} a {self.first.name}"
-
-
-@dataclass
-class SequenceSpec:
-    """Either target quantities per type, a total length (uniform mode),
-    or a fully explicit sequence."""
-
-    counts: dict[MovementLabel, int] | None = None
-    constraints: list[OrderingRule] = field(default_factory=list)
-    explicit: list[MovementLabel] | None = None
-    length: int | None = None
-
-    def __post_init__(self):
-        if self.explicit is not None:
-            if not self.explicit:
-                raise ParameterError("explicit sequence must be non-empty")
-            return
-        if self.counts is not None:
-            if any(c < 0 for c in self.counts.values()):
-                raise ParameterError("sequence counts must be non-negative")
-            if sum(self.counts.values()) < 1:
-                raise ParameterError("sequence counts must sum to at least 1")
-        elif self.length is not None:
-            if self.length < 1:
-                raise ParameterError("sequence length must be >= 1")
-        else:
-            raise ParameterError("sequence spec needs counts, length or explicit")
 
 
 def find_violation(

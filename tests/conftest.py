@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gazeforge.core import BoundedDistribution, RandomSource
+from gazeforge.core import RandomSource
+from gazeforge.params import BoundedDistribution
 
 
 class ScriptedRng:

@@ -12,13 +12,7 @@ import pytest
 from scipy import integrate
 
 from gazeforge.cli import main
-from gazeforge.core import (
-    BoundedDistribution,
-    DistKind,
-    MovementLabel,
-    RandomSource,
-    VelocityProfile,
-)
+from gazeforge.core import RandomSource, VelocityProfile
 from gazeforge.evaluation import evaluate_dataset
 from gazeforge.fileio import (
     pgm_bytes,
@@ -27,22 +21,32 @@ from gazeforge.fileio import (
     velocity_csv_bytes,
 )
 from gazeforge.generators import (
-    FixationParams,
-    PursuitParams,
-    PursuitTrend,
-    SaccadeParams,
     gamma_profile,
     gen_fixation,
     gen_pursuit,
     gen_saccade,
     skew_to_shape,
 )
-from gazeforge.mapping import MappingParams, SceneTargets, map_to_gaze
-from gazeforge.noise import NoiseSpec, inject_noise
-from gazeforge.resampler import RateSpec, SampledSignal, resample
+from gazeforge.mapping import SceneTargets, map_to_gaze
+from gazeforge.noise import inject_noise
+from gazeforge.resampler import SampledSignal, resample
 from gazeforge.saliency import SaliencyMap, TargetSet, local_maxima, spectral_residual
-from gazeforge.sequence import OrderingRule, SequenceSpec, build_sequence, find_violation
+from gazeforge.sequence import build_sequence, find_violation
 from gazeforge.errors import ParseError
+from gazeforge.params import (
+    BoundedDistribution,
+    DistKind,
+    FixationParams,
+    MappingParams,
+    MovementLabel,
+    NoiseSpec,
+    OrderingRule,
+    PursuitParams,
+    PursuitTrend,
+    RateSpec,
+    SaccadeParams,
+    SequenceSpec,
+)
 
 from conftest import fixed
 from test_evaluation import extract_descriptors

@@ -342,6 +342,33 @@ def test_tiny_skewness_is_config_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("doc", [
+    # At 1e308 Hz every default duration is past the limit too; fixation is
+    # checked first.
+    {"base_rate_hz": 1e308, "saccade": {"duration": {"min": 0.03, "max": 1e308}}},
+    {"fixation": {"duration": {"min": 0.1, "max": 1e300}}},
+])
+def test_oversized_duration_is_config_error(tmp_path, capsys, doc):
+    # Each used to load, then exit 1 with a traceback: an inf sample count,
+    # or an array too long to allocate.
+    cfg = write_config(tmp_path, **doc)
+    out = str(tmp_path / "o.csv")
+    assert run(["generate", "--config", cfg, "--output", out]) == EXIT_CONFIG
+    assert "fixation.duration.max: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_frames_dir_without_pgm_is_config_error(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "notes.txt").write_text("not a frame\n")
+    cfg = write_config(tmp_path, paths={"frames_dir": str(frames)})
+    out = str(tmp_path / "o.csv")
+    assert run(["map", "--config", cfg, "--output", out]) == EXIT_CONFIG
+    assert f"paths.frames_dir: no PGM frames in {frames}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"fixation": 5}, "fixation"),
     ({"fixation": []}, "fixation"),

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gazeforge.config import COMMANDS, SCHEMA, RunConfig, check_paths, load_config, read_config
-from gazeforge.core import DistKind, MovementLabel
 from gazeforge.errors import ParseError, ValidationError
+from gazeforge.params import DistKind, MovementLabel
 
 
 def cfg_text(**over):
@@ -157,6 +157,18 @@ def test_pursuit_onset_below_duration_max_accepted():
         "onset_duration": {"min": 0.0999, "max": 0.6},
     }))
     assert cfg.pursuit.onset_duration.min == 0.0999
+
+
+@pytest.mark.parametrize("section", ["fixation", "saccade", "pursuit"])
+def test_duration_past_the_sample_limit_rejected(section):
+    # At 1000 Hz, 1.15e15 s is 1.15e18 samples, just under the 2**60 - 1 that
+    # a float64 array can index; 1.16e15 s is past it.
+    lo = SCHEMA[section]["duration"][1].min  # the default's
+    cfg = read_config(cfg_text(**{section: {"duration": {"min": lo, "max": 1.15e15}}}))
+    assert getattr(cfg, section).duration.max == 1.15e15
+    with pytest.raises(ValidationError) as e:
+        read_config(cfg_text(**{section: {"duration": {"min": lo, "max": 1.16e15}}}))
+    assert e.value.field == f"{section}.duration.max"
 
 
 def test_saccade_skewness_max_two_accepted():

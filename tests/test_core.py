@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazeforge.core import (
-    BoundedDistribution,
-    DistKind,
-    RandomSource,
-    sample_bounded,
-    sample_bounded_many,
-)
+from gazeforge.core import RandomSource, sample_bounded, sample_bounded_many
 from gazeforge.errors import ParameterError
+from gazeforge.params import BoundedDistribution, DistKind
 
 from conftest import ScriptedRng
 

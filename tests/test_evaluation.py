@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import gamma as sp_gamma
 
 from gazeforge import evaluation, generators
-from gazeforge.core import MovementLabel, RandomSource, label_runs
+from gazeforge.core import RandomSource, label_runs
 from gazeforge.errors import ParameterError
 from gazeforge.evaluation import (
     SegmentDescriptor,
@@ -20,6 +20,7 @@ from gazeforge.evaluation import (
     squared_error,
 )
 from gazeforge.generators import GAMMA_TAIL_QUANTILE, gamma_profile
+from gazeforge.params import MovementLabel
 
 F = MovementLabel.FIXATION
 S = MovementLabel.SACCADE

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gazeforge.core import MovementLabel
 from gazeforge.errors import ParseError
 from gazeforge.fileio import (
     gaze_csv_bytes,
@@ -24,6 +23,7 @@ from gazeforge.fileio import (
     write_velocity_csv,
 )
 from gazeforge.mapping import GazeTrace
+from gazeforge.params import MovementLabel
 from gazeforge.resampler import SampledSignal
 
 F = MovementLabel.FIXATION

@@ -6,20 +6,24 @@ import pytest
 from scipy import integrate
 from scipy.stats import gamma as sp_gamma
 
-from gazeforge.core import BoundedDistribution, MovementLabel, RandomSource
+from gazeforge.core import RandomSource
 from gazeforge.errors import ParameterError
 from gazeforge.generators import (
     GAMMA_TAIL_QUANTILE,
-    FixationParams,
-    PursuitParams,
-    PursuitTrend,
-    SaccadeParams,
     assemble,
     gamma_profile,
     gen_fixation,
     gen_pursuit,
     gen_saccade,
     skew_to_shape,
+)
+from gazeforge.params import (
+    BoundedDistribution,
+    FixationParams,
+    MovementLabel,
+    PursuitParams,
+    PursuitTrend,
+    SaccadeParams,
 )
 
 from conftest import ScriptedRng, fixed

@@ -17,6 +17,13 @@ Neither may a subcommand load ``numpy.ma`` (13-17 ms): ``np.median`` and
 from ``np.partition`` instead. Nor may ``import gazeforge.cli`` load
 ``difflib``, which only words the "did you mean" hint of a config error.
 
+Nor may anything that stops before a stage runs load numpy (about 250 ms of
+a 350 ms start): ``import gazeforge`` or ``gazeforge.cli``, the config
+check, ``--help`` and every exit-2 config error. The config check reads
+only ``params``, the numpy-free vocabulary of the run, and each subcommand
+imports the stage modules it runs; the gazeforge modules that each golden
+case loads are pinned below.
+
 A second source scan keeps each module's private names its own: no module
 imports a ``_``-prefixed name from a sibling.
 """
@@ -37,6 +44,8 @@ from test_golden import _case
 # Expression for the scipy modules that are loaded; each run prints it last.
 _LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 _MASKED = "sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))"
+_NUMPY = "'numpy' in sys.modules"
+_GAZEFORGE = "sorted(m[10:] for m in sys.modules if m.startswith('gazeforge.'))"
 
 
 def _python(code: str):
@@ -59,6 +68,21 @@ def test_cli_import_loads_no_difflib():
     assert _python("import gazeforge.cli\nprint(json.dumps('difflib' in sys.modules))\n") is False
 
 
+def _run_case(case: str, tmp_path, *exprs: str) -> list:
+    """The values of ``exprs`` after the golden case ``case`` ran in a fresh
+    interpreter."""
+    argv, doc = _case(case, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / ("out.pgm" if argv[0] == "saliency" else "out.csv")
+    argv = argv + ["--config", str(cfg), "--output", str(out)]
+    return _python(
+        "from gazeforge.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print(json.dumps([{', '.join(exprs)}]))\n"
+    )
+
+
 # The scipy modules each subcommand may load: none.
 @pytest.mark.parametrize("case, expected", [
     ("saliency_targets", ()),
@@ -69,18 +93,104 @@ def test_cli_import_loads_no_difflib():
     ("remap_new_stimulus", ()),
 ])
 def test_subcommand_scipy_footprint(case, expected, tmp_path):
-    argv, doc = _case(case, tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    out = tmp_path / ("out.pgm" if argv[0] == "saliency" else "out.csv")
-    argv = argv + ["--config", str(cfg), "--output", str(out)]
-    got, masked = _python(
-        "from gazeforge.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        f"print(json.dumps([{_LOADED}, {_MASKED}]))\n"
-    )
+    got, masked = _run_case(case, tmp_path, _LOADED, _MASKED)
     assert got == sorted(expected)
     assert masked == []
+
+
+def test_package_exports_load_on_first_use():
+    names, numpy_loaded, missing = _python(
+        "import gazeforge\n"
+        f"loaded = {_NUMPY}\n"
+        "from gazeforge import *\n"
+        "missing = [n for n in gazeforge.__all__ if n not in globals()]\n"
+        "print(json.dumps([len(gazeforge.__all__), loaded, missing]))\n"
+    )
+    assert (names, numpy_loaded, missing) == (39, False, [])  # all 39, resolved
+    for module in ("cli", "config", "evaluation", "fileio", "params", "saliency"):
+        assert getattr(gazeforge, module).__name__ == f"gazeforge.{module}"
+    assert set(gazeforge.__all__) <= set(dir(gazeforge))
+    with pytest.raises(AttributeError):
+        gazeforge.no_such_name
+
+
+def test_names_the_benchmark_imports_stay_where_it_imports_them():
+    from gazeforge.core import LABEL_NAMES, MovementLabel, RandomSource  # noqa: F401
+    from gazeforge.evaluation import DEFAULT_REPEATS
+    from gazeforge.mapping import REMAP_SAME_STIMULUS
+    from gazeforge.params import DEFAULT_REPEATS as repeats, REMAP_SAME_STIMULUS as same
+
+    assert (DEFAULT_REPEATS, REMAP_SAME_STIMULUS) == (repeats, same)
+
+
+def test_cli_import_and_config_check_load_no_numpy(tmp_path):
+    # What the benchmark's set-up child does, then the CLI's own loader.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "paths": {"output": str(tmp_path / "o.csv")}}))
+    assert _python(
+        "import gazeforge.cli\n"
+        "from gazeforge import config\n"
+        f"text = open({str(cfg)!r}).read()\n"
+        "config.check_paths(config.read_config(text))\n"
+        "config.load_config(text.encode(), 'generate', seed=5)\n"
+        f"print(json.dumps({_NUMPY}))\n"
+    ) is False
+
+
+@pytest.mark.parametrize("command", ["generate", "map", "remap", "saliency", "evaluate"])
+def test_help_loads_no_numpy(command):
+    assert _python(
+        "from gazeforge.cli import main\n"
+        "try:\n"
+        f"    main([{command!r}, '--help'])\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0\n"
+        f"print(json.dumps({_NUMPY}))\n"
+    ) is False
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("generate", {"fixation": {"duration": {"min": 0.5, "max": 0.2}}}),
+    ("generate", {"fixaton": {}}),  # a misspelt key: the difflib hint
+    ("generate", {"fixation": {"duration": {"min": 0.1, "max": 1e300}}}),
+    ("map", {"paths": {"frames_dir": "frames"}}),  # holds no PGM frame
+    ("remap", {}),  # no paths.real_data
+    ("evaluate", {"paths": {"real_data": "missing.csv"}}),
+])
+def test_config_error_exits_before_numpy(command, doc, tmp_path):
+    (tmp_path / "frames").mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, numpy_loaded = _python(
+        f"import os\nos.chdir({str(tmp_path)!r})\n"
+        "from gazeforge.cli import main\n"
+        f"code = main([{command!r}, '--config', 'cfg.json', '--output', 'o.csv'])\n"
+        f"print(json.dumps([code, {_NUMPY}]))\n"
+    )
+    assert (code, numpy_loaded) == (2, False)
+    assert not (tmp_path / "o.csv").exists()
+
+
+# The gazeforge modules each subcommand loads: the stage modules it runs and
+# those that their types come from. fileio reads and writes GazeTrace and
+# SampledSignal, so every subcommand loads mapping, resampler and saliency.
+_COMMON = ["_gamma", "cli", "config", "core", "errors", "fileio", "mapping", "params",
+           "resampler", "saliency"]
+_SIGNAL = ["generators", "noise", "sequence"]
+
+
+@pytest.mark.parametrize("case, extra", [
+    ("saliency_targets", []),
+    ("remap_same_stimulus", []),
+    ("remap_new_stimulus", []),
+    ("map_static_velocity_input", []),
+    ("generate_normal_burst", _SIGNAL),
+    ("map_static", _SIGNAL),
+    ("map_dynamic", _SIGNAL),
+    ("evaluate_errors", ["evaluation", "generators"]),
+])
+def test_subcommand_module_footprint(case, extra, tmp_path):
+    assert _run_case(case, tmp_path, _GAZEFORGE) == [sorted(_COMMON + extra)]
 
 
 def _sources():

@@ -6,19 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from gazeforge.core import MovementLabel, RandomSource
+from gazeforge.core import RandomSource
 from gazeforge.errors import MappingError, ParameterError
 from gazeforge.mapping import (
     GazeTrace,
-    MappingParams,
-    REMAP_NEW_STIMULUS,
-    REMAP_SAME_STIMULUS,
     SceneTargets,
     extract_velocities,
     fixation_centroids,
     fixation_walk,
     map_to_gaze,
     remap_real,
+)
+from gazeforge.params import (
+    REMAP_NEW_STIMULUS,
+    REMAP_SAME_STIMULUS,
+    MappingParams,
+    MovementLabel,
 )
 from gazeforge.resampler import SampledSignal
 from gazeforge.saliency import TargetSet

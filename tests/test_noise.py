@@ -4,9 +4,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gazeforge.core import BoundedDistribution, DistKind, MovementLabel, RandomSource
+from gazeforge.core import RandomSource
 from gazeforge.errors import ParameterError
-from gazeforge.noise import MODE_ADD, NoiseSpec, inject_noise
+from gazeforge.noise import inject_noise
+from gazeforge.params import (
+    MODE_ADD,
+    BoundedDistribution,
+    DistKind,
+    MovementLabel,
+    NoiseSpec,
+)
 from gazeforge.resampler import SampledSignal
 
 from conftest import fixed

@@ -40,10 +40,6 @@ from scipy.stats import ks_2samp
 
 from gazeforge import _gamma, fileio, generators, noise, resampler, saliency
 from gazeforge.core import (
-    NAME_LABELS,
-    BoundedDistribution,
-    DistKind,
-    MovementLabel,
     RandomSource,
     VelocityProfile,
     effective_labels,
@@ -63,13 +59,11 @@ from gazeforge.fileio import MAX_PGM_DIM, _PgmScanner, read_pgm_bytes
 from gazeforge.generators import (
     GAMMA_TAIL_QUANTILE,
     MAX_ONSET_REDRAWS,
-    PursuitTrend,
     gamma_profile,
     gamma_tail,
 )
 from gazeforge.mapping import (
     GazeTrace,
-    MappingParams,
     SceneTargets,
     _choose_target,
     _median,
@@ -77,6 +71,19 @@ from gazeforge.mapping import (
     _weight_sums,
     extract_velocities,
     fixation_walk,
+)
+from gazeforge.params import (
+    MODE_ADD,
+    MODE_REPLACE,
+    NAME_LABELS,
+    BoundedDistribution,
+    DistKind,
+    MappingParams,
+    MovementLabel,
+    NoiseSpec,
+    PursuitParams,
+    PursuitTrend,
+    RateSpec,
 )
 from gazeforge.resampler import SampledSignal
 from gazeforge.saliency import TargetSet
@@ -344,7 +351,7 @@ def rate_specs(draw, base_rate):
         dist = BoundedDistribution.fixed(lo)
     else:
         dist = BoundedDistribution.fixed(base_rate)
-    return resampler.RateSpec(dist)
+    return RateSpec(dist)
 
 
 @st.composite
@@ -392,7 +399,7 @@ def test_resample_long_windows_match_loop(width):
     n = width * 7 + 3
     velocities = np.random.default_rng(width).lognormal(0.0, 3.0, n)
     profile = VelocityProfile(1000.0, velocities, (np.arange(n) % 3).astype(np.uint8))
-    spec = resampler.RateSpec(BoundedDistribution.fixed(1000.0 / width))
+    spec = RateSpec(BoundedDistribution.fixed(1000.0 / width))
     _assert_resample_matches_loop(profile, spec, width)
 
 
@@ -403,7 +410,7 @@ def test_resample_empty_window_error_matches_loop(monkeypatch):
     # seeds below do.
     monkeypatch.setattr(resampler, "_INDEX_EPS", -1e-6)
     profile = VelocityProfile(64.0, np.ones(50), np.zeros(50, dtype=np.uint8))
-    spec = resampler.RateSpec(BoundedDistribution.normal(32.0, 64.0, 64.0))
+    spec = RateSpec(BoundedDistribution.normal(32.0, 64.0, 64.0))
     for seed in range(20):
         _assert_resample_matches_loop(profile, spec, seed)
     with pytest.raises(ParameterError, match="empty resampling window"):
@@ -1794,7 +1801,7 @@ def gen_pursuit_loop(p, base_rate, rng):
 ])
 def test_pursuit_onset_never_exhausts_and_keeps_old_draws(onset, trend):
     U = BoundedDistribution.uniform
-    p = generators.PursuitParams(
+    p = PursuitParams(
         U(0.2, 0.4), U(10.0, 30.0), onset, trend, U(5.0, 40.0), U(0.0, 2.0)
     )
     old_failures = 0
@@ -1815,7 +1822,7 @@ def test_pursuit_onset_never_exhausts_and_keeps_old_draws(onset, trend):
 
 def test_pursuit_onset_fallback_draws_one_onset_below_the_duration():
     U = BoundedDistribution.uniform
-    p = generators.PursuitParams(
+    p = PursuitParams(
         U(0.2, 0.4), U(10.0, 30.0), U(0.199, 0.4), PursuitTrend.CONSTANT,
         U(5.0, 40.0), U(0.0, 2.0),
     )
@@ -1838,7 +1845,7 @@ def test_pursuit_onset_fallback_draws_one_onset_below_the_duration():
 
 def test_pursuit_onset_at_or_above_every_duration_still_raises():
     U = BoundedDistribution.uniform
-    p = generators.PursuitParams(
+    p = PursuitParams(
         U(0.2, 0.3), U(20.0, 20.0), U(0.3, 0.5), PursuitTrend.CONSTANT,
         U(20.0, 20.0), U(0.0, 0.0),
     )
@@ -1858,7 +1865,7 @@ def inject_noise_loop(signal, spec, rng):
         return out
     for i in noise._select_indices(n, k, spec, rng):
         mag = sample_bounded(spec.magnitude, rng)
-        if spec.mode == noise.MODE_REPLACE:
+        if spec.mode == MODE_REPLACE:
             out.velocities[i] = mag
         else:
             out.velocities[i] = max(0.0, out.velocities[i] + mag)
@@ -1875,7 +1882,7 @@ NOISE_MAGNITUDES = [
 ]
 
 
-@pytest.mark.parametrize("mode", [noise.MODE_REPLACE, noise.MODE_ADD])
+@pytest.mark.parametrize("mode", [MODE_REPLACE, MODE_ADD])
 @pytest.mark.parametrize("magnitude", NOISE_MAGNITUDES)
 @pytest.mark.parametrize("burst", [1, 3])
 @pytest.mark.parametrize("location", [DistKind.UNIFORM, DistKind.NORMAL])
@@ -1887,7 +1894,7 @@ def test_inject_noise_matches_loop(mode, magnitude, burst, location):
         v[rng.random(n) < 0.1] = -0.0
         v[rng.random(n) < 0.05] = math.nan
         signal = SampledSignal(np.arange(1, n + 1) / 250.0, v, rng.integers(0, 3, n))
-        spec = noise.NoiseSpec(float(rng.uniform(0.0, 0.6)), location, magnitude, mode, burst)
+        spec = NoiseSpec(float(rng.uniform(0.0, 0.6)), location, magnitude, mode, burst)
         a, b = RandomSource(seed), RandomSource(seed)
         got = noise.inject_noise(signal, spec, a)
         want = inject_noise_loop(signal, spec, b)

@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gazeforge.core import BoundedDistribution, MovementLabel, RandomSource, VelocityProfile
+from gazeforge.core import RandomSource, VelocityProfile
 from gazeforge.errors import ParameterError
-from gazeforge.resampler import RateSpec, resample
+from gazeforge.params import BoundedDistribution, MovementLabel, RateSpec
+from gazeforge.resampler import resample
 
 from conftest import fixed
 

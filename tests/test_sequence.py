@@ -7,9 +7,10 @@ from collections import Counter
 
 import pytest
 
-from gazeforge.core import MovementLabel, RandomSource
+from gazeforge.core import RandomSource
 from gazeforge.errors import ConstraintError, ParameterError
-from gazeforge.sequence import OrderingRule, SequenceSpec, build_sequence, find_violation
+from gazeforge.params import MovementLabel, OrderingRule, SequenceSpec
+from gazeforge.sequence import build_sequence, find_violation
 
 F = MovementLabel.FIXATION
 S = MovementLabel.SACCADE
