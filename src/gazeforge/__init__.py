@@ -14,18 +14,17 @@ _EXPORTS = {
         "MovementLabel", "NoiseSpec", "OrderingRule", "PursuitParams",
         "PursuitTrend", "RateSpec", "SaccadeParams", "SequenceSpec",
     ),
-    "core": ("RandomSource", "VelocityProfile", "sample_bounded"),
+    "core": ("GazeTrace", "RandomSource", "SampledSignal", "TargetSet", "sample_bounded"),
     "errors": (
         "ConstraintError", "GazeforgeError", "MappingError", "ParameterError",
         "ParseError", "ValidationError",
     ),
+    "evaluation": ("evaluate_dataset",),
     "generators": ("assemble", "gen_fixation", "gen_pursuit", "gen_saccade"),
-    "mapping": ("GazeTrace", "SceneTargets", "fixation_walk", "map_to_gaze", "remap_real"),
+    "mapping": ("SceneTargets", "fixation_walk", "map_to_gaze", "remap_real"),
     "noise": ("inject_noise",),
-    "resampler": ("SampledSignal", "resample"),
-    "saliency": (
-        "SaliencyMap", "TargetSet", "jitter_targets", "local_maxima", "spectral_residual",
-    ),
+    "resampler": ("resample",),
+    "saliency": ("SaliencyMap", "jitter_targets", "local_maxima", "spectral_residual"),
     "sequence": ("build_sequence",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,10 +21,9 @@ from .params import DEFAULT_REPEATS, LABEL_NAMES, REMAP_NEW_STIMULUS, MovementLa
 # numpy and the stage modules load inside the subcommand that runs them, so a
 # config error or --help exits without paying for them.
 if TYPE_CHECKING:
-    from .core import RandomSource
+    from .core import RandomSource, SampledSignal, TargetSet
     from .mapping import SceneTargets
-    from .resampler import SampledSignal
-    from .saliency import SaliencyMap, TargetSet
+    from .saliency import SaliencyMap
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

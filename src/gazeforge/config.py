@@ -437,11 +437,16 @@ def _validate(doc: dict) -> RunConfig:
 
 
 def check_paths(cfg: RunConfig) -> None:
-    """Every input path that is set exists."""
-    for key in ("stimulus", "saliency_map", "frames_dir", "real_data", "velocity_input"):
+    """Every input path that is set exists and is of its kind; the subcommand
+    decides whether paths.saliency_map is a file or a folder (_check_needs)."""
+    kinds = {"stimulus": "file", "saliency_map": None, "frames_dir": "folder",
+             "real_data": "file", "velocity_input": "file"}
+    for key, kind in kinds.items():
         p = getattr(cfg.paths, key)
         if p is not None and not os.path.exists(p):
             raise ValidationError(f"file not found: {p}", f"paths.{key}")
+        if p is not None and kind and os.path.isdir(p) != (kind == "folder"):
+            raise ValidationError(f"must be a {kind}: {p}", f"paths.{key}")
 
 
 def frame_names(folder: str) -> list[str]:

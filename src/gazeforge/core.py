@@ -1,4 +1,5 @@
-"""Bounded draws, label runs, signal types and the seeded randomness contract.
+"""Bounded draws, label runs, the data types the stages share, and the seeded
+randomness contract.
 
 All stochastic quantities in the simulator are drawn through
 :func:`sample_bounded` from a :class:`~gazeforge.params.BoundedDistribution`,
@@ -7,7 +8,7 @@ a single seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,35 +119,97 @@ def sample_bounded_many(dist: BoundedDistribution, n: int, rng: RandomSource) ->
     return np.clip(mu + dist.std * rng.normals(n), dist.min, dist.max)
 
 
-@dataclass
-class VelocityProfile:
-    """Uniformly sampled velocity magnitude signal with per-sample labels."""
+class SampledSignal:
+    """Velocity samples (deg/s) with movement labels and timestamps (s).
 
-    base_rate: float
-    velocities: np.ndarray
-    labels: np.ndarray  # dtype uint8, MovementLabel values
+    A signal at a fixed base rate, made by :meth:`at_rate`, keeps that exact
+    rate, which :func:`~gazeforge.resampler.resample` needs (``1/(1/997.3)``
+    is not 997.3). Its timestamps, (i+1)/base_rate for sample i, are
+    computed when they are first read. Any other signal has ``base_rate``
+    None.
+    """
 
-    def __post_init__(self):
-        if self.base_rate <= 0:
-            raise ParameterError(f"base_rate must be > 0, got {self.base_rate}")
-        self.velocities = np.asarray(self.velocities, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.velocities.shape != self.labels.shape:
-            raise ParameterError("velocities and labels must have equal length")
+    base_rate: float | None = None
+
+    def __init__(self, timestamps, velocities, labels):
+        # timestamps is None only for a signal made by at_rate.
+        self._timestamps = None if timestamps is None else np.asarray(timestamps, dtype=float)
+        self.velocities = np.asarray(velocities, dtype=float)
+        self.labels = np.asarray(labels, dtype=np.uint8)
+        n = len(self.velocities)
+        if len(self.labels) != n or timestamps is not None and len(self._timestamps) != n:
+            raise ParameterError("signal arrays must have equal length")
+
+    @classmethod
+    def at_rate(cls, base_rate: float, velocities, labels) -> "SampledSignal":
+        if not base_rate > 0:
+            raise ParameterError(f"base_rate must be > 0, got {base_rate}")
+        signal = cls(None, velocities, labels)
+        signal.base_rate = base_rate
+        return signal
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        if self._timestamps is None:
+            self._timestamps = np.arange(1, len(self) + 1) / self.base_rate
+        return self._timestamps
 
     def __len__(self) -> int:
         return len(self.velocities)
 
+    def copy(self) -> "SampledSignal":
+        v, labels = self.velocities.copy(), self.labels.copy()
+        if self.base_rate is None:
+            return SampledSignal(self.timestamps.copy(), v, labels)
+        return SampledSignal.at_rate(self.base_rate, v, labels)
+
     @classmethod
-    def concat(cls, parts: list["VelocityProfile"]) -> "VelocityProfile":
+    def concat(cls, parts: list["SampledSignal"]) -> "SampledSignal":
+        """The signals ``parts``, all at one base rate, one after another."""
         if not parts:
-            raise ParameterError("cannot concatenate zero profiles")
+            raise ParameterError("cannot concatenate zero signals")
         rate = parts[0].base_rate
-        for p in parts:
-            if p.base_rate != rate:
-                raise ParameterError("profiles have differing base rates")
-        return cls(
+        if rate is None or any(p.base_rate != rate for p in parts):
+            raise ParameterError("signals have differing or no base rates")
+        return cls.at_rate(
             rate,
             np.concatenate([p.velocities for p in parts]),
             np.concatenate([p.labels for p in parts]),
         )
+
+
+@dataclass
+class GazeTrace:
+    """Timestamped 2D gaze samples (px) with movement labels."""
+
+    timestamps: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    labels: np.ndarray
+    width: int
+    height: int
+    pixels_per_degree: float
+
+    def __post_init__(self):
+        self.timestamps = np.asarray(self.timestamps, dtype=float)
+        self.x = np.asarray(self.x, dtype=float)
+        self.y = np.asarray(self.y, dtype=float)
+        self.labels = np.asarray(self.labels, dtype=np.uint8)
+        n = len(self.timestamps)
+        if not (len(self.x) == len(self.y) == len(self.labels) == n):
+            raise ParameterError("gaze trace arrays must have equal length")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+
+@dataclass
+class TargetSet:
+    """Candidate fixation targets (x, y, weight) inside a stimulus."""
+
+    points: list[tuple[float, float, float]] = field(default_factory=list)
+    width: int = 0
+    height: int = 0
+
+    def __len__(self) -> int:
+        return len(self.points)

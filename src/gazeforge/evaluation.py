@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gamma import MAX_GAMMA_SHAPE
-from .core import RandomSource, VelocityProfile, label_runs
+from .core import RandomSource, label_runs
 from .errors import ParameterError
 from .generators import gamma_profile, gamma_tail
 from .params import DEFAULT_REPEATS, MovementLabel
@@ -205,26 +205,21 @@ def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]
     return shape, abs(_mode_index(shape, length) - peak_index) <= 1.0
 
 
-def simulate_from_descriptor(
-    d: SegmentDescriptor, rng: RandomSource, base_rate: float = 1000.0
-) -> VelocityProfile:
-    """Re-simulate a segment with the same length as the described one.
+def simulate_from_descriptor(d: SegmentDescriptor, rng: RandomSource) -> np.ndarray:
+    """Velocities of a segment re-simulated with the same length as the
+    described one.
 
     Fixations and pursuits use the observed mean and std (pursuit onset is
     not used here); saccades reproduce the observed peak exactly and its
     position within one sample, with jitter disabled.
     """
     n = d.length
-    if d.label == MovementLabel.SACCADE:
-        if n < 2:
-            v = np.full(n, d.peak_velocity)
-        else:
-            shape, _ = fit_shape_for_peak_index(n, d.peak_index)
-            v = gamma_profile(n, shape, d.peak_velocity)
-    else:
-        v = _velocities_from_normals(d, rng.normals(n))
-    labels = np.full(n, d.label, dtype=np.uint8)
-    return VelocityProfile(base_rate, v, labels)
+    if d.label != MovementLabel.SACCADE:
+        return _velocities_from_normals(d, rng.normals(n))
+    if n < 2:
+        return np.full(n, d.peak_velocity)
+    shape, _ = fit_shape_for_peak_index(n, d.peak_index)
+    return gamma_profile(n, shape, d.peak_velocity)
 
 
 def _velocities_from_normals(d: SegmentDescriptor, z: np.ndarray) -> np.ndarray:
@@ -323,7 +318,7 @@ def evaluate_dataset(
         descr = _descriptor(label, seg)
         chunks = pooled.setdefault(label, [])
         if label == MovementLabel.SACCADE:
-            sim = simulate_from_descriptor(descr, rng).velocities
+            sim = simulate_from_descriptor(descr, rng)
             chunks.extend([squared_error(sim, seg)] * repeats)
         else:
             z = rng.derive(seg_index).normals(repeats * len(seg))

@@ -11,10 +11,9 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from .core import GazeTrace, SampledSignal
 from .errors import ParseError
-from .mapping import GazeTrace
 from .params import LABEL_NAMES, NAME_LABELS, MovementLabel, decode_utf8
-from .resampler import SampledSignal
 
 VELOCITY_HEADER = "t_ms,velocity_deg_s,label"
 GAZE_HEADER = "t_ms,x_px,y_px,label"

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._gamma import gammaincinv, lgam
-from .core import RandomSource, VelocityProfile, sample_bounded, sample_bounded_many
+from .core import RandomSource, SampledSignal, sample_bounded, sample_bounded_many
 from .errors import ParameterError
 from .params import (
     BoundedDistribution,
@@ -64,12 +64,12 @@ def gen_fixation(
     p: FixationParams,
     base_rate: float,
     rng: RandomSource,
-) -> VelocityProfile:
+) -> SampledSignal:
     """Fixation: base drift velocity plus per-sample fluctuation, floored at 0."""
     n = _segment_length(sample_bounded(p.duration, rng), base_rate, "fixation")
     v = np.maximum(0.0, p.base_velocity + _consistency_draws(p.consistency, n, rng))
     labels = np.full(n, MovementLabel.FIXATION, dtype=np.uint8)
-    return VelocityProfile(base_rate, v, labels)
+    return SampledSignal.at_rate(base_rate, v, labels)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -125,7 +125,7 @@ def gen_saccade(
     p: SaccadeParams,
     base_rate: float,
     rng: RandomSource,
-) -> VelocityProfile:
+) -> SampledSignal:
     """Saccade: Gamma-shaped profile with duration-coupled peak velocity.
 
     The normalized duration and peak draws are multiplied, so shorter
@@ -149,7 +149,7 @@ def gen_saccade(
         raise ParameterError(f"saccade skewness draw {skew:.6g}: {e}") from e
     v = np.maximum(0.0, v + _consistency_draws(p.consistency, n, rng))
     labels = np.full(n, MovementLabel.SACCADE, dtype=np.uint8)
-    return VelocityProfile(base_rate, v, labels)
+    return SampledSignal.at_rate(base_rate, v, labels)
 
 
 MAX_ONSET_REDRAWS = 100
@@ -159,7 +159,7 @@ def gen_pursuit(
     p: PursuitParams,
     base_rate: float,
     rng: RandomSource,
-) -> VelocityProfile:
+) -> SampledSignal:
     """Smooth pursuit: logistic onset up to the plateau, then a constant or
     linear trend phase.
 
@@ -218,7 +218,7 @@ def gen_pursuit(
             v[n_on:] = np.linspace(plateau, end, m)
     v = np.maximum(0.0, v + _consistency_draws(p.consistency, n, rng))
     labels = np.full(n, MovementLabel.SMOOTH_PURSUIT, dtype=np.uint8)
-    return VelocityProfile(base_rate, v, labels)
+    return SampledSignal.at_rate(base_rate, v, labels)
 
 
 def assemble(
@@ -228,7 +228,7 @@ def assemble(
     sp: PursuitParams,
     base_rate: float,
     rng: RandomSource,
-) -> VelocityProfile:
+) -> SampledSignal:
     """Generate and concatenate one segment per sequence entry, in order."""
     if not seq:
         raise ParameterError("sequence must be non-empty")
@@ -247,4 +247,4 @@ def assemble(
                 raise ParameterError(f"cannot generate segment of type {label.name}")
         except ParameterError as e:
             raise ParameterError(f"segment {i} ({label.name}): {e}") from e
-    return VelocityProfile.concat(parts)
+    return SampledSignal.concat(parts)

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, effective_labels, label_runs
+from .core import GazeTrace, RandomSource, SampledSignal, TargetSet
+from .core import effective_labels, label_runs
 from .errors import MappingError, ParameterError
 from .params import REMAP_NEW_STIMULUS, REMAP_SAME_STIMULUS, MappingParams, MovementLabel
-from .resampler import SampledSignal
-from .saliency import TargetSet
 
 
 @dataclass
@@ -59,31 +58,6 @@ class SceneTargets:
         # Rounding can give earlier frames the same distance: take the first.
         first = bisect.bisect_left(times, -best, 0, k, key=lambda t: t - time)
         return self.frames[first][1]
-
-
-@dataclass
-class GazeTrace:
-    """Timestamped 2D gaze samples (px) with movement labels."""
-
-    timestamps: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    labels: np.ndarray
-    width: int
-    height: int
-    pixels_per_degree: float
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        n = len(self.timestamps)
-        if not (len(self.x) == len(self.y) == len(self.labels) == n):
-            raise ParameterError("gaze trace arrays must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
 
 def fixation_walk(

@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RandomSource, sample_bounded_many
+from .core import RandomSource, SampledSignal, sample_bounded_many
 from .params import MODE_ADD, DistKind, MovementLabel, NoiseSpec
-from .resampler import SampledSignal
 
 
 def _draw_index(n: int, dist: DistKind, rng: RandomSource) -> int:

@@ -1,4 +1,4 @@
-"""Resampling of base-rate velocity profiles to static or fluctuating rates.
+"""Resampling of base-rate velocity signals to static or fluctuating rates.
 
 Each output sample averages all base samples in the half-open window since
 the previous sampling position, which mimics how eye trackers integrate over
@@ -8,42 +8,16 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, VelocityProfile, sample_bounded_many
+from .core import RandomSource, SampledSignal, sample_bounded_many
 from .errors import ParameterError
 from .params import RateSpec
 
 # Slack (in base-sample index units) for window boundary comparisons, so a
 # sample landing exactly on a window edge is counted once.
 _INDEX_EPS = 1e-6
-
-
-@dataclass
-class SampledSignal:
-    """Timestamped velocity samples with labels (timestamps in seconds)."""
-
-    timestamps: np.ndarray
-    velocities: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.velocities = np.asarray(self.velocities, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        n = len(self.timestamps)
-        if len(self.velocities) != n or len(self.labels) != n:
-            raise ParameterError("signal arrays must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def copy(self) -> "SampledSignal":
-        return SampledSignal(
-            self.timestamps.copy(), self.velocities.copy(), self.labels.copy()
-        )
 
 
 def _window_ends(n: int, base_rate: float, spec: RateSpec, rng: RandomSource):
@@ -114,7 +88,7 @@ def _window_labels(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
 
 
 def resample(
-    profile: VelocityProfile, spec: RateSpec, rng: RandomSource
+    profile: SampledSignal, spec: RateSpec, rng: RandomSource
 ) -> SampledSignal:
     """Resample a base-rate profile to the target rate spec.
 
@@ -130,6 +104,8 @@ def resample(
     result does not depend on how the windows are computed together.
     """
     n = len(profile)
+    if profile.base_rate is None:
+        raise ParameterError("can only resample a signal at a base rate")
     if n == 0:
         raise ParameterError("cannot resample an empty profile")
     if spec.rate.max > profile.base_rate:

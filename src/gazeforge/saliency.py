@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource
+from .core import RandomSource, TargetSet
 from .errors import ParameterError
 
 WORKING_WIDTH = 64  # downscale width used by the spectral-residual method
@@ -31,18 +31,6 @@ class SaliencyMap:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class TargetSet:
-    """Candidate fixation targets (x, y, weight) inside a stimulus."""
-
-    points: list[tuple[float, float, float]] = field(default_factory=list)
-    width: int = 0
-    height: int = 0
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def _bilinear_axis(n: int, m: int):

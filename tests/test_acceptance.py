@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate
 
 from gazeforge.cli import main
-from gazeforge.core import RandomSource, VelocityProfile
+from gazeforge.core import RandomSource
 from gazeforge.evaluation import evaluate_dataset
 from gazeforge.fileio import (
     pgm_bytes,
@@ -133,13 +133,13 @@ def test_sigmoid_onset():
 @criterion(4, "resampler rates")
 def test_resampler_rates():
     rng = RandomSource(4)
-    prof = VelocityProfile(
+    prof = SampledSignal.at_rate(
         1000.0, np.full(1000, 3.25), np.zeros(1000, dtype=np.uint8)
     )
     out = resample(prof, RateSpec(fixed(60.0)), rng)
     assert len(out) == 60
     assert np.all(out.velocities == 3.25)  # constant preserved exactly
-    long = VelocityProfile(
+    long = SampledSignal.at_rate(
         1000.0, np.zeros(100_000), np.zeros(100_000, dtype=np.uint8)
     )
     dyn = resample(long, RateSpec(U(50.0, 70.0)), RandomSource(44))

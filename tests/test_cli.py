@@ -658,10 +658,14 @@ def test_missing_required_path_is_config_error(tmp_path, capsys, case, key, mode
     ("remap_new_stimulus", "saliency_map", "."),
     ("evaluate_errors", "stimulus", "missing.pgm"),  # set, not read, not there
     ("map_dynamic", "velocity_input", "missing.csv"),
+    ("evaluate_errors", "real_data", "."),  # a folder for a file
+    ("saliency_targets", "stimulus", "."),
+    ("map_dynamic", "frames_dir", "stim.pgm"),  # a file for a folder
 ])
 def test_wrong_kind_or_missing_input_is_config_error(tmp_path, capsys, case, key, value):
-    # All but the last used to run: the map of the wrong kind was ignored,
-    # and only the inputs of the mode were checked.
+    # The first four used to run: the map of the wrong kind was ignored, and
+    # only the inputs of the mode were checked. The last three used to exit 3
+    # with a bare errno message once the stage opened the path.
     argv, doc = _case(case, tmp_path)
     doc["paths"][key] = str(tmp_path / value)
     cfg = tmp_path / "cfg.json"
@@ -670,3 +674,4 @@ def test_wrong_kind_or_missing_input_is_config_error(tmp_path, capsys, case, key
     assert run(argv + ["--config", str(cfg), "--output", str(out)]) == EXIT_CONFIG
     assert f"paths.{key}: " in capsys.readouterr().err
     assert not out.exists()
+

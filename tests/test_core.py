@@ -1,11 +1,13 @@
-"""Bounded-distribution sampling and seeded randomness contract."""
+"""Bounded-distribution sampling, seeded randomness and the shared types."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazeforge.core import RandomSource, sample_bounded, sample_bounded_many
+from gazeforge import core, mapping, resampler, saliency
+from gazeforge.core import RandomSource, SampledSignal, sample_bounded, sample_bounded_many
 from gazeforge.errors import ParameterError
 from gazeforge.params import BoundedDistribution, DistKind
 
@@ -91,3 +93,51 @@ def test_derive_is_deterministic_and_independent():
     c = RandomSource(5).derive(3, 8)
     assert a.uniform() == b.uniform()
     assert a.uniform() != c.uniform()
+
+
+def test_shared_types_resolve_from_the_stages_that_use_them():
+    assert resampler.SampledSignal is core.SampledSignal
+    assert mapping.GazeTrace is core.GazeTrace
+    assert saliency.TargetSet is mapping.TargetSet is core.TargetSet
+
+
+def test_base_rate_signal_keeps_its_rate_and_derives_timestamps():
+    sig = SampledSignal.at_rate(997.3, [1.0, 2.0, 3.0], [0, 1, 2])
+    assert sig.base_rate == 997.3  # not 1 / (1 / 997.3)
+    assert sig.timestamps.tobytes() == (np.arange(1, 4) / 997.3).tobytes()
+    assert SampledSignal([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], [0, 1, 2]).base_rate is None
+
+
+@pytest.mark.parametrize("rate", [0.0, -5.0, float("nan")])
+def test_at_rate_rejects_a_rate_that_is_not_positive(rate):
+    with pytest.raises(ParameterError, match="base_rate"):
+        SampledSignal.at_rate(rate, [1.0], [0])
+
+
+def test_signal_arrays_must_have_equal_length():
+    with pytest.raises(ParameterError, match="equal length"):
+        SampledSignal([0.1], [1.0, 2.0], [0, 0])
+    with pytest.raises(ParameterError, match="equal length"):
+        SampledSignal.at_rate(100.0, [1.0, 2.0], [0])
+
+
+def test_copy_keeps_the_kind_of_signal_and_owns_its_arrays():
+    for sig in (SampledSignal.at_rate(50.0, [1.0, 2.0], [0, 1]),
+                SampledSignal([0.5, 0.7], [1.0, 2.0], [0, 1])):
+        out = sig.copy()
+        out.velocities[0] = out.labels[0] = 9
+        assert (sig.velocities[0], sig.labels[0]) == (1.0, 0)
+        assert out.base_rate == sig.base_rate
+        assert out.timestamps.tobytes() == sig.timestamps.tobytes()
+
+
+def test_concat_needs_one_base_rate():
+    a = SampledSignal.at_rate(100.0, [1.0], [0])
+    b = SampledSignal.at_rate(100.0, [2.0, 3.0], [1, 1])
+    both = SampledSignal.concat([a, b])
+    assert (both.base_rate, list(both.velocities), list(both.labels)) == (
+        100.0, [1.0, 2.0, 3.0], [0, 1, 1])
+    for parts in ([], [a, SampledSignal.at_rate(50.0, [1.0], [0])],
+                  [a, SampledSignal([0.5], [1.0], [0])]):
+        with pytest.raises(ParameterError):
+            SampledSignal.concat(parts)

@@ -163,16 +163,16 @@ def test_simulated_saccade_matches_descriptor(rng):
     d = SegmentDescriptor(S, 60, peak_velocity=350.0, peak_index=18)
     sim = simulate_from_descriptor(d, rng)
     assert len(sim) == 60
-    assert sim.velocities.max() == pytest.approx(350.0, rel=1e-9)
-    assert abs(int(np.argmax(sim.velocities)) - 18) <= 1
+    assert sim.max() == pytest.approx(350.0, rel=1e-9)
+    assert abs(int(np.argmax(sim)) - 18) <= 1
 
 
 def test_simulated_fixation_matches_moments():
     d = SegmentDescriptor(F, 20_000, mean_velocity=3.0, std_velocity=0.5)
     sim = simulate_from_descriptor(d, RandomSource(7))
-    assert sim.velocities.mean() == pytest.approx(3.0, abs=0.02)
-    assert sim.velocities.std(ddof=1) == pytest.approx(0.5, rel=0.05)
-    assert np.all(sim.velocities >= 0.0)
+    assert sim.mean() == pytest.approx(3.0, abs=0.02)
+    assert sim.std(ddof=1) == pytest.approx(0.5, rel=0.05)
+    assert np.all(sim >= 0.0)
 
 
 def test_squared_error_hand_values():

@@ -41,7 +41,6 @@ from scipy.stats import ks_2samp
 from gazeforge import _gamma, fileio, generators, noise, resampler, saliency
 from gazeforge.core import (
     RandomSource,
-    VelocityProfile,
     effective_labels,
     label_runs,
     sample_bounded,
@@ -169,7 +168,7 @@ def evaluate_dataset_loop(velocities, labels, rng, repeats):
         descr = extract_descriptors(seg, labels[start:end])[0]
         for rep in range(repeats):
             if label == MovementLabel.SACCADE:
-                sim = simulate_from_descriptor(descr, rng).velocities
+                sim = simulate_from_descriptor(descr, rng)
             else:
                 sim = resimulate_loop(descr, rng.derive(seg_index, rep))
             pooled.setdefault(label, []).append(squared_error(sim, seg))
@@ -370,7 +369,7 @@ def resample_cases(draw):
     else:
         labels = np.repeat(data.integers(0, 4, n), data.integers(1, 12, n))[:n]
     velocities = data.normal(0.0, 100.0, n) * data.uniform(0.0, 1e3, n)
-    profile = VelocityProfile(base_rate, velocities, labels.astype(np.uint8))
+    profile = SampledSignal.at_rate(base_rate, velocities, labels.astype(np.uint8))
     return profile, draw(rate_specs(base_rate)), seed
 
 
@@ -398,7 +397,7 @@ def test_resample_long_windows_match_loop(width):
     # Window sums of 8 or more samples are pairwise inside numpy.
     n = width * 7 + 3
     velocities = np.random.default_rng(width).lognormal(0.0, 3.0, n)
-    profile = VelocityProfile(1000.0, velocities, (np.arange(n) % 3).astype(np.uint8))
+    profile = SampledSignal.at_rate(1000.0, velocities, (np.arange(n) % 3).astype(np.uint8))
     spec = RateSpec(BoundedDistribution.fixed(1000.0 / width))
     _assert_resample_matches_loop(profile, spec, width)
 
@@ -409,7 +408,7 @@ def test_resample_empty_window_error_matches_loop(monkeypatch):
     # first draw is clamped to the base rate, which about a third of the
     # seeds below do.
     monkeypatch.setattr(resampler, "_INDEX_EPS", -1e-6)
-    profile = VelocityProfile(64.0, np.ones(50), np.zeros(50, dtype=np.uint8))
+    profile = SampledSignal.at_rate(64.0, np.ones(50), np.zeros(50, dtype=np.uint8))
     spec = RateSpec(BoundedDistribution.normal(32.0, 64.0, 64.0))
     for seed in range(20):
         _assert_resample_matches_loop(profile, spec, seed)
@@ -746,6 +745,33 @@ def test_evaluate_dataset_errors_follow_the_loops_distribution():
     for label in (MovementLabel.FIXATION, MovementLabel.SMOOTH_PURSUIT):
         assert len(got[label]) == len(want[label])
         assert ks_2samp(got[label], want[label]).pvalue > 1e-3, label
+
+
+def test_evaluate_dataset_fixation_and_pursuit_means_match_the_expectation():
+    """Analytic oracle. A FIX or SP run with sample mean mu and ddof-1 std s
+    is re-simulated as mu + s*z, so a sample x has expected squared error
+    E[(mu + s*z - x)^2] = s^2 + (x - mu)^2, with variance
+    4 s^2 (x - mu)^2 + 2 s^4. On runs far from the clip at mu +- 10 s and at
+    0, the pooled mean is therefore sum n (s^2 + s0^2) / sum n, where s0^2 is
+    the run's variance over n, within 5 standard errors."""
+    data, repeats = np.random.default_rng(9), 200
+    runs = [(lab, int(data.integers(20, 80)), mu) for _ in range(10)
+            for mu in (100.0, 130.0) for lab in (0, 2)]  # 40 runs, labels alternate
+    labels = np.concatenate([np.full(n, lab, dtype=np.uint8) for lab, n, _ in runs])
+    velocities = np.concatenate([data.normal(mu, 2.0, n) for _, n, mu in runs])
+    assert len(label_runs(labels)) == len(runs)
+    got = evaluate_dataset(velocities, labels, RandomSource(9), repeats).per_type
+    for label in (MovementLabel.FIXATION, MovementLabel.SMOOTH_PURSUIT):
+        expect, var, total = 0.0, 0.0, 0
+        for start, end, lab in label_runs(labels):
+            if lab == label:
+                x = velocities[start:end]
+                s2, d2 = x.var(ddof=1), (x - x.mean()) ** 2
+                expect += np.sum(s2 + d2)
+                var += np.sum(4.0 * s2 * d2 + 2.0 * s2 * s2)
+                total += end - start
+        se = np.sqrt(var / (total * repeats)) / np.sqrt(total)
+        assert abs(got[label].mean - expect / total) <= 5.0 * se, label
 
 
 # --- saliency: numpy kernels against scipy.ndimage, grid thinning against the loop ---
@@ -1792,7 +1818,7 @@ def gen_pursuit_loop(p, base_rate, rng):
             v[n_on:] = np.linspace(plateau, end, m)
     v = np.maximum(0.0, v + generators._consistency_draws(p.consistency, n, rng))
     labels = np.full(n, MovementLabel.SMOOTH_PURSUIT, dtype=np.uint8)
-    return VelocityProfile(base_rate, v, labels)
+    return SampledSignal.at_rate(base_rate, v, labels)
 
 
 @pytest.mark.parametrize("onset, trend", [

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gazeforge.core import RandomSource, VelocityProfile
+from gazeforge.core import RandomSource, SampledSignal
 from gazeforge.errors import ParameterError
 from gazeforge.params import BoundedDistribution, MovementLabel, RateSpec
 from gazeforge.resampler import resample
@@ -22,7 +22,7 @@ def profile(velocities, base_rate=1000.0, labels=None):
     v = np.asarray(velocities, dtype=float)
     if labels is None:
         labels = np.zeros(len(v), dtype=np.uint8)
-    return VelocityProfile(base_rate, v, np.asarray(labels))
+    return SampledSignal.at_rate(base_rate, v, np.asarray(labels))
 
 
 def test_constant_60hz_over_one_second(rng):
@@ -102,6 +102,12 @@ def test_rate_above_base_rejected(rng):
 
 
 def test_empty_profile_rejected(rng):
-    prof = VelocityProfile(1000.0, np.array([]), np.array([], dtype=np.uint8))
+    prof = SampledSignal.at_rate(1000.0, np.array([]), np.array([], dtype=np.uint8))
     with pytest.raises(ParameterError):
         resample(prof, RateSpec(fixed(60.0)), rng)
+
+
+def test_signal_without_base_rate_rejected(rng):
+    sig = SampledSignal(np.arange(1, 101) / 1000.0, np.zeros(100), np.zeros(100))
+    with pytest.raises(ParameterError, match="base rate"):
+        resample(sig, RateSpec(fixed(60.0)), rng)
