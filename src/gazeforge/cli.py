@@ -8,7 +8,7 @@ from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from . import config as config_mod
-from .config import ENV_SEED, MappingConfig, RunConfig
+from .config import ENV_SEED, MAX_SAMPLES, MappingConfig, RunConfig
 from .errors import (
     ConstraintError,
     GazeforgeError,
@@ -191,6 +191,20 @@ def cmd_evaluate(args, cfg: RunConfig, rng: RandomSource) -> None:
     print(msg)
 
 
+def _repeats(text: str) -> int:
+    """The value of ``--repeats``: checked while the arguments are parsed,
+    before numpy or the data file loads."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0  # not an integer: refused with the range below
+    if not 1 <= n <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 1 to {MAX_SAMPLES}, got {text!r}"
+        )
+    return n
+
+
 def _help_keys(name: str) -> str:
     """The dotted config keys that subcommand ``name`` reads, each section
     expanded to its keys, the paths it needs last."""
@@ -226,14 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config override, repeatable")
         p.add_argument("--output", default=None, help="output path override")
         if name == "evaluate":
-            p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                           help="simulations per segment")
+            p.add_argument("--repeats", type=_repeats, default=DEFAULT_REPEATS,
+                           help=f"simulations per segment, 1 to {MAX_SAMPLES} "
+                                f"(default {DEFAULT_REPEATS})")
         p.set_defaults(handler=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # numpy's OpenBLAS starts a worker thread per CPU as it loads, and the
+    # CLI calls no BLAS routine (tests/test_import_cost.py keeps it so): ask
+    # for none before a subcommand loads numpy. OpenBLAS reads the variable
+    # only then, and a value the caller set is kept.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         cfg = _load_config(args)
         from .core import RandomSource

@@ -40,8 +40,9 @@ from .params import (
 # The accepted values of the root key mode; the subcommand decides the run.
 MODES = ("velocity", "map_static", "map_dynamic", "remap", "evaluate", "saliency")
 ENV_SEED = "GAZEFORGE_SEED"
-# The most samples a float64 array can index: no segment may be longer.
-_MAX_SAMPLES = sys.maxsize // 8
+# The most samples a float64 array can index: the ceiling on a segment's
+# length and on evaluate's --repeats.
+MAX_SAMPLES = sys.maxsize // 8
 
 _LABEL_KEYS = {
     "fixation": MovementLabel.FIXATION,
@@ -397,9 +398,9 @@ def _validate(doc: dict) -> RunConfig:
 
     pursuit = _build(PursuitParams, "pursuit", **_section(root, "pursuit"))
     for name, params in (("fixation", fixation), ("saccade", saccade), ("pursuit", pursuit)):
-        if params.duration.max * base_rate > _MAX_SAMPLES:  # an inf product too
+        if params.duration.max * base_rate > MAX_SAMPLES:  # an inf product too
             raise ValidationError(
-                f"{params.duration.max:.6g} s gives more than {_MAX_SAMPLES:.3g} samples "
+                f"{params.duration.max:.6g} s gives more than {MAX_SAMPLES:.3g} samples "
                 f"at base_rate_hz {base_rate:.6g}",
                 f"{name}.duration.max",
             )

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +284,23 @@ def test_evaluate_produces_summary(tmp_path):
     assert lines[0] == "type,stat,value"
     assert any(line.startswith("FIX,mean,") for line in lines)
     assert os.path.getsize(errs) > 0
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1", str(10**20)])
+def test_repeats_out_of_range_is_usage_error(tmp_path, capsys, repeats):
+    # 0 used to exit 4 once the data had loaded, and 10**20 to exit 1 with
+    # numpy's "Maximum allowed dimension exceeded" traceback.
+    _, doc = _case("evaluate_errors", tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "summary.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--config", str(cfg), "--output", str(out), "--repeats", repeats])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument --repeats: expected an integer from 1 to {sys.maxsize // 8}" in err
+    assert repr(repeats) in err
+    assert not out.exists()
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path):

@@ -19,13 +19,21 @@ from ``np.partition`` instead. Nor may ``import gazeforge.cli`` load
 
 Nor may anything that stops before a stage runs load numpy (about 250 ms of
 a 350 ms start): ``import gazeforge`` or ``gazeforge.cli``, the config
-check, ``--help`` and every exit-2 config error. The config check reads
-only ``params``, the numpy-free vocabulary of the run, and each subcommand
-imports the stage modules it runs; the gazeforge modules that each golden
-case loads are pinned below.
+check, ``--help``, an ``evaluate --repeats`` out of range and every exit-2
+config error. The config check reads only ``params``, the numpy-free
+vocabulary of the run, and each subcommand imports the stage modules it
+runs; the gazeforge modules that each golden case loads are pinned below.
 
 A second source scan keeps each module's private names its own: no module
 imports a ``_``-prefixed name from a sibling.
+
+numpy's OpenBLAS starts a worker thread per CPU as it loads, a start-up
+cost every CLI child paid and none used. The package calls no BLAS
+routine, so ``cli.main`` asks for none before a subcommand loads numpy: a
+CLI child runs on one thread unless the caller set
+``OPENBLAS_NUM_THREADS``, and importing the package or loading a config
+leaves ``os.environ`` alone. A third source scan keeps the premise: no
+module calls a BLAS-backed numpy function or uses ``@``.
 """
 from __future__ import annotations
 
@@ -48,9 +56,9 @@ _NUMPY = "'numpy' in sys.modules"
 _GAZEFORGE = "sorted(m[10:] for m in sys.modules if m.startswith('gazeforge.'))"
 
 
-def _python(code: str):
+def _python(code: str, env=None):
     src = os.path.dirname(os.path.dirname(os.path.abspath(gazeforge.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys\n" + code], env=env,
@@ -150,6 +158,19 @@ def test_help_loads_no_numpy(command):
     ) is False
 
 
+def test_repeats_out_of_range_exits_before_numpy():
+    assert _python(
+        "from gazeforge.cli import main\n"
+        "codes = []\n"
+        "for repeats in ('0', '-1', str(10**20)):\n"
+        "    try:\n"
+        "        main(['evaluate', '--config', 'missing.json', '--repeats', repeats])\n"
+        "    except SystemExit as e:\n"
+        "        codes.append(e.code)\n"
+        f"print(json.dumps([codes, {_NUMPY}]))\n"
+    ) == [[2, 2, 2], False]
+
+
 @pytest.mark.parametrize("command, doc", [
     ("generate", {"fixation": {"duration": {"min": 0.5, "max": 0.2}}}),
     ("generate", {"fixaton": {}}),  # a misspelt key: the difflib hint
@@ -222,3 +243,76 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+# numpy entry points that call BLAS, as attribute, imported or module names.
+_BLAS = {"dot", "matmul", "linalg", "einsum", "inner", "vdot", "tensordot"}
+
+
+def test_no_module_calls_blas():
+    offenders = []
+    for name, text in _sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                what = "@"
+            elif isinstance(node, ast.Attribute) and node.attr in _BLAS:
+                what = node.attr
+            elif isinstance(node, ast.alias) and _BLAS & set(node.name.split(".")):
+                what = node.name
+            elif isinstance(node, ast.ImportFrom) and _BLAS & set((node.module or "").split(".")):
+                what = node.module
+            else:
+                continue
+            offenders.append(f"{name}:{node.lineno}: {what}")
+    assert offenders == [], (
+        "CLI children run numpy's BLAS on one thread; see the note in "
+        "gazeforge.cli.main before calling it"
+    )
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _env_without_thread_vars(**extra) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(extra)
+    return env
+
+
+@pytest.mark.parametrize("extra, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_cli_child_starts_no_blas_threads(extra, threads, tmp_path):
+    import numpy as np
+
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS starts no worker thread")
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in json.dumps(blas).lower():
+        pytest.skip("numpy is not built with OpenBLAS")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"seed": 3, "sequence": {"counts": {"fixation": 4, "saccade": 3, "smooth_pursuit": 1}}}
+    ))
+    argv = ["generate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]
+    seen = _python(
+        "import os\n"
+        "from gazeforge.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(json.dumps(len(os.listdir('/proc/self/task'))))\n",
+        env=_env_without_thread_vars(**extra),
+    )
+    assert seen == threads
+
+
+def test_library_imports_leave_the_environment_alone(tmp_path):
+    doc = {"seed": 3, "paths": {"output": str(tmp_path / "o.csv")}}
+    assert _python(
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import gazeforge.cli\n"
+        "from gazeforge import config\n"
+        f"config.load_config({json.dumps(doc).encode()!r}, 'generate', seed=5)\n"
+        "print(json.dumps(dict(os.environ) == before))\n",
+        env=_env_without_thread_vars(),
+    ) is True
