@@ -148,26 +148,28 @@ def cmd_remap(args, cfg: RunConfig, rng: RandomSource) -> None:
 
 
 def cmd_saliency(args, cfg: RunConfig, rng: RandomSource) -> None:
-    from .fileio import atomic_write_text, read_pgm, write_pgm
+    from .fileio import atomic_write_bytes, pgm_bytes, read_pgm
     from .saliency import spectral_residual
 
     out = cfg.paths.output
     smap = spectral_residual(read_pgm(cfg.paths.stimulus))
-    write_pgm(out, smap.values)
+    files = [(out, pgm_bytes(smap.values))]
     msg = f"saliency: {smap.width}x{smap.height} map -> {out}"
     if cfg.paths.targets_output:
         targets = _targets_from_map(smap, cfg.mapping, rng.derive(10))
         lines = ["x_px,y_px,weight"]
         for x, y, w in targets.points:
             lines.append(f"{x:.3f},{y:.3f},{w:.6g}")
-        atomic_write_text(cfg.paths.targets_output, "\n".join(lines) + "\n")
+        files.append((cfg.paths.targets_output, ("\n".join(lines) + "\n").encode()))
         msg += f", {len(targets)} targets -> {cfg.paths.targets_output}"
+    for path, data in files:  # every output's bytes first: a failure writes none
+        atomic_write_bytes(path, data)
     print(msg)
 
 
 def cmd_evaluate(args, cfg: RunConfig, rng: RandomSource) -> None:
     from .evaluation import evaluate_dataset
-    from .fileio import atomic_write_text, read_velocity_csv
+    from .fileio import atomic_write_bytes, read_velocity_csv
 
     out = cfg.paths.output
     real = read_velocity_csv(cfg.paths.real_data)
@@ -179,15 +181,17 @@ def cmd_evaluate(args, cfg: RunConfig, rng: RandomSource) -> None:
         name = LABEL_NAMES[lab]
         for stat in fields(st):
             lines.append(f"{name},{stat.name},{getattr(st, stat.name):.6g}")
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    files = [(out, ("\n".join(lines) + "\n").encode())]
     msg = f"evaluate: {len(summary.per_type)} movement types -> {out}"
     if cfg.paths.errors_output:
         err_lines = []
         for lab, errs in summary.pooled.items():
             for e in errs:
                 err_lines.append(f"{e:.6g}")
-        atomic_write_text(cfg.paths.errors_output, "\n".join(err_lines) + "\n")
+        files.append((cfg.paths.errors_output, ("\n".join(err_lines) + "\n").encode()))
         msg += f", pooled errors -> {cfg.paths.errors_output}"
+    for path, data in files:  # every output's bytes first: a failure writes none
+        atomic_write_bytes(path, data)
     print(msg)
 
 

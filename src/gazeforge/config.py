@@ -456,16 +456,24 @@ def frame_names(folder: str) -> list[str]:
 
 
 def _check_needs(cfg: RunConfig, command: str) -> None:
-    """The paths ``command`` needs are set, a paths.frames_dir it reads holds
-    PGM frames, and a paths.saliency_map it reads is a folder of frame maps
-    beside paths.frames_dir, else a map file."""
-    paths, needs = cfg.paths, COMMANDS[command][1]
+    """The paths ``command`` needs are set, each output it writes names a file
+    in an existing folder, a paths.frames_dir it reads holds PGM frames, and
+    a paths.saliency_map it reads is a folder of frame maps beside
+    paths.frames_dir, else a map file."""
+    paths, (reads, needs) = cfg.paths, COMMANDS[command]
     if command == "remap" and cfg.mapping.remap_mode == REMAP_NEW_STIMULUS:
         needs += (_SCENE,)
     for keys in (*needs, ("output",)):
         if not any(getattr(paths, key) for key in keys):
             at = " or ".join(f"paths.{key}" for key in keys)
             raise ValidationError(f"{command} needs {at}", f"paths.{keys[0]}")
+    for key in ("output", "targets_output", "errors_output"):
+        p = getattr(paths, key)
+        if p and (key == "output" or f"paths.{key}" in reads):
+            if os.path.isdir(p):
+                raise ValidationError(f"must be a file, not a folder: {p}", f"paths.{key}")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(p))):
+                raise ValidationError(f"its folder does not exist: {p}", f"paths.{key}")
     if command == "map" and paths.frames_dir and not frame_names(paths.frames_dir):
         raise ValidationError(f"no PGM frames in {paths.frames_dir}", "paths.frames_dir")
     if paths.saliency_map and any("saliency_map" in keys for keys in needs):

@@ -1,4 +1,4 @@
-"""Per-segment parameter extraction, re-simulation and squared-error summaries.
+"""Per-segment re-simulation and squared-error summaries.
 
 Mirrors the protocol of comparing simulated segments against labeled real
 recordings: each fixation, saccade and smooth pursuit is re-simulated several
@@ -20,22 +20,6 @@ from .params import DEFAULT_REPEATS, MovementLabel
 
 
 @dataclass(frozen=True)
-class SegmentDescriptor:
-    label: MovementLabel
-    length: int
-    mean_velocity: float = 0.0  # fixation / pursuit
-    std_velocity: float = 0.0  # fixation / pursuit
-    peak_velocity: float = 0.0  # saccade
-    peak_index: int = 0  # saccade
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ParameterError("segment length must be >= 1")
-        if self.label == MovementLabel.SACCADE and self.peak_index >= self.length:
-            raise ParameterError("saccade peak_index must be < length")
-
-
-@dataclass(frozen=True)
 class TypeStats:
     """Whisker-plot statistics of pooled per-sample squared errors."""
 
@@ -54,20 +38,6 @@ class TypeStats:
 class ErrorSummary:
     per_type: dict[MovementLabel, TypeStats]
     pooled: dict[MovementLabel, np.ndarray]
-
-
-def _descriptor(label: MovementLabel, seg: np.ndarray) -> SegmentDescriptor:
-    """Descriptor of one labeled, non-noise run of velocities."""
-    n = len(seg)
-    if label == MovementLabel.SACCADE:
-        idx = int(np.argmax(seg))
-        return SegmentDescriptor(
-            label, n, peak_velocity=float(seg[idx]), peak_index=idx
-        )
-    std = float(seg.std(ddof=1)) if n > 1 else 0.0
-    return SegmentDescriptor(
-        label, n, mean_velocity=float(seg.mean()), std_velocity=std
-    )
 
 
 def _mode_index(shape: float, length: int) -> float:
@@ -205,47 +175,6 @@ def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]
     return shape, abs(_mode_index(shape, length) - peak_index) <= 1.0
 
 
-def simulate_from_descriptor(d: SegmentDescriptor, rng: RandomSource) -> np.ndarray:
-    """Velocities of a segment re-simulated with the same length as the
-    described one.
-
-    Fixations and pursuits use the observed mean and std (pursuit onset is
-    not used here); saccades reproduce the observed peak exactly and its
-    position within one sample, with jitter disabled.
-    """
-    n = d.length
-    if d.label != MovementLabel.SACCADE:
-        return _velocities_from_normals(d, rng.normals(n))
-    if n < 2:
-        return np.full(n, d.peak_velocity)
-    shape, _ = fit_shape_for_peak_index(n, d.peak_index)
-    return gamma_profile(n, shape, d.peak_velocity)
-
-
-def _velocities_from_normals(d: SegmentDescriptor, z: np.ndarray) -> np.ndarray:
-    """Fixation or pursuit velocities from unit normals ``z`` (any shape):
-    the observed mean and std, clipped to 10 std around the mean and at 0."""
-    v = d.mean_velocity + d.std_velocity * z
-    np.clip(
-        v,
-        d.mean_velocity - 10.0 * d.std_velocity,
-        d.mean_velocity + 10.0 * d.std_velocity,
-        out=v,
-    )
-    return np.maximum(0.0, v)
-
-
-def squared_error(sim: np.ndarray, real: np.ndarray) -> np.ndarray:
-    """Elementwise squared difference."""
-    sim = np.asarray(sim, dtype=float)
-    real = np.asarray(real, dtype=float)
-    if sim.shape != real.shape:
-        raise ParameterError(
-            f"length mismatch: sim {sim.shape} vs real {real.shape}"
-        )
-    return (sim - real) ** 2
-
-
 def _lerp(a: float, b: float, t: float) -> float:
     """numpy's linear interpolation between neighbouring order statistics."""
     d = b - a
@@ -296,18 +225,22 @@ def evaluate_dataset(
     rng: RandomSource,
     repeats: int = DEFAULT_REPEATS,
 ) -> ErrorSummary:
-    """Simulate every labeled segment `repeats` times and pool the per-sample
-    squared errors by movement type, repeat after repeat.
+    """Simulate every labeled segment `repeats` times with its own length and
+    pool the per-sample squared errors by movement type, repeat after repeat.
 
-    Saccade re-simulations draw no random numbers: each saccade is simulated
-    once and its errors are pooled `repeats` times. Random stream v2: each
-    fixation or pursuit draws all of its repeats as one block of normals
-    from ``rng.derive(i)``, where i counts the non-noise segments.
+    A saccade is the Gamma profile with the run's peak, at the run's argmax
+    within one sample; it draws nothing, so its errors are pooled `repeats`
+    times. A fixation or pursuit is the run's mean plus its (ddof 1) std times
+    unit normals, clipped to 10 std around the mean and at 0. Random stream
+    v2: each draws all of its repeats as one block of normals from
+    ``rng.derive(i)``, where i counts the non-noise segments.
     """
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
     velocities = np.asarray(velocities, dtype=float)
     labels = np.asarray(labels)
+    if len(velocities) != len(labels):
+        raise ParameterError("velocities and labels must have equal length")
     pooled: dict[MovementLabel, list[np.ndarray]] = {}
     seg_index = 0
     for start, end, lab in label_runs(labels):
@@ -315,15 +248,22 @@ def evaluate_dataset(
         if label == MovementLabel.NOISE:
             continue
         seg = velocities[start:end]
-        descr = _descriptor(label, seg)
+        n = len(seg)
         chunks = pooled.setdefault(label, [])
         if label == MovementLabel.SACCADE:
-            sim = simulate_from_descriptor(descr, rng)
-            chunks.extend([squared_error(sim, seg)] * repeats)
+            peak_index = int(np.argmax(seg))
+            peak = float(seg[peak_index])
+            if n < 2:
+                sim = np.full(n, peak)
+            else:
+                sim = gamma_profile(n, fit_shape_for_peak_index(n, peak_index)[0], peak)
+            chunks.extend([(sim - seg) ** 2] * repeats)
         else:
-            z = rng.derive(seg_index).normals(repeats * len(seg))
-            sim = _velocities_from_normals(descr, z.reshape(repeats, len(seg)))
-            chunks.append(squared_error(sim, np.broadcast_to(seg, sim.shape)).ravel())
+            mean = float(seg.mean())
+            std = float(seg.std(ddof=1)) if n > 1 else 0.0
+            z = rng.derive(seg_index).normals(repeats * n).reshape(repeats, n)
+            sim = np.clip(mean + std * z, mean - 10.0 * std, mean + 10.0 * std)
+            chunks.append(((np.maximum(0.0, sim) - seg) ** 2).ravel())
         seg_index += 1
     per_type = {}
     vectors = {}

@@ -26,11 +26,16 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via temp-then-rename so errors never leave partial output."""
+    """Write via temp-then-rename so errors never leave partial output. The
+    file gets the mode a plain open() gives, 0o666 less the umask, where
+    mkstemp's temp file has 0o600."""
+    umask = os.umask(0)  # read by setting it, and restored at once
+    os.umask(umask)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".gazeforge-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -30,9 +30,13 @@ def _window_ends(n: int, base_rate: float, spec: RateSpec, rng: RandomSource):
     # Every rate is at most rate.max, so m draws reach past the profile end
     # (the retry covers rounding in the running sum on huge profiles).
     m = math.ceil(n / base_rate * spec.rate.max) + 2
+    fixed = spec.rate.min == spec.rate.max
     while True:
         r = sample_bounded_many(spec.rate, m, copy.deepcopy(rng))
-        t = np.cumsum(1.0 / r)  # sequential sums, as t_prev + 1/r
+        if fixed:  # k / rate: a running sum's rounding would drift
+            t = np.arange(1, m + 1) / spec.rate.min
+        else:
+            t = np.cumsum(1.0 / r)  # sequential sums, as t_prev + 1/r
         hi = np.floor(t * base_rate + _INDEX_EPS)
         lo = np.concatenate(([0.0], hi[:-1]))
         stops = np.flatnonzero((hi >= n) | (hi <= lo))
@@ -43,8 +47,8 @@ def _window_ends(n: int, base_rate: float, spec: RateSpec, rng: RandomSource):
     sample_bounded_many(spec.rate, k + 1, rng)
     if hi[k] <= lo[k]:
         raise ParameterError(
-            f"empty resampling window at t={t[k]:.6g} s (rate draw "
-            f"{r[k]:.6g} Hz above base rate?)"
+            f"empty resampling window at t={t[k]:.6g} s: the clock's rounding "
+            f"left no base sample in it at {r[k]:.6g} Hz"
         )
     # A window ending exactly at the profile end is kept; one past it is not.
     end = k + 1 if hi[k] == n else k
@@ -99,7 +103,8 @@ def resample(
 
     One rate is drawn per output sample, plus the draw that ends sampling
     (the first window reaching past the profile end, which is dropped).
-    Clock times are running sums of 1/rate taken left to right, and each
+    At a fixed rate the k-th clock time is k / rate; at a fluctuating rate
+    clock times are running sums of 1/rate taken left to right. Each
     window mean equals numpy's ``.mean()`` of that window alone, so the
     result does not depend on how the windows are computed together.
     """

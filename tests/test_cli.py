@@ -4,12 +4,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import sys
 
 import numpy as np
 import pytest
 
-from gazeforge.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from gazeforge.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from gazeforge.config import MODES, SCHEMA, read_config
 from gazeforge.errors import ValidationError
 from gazeforge.fileio import pgm_bytes, read_pgm, read_velocity_csv
@@ -108,11 +109,12 @@ def test_output_flag_beats_config_output(tmp_path):
     assert os.path.exists(out) and not os.path.exists(in_file)
 
 
-def test_unwritable_output_is_io_error(tmp_path, capsys):
+def test_output_in_missing_folder_is_config_error(tmp_path, capsys):
+    # Used to exit 3 from the writer, naming its temp file.
     cfg = write_config(tmp_path)
     out = str(tmp_path / "missing_dir" / "o.csv")
-    assert run(["generate", "--config", cfg, "--output", out]) == EXIT_IO
-    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["generate", "--config", cfg, "--output", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: paths.output: its folder does not exist: {out}\n"
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):
@@ -693,3 +695,73 @@ def test_wrong_kind_or_missing_input_is_config_error(tmp_path, capsys, case, key
     assert f"paths.{key}: " in capsys.readouterr().err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("case, key, value, message", [
+    ("evaluate_errors", "errors_output", "missing/errors.csv", "its folder does not exist"),
+    ("saliency_targets", "targets_output", "missing/targets.csv", "its folder does not exist"),
+    ("saliency_targets", "targets_output", ".", "must be a file, not a folder"),
+    ("map_static", "output", ".", "must be a file, not a folder"),
+])
+def test_output_path_without_folder_is_config_error(tmp_path, capsys, case, key, value, message):
+    # evaluate used to write summary.csv, then exit 3 naming its temp file in
+    # the missing folder.
+    argv, doc = _case(case, tmp_path)
+    doc["paths"][key] = str(tmp_path / value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.out"
+    argv += ["--config", str(cfg)] + (["--output", str(out)] if key != "output" else [])
+    before = sorted(os.listdir(tmp_path))
+    assert run(argv) == EXIT_CONFIG
+    assert f"paths.{key}: {message}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_output_not_written_is_not_checked(tmp_path):
+    # generate writes no pooled errors, so their folder is not its concern.
+    cfg = write_config(tmp_path, paths={"errors_output": str(tmp_path / "no" / "e.csv")})
+    assert run(["generate", "--config", cfg, "--output", str(tmp_path / "v.csv")]) == EXIT_OK
+
+
+def test_failed_saliency_writes_no_output(tmp_path, capsys):
+    # A flat stimulus has no targets. The map used to be written before that
+    # failure (exit 4).
+    stim = tmp_path / "flat.pgm"
+    stim.write_bytes(b"P5 64 48 255\n" + bytes(64 * 48))
+    targets = tmp_path / "targets.csv"
+    cfg = write_config(tmp_path, paths={"stimulus": str(stim), "targets_output": str(targets)})
+    out = tmp_path / "out.pgm"
+    assert run(["saliency", "--config", cfg, "--output", str(out)]) == EXIT_NUMERIC
+    assert "no fixation targets" in capsys.readouterr().err
+    assert not out.exists() and not targets.exists()
+
+
+def test_long_default_rate_generate(tmp_path, capsys):
+    # With no sampling section the rate is the base rate, 1000 Hz. A clock
+    # summing 1/rate left a window empty at sample 334,587 and exited 4.
+    cfg = write_config(tmp_path, seed=3, sequence={"counts": {"fixation": 1200, "saccade": 200}})
+    out = tmp_path / "v.csv"
+    assert run(["generate", "--config", cfg, "--output", str(out)]) == EXIT_OK
+    assert "372690 samples" in capsys.readouterr().out
+    t = read_velocity_csv(str(out)).timestamps
+    assert np.array_equal(t, np.arange(1, 372_691) / 1000.0)  # k ms, as written
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_outputs_get_the_mode_open_gives(tmp_path, umask):
+    # Written through mkstemp, every output was 0600, and a replaced 0644
+    # output became 0600.
+    argv, doc = _case("saliency_targets", tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out, targets = tmp_path / "out.pgm", tmp_path / "targets.csv"
+    out.write_bytes(b"old")
+    os.chmod(out, 0o644)
+    old = os.umask(umask)
+    try:
+        assert run(argv + ["--config", str(cfg), "--output", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    for path in (out, targets):
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask, path

@@ -1,4 +1,5 @@
-"""Descriptor extraction, re-simulation and squared-error statistics."""
+"""Re-simulation of labeled runs, the saccade shape fit and squared-error
+statistics."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,18 +10,16 @@ from gazeforge import evaluation, generators
 from gazeforge.core import RandomSource, label_runs
 from gazeforge.errors import ParameterError
 from gazeforge.evaluation import (
-    SegmentDescriptor,
     _brentq,
-    _descriptor,
     _estimated_shape,
     _mode_index,
     evaluate_dataset,
     fit_shape_for_peak_index,
-    simulate_from_descriptor,
-    squared_error,
 )
-from gazeforge.generators import GAMMA_TAIL_QUANTILE, gamma_profile
-from gazeforge.params import MovementLabel
+from gazeforge.generators import GAMMA_TAIL_QUANTILE, gamma_profile, gen_saccade, skew_to_shape
+from gazeforge.params import BoundedDistribution, MovementLabel, SaccadeParams
+
+from conftest import fixed
 
 F = MovementLabel.FIXATION
 S = MovementLabel.SACCADE
@@ -28,51 +27,82 @@ SP = MovementLabel.SMOOTH_PURSUIT
 NOISE = MovementLabel.NOISE
 
 
-def extract_descriptors(velocities, labels) -> list[SegmentDescriptor]:
-    """Reference: one descriptor per contiguous label run; noise runs are
-    skipped."""
+def resimulate(label, seg, z):
+    """Reference re-simulation of one labeled run ``seg``: a saccade as the
+    Gamma profile fitted to its peak and peak index, a fixation or pursuit
+    as its mean and ddof-1 std applied to the unit normals ``z`` (one row
+    per repeat), clipped to 10 std around the mean and at 0."""
+    n = len(seg)
+    if label == S:
+        idx = int(np.argmax(seg))
+        if n < 2:
+            return np.full(n, seg[idx])
+        return gamma_profile(n, fit_shape_for_peak_index(n, idx)[0], seg[idx])
+    mu = seg.mean()
+    sd = seg.std(ddof=1) if n > 1 else 0.0
+    return np.maximum(0.0, np.clip(mu + sd * z, mu - 10.0 * sd, mu + 10.0 * sd))
+
+
+def block_normals(rng, i, repeats, n):
+    """Random stream v2: the i-th segment's repeats as one block of normals
+    from the i-th derived stream, one row per repeat."""
+    return rng.derive(i).normals(repeats * n).reshape(repeats, n)
+
+
+def evaluate_dataset_loop(velocities, labels, rng, repeats, normals=block_normals):
+    """Pooled errors of every non-noise run in run order, re-simulated one
+    repeat per loop turn with the rows of ``normals(rng, i, repeats, n)``
+    for the i-th run."""
+    pooled = {}
+    runs = [(s, e, MovementLabel(lab)) for s, e, lab in label_runs(labels) if lab != NOISE]
+    for i, (start, end, label) in enumerate(runs):
+        seg = velocities[start:end]
+        for z in normals(rng, i, repeats, len(seg)):
+            pooled.setdefault(label, []).append((resimulate(label, seg, z) - seg) ** 2)
+    return {label: np.concatenate(chunks) for label, chunks in pooled.items()}
+
+
+def assert_matches_reference(velocities, labels, seed, repeats):
     velocities = np.asarray(velocities, dtype=float)
-    labels = np.asarray(labels)
-    if len(velocities) != len(labels):
-        raise ParameterError("velocities and labels must have equal length")
-    return [
-        _descriptor(MovementLabel(lab), velocities[start:end])
-        for start, end, lab in label_runs(labels)
-        if lab != NOISE
-    ]
+    got = evaluate_dataset(velocities, labels, RandomSource(seed), repeats).pooled
+    want = evaluate_dataset_loop(velocities, labels, RandomSource(seed), repeats)
+    assert list(got) == list(want)
+    for label in want:
+        assert got[label].tobytes() == want[label].tobytes(), label
+    return got
 
 
 def test_extract_fixation_mean_std():
     v = np.array([1.0, 2.0, 3.0, 4.0])
-    d = extract_descriptors(v, np.full(4, F))
-    assert len(d) == 1
-    assert d[0].label == F and d[0].length == 4
-    assert d[0].mean_velocity == pytest.approx(2.5)
-    assert d[0].std_velocity == pytest.approx(np.std(v, ddof=1))
+    got = assert_matches_reference(v, np.full(4, F, dtype=np.uint8), 3, 5)
+    z = RandomSource(3).derive(0).normals(20).reshape(5, 4)
+    sim = np.maximum(0.0, 2.5 + np.std(v, ddof=1) * z)  # 10 std never clips
+    assert np.allclose(got[F], ((sim - v) ** 2).ravel(), rtol=1e-12, atol=0.0)
 
 
 def test_extract_saccade_peak_and_index():
     v = np.array([10.0, 50.0, 400.0, 80.0, 5.0])
-    d = extract_descriptors(v, np.full(5, S))
-    assert d[0].peak_velocity == 400.0 and d[0].peak_index == 2
+    got = assert_matches_reference(v, np.full(5, S, dtype=np.uint8), 0, 2)
+    # No error at the peak: the profile reproduces it exactly, at index 2.
+    assert got[S][2] == got[S][7] == 0.0
 
 
 def test_extract_skips_noise_runs():
-    labels = np.array([F, F, NOISE, NOISE, S, S, S])
-    v = np.arange(7.0)
-    d = extract_descriptors(v, labels)
-    assert [x.label for x in d] == [F, S]
+    labels = np.array([F, F, NOISE, NOISE, S, S, S], dtype=np.uint8)
+    got = assert_matches_reference(np.arange(1.0, 8.0), labels, 4, 3)
+    assert {label: len(e) for label, e in got.items()} == {F: 6, S: 9}
 
 
 def test_extract_splits_runs_in_order():
-    labels = np.array([F] * 3 + [S] * 4 + [F] * 2 + [SP] * 5)
-    d = extract_descriptors(np.zeros(14), labels)
-    assert [(x.label, x.length) for x in d] == [(F, 3), (S, 4), (F, 2), (SP, 5)]
+    labels = np.array([F] * 3 + [S] * 4 + [F] * 2 + [SP] * 5, dtype=np.uint8)
+    v = np.random.default_rng(2).uniform(1.0, 300.0, 14)
+    got = assert_matches_reference(v, labels, 6, 2)
+    assert [(label, len(e)) for label, e in got.items()] == [(F, 10), (S, 8), (SP, 10)]
 
 
 def test_extract_length_mismatch_rejected():
-    with pytest.raises(ParameterError):
-        extract_descriptors(np.zeros(3), np.zeros(4))
+    with pytest.raises(ParameterError, match="equal length"):
+        evaluate_dataset(np.zeros(3), np.zeros(4, dtype=np.uint8), RandomSource(0))
 
 
 @pytest.mark.parametrize("length,peak_index", [(50, 5), (50, 20), (100, 3), (200, 150)])
@@ -159,30 +189,32 @@ def test_estimated_shape_is_within_the_bracket():
             assert abs(estimate / shape - 1.0) < 0.04, (length, peak_index)
 
 
-def test_simulated_saccade_matches_descriptor(rng):
-    d = SegmentDescriptor(S, 60, peak_velocity=350.0, peak_index=18)
-    sim = simulate_from_descriptor(d, rng)
+def test_simulated_saccade_matches_descriptor():
+    # On a run that is 0 but for its peak, the errors give the simulation:
+    # sim = sqrt(error) off the peak and 350 - sqrt(error) at it.
+    v = np.zeros(60)
+    v[18] = 350.0
+    err = evaluate_dataset(v, np.full(60, S, dtype=np.uint8), RandomSource(0), 1).pooled[S]
+    sim = np.sqrt(err)
+    sim[18] = 350.0 - sim[18]
     assert len(sim) == 60
     assert sim.max() == pytest.approx(350.0, rel=1e-9)
     assert abs(int(np.argmax(sim)) - 18) <= 1
 
 
-def test_simulated_fixation_matches_moments():
-    d = SegmentDescriptor(F, 20_000, mean_velocity=3.0, std_velocity=0.5)
-    sim = simulate_from_descriptor(d, RandomSource(7))
-    assert sim.mean() == pytest.approx(3.0, abs=0.02)
-    assert sim.std(ddof=1) == pytest.approx(0.5, rel=0.05)
-    assert np.all(sim >= 0.0)
-
-
 def test_squared_error_hand_values():
-    got = squared_error([1.0, 2.0, 5.0], [1.0, 4.0, 2.0])
-    assert np.array_equal(got, [0.0, 4.0, 9.0])
+    # A two-sample saccade peaking at its end is [0, peak]; a one-sample
+    # fixation is its own value.
+    v = np.array([2.0, 5.0, 99.0, 7.0])
+    labels = np.array([S, S, NOISE, F], dtype=np.uint8)
+    got = evaluate_dataset(v, labels, RandomSource(0), repeats=2).pooled
+    assert np.array_equal(got[S], [4.0, 0.0, 4.0, 0.0])
+    assert np.array_equal(got[F], [0.0, 0.0])
 
 
 def test_squared_error_shape_mismatch():
-    with pytest.raises(ParameterError):
-        squared_error(np.zeros(3), np.zeros(5))
+    with pytest.raises(ParameterError, match="equal length"):
+        evaluate_dataset(np.zeros(5), np.zeros(3, dtype=np.uint8), RandomSource(0))
 
 
 def make_dataset():
@@ -257,3 +289,25 @@ def test_whiskers_hand_oracle():
     s = evaluate_dataset(v, labels, RandomSource(3), repeats=2)
     st = s.per_type[F]
     assert st.mean == st.median == st.min == st.max == 0.0
+
+
+@pytest.mark.parametrize("skew", [0.6, 0.8, 1.0, 1.5])
+def test_shape_fit_recovers_generated_skewness(skew):
+    # Round trip: jitter-free saccades of 30-80 ms at 1000 Hz, fitted from
+    # their length and argmax alone. Over seeds 0-199 the fitted / generated
+    # shape ratio spanned 0.862-1.201 (widest at skewness 1.5, whose short
+    # rise leaves the argmax few samples to place the mode) with medians
+    # 0.999-1.031.
+    spec = SaccadeParams(
+        duration=BoundedDistribution.uniform(0.03, 0.08),
+        peak_velocity=BoundedDistribution.uniform(200.0, 600.0),
+        skewness=fixed(skew), consistency=fixed(0.0),
+    )
+    ratios = []
+    for seed in range(200):
+        v = gen_saccade(spec, 1000.0, RandomSource(seed)).velocities
+        shape, exact = fit_shape_for_peak_index(len(v), int(np.argmax(v)))
+        assert exact
+        ratios.append(shape / skew_to_shape(skew))
+    assert 0.85 <= min(ratios) and max(ratios) <= 1.21
+    assert abs(np.median(ratios) - 1.0) <= 0.04

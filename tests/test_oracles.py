@@ -14,8 +14,10 @@ readers are also held to the earlier str-based fast path, kept here as a
 reference, and the partition quantiles of remap and evaluate to
 ``np.median`` and ``np.percentile``.
 Random stream v2 draws the fixation walk and the evaluate simulations in
-blocks, so their stream v1 loops are statistical references: two-sample KS
-tests on the walk's steps and radii and on the pooled errors.
+blocks. The evaluate loop (in test_evaluation) takes the same blocks a
+repeat at a time, bit for bit; the stream v1 loops are statistical
+references: two-sample KS tests on the walk's steps and radii and on the
+pooled errors.
 The Gamma helpers are checked against ``scipy.stats.gamma``, and their
 pure-Python port of ``gammaln`` and ``gammaincinv`` against
 ``scipy.special``; the Brent root finder against ``scipy.optimize.brentq``,
@@ -51,8 +53,6 @@ from gazeforge.evaluation import (
     _mode_index,
     _quartiles,
     evaluate_dataset,
-    simulate_from_descriptor,
-    squared_error,
 )
 from gazeforge.fileio import MAX_PGM_DIM, _PgmScanner, read_pgm_bytes
 from gazeforge.generators import (
@@ -86,7 +86,7 @@ from gazeforge.params import (
 )
 from gazeforge.resampler import SampledSignal
 from gazeforge.saliency import TargetSet
-from test_evaluation import extract_descriptors
+from test_evaluation import evaluate_dataset_loop
 
 NOISE = int(MovementLabel.NOISE)
 
@@ -143,37 +143,9 @@ def extract_velocities_loop(trace: GazeTrace) -> np.ndarray:
     return v
 
 
-def resimulate_loop(d, rng):
-    """A fixation or pursuit re-simulation as written before stream v2."""
-    v = d.mean_velocity + d.std_velocity * rng.normals(d.length)
-    np.clip(
-        v,
-        d.mean_velocity - 10.0 * d.std_velocity,
-        d.mean_velocity + 10.0 * d.std_velocity,
-        out=v,
-    )
-    return np.maximum(0.0, v)
-
-
-def evaluate_dataset_loop(velocities, labels, rng, repeats):
-    """Pooled errors with every segment re-described and re-simulated
-    `repeats` times, each from its own derived stream (stream v1)."""
-    pooled = {}
-    seg_index = 0
-    for start, end, lab in label_runs_loop(labels):
-        label = MovementLabel(lab)
-        if label == MovementLabel.NOISE:
-            continue
-        seg = velocities[start:end]
-        descr = extract_descriptors(seg, labels[start:end])[0]
-        for rep in range(repeats):
-            if label == MovementLabel.SACCADE:
-                sim = simulate_from_descriptor(descr, rng)
-            else:
-                sim = resimulate_loop(descr, rng.derive(seg_index, rep))
-            pooled.setdefault(label, []).append(squared_error(sim, seg))
-        seg_index += 1
-    return {label: np.concatenate(chunks) for label, chunks in pooled.items()}
+def repeat_normals(rng, i, repeats, n):
+    """Random stream v1: one derived stream per segment and repeat."""
+    return np.stack([rng.derive(i, rep).normals(n) for rep in range(repeats)])
 
 
 def window_label_loop(labels: np.ndarray) -> int:
@@ -190,7 +162,8 @@ def window_label_loop(labels: np.ndarray) -> int:
 
 
 def resample_loop(profile, spec, rng):
-    """One rate draw, window and output sample per loop turn."""
+    """One rate draw, window and output sample per loop turn; the clock is
+    k / rate at a fixed rate and a running sum of 1 / rate otherwise."""
     n = len(profile)
     if n == 0:
         raise ParameterError("cannot resample an empty profile")
@@ -202,16 +175,17 @@ def resample_loop(profile, spec, rng):
     ts, vs, ls = [], [], []
     t_prev = 0.0
     lo = 0
+    fixed = spec.rate.min == spec.rate.max
     while True:
         r = sample_bounded(spec.rate, rng)
-        t_curr = t_prev + 1.0 / r
+        t_curr = (len(ts) + 1) / r if fixed else t_prev + 1.0 / r
         hi = int(np.floor(t_curr * profile.base_rate + resampler._INDEX_EPS))
         if hi > n:
             break
         if hi <= lo:
             raise ParameterError(
-                f"empty resampling window at t={t_curr:.6g} s (rate draw "
-                f"{r:.6g} Hz above base rate?)"
+                f"empty resampling window at t={t_curr:.6g} s: the clock's "
+                f"rounding left no base sample in it at {r:.6g} Hz"
             )
         ts.append(t_curr)
         vs.append(float(profile.velocities[lo:hi].mean()))
@@ -702,7 +676,7 @@ def test_gamma_port_rejects_unported_probabilities(p):
         _gamma.gammaincinv(2.0, p)
 
 
-# --- evaluation: stream v2 against the simulation per repeat ---
+# --- evaluation: one block per segment against the simulation per repeat ---
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -711,10 +685,8 @@ def test_gamma_port_rejects_unported_probabilities(p):
     st.integers(0, 2**32),
 )
 def test_evaluate_dataset_matches_loop(runs, repeats, seed):
-    """Same types in the same order, repeats x samples errors per type, and
-    the saccade errors bit for bit (saccades draw nothing). Stream v2 draws
-    the fixation and pursuit errors otherwise; their distribution is checked
-    against the loop's below."""
+    """Same types in the same order and, with the same stream v2 normals,
+    the same errors bit for bit as one re-simulation per loop turn."""
     labels = np.concatenate([np.full(n, lab, dtype=np.uint8) for lab, n in runs])
     if not np.any(labels != NOISE):
         labels[0] = 0
@@ -726,22 +698,20 @@ def test_evaluate_dataset_matches_loop(runs, repeats, seed):
         samples = np.count_nonzero(labels == label)
         assert len(got[label]) == len(want[label]) == repeats * samples
         assert np.all(got[label] >= 0.0)
-    if MovementLabel.SACCADE in want:
-        sacc = MovementLabel.SACCADE
-        assert got[sacc].tobytes() == want[sacc].tobytes()
+        assert got[label].tobytes() == want[label].tobytes(), label
 
 
 def test_evaluate_dataset_errors_follow_the_loops_distribution():
     """Two-sample KS test per movement type: the pooled squared errors of one
-    block of normals per segment against one derived stream per repeat, on
-    segments whose spread sets the errors' scale."""
+    block of normals per segment against one derived stream per repeat
+    (stream v1), on segments whose spread sets the errors' scale."""
     rng = np.random.default_rng(7)
     runs = [(0, 40, 4.0, 1.5), (1, 12, 300.0, 80.0), (2, 60, 20.0, 4.0), (3, 5, 50.0, 50.0),
             (0, 25, 2.0, 0.5), (2, 33, 12.0, 2.0), (0, 70, 6.0, 3.0)] * 3
     labels = np.concatenate([np.full(n, lab, dtype=np.uint8) for lab, n, _, _ in runs])
     velocities = np.concatenate([rng.normal(mu, sd, n) for _, n, mu, sd in runs])
     got = evaluate_dataset(velocities, labels, RandomSource(11), 100).pooled
-    want = evaluate_dataset_loop(velocities, labels, RandomSource(12), 100)
+    want = evaluate_dataset_loop(velocities, labels, RandomSource(12), 100, repeat_normals)
     for label in (MovementLabel.FIXATION, MovementLabel.SMOOTH_PURSUIT):
         assert len(got[label]) == len(want[label])
         assert ks_2samp(got[label], want[label]).pvalue > 1e-3, label

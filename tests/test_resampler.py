@@ -1,10 +1,14 @@
 """Resampling to constant and fluctuating target rates."""
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from gazeforge.core import RandomSource, SampledSignal
+from gazeforge import resampler
+from gazeforge.core import RandomSource, SampledSignal, sample_bounded_many
 from gazeforge.errors import ParameterError
 from gazeforge.params import BoundedDistribution, MovementLabel, RateSpec
 from gazeforge.resampler import resample
@@ -111,3 +115,39 @@ def test_signal_without_base_rate_rejected(rng):
     sig = SampledSignal(np.arange(1, 101) / 1000.0, np.zeros(100), np.zeros(100))
     with pytest.raises(ParameterError, match="base rate"):
         resample(sig, RateSpec(fixed(60.0)), rng)
+
+
+LONG = 2_000_000  # base samples; a running-sum clock failed after 334,586
+
+
+def _exact_length(n, base_rate, rate):
+    """Windows whose end floor(k * base_rate / rate + slack) stays within n,
+    in exact rational arithmetic."""
+    from fractions import Fraction
+
+    limit = (n + 1 - Fraction(resampler._INDEX_EPS)) * Fraction(rate) / Fraction(base_rate)
+    return math.ceil(limit) - 1
+
+
+@pytest.mark.parametrize("base_rate,rate", [
+    (250.0, 250.0), (500.0, 500.0), (1000.0, 1000.0), (997.3, 997.3),
+    (1000.0, 333.3), (1000.0, 997.3),
+])
+def test_fixed_rate_clock_does_not_drift(base_rate, rate):
+    prof = profile(np.zeros(LONG), base_rate)
+    out = resample(prof, RateSpec(fixed(rate)), RandomSource(0))
+    assert len(out) == _exact_length(LONG, base_rate, rate)
+    k = np.arange(1, len(out) + 1)
+    assert np.max(np.abs(out.timestamps - k / rate)) <= np.spacing(out.timestamps[-1])
+
+
+def test_fluctuating_rate_length_is_exact():
+    # The clock sums 1 / rate in floats; exact sums of the same draws, as
+    # integers in units of 2**-70 s, give the same number of windows.
+    base_rate, spec = 1000.0, RateSpec(U(250.0, 1000.0))
+    out = resample(profile(np.zeros(LONG), base_rate), spec, RandomSource(5))
+    draws = sample_bounded_many(spec.rate, len(out) + 1, RandomSource(5))
+    scale = 2**70
+    ends = itertools.accumulate(int(x * scale) for x in (1.0 / draws).tolist())
+    limit = (LONG + 1 - resampler._INDEX_EPS) / base_rate * scale
+    assert sum(1 for t in ends if t < limit) == len(out)
