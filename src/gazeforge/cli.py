@@ -119,11 +119,13 @@ def cmd_map(args, cfg: RunConfig, rng: RandomSource) -> None:
     from .mapping import map_to_gaze
 
     out = cfg.paths.output
+    # Targets first, so a stimulus without any fails before the signal is made;
+    # both draw from their own derived streams, so the order keeps the bytes.
+    targets = _scene_targets(cfg, bool(cfg.paths.frames_dir), rng.derive(10))
     if cfg.paths.velocity_input:
         signal = read_velocity_csv(cfg.paths.velocity_input)
     else:
         signal = generate_signal(cfg, rng)
-    targets = _scene_targets(cfg, bool(cfg.paths.frames_dir), rng.derive(10))
     trace = map_to_gaze(signal, targets, cfg.mapping.params, rng.derive(11))
     write_gaze_csv(out, trace)
     print(f"map: {len(trace)} samples over {trace.width}x{trace.height} px -> {out}")

@@ -429,6 +429,8 @@ def _validate(doc: dict) -> RunConfig:
         raise ValidationError("must be > 0", "mapping.frame_rate")
     if mapping.min_target_distance < 0:
         raise ValidationError("must be >= 0", "mapping.min_target_distance")
+    if mapping.target_threshold > 1:  # every saliency map is scaled to [0, 1]
+        raise ValidationError("must be <= 1", "mapping.target_threshold")
 
     return RunConfig(
         mode=root["mode"], seed=root["seed"], base_rate_hz=base_rate, sequence=seq,

@@ -46,93 +46,31 @@ def _mode_index(shape: float, length: int) -> float:
     return (length - 1) * (shape - 1.0) / gamma_tail(shape)
 
 
-def _brentq(
-    f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100
-) -> float:
-    """Root of f in [a, b] by Brent's method.
-
-    A line-for-line port of SciPy's ``brentq.c`` (same variables, branch
-    order and arithmetic order), so it returns the bits that SciPy's
-    ``brentq`` returns, without the cost of importing SciPy's optimize
-    package. Like it, raises ValueError when f(a) and f(b) have the same
-    sign or f returns NaN, and RuntimeError after maxiter iterations.
-    """
-
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue."
-            )
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
+def _root(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f with f(a) <= 0 <= f(b): regula falsi with the Anderson-Bjorck
+    weighting (BIT 13, 1973). Each step takes the secant of the two latest
+    points that bracket the root; when the new point c lands on the side of
+    the latest point b, the end kept again has its value scaled by
+    m = 1 - f(c) / f(b), or by 1/2 when m <= 0, so that it cannot stall.
+    Stops when a step moves by at most xtol + rtol * |c|, and raises
+    RuntimeError after maxiter steps."""
+    fa, fb = f(a), f(b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
     for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (
-            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
-        ):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre = xcur
-            xcur = xblk
-            xblk = xpre
-
-            fpre = fcur
-            fcur = fblk
-            fblk = fpre
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                    dblk * dpre * (fblk - fpre)
-                )
-            lim = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < lim else lim):
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                # bisect
-                spre = sbis
-                scur = sbis
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if fc == 0 or abs(c - b) <= xtol + rtol * abs(c):
+            return c
+        if (fc > 0) == (fb > 0):
+            m = 1.0 - fc / fb
+            fa *= m if m > 0 else 0.5
         else:
-            # bisect
-            spre = sbis
-            scur = sbis
-
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-
-        fcur = call(xcur)
-    raise RuntimeError(
-        f"Failed to converge after {maxiter} iterations, value is {xcur}"
-    )
+            a, fa = b, fb
+        b, fb = c, fc
+    raise RuntimeError(f"no root within {xtol} + {rtol}|x| after {maxiter} steps")
 
 
 def _estimated_shape(ratio: float) -> float:
@@ -165,13 +103,13 @@ def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]
         # Peak at (or past) the final sample cannot be reached; fall back to
         # the latest attainable mode.
         return k_hi, False
-    # Brent's method from within 5 % of the estimated root needs far fewer
+    # Regula falsi from within 5 % of the estimated root needs far fewer
     # tail quantiles than from [k_lo, k_hi], which stays the fallback.
     k = _estimated_shape(peak_index / (length - 1))
     lo, hi = max(0.95 * k, k_lo), min(1.05 * k, k_hi)
     if not lo < hi or f(lo) > 0 or f(hi) < 0:
         lo, hi = k_lo, k_hi
-    shape = _brentq(f, lo, hi, xtol=1e-9, rtol=1e-12)
+    shape = _root(f, lo, hi, xtol=1e-9, rtol=1e-12)
     return shape, abs(_mode_index(shape, length) - peak_index) <= 1.0
 
 

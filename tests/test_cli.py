@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from gazeforge import cli
 from gazeforge.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from gazeforge.config import MODES, SCHEMA, read_config
 from gazeforge.errors import ValidationError
@@ -234,10 +235,12 @@ def test_precomputed_saliency_map_and_one_frame_of_maps_agree(tmp_path):
 @pytest.mark.parametrize("override, field", [
     ("mapping.frame_rate=0", "mapping.frame_rate"),
     ("mapping.fixation_dispersion=NaN", "mapping.fixation_dispersion"),
+    ("mapping.target_threshold=1.5", "mapping.target_threshold"),
 ])
 def test_map_bad_mapping_number_is_config_error(tmp_path, capsys, override, field):
     # frame_rate 0 used to raise ZeroDivisionError (exit 1); a NaN
-    # dispersion ran and wrote nan coordinates (exit 0).
+    # dispersion ran and wrote nan coordinates (exit 0); a threshold above a
+    # saliency map's maximum of 1 ran every stage and then exited 4.
     frames = tmp_path / "frames"
     frames.mkdir()
     for i in range(3):
@@ -251,6 +254,22 @@ def test_map_bad_mapping_number_is_config_error(tmp_path, capsys, override, fiel
     assert run(["map", "--config", cfg, "--output", out, "--set", override]) \
         == EXIT_CONFIG
     assert field in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_map_without_targets_fails_before_the_signal(tmp_path, capsys, monkeypatch):
+    # A flat stimulus has no saliency peak; map says so without making the
+    # signal first.
+    def no_signal(cfg, rng):
+        raise AssertionError("generate_signal called before the scene targets")
+
+    monkeypatch.setattr(cli, "generate_signal", no_signal)
+    stim = tmp_path / "flat.pgm"
+    stim.write_bytes(pgm_bytes(np.zeros((48, 64))))
+    cfg = write_config(tmp_path, mode="map_static", paths={"stimulus": str(stim)})
+    out = str(tmp_path / "gaze.csv")
+    assert run(["map", "--config", cfg, "--output", out]) == EXIT_NUMERIC
+    assert "no fixation targets" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

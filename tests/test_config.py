@@ -138,6 +138,7 @@ def test_non_finite_number_rejected_at_its_field(doc, field):
     ({"mapping": {"frame_rate": -5}}, "mapping.frame_rate"),
     ({"mapping": {"min_target_distance": -1}}, "mapping.min_target_distance"),
     ({"mapping": {"min_target_distance": -1e-300}}, "mapping.min_target_distance"),
+    ({"mapping": {"target_threshold": 1.5}}, "mapping.target_threshold"),
 ])
 def test_out_of_range_mapping_number_rejected(doc, field):
     with pytest.raises(ValidationError) as e:
@@ -149,6 +150,8 @@ def test_smallest_mapping_numbers_accepted():
     cfg = read_config(cfg_text(mapping={"frame_rate": 1e-9, "min_target_distance": 0}))
     assert cfg.mapping.frame_rate == 1e-9
     assert cfg.mapping.min_target_distance == 0.0
+    # A saliency map's maximum is exactly 1, so a threshold of 1 can be met.
+    assert read_config(cfg_text(mapping={"target_threshold": 1.0})).mapping.target_threshold == 1.0
 
 
 def test_pursuit_onset_below_duration_max_accepted():

@@ -10,9 +10,9 @@ from gazeforge import evaluation, generators
 from gazeforge.core import RandomSource, label_runs
 from gazeforge.errors import ParameterError
 from gazeforge.evaluation import (
-    _brentq,
     _estimated_shape,
     _mode_index,
+    _root,
     evaluate_dataset,
     fit_shape_for_peak_index,
 )
@@ -135,19 +135,19 @@ FIT_CORPUS = [
 
 
 def _full_bracket_fit(length, peak_index):
-    """The fit as Brent's method gives it from the whole shape range."""
+    """The fit as the solver gives it from the whole shape range."""
     def f(k):
         return _mode_index(k, length) - peak_index
 
     if f(1e8) < 0:
         return 1e8, False
-    shape = _brentq(f, 1.0 + 1e-9, 1e8, xtol=1e-9, rtol=1e-12)
+    shape = _root(f, 1.0 + 1e-9, 1e8, xtol=1e-9, rtol=1e-12)
     return shape, abs(_mode_index(shape, length) - peak_index) <= 1.0
 
 
 def test_shape_fits_count_tail_quantiles(monkeypatch):
     # Each uncached tail quantile is one gammaincinv call; from the whole
-    # range [1 + 1e-9, 1e8] this corpus takes 248 of them.
+    # range [1 + 1e-9, 1e8] this corpus takes 165 of them.
     calls = []
     real = generators.gammaincinv
     monkeypatch.setattr(generators, "gammaincinv", lambda a, p: calls.append(a) or real(a, p))
@@ -156,11 +156,24 @@ def test_shape_fits_count_tail_quantiles(monkeypatch):
         fits = [fit_shape_for_peak_index(n, k) for n, k in FIT_CORPUS]
     finally:
         generators.gamma_tail.cache_clear()
-    assert len(calls) == 77
+    assert len(calls) == 75
     for (n, k), (shape, exact) in zip(FIT_CORPUS, fits):
         want, want_exact = _full_bracket_fit(n, k)
         assert exact == want_exact
         assert abs(shape - want) <= 1e-9 + 1e-12 * want, (n, k)
+
+
+def test_root_keeps_bracket_ends_and_iteration_limit():
+    # An end where f is 0 is the root; too few steps raise.
+    def f(x):
+        return x**3 - 2 * x - 5
+
+    assert _root(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-9, rtol=1e-12) == 1.0
+    assert _root(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-9, rtol=1e-12) == 3.0
+    assert _root(f, 2.0, 3.0, xtol=1e-9, rtol=1e-12) == pytest.approx(2.0945514815, abs=1e-9)
+    for maxiter in (0, 2):
+        with pytest.raises(RuntimeError):
+            _root(f, 2.0, 3.0, xtol=1e-9, rtol=1e-12, maxiter=maxiter)
 
 
 def test_shape_fit_falls_back_to_the_whole_range(monkeypatch):

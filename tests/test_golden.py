@@ -8,8 +8,9 @@ and fixed-format text, so they do not depend on gazeforge itself.
 A change that alters any output byte on purpose must update the digests
 below in the same change and say what changed and why in CHANGES.md.
 ``python tests/test_golden.py`` (with gazeforge importable, e.g.
-``PYTHONPATH=src``) prints the digest table of the code as it is, ready to
-paste over ``GOLDEN``, and names the cases that differ from it on stderr.
+``PYTHONPATH=src``) prints the digest tables of the code as it is, ready to
+paste over ``GOLDEN`` and ``STREAMS``, and names the cases that differ from
+them on stderr.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from gazeforge.cli import EXIT_OK, main
+from gazeforge.core import RandomSource
 from gazeforge.fileio import pgm_bytes
 
 # numpy version the digests were recorded with. A mismatch is reported next
@@ -69,6 +71,39 @@ GOLDEN = {
     "evaluate_errors": {
         "out.csv": "9859dd50aa0fb6c9d2e6d0270d2eafc8fbfd3b90f9f77349e5c79ae65ceec6b0",
         "errors.csv": "5a654733ae4993be4c7e743e32963e5d20fc30189125b968edcfe904e2d5897a",
+    },
+}
+
+# sha256 of the first STREAM_DRAWS draws of each RandomSource method, and of
+# the seeds of derive(0..63), at three seeds, recorded with RECORDED_WITH.
+# numpy keeps the streams of its bit generators stable across versions, but
+# not those of Generator methods (NEP 19): a numpy that moves one fails here
+# with the method's name, beside the GOLDEN digests it moves.
+STREAM_DRAWS = 4096
+STREAMS = {
+    0: {
+        "uniform": "aa9bb9894ce5a1a9e2f183a9a8d24fc56ab08564622e2e3eea1a3c2be2374b79",
+        "uniforms": "aa9bb9894ce5a1a9e2f183a9a8d24fc56ab08564622e2e3eea1a3c2be2374b79",
+        "normal": "0aa947cff2e6ca729d80e01c3fdaa3944c384c31d8730941131a86999933ee2c",
+        "normals": "0aa947cff2e6ca729d80e01c3fdaa3944c384c31d8730941131a86999933ee2c",
+        "shuffle": "ace1a62d39782d75f8bd898a72b16429aa74ddda07d9e7406b8d0666e6fa96b6",
+        "derive": "f26f2a1be05c07b398ec2e505f0aa5310d8dc76dfc9e55843324f96ed147d0b8",
+    },
+    7: {
+        "uniform": "acef2bbac32a079e9230e5635c7721054b85c6e6d1ec52e330704c789e5aa555",
+        "uniforms": "acef2bbac32a079e9230e5635c7721054b85c6e6d1ec52e330704c789e5aa555",
+        "normal": "50ba75a1b3193fe6f9d5ba29f4ff848b0085ac9269361a3de7114b26d010bc7c",
+        "normals": "50ba75a1b3193fe6f9d5ba29f4ff848b0085ac9269361a3de7114b26d010bc7c",
+        "shuffle": "d796848d27b8e0ac916094168416103d61c95d984883d4a45cd5bb9d410bb38a",
+        "derive": "f8680fcbc5a2ab85a8bef61de7f730d7fa58ade06740b06a5a9f445a478b6959",
+    },
+    2**64 - 1: {
+        "uniform": "bca722f5788c56df4ddac7cce085f612a971c35036cec669fb3d8a8396c2c4c1",
+        "uniforms": "bca722f5788c56df4ddac7cce085f612a971c35036cec669fb3d8a8396c2c4c1",
+        "normal": "a028392297544a7cc45378ecf1901998f165fb0055c0e1db13dc5d52654c659a",
+        "normals": "a028392297544a7cc45378ecf1901998f165fb0055c0e1db13dc5d52654c659a",
+        "shuffle": "ace9b61cc791e71c064d816dbc906c1ca69019f830adec1892b164441d3dfb6b",
+        "derive": "d05f629374192e1ecb621e3c443b6a2515d81a5634ee09a830b7405f557cab03",
     },
 }
 
@@ -266,9 +301,45 @@ def test_golden_digest(name, tmp_path, capsys):
     )
 
 
+def _stream_digests(seed: int) -> dict[str, str]:
+    """sha256 of each method's draws from a fresh RandomSource(seed)."""
+    n = STREAM_DRAWS
+
+    def shuffled(rng):
+        items = list(range(n))
+        rng.shuffle(items)
+        return items
+
+    draws = {
+        "uniform": lambda rng: [rng.uniform() for _ in range(n)],
+        "uniforms": lambda rng: rng.uniforms(n),
+        "normal": lambda rng: [rng.normal() for _ in range(n)],
+        "normals": lambda rng: rng.normals(n),
+        "shuffle": shuffled,
+        "derive": lambda rng: [rng.derive(k).seed for k in range(64)],
+    }
+    dtypes = {"shuffle": np.int64, "derive": np.uint64}
+    return {
+        method: hashlib.sha256(
+            np.asarray(draw(RandomSource(seed)), dtype=dtypes.get(method, float)).tobytes()
+        ).hexdigest()
+        for method, draw in draws.items()
+    }
+
+
+@pytest.mark.parametrize("seed", sorted(STREAMS))
+def test_stream_fingerprints(seed):
+    got = _stream_digests(seed)
+    moved = [method for method in STREAMS[seed] if got[method] != STREAMS[seed][method]]
+    assert not moved, (
+        f"RandomSource stream of {', '.join(moved)} moved at seed {seed}; "
+        f"recorded with {RECORDED_WITH}, running numpy {np.__version__}"
+    )
+
+
 def _print_table() -> int:
-    """Print GOLDEN as the code computes it now; return how many cases
-    differ from the recorded table."""
+    """Print GOLDEN and STREAMS as the code computes them now; return how
+    many cases differ from the recorded tables."""
     changed = []
     print("GOLDEN = {")
     for name in GOLDEN:
@@ -282,11 +353,21 @@ def _print_table() -> int:
         if got != GOLDEN[name]:
             changed.append(name)
     print("}")
+    print("STREAMS = {")
+    for seed in STREAMS:
+        got = _stream_digests(seed)
+        print(f"    {seed}: {{")
+        for method, digest in got.items():
+            print(f'        "{method}": "{digest}",')
+        print("    },")
+        if got != STREAMS[seed]:
+            changed.append(f"STREAMS[{seed}]")
+    print("}")
     print(f"# numpy {np.__version__}; recorded with {RECORDED_WITH}", file=sys.stderr)
     for name in changed:
-        print(f"# differs from GOLDEN: {name}", file=sys.stderr)
+        print(f"# differs from the record: {name}", file=sys.stderr)
     if not changed:
-        print("# every case matches GOLDEN", file=sys.stderr)
+        print("# every case matches the record", file=sys.stderr)
     return len(changed)
 
 

@@ -4,9 +4,9 @@ Every CLI run pays its import time. ``scipy.stats`` alone takes about a
 second, ``scipy.special`` about half of one and ``scipy.optimize`` about a
 third. The package needs none of them at run time: the saccade profile's
 Gamma quantile and log-Gamma are a port of SciPy's kernels (``_gamma``),
-the shape fit in ``evaluate`` a port of ``brentq``, and the saliency maps
+the shape fit in ``evaluate`` a 20-line regula falsi, and the saliency maps
 are computed with numpy alone. SciPy is a test-only dependency, the oracle
-those ports are checked against.
+those ports and the fit are checked against.
 
 Each subcommand runs on a tiny golden-case config in a fresh interpreter
 and must leave no ``scipy`` module in ``sys.modules``; a source scan finds

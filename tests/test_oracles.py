@@ -20,8 +20,8 @@ references: two-sample KS tests on the walk's steps and radii and on the
 pooled errors.
 The Gamma helpers are checked against ``scipy.stats.gamma``, and their
 pure-Python port of ``gammaln`` and ``gammaincinv`` against
-``scipy.special``; the Brent root finder against ``scipy.optimize.brentq``,
-and the saliency resize and
+``scipy.special``; the saccade shape fit against ``scipy.optimize.brentq``
+within the fit's tolerance, and the saliency resize and
 periodic filters (and ``spectral_residual`` built on them) against the
 ``scipy.ndimage`` calls they replace, bit for bit on uint64 views.
 """
@@ -49,10 +49,10 @@ from gazeforge.core import (
 )
 from gazeforge.errors import MappingError, ParameterError, ParseError
 from gazeforge.evaluation import (
-    _brentq,
     _mode_index,
     _quartiles,
     evaluate_dataset,
+    fit_shape_for_peak_index,
 )
 from gazeforge.fileio import MAX_PGM_DIM, _PgmScanner, read_pgm_bytes
 from gazeforge.generators import (
@@ -1016,15 +1016,7 @@ def test_local_maxima_negative_distance_error_matches_loop():
     assert outcome(saliency.local_maxima, smap, -1.0) == outcome(local_maxima_loop, smap, -1.0)
 
 
-# --- saccade shape fit: the brentq port against scipy.optimize.brentq ---
-
-def brentq_outcome(solver, f, a, b, **kw):
-    """The root's bits, or the exception type, of solver(f, a, b, ...)."""
-    try:
-        return _bits(solver(f, a, b, **kw))
-    except (ValueError, RuntimeError) as e:
-        return type(e)
-
+# --- saccade shape fit: regula falsi against scipy.optimize.brentq ---
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 5000).flatmap(
@@ -1034,64 +1026,24 @@ def brentq_outcome(solver, f, a, b, **kw):
 @example((5000, 4999))
 @example((5000, 1))
 @example((301, 150))
-def test_brentq_matches_scipy_on_shape_fits(case):
+def test_shape_fit_matches_scipy_brentq(case):
+    # The fit lies within the solver's tolerance of SciPy's root over the
+    # whole shape range, with the same exact flag; a peak no shape reaches
+    # (SciPy finds no sign change) falls back to the largest shape.
     length, peak_index = case
 
     def f(k):
         return _mode_index(k, length) - peak_index
 
-    kw = dict(xtol=1e-9, rtol=1e-12)
-    want = brentq_outcome(sp_brentq, f, 1.0 + 1e-9, 1e8, **kw)
-    assert brentq_outcome(_brentq, f, 1.0 + 1e-9, 1e8, **kw) == want
-
-
-BRENTQ_FUNCTIONS = [
-    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-    (math.sin, -1.0, 1.0),  # root at 0
-    (lambda x: x, -1.0, 2.0),  # root at 0, linear
-    (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
-    (lambda x: math.atan(x - 0.3), -10.0, 50.0),
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: (x - 1e-300) * 1e300, -1.0, 1.0),  # tiny root
-    (lambda x: x - 0.375, 0.0, 1.0),  # dyadic: steps tie with the tolerance
-]
-BRENTQ_TOLERANCES = [
-    (2e-12, 4 * np.finfo(float).eps),  # SciPy's defaults
-    (1e-9, 1e-12),
-    (5e-324, 4 * np.finfo(float).eps),
-    (1e-3, 1e-3),
-    (1.0, 2**-10),  # coarse enough to stop at the first bisection
-]
-
-
-@pytest.mark.parametrize("fab", BRENTQ_FUNCTIONS)
-@pytest.mark.parametrize("tol", BRENTQ_TOLERANCES)
-def test_brentq_matches_scipy_on_generic_functions(fab, tol):
-    f, a, b = fab
-    kw = dict(xtol=tol[0], rtol=tol[1])
-    want = brentq_outcome(sp_brentq, f, a, b, **kw)
-    assert isinstance(want, bytes)
-    assert brentq_outcome(_brentq, f, a, b, **kw) == want
-    # The bracket reversed walks a different path to the same contract.
-    assert brentq_outcome(_brentq, f, b, a, **kw) == brentq_outcome(sp_brentq, f, b, a, **kw)
-
-
-@pytest.mark.parametrize("f, a, b, kw", [
-    (lambda x: x - 1.0, 1.0, 3.0, {}),  # root at a
-    (lambda x: x - 3.0, 1.0, 3.0, {}),  # root at b
-    (lambda x: -0.0 * x, 1.0, 3.0, {}),  # f(a) == -0.0
-    (lambda x: x * x + 1.0, -1.0, 1.0, {}),  # same sign
-    (lambda x: -(x * x) - 1.0, -1.0, 1.0, {}),  # same sign, negative
-    (lambda x: math.nan, 0.0, 1.0, {}),  # NaN at a
-    (lambda x: x if x < 0.5 else math.nan, -1.0, 2.0, {}),  # NaN at b
-    (lambda x: x - 0.7 if x != 0.5 else math.nan, 0.0, 1.0, {}),  # NaN mid-way
-    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, {"maxiter": 2}),  # no convergence
-    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, {"maxiter": 0}),
-    (lambda x: x - math.pi, 0, 10, {"maxiter": 100}),  # integer bracket
-])
-def test_brentq_edge_cases_match_scipy(f, a, b, kw):
-    kw = dict(xtol=2e-12, rtol=4 * np.finfo(float).eps, **kw)
-    assert brentq_outcome(_brentq, f, a, b, **kw) == brentq_outcome(sp_brentq, f, a, b, **kw)
+    shape, exact = fit_shape_for_peak_index(length, peak_index)
+    xtol, rtol = 1e-9, 1e-12
+    try:
+        want = sp_brentq(f, 1.0 + 1e-9, 1e8, xtol=xtol, rtol=rtol)
+    except ValueError:
+        assert (shape, exact) == (1e8, False)
+        return
+    assert abs(shape - want) <= xtol + rtol * want
+    assert exact == (abs(f(want)) <= 1.0)
 
 
 # --- CSV readers: the byte decoder against the row loop ---
