@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     from .core import RandomSource, SampledSignal, TargetSet
     from .mapping import SceneTargets
     from .saliency import SaliencyMap
+    Outputs = tuple[dict[str, bytes], str]  # what a subcommand writes, and prints
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,13 +71,12 @@ def _summary(signal: SampledSignal) -> str:
     return f"{len(signal)} samples, {dur:.3f} s ({', '.join(parts)})"
 
 
-def cmd_generate(args, cfg: RunConfig, rng: RandomSource) -> None:
-    from .fileio import write_velocity_csv
+def _generate(cfg: RunConfig, rng: RandomSource, repeats: int) -> Outputs:
+    from .fileio import velocity_csv_bytes
 
     out = cfg.paths.output
     signal = generate_signal(cfg, rng)
-    write_velocity_csv(out, signal)
-    print(f"generate: {_summary(signal)} -> {out}")
+    return {out: velocity_csv_bytes(signal)}, f"generate: {_summary(signal)} -> {out}"
 
 
 def _targets_from_map(
@@ -114,8 +114,8 @@ def _scene_targets(cfg: RunConfig, dynamic: bool, rng: RandomSource) -> SceneTar
     return SceneTargets.from_frames(frames, rate)
 
 
-def cmd_map(args, cfg: RunConfig, rng: RandomSource) -> None:
-    from .fileio import read_velocity_csv, write_gaze_csv
+def _map(cfg: RunConfig, rng: RandomSource, repeats: int) -> Outputs:
+    from .fileio import gaze_csv_bytes, read_velocity_csv
     from .mapping import map_to_gaze
 
     out = cfg.paths.output
@@ -127,12 +127,12 @@ def cmd_map(args, cfg: RunConfig, rng: RandomSource) -> None:
     else:
         signal = generate_signal(cfg, rng)
     trace = map_to_gaze(signal, targets, cfg.mapping.params, rng.derive(11))
-    write_gaze_csv(out, trace)
-    print(f"map: {len(trace)} samples over {trace.width}x{trace.height} px -> {out}")
+    msg = f"map: {len(trace)} samples over {trace.width}x{trace.height} px -> {out}"
+    return {out: gaze_csv_bytes(trace)}, msg
 
 
-def cmd_remap(args, cfg: RunConfig, rng: RandomSource) -> None:
-    from .fileio import read_gaze_csv, write_gaze_csv
+def _remap(cfg: RunConfig, rng: RandomSource, repeats: int) -> Outputs:
+    from .fileio import gaze_csv_bytes, read_gaze_csv
     from .mapping import remap_real
 
     out = cfg.paths.output
@@ -145,56 +145,64 @@ def cmd_remap(args, cfg: RunConfig, rng: RandomSource) -> None:
     trace = remap_real(
         real, cfg.mapping.remap_mode, cfg.mapping.params, rng.derive(11), new_targets
     )
-    write_gaze_csv(out, trace)
-    print(f"remap: {len(trace)} samples -> {out}")
+    return {out: gaze_csv_bytes(trace)}, f"remap: {len(trace)} samples -> {out}"
 
 
-def cmd_saliency(args, cfg: RunConfig, rng: RandomSource) -> None:
-    from .fileio import atomic_write_bytes, pgm_bytes, read_pgm
+def _saliency(cfg: RunConfig, rng: RandomSource, repeats: int) -> Outputs:
+    from .fileio import pgm_bytes, read_pgm
     from .saliency import spectral_residual
 
     out = cfg.paths.output
     smap = spectral_residual(read_pgm(cfg.paths.stimulus))
-    files = [(out, pgm_bytes(smap.values))]
+    files = {out: pgm_bytes(smap.values)}
     msg = f"saliency: {smap.width}x{smap.height} map -> {out}"
     if cfg.paths.targets_output:
         targets = _targets_from_map(smap, cfg.mapping, rng.derive(10))
         lines = ["x_px,y_px,weight"]
         for x, y, w in targets.points:
             lines.append(f"{x:.3f},{y:.3f},{w:.6g}")
-        files.append((cfg.paths.targets_output, ("\n".join(lines) + "\n").encode()))
+        files[cfg.paths.targets_output] = ("\n".join(lines) + "\n").encode()
         msg += f", {len(targets)} targets -> {cfg.paths.targets_output}"
-    for path, data in files:  # every output's bytes first: a failure writes none
-        atomic_write_bytes(path, data)
-    print(msg)
+    return files, msg
 
 
-def cmd_evaluate(args, cfg: RunConfig, rng: RandomSource) -> None:
+def _evaluate(cfg: RunConfig, rng: RandomSource, repeats: int) -> Outputs:
     from .evaluation import evaluate_dataset
-    from .fileio import atomic_write_bytes, read_velocity_csv
+    from .fileio import read_velocity_csv
 
     out = cfg.paths.output
     real = read_velocity_csv(cfg.paths.real_data)
     summary = evaluate_dataset(
-        real.velocities, real.labels, rng, repeats=args.repeats
+        real.velocities, real.labels, rng, repeats=repeats
     )
     lines = ["type,stat,value"]
     for lab, st in summary.per_type.items():
         name = LABEL_NAMES[lab]
         for stat in fields(st):
             lines.append(f"{name},{stat.name},{getattr(st, stat.name):.6g}")
-    files = [(out, ("\n".join(lines) + "\n").encode())]
+    files = {out: ("\n".join(lines) + "\n").encode()}
     msg = f"evaluate: {len(summary.per_type)} movement types -> {out}"
     if cfg.paths.errors_output:
-        err_lines = []
-        for lab, errs in summary.pooled.items():
-            for e in errs:
-                err_lines.append(f"{e:.6g}")
-        files.append((cfg.paths.errors_output, ("\n".join(err_lines) + "\n").encode()))
+        err_lines = [f"{e:.6g}" for errs in summary.pooled.values() for e in errs.tolist()]
+        files[cfg.paths.errors_output] = ("\n".join(err_lines) + "\n").encode()
         msg += f", pooled errors -> {cfg.paths.errors_output}"
-    for path, data in files:  # every output's bytes first: a failure writes none
-        atomic_write_bytes(path, data)
-    print(msg)
+    return files, msg
+
+
+SUBCOMMANDS = {
+    "generate": ("generate a labeled velocity CSV", _generate),
+    "map": ("map a velocity signal to a gaze CSV over a stimulus", _map),
+    "remap": ("re-generate gaze data from a real labeled trace", _remap),
+    "saliency": ("compute a saliency map and fixation targets", _saliency),
+    "evaluate": ("squared-error evaluation against labeled real data", _evaluate),
+}
+
+
+def run(command: str, cfg: RunConfig, rng: RandomSource,
+        repeats: int = DEFAULT_REPEATS) -> Outputs:
+    """Subcommand ``command``'s outputs, each path mapped to its bytes in write
+    order, and its summary line. It writes and prints nothing."""
+    return SUBCOMMANDS[command][1](cfg, rng, repeats)
 
 
 def _repeats(text: str) -> int:
@@ -230,14 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic eye-movement velocity and gaze data simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "generate": ("generate a labeled velocity CSV", cmd_generate),
-        "map": ("map a velocity signal to a gaze CSV over a stimulus", cmd_map),
-        "remap": ("re-generate gaze data from a real labeled trace", cmd_remap),
-        "saliency": ("compute a saliency map and fixation targets", cmd_saliency),
-        "evaluate": ("squared-error evaluation against labeled real data", cmd_evaluate),
-    }
-    for name, (help_text, fn) in handlers.items():
+    for name, (help_text, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, epilog=_help_keys(name))
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
@@ -249,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--repeats", type=_repeats, default=DEFAULT_REPEATS,
                            help=f"simulations per segment, 1 to {MAX_SAMPLES} "
                                 f"(default {DEFAULT_REPEATS})")
-        p.set_defaults(handler=fn)
     return parser
 
 
@@ -264,8 +264,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         from .core import RandomSource
+        from .fileio import atomic_write_bytes
 
-        args.handler(args, cfg, RandomSource(cfg.seed))
+        repeats = getattr(args, "repeats", DEFAULT_REPEATS)
+        files, line = run(args.command, cfg, RandomSource(cfg.seed), repeats)
+        for path, data in files.items():  # after run: a failed run wrote none
+            atomic_write_bytes(path, data)
+        print(line)
     except (GazeforgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, (ValidationError, ConstraintError)):

@@ -13,7 +13,7 @@ import pytest
 from gazeforge import cli
 from gazeforge.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from gazeforge.config import MODES, SCHEMA, read_config
-from gazeforge.errors import ValidationError
+from gazeforge.errors import ParameterError, ValidationError
 from gazeforge.fileio import pgm_bytes, read_pgm, read_velocity_csv
 from test_golden import GOLDEN, _case
 
@@ -307,6 +307,21 @@ def test_evaluate_produces_summary(tmp_path):
     assert os.path.getsize(errs) > 0
 
 
+def test_evaluate_all_noise_file(tmp_path, capsys):
+    # No segment to re-simulate: an empty summary and an empty errors file,
+    # not a failure.
+    real = tmp_path / "v.csv"
+    real.write_text("t_ms,velocity_deg_s,label\n1.000,5,NOISE\n2.000,400,NOISE\n3.000,7,NOISE\n")
+    out, errs = tmp_path / "summary.csv", tmp_path / "errs.csv"
+    cfg = write_config(tmp_path, paths={"real_data": str(real), "errors_output": str(errs)})
+    assert run(["evaluate", "--config", cfg, "--output", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"evaluate: 0 movement types -> {out}, pooled errors -> {errs}\n"
+    )
+    assert out.read_bytes() == b"type,stat,value\n"
+    assert errs.read_bytes() == b"\n"
+
+
 @pytest.mark.parametrize("repeats", ["0", "-1", str(10**20)])
 def test_repeats_out_of_range_is_usage_error(tmp_path, capsys, repeats):
     # 0 used to exit 4 once the data had loaded, and 10**20 to exit 1 with
@@ -324,15 +339,42 @@ def test_repeats_out_of_range_is_usage_error(tmp_path, capsys, repeats):
     assert not out.exists()
 
 
-def test_failed_run_leaves_no_partial_output(tmp_path):
-    # evaluate on malformed real data fails after config load: the output
-    # file must not appear.
-    bad = tmp_path / "real.csv"
-    bad.write_text("t_ms,velocity_deg_s,label\n1.0,oops,FIX\n")
-    cfg = write_config(tmp_path, mode="evaluate", paths={"real_data": str(bad)})
-    out = str(tmp_path / "summary.csv")
-    assert run(["evaluate", "--config", cfg, "--output", out]) == EXIT_IO
-    assert not os.path.exists(out)
+FLAT_PGM = b"P5 64 48 255\n" + bytes(64 * 48)  # no saliency peak, so no target
+
+
+@pytest.mark.parametrize("command, inputs, paths, code", [
+    ("generate", {}, {}, EXIT_NUMERIC),  # generate_signal raises below
+    ("map", {"flat.pgm": FLAT_PGM}, {"stimulus": "flat.pgm"}, EXIT_NUMERIC),
+    ("remap", {"real.csv": b"t_ms,x_px,y_px,label\n4,1,2,SACC\n8,9,6,SACC\n12,9,7,SP\n"},
+     {"real_data": "real.csv"}, EXIT_NUMERIC),  # same_stimulus without a FIX run
+    ("saliency", {"flat.pgm": FLAT_PGM},
+     {"stimulus": "flat.pgm", "targets_output": "targets.csv"}, EXIT_NUMERIC),
+    ("evaluate", {"real.csv": b"t_ms,velocity_deg_s,label\n1.0,oops,FIX\n"},
+     {"real_data": "real.csv", "errors_output": "errors.csv"}, EXIT_IO),
+], ids=["generate", "map", "remap", "saliency", "evaluate"])
+def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch, command, inputs, paths,
+                                             code):
+    # Each subcommand fails after its config loads, with a file already at
+    # every output path: each keeps its bytes, and no temp file is left.
+    def no_signal(cfg, rng):
+        raise ParameterError("no signal")
+
+    if command == "generate":
+        monkeypatch.setattr(cli, "generate_signal", no_signal)
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data)
+    paths = {key: str(tmp_path / name) for key, name in paths.items()}
+    out = str(tmp_path / "out")
+    outputs = [out] + [path for key, path in paths.items() if key.endswith("_output")]
+    for path in outputs:
+        with open(path, "wb") as fh:
+            fh.write(b"sentinel " + path.encode())
+    cfg = write_config(tmp_path, paths=paths)
+    assert run([command, "--config", cfg, "--output", out]) == code
+    for path in outputs:
+        with open(path, "rb") as fh:
+            assert fh.read() == b"sentinel " + path.encode()
+    assert not list(tmp_path.glob(".gazeforge-*.tmp"))
 
 
 def test_pursuit_onset_past_duration_is_config_error(tmp_path, capsys):
@@ -747,7 +789,7 @@ def test_failed_saliency_writes_no_output(tmp_path, capsys):
     # A flat stimulus has no targets. The map used to be written before that
     # failure (exit 4).
     stim = tmp_path / "flat.pgm"
-    stim.write_bytes(b"P5 64 48 255\n" + bytes(64 * 48))
+    stim.write_bytes(FLAT_PGM)
     targets = tmp_path / "targets.csv"
     cfg = write_config(tmp_path, paths={"stimulus": str(stim), "targets_output": str(targets)})
     out = tmp_path / "out.pgm"

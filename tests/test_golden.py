@@ -26,9 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazeforge.cli import EXIT_OK, main
+from gazeforge.cli import EXIT_OK, main, run
+from gazeforge.config import load_config
 from gazeforge.core import RandomSource
 from gazeforge.fileio import pgm_bytes
+from gazeforge.params import DEFAULT_REPEATS
 
 # numpy version the digests were recorded with. A mismatch is reported next
 # to a failing digest, since another numpy may legitimately change bytes.
@@ -278,12 +280,15 @@ def _case(name: str, tmp_path):
     raise KeyError(name)
 
 
+def _output(name: str, tmp_path) -> Path:
+    return tmp_path / ("out.pgm" if name.startswith("saliency_targets") else "out.csv")
+
+
 def _digests(name: str, tmp_path) -> dict[str, str]:
     argv, doc = _case(name, tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    out = "out.pgm" if name.startswith("saliency_targets") else "out.csv"
-    code = main(argv + ["--config", str(cfg), "--output", str(tmp_path / out)])
+    code = main(argv + ["--config", str(cfg), "--output", str(_output(name, tmp_path))])
     assert code == EXIT_OK
     return {
         fname: hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
@@ -299,6 +304,30 @@ def test_golden_digest(name, tmp_path, capsys):
         f"output bytes of {name!r} changed; digests recorded with "
         f"{RECORDED_WITH}, running {running}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_returns_the_golden_bytes_and_writes_nothing(name, tmp_path, capsys):
+    # cli.run is main without the writes and the print: the same bytes per
+    # path, the output first, the line main prints, and no file touched.
+    argv, doc = _case(name, tmp_path)
+    out = _output(name, tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_config(cfg_path.read_bytes(), argv[0], output=str(out))
+    repeats = int(argv[argv.index("--repeats") + 1]) if "--repeats" in argv else DEFAULT_REPEATS
+    before = sorted(tmp_path.rglob("*"))
+    files, line = run(argv[0], cfg, RandomSource(cfg.seed), repeats)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert next(iter(files)) == str(out)
+    got = {
+        str(Path(path).relative_to(tmp_path)): hashlib.sha256(data).hexdigest()
+        for path, data in files.items()
+    }
+    assert got == GOLDEN[name]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg_path), "--output", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == line + "\n"
 
 
 def _stream_digests(seed: int) -> dict[str, str]:
