@@ -202,8 +202,8 @@ SCHEMA = {
 _ROOT = {**SCHEMA[""], **{name: (dict, None) for name in SCHEMA if name}}
 
 _SCENE = ("stimulus", "saliency_map")  # a static scene: its image, or its map
-_ROOT_READS = ("mode", "seed", "base_rate_hz")
-_SIGNAL_READS = ("sequence", "fixation", "saccade", "pursuit", "sampling", "noise")
+_ROOT_READS = ("mode", "seed")
+_SIGNAL_READS = ("base_rate_hz", "sequence", "fixation", "saccade", "pursuit", "sampling", "noise")
 _WALK_READS = (
     "mapping.pixels_per_degree", "mapping.max_path_deviation",
     "mapping.fixation_dispersion",

@@ -15,8 +15,13 @@ from .core import GazeTrace, SampledSignal
 from .errors import ParseError
 from .params import LABEL_NAMES, NAME_LABELS, MovementLabel, decode_utf8
 
-VELOCITY_HEADER = "t_ms,velocity_deg_s,label"
-GAZE_HEADER = "t_ms,x_px,y_px,label"
+# Each CSV format's numeric columns: header name, name in errors, number
+# format. The first is the time, written in ms; a label ends each line.
+_TIME = ("t_ms", "timestamp", ".3f")
+_VELOCITY_COLUMNS = (_TIME, ("velocity_deg_s", "velocity", ".6g"))
+_GAZE_COLUMNS = (_TIME, ("x_px", "x coordinate", ".3f"), ("y_px", "y coordinate", ".3f"))
+VELOCITY_HEADER = ",".join([name for name, _, _ in _VELOCITY_COLUMNS] + ["label"])
+GAZE_HEADER = ",".join([name for name, _, _ in _GAZE_COLUMNS] + ["label"])
 # CSV label name by label value.
 _LABEL_NAME = tuple(LABEL_NAMES[label] for label in MovementLabel)
 
@@ -52,14 +57,7 @@ def _parse_label(token: str, row: int) -> MovementLabel:
 
 
 def velocity_csv_bytes(signal: SampledSignal) -> bytes:
-    def row(i: int) -> str:
-        t, v = float(signal.timestamps[i]), float(signal.velocities[i])
-        return f"{t * 1000.0:.3f},{v:.6g},{_LABEL_NAME[signal.labels[i]]}"
-
-    with np.errstate(over="ignore"):  # as the f-string: inf past the largest float
-        t_ms = signal.timestamps * 1000.0
-    columns = [(_fixed3, t_ms), (_general6, signal.velocities)]
-    return _csv_bytes(VELOCITY_HEADER, columns, signal.labels, row)
+    return _csv_bytes(_VELOCITY_COLUMNS, [signal.timestamps, signal.velocities], signal.labels)
 
 
 def write_velocity_csv(path: str, signal: SampledSignal) -> None:
@@ -75,8 +73,8 @@ def write_velocity_csv(path: str, signal: SampledSignal) -> None:
 # number becomes a correctly rounded fixed-point integer spelled out through
 # a digit table. A row whose rounding the float product cannot settle
 # (within a few ulps of a tie, or too large), or whose value the fixed
-# notation does not cover, is formatted by the f-string instead, so the
-# bytes are always the f-string's.
+# notation does not cover, is formatted by format() with its column's spec
+# instead, so the bytes are always format()'s.
 
 _PAD = 0  # a byte no CSV line contains; a digit byte times 0 is _PAD
 _CSV_BLOCK_ROWS = 16384
@@ -178,15 +176,18 @@ def _general6(v: np.ndarray):
     return 17, fill, slow
 
 
-def _csv_bytes(header: str, columns: list, labels: np.ndarray, row) -> bytes:
-    """The CSV of the numeric ``columns`` (pairs of :func:`_fixed3` or
-    :func:`_general6` and the values) and the labels, one line per row;
-    ``row(i)`` is the f-string line of row ``i``, used for the rows a field
-    marks. Built in blocks of rows, so that the temporaries stay small."""
-    parts = [header.encode("ascii") + b"\n"]
+def _csv_bytes(table: tuple, values: list, labels: np.ndarray) -> bytes:
+    """The CSV of the columns of ``table`` (``values``, the time in s) and the
+    labels; the rows a field marks are formatted by ``format()``. Built in
+    blocks of rows, so that the temporaries stay small."""
+    specs = [spec for _, _, spec in table]
+    formatters = [{".3f": _fixed3, ".6g": _general6}[spec] for spec in specs]
+    with np.errstate(over="ignore"):  # as Python floats: inf past the largest float
+        values = [values[0] * 1000.0, *values[1:]]
+    parts = [",".join([name for name, _, _ in table] + ["label\n"]).encode("ascii")]
     for lo in range(0, len(labels), _CSV_BLOCK_ROWS):
         hi = lo + _CSV_BLOCK_ROWS
-        fields = [fmt(values[lo:hi]) for fmt, values in columns]
+        fields = [fmt(v[lo:hi]) for fmt, v in zip(formatters, values)]
         width = sum(w + 1 for w, _, _ in fields) + _LABEL_WIDTH + 1
         out = np.empty((width, len(labels[lo:hi])), dtype=np.uint8)
         col = 0
@@ -203,7 +204,8 @@ def _csv_bytes(header: str, columns: list, labels: np.ndarray, row) -> bytes:
         if len(slow):
             lines = body.split(b"\n")
             for i in slow.tolist():
-                lines[i] = row(lo + i).encode("ascii")
+                row = [format(float(v[lo + i]), spec) for spec, v in zip(specs, values)]
+                lines[i] = ",".join([*row, _LABEL_NAME[labels[lo + i]]]).encode("ascii")
             body = b"\n".join(lines)
         parts.append(body)
     return b"".join(parts)
@@ -416,16 +418,16 @@ def _decode_columns(
     return ts, cols[1:], labels
 
 
-def _read_columns(
-    data: bytes, header: str, what: tuple[str, ...]
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+def _read_columns(data: bytes, table: tuple) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    header = ",".join([name for name, _, _ in table] + ["label"])
+    what = tuple(name for _, name, _ in table)
     return _decode_columns(data, header, len(what) + 1) or _columns_by_rows(
         decode_utf8(data), header, what
     )
 
 
 def read_velocity_csv_bytes(data: bytes) -> SampledSignal:
-    ts, (vs,), ls = _read_columns(data, VELOCITY_HEADER, ("timestamp", "velocity"))
+    ts, (vs,), ls = _read_columns(data, _VELOCITY_COLUMNS)
     return SampledSignal(ts, vs, ls)
 
 
@@ -435,14 +437,7 @@ def read_velocity_csv(path: str) -> SampledSignal:
 
 
 def gaze_csv_bytes(trace: GazeTrace) -> bytes:
-    def row(i: int) -> str:
-        t, x, y = float(trace.timestamps[i]), float(trace.x[i]), float(trace.y[i])
-        return f"{t * 1000.0:.3f},{x:.3f},{y:.3f},{_LABEL_NAME[trace.labels[i]]}"
-
-    with np.errstate(over="ignore"):  # as the f-string: inf past the largest float
-        t_ms = trace.timestamps * 1000.0
-    columns = [(_fixed3, t_ms), (_fixed3, trace.x), (_fixed3, trace.y)]
-    return _csv_bytes(GAZE_HEADER, columns, trace.labels, row)
+    return _csv_bytes(_GAZE_COLUMNS, [trace.timestamps, trace.x, trace.y], trace.labels)
 
 
 def write_gaze_csv(path: str, trace: GazeTrace) -> None:
@@ -452,8 +447,7 @@ def write_gaze_csv(path: str, trace: GazeTrace) -> None:
 def read_gaze_csv_bytes(data: bytes, pixels_per_degree: float = 30.0) -> GazeTrace:
     """The gaze trace of ``data``, on an image just large enough for its
     samples: ``ceil(max) + 1`` pixels in each direction."""
-    what = ("timestamp", "x coordinate", "y coordinate")
-    ts, (xs, ys), ls = _read_columns(data, GAZE_HEADER, what)
+    ts, (xs, ys), ls = _read_columns(data, _GAZE_COLUMNS)
     width, height = int(np.ceil(xs.max())) + 1, int(np.ceil(ys.max())) + 1
     return GazeTrace(ts, xs, ys, ls, width, height, pixels_per_degree)
 

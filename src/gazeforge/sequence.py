@@ -47,34 +47,39 @@ def _required_predecessor(
     return None
 
 
+def _placed(
+    t: MovementLabel, prev: MovementLabel | None, rules: list[OrderingRule]
+) -> MovementLabel:
+    """What a draw of `t` after `prev` places: `t`, or the first type up its
+    chain of required predecessors whose own predecessor is `prev` (or that
+    needs none). The walk is bounded, so a cycle of BEFORE rules cannot loop."""
+    for _ in MOVEMENT_TYPES:
+        pred = _required_predecessor(t, rules)
+        if pred is None or pred == prev:
+            return t
+        t = pred
+    return t
+
+
 def _feasible(
     candidate: MovementLabel,
     prev: MovementLabel | None,
     remaining: dict[MovementLabel, int],
     rules: list[OrderingRule],
 ) -> bool:
-    """Check that placing `candidate` (including any repair insertion and the
-    forced follower chain) leaves enough counts for the remaining rules."""
+    """Check that placing `candidate` (as `_placed` does, then the chain of
+    forced followers) leaves enough counts for each remaining rule."""
     rem = dict(remaining)
-    placed = candidate
-    pred = _required_predecessor(candidate, rules)
-    if pred is not None and prev != pred:
-        # Repair would place the predecessor instead of the candidate.
-        if rem[pred] == 0:
-            return False
-        placed = pred
-    rem[placed] -= 1
-    # Follow the forced-follower chain.
+    cur = _placed(candidate, prev, rules)
     seen = set()
-    cur = placed
     while True:
+        if rem[cur] == 0:
+            return False
+        rem[cur] -= 1
         nxt = _forced_follower(cur, rules)
         if nxt is None or cur in seen:
             break
         seen.add(cur)
-        if rem[nxt] == 0:
-            return False
-        rem[nxt] -= 1
         cur = nxt
     tail = cur
     for rule in rules:
@@ -126,9 +131,9 @@ def build_sequence(spec: SequenceSpec, rng: RandomSource) -> list[MovementLabel]
     """Build a movement-type sequence honoring counts and ordering rules.
 
     Free positions are drawn with probability proportional to the remaining
-    quantity of each type (uniform 1/3 in length mode). Rule conflicts are
-    repaired by inserting the forced type instead; if a forced type has no
-    remaining quantity the spec is reported unsatisfiable.
+    quantity of each type (uniform 1/3 in length mode). A draw places its
+    chain of required predecessors first (`_placed`), and forced followers
+    come next. A sequence that still breaks a rule raises ConstraintError.
     """
     rules = spec.constraints
     if spec.explicit is not None:
@@ -139,62 +144,47 @@ def build_sequence(spec: SequenceSpec, rng: RandomSource) -> list[MovementLabel]
             )
         return list(spec.explicit)
 
+    seq: list[MovementLabel] = []
     if spec.counts is not None:
-        counts = {t: int(spec.counts.get(t, 0)) for t in MOVEMENT_TYPES}
-        _validate_counts(counts, rules)
-        seq: list[MovementLabel] = []
-        remaining = dict(counts)
+        remaining = {t: int(spec.counts.get(t, 0)) for t in MOVEMENT_TYPES}
+        _validate_counts(remaining, rules)
         while sum(remaining.values()) > 0:
             prev = seq[-1] if seq else None
-            forced = _forced_follower(prev, rules)
-            if forced is not None:
-                if remaining[forced] == 0:
+            t = _forced_follower(prev, rules)
+            if t is None:
+                cands = [
+                    c
+                    for c in MOVEMENT_TYPES
+                    if remaining[c] > 0 and _feasible(c, prev, remaining, rules)
+                ]
+                if not cands:
                     raise ConstraintError(
-                        f"rule requires a {forced.name} after {prev.name} "
-                        "but none remain"
+                        "no movement type can be placed without violating a rule"
                     )
-                seq.append(forced)
-                remaining[forced] -= 1
-                continue
-            cands = [
-                t
-                for t in MOVEMENT_TYPES
-                if remaining[t] > 0 and _feasible(t, prev, remaining, rules)
-            ]
-            if not cands:
+                weights = [float(remaining[c]) for c in cands]
+                t = _placed(_weighted_choice(cands, weights, rng), prev, rules)
+            elif remaining[t] == 0:
                 raise ConstraintError(
-                    "no movement type can be placed without violating a rule"
+                    f"rule requires a {t.name} after {prev.name} but none remain"
                 )
-            t = _weighted_choice(cands, [float(remaining[c]) for c in cands], rng)
-            pred = _required_predecessor(t, rules)
-            if pred is not None and prev != pred:
-                seq.append(pred)
-                remaining[pred] -= 1
-            else:
-                seq.append(t)
-                remaining[t] -= 1
-        violated = find_violation(seq, rules)
-        if violated is not None:
-            raise ConstraintError(f"generated sequence violates '{violated}'", violated)
-        return seq
-
-    # Length mode: equal probability per type each draw; rules still enforced.
-    seq = []
-    while len(seq) < spec.length:
-        prev = seq[-1] if seq else None
-        forced = _forced_follower(prev, rules)
-        if forced is not None:
-            seq.append(forced)
-            continue
-        t = _weighted_choice(list(MOVEMENT_TYPES), [1.0, 1.0, 1.0], rng)
-        pred = _required_predecessor(t, rules)
-        if pred is not None and prev != pred:
-            seq.append(pred)
-        else:
             seq.append(t)
-    # Trim cannot help a trailing AFTER_EACH head; append its follower instead.
-    prev = seq[-1]
-    forced = _forced_follower(prev, rules)
-    if forced is not None:
-        seq.append(forced)
+            remaining[t] -= 1
+    else:
+        # Length mode: equal probability per type each draw.
+        while len(seq) < spec.length:
+            prev = seq[-1] if seq else None
+            t = _forced_follower(prev, rules)
+            if t is None:
+                t = _weighted_choice(list(MOVEMENT_TYPES), [1.0, 1.0, 1.0], rng)
+                t = _placed(t, prev, rules)
+            seq.append(t)
+        # The last type's chain of forced followers ends the sequence.
+        for _ in MOVEMENT_TYPES:
+            t = _forced_follower(seq[-1], rules)
+            if t is None:
+                break
+            seq.append(t)
+    violated = find_violation(seq, rules)
+    if violated is not None:
+        raise ConstraintError(f"generated sequence violates '{violated}'", violated)
     return seq

@@ -7,7 +7,8 @@ P2 pixel decode, of the greedy local-maxima thinning, of the row-by-row
 CSV readers and f-string CSV writers, of the weighted target choice, of
 the pursuit onset redraws, of the noise magnitudes, of the nearest-frame
 scan and of the gaze placement along a movement run and in a fixation
-without dispersion. The fast versions must return identical bytes, raise
+without dispersion. The sequence builder is held to its one-step repair of
+ordering rules wherever that repair gave a valid sequence. The fast versions must return identical bytes, raise
 the same errors and, for the resampler, the noise and the gaze placement,
 leave the random stream at the same place. The byte decoders of the CSV
 readers are also held to the earlier str-based fast path, kept here as a
@@ -40,14 +41,14 @@ from scipy.optimize import brentq as sp_brentq
 from scipy.stats import gamma as sp_gamma
 from scipy.stats import ks_2samp
 
-from gazeforge import _gamma, fileio, generators, noise, resampler, saliency
+from gazeforge import _gamma, fileio, generators, noise, resampler, saliency, sequence
 from gazeforge.core import (
     RandomSource,
     effective_labels,
     label_runs,
     sample_bounded,
 )
-from gazeforge.errors import MappingError, ParameterError, ParseError
+from gazeforge.errors import ConstraintError, MappingError, ParameterError, ParseError
 from gazeforge.evaluation import (
     _mode_index,
     _quartiles,
@@ -80,9 +81,11 @@ from gazeforge.params import (
     MappingParams,
     MovementLabel,
     NoiseSpec,
+    OrderingRule,
     PursuitParams,
     PursuitTrend,
     RateSpec,
+    SequenceSpec,
 )
 from gazeforge.resampler import SampledSignal
 from gazeforge.saliency import TargetSet
@@ -1947,3 +1950,135 @@ def test_quantiles_match_numpy_on_squared_errors(n):
     rng = np.random.default_rng(n)
     errors = (rng.normal(size=n) * rng.lognormal(0.0, 3.0, n)) ** 2
     _assert_quantiles_match_numpy(errors.tolist())
+
+
+# --- sequence: the chain of required predecessors against the one-step repair ---
+
+def feasible_one_step(candidate, prev, remaining, rules):
+    """The feasibility check that repaired a draw by one required predecessor."""
+    rem = dict(remaining)
+    placed = candidate
+    pred = sequence._required_predecessor(candidate, rules)
+    if pred is not None and prev != pred:
+        if rem[pred] == 0:
+            return False
+        placed = pred
+    rem[placed] -= 1
+    seen = set()
+    cur = placed
+    while True:
+        nxt = sequence._forced_follower(cur, rules)
+        if nxt is None or cur in seen:
+            break
+        seen.add(cur)
+        if rem[nxt] == 0:
+            return False
+        rem[nxt] -= 1
+        cur = nxt
+    tail = cur
+    for rule in rules:
+        if rule.kind == OrderingRule.AFTER_EACH:
+            if rem[rule.second] < rem[rule.first]:
+                return False
+        else:
+            slack = 1 if tail == rule.first else 0
+            if rem[rule.first] < rem[rule.second] - slack:
+                return False
+    return True
+
+
+def build_sequence_one_step(spec, rng):
+    """The builder that placed one required predecessor for a draw, and one
+    forced follower after the last type of a length-mode sequence."""
+    rules = spec.constraints
+    types = sequence.MOVEMENT_TYPES
+    if spec.counts is not None:
+        counts = {t: int(spec.counts.get(t, 0)) for t in types}
+        sequence._validate_counts(counts, rules)
+        seq = []
+        remaining = dict(counts)
+        while sum(remaining.values()) > 0:
+            prev = seq[-1] if seq else None
+            forced = sequence._forced_follower(prev, rules)
+            if forced is not None:
+                if remaining[forced] == 0:
+                    raise ConstraintError(
+                        f"rule requires a {forced.name} after {prev.name} but none remain"
+                    )
+                seq.append(forced)
+                remaining[forced] -= 1
+                continue
+            cands = [
+                t for t in types
+                if remaining[t] > 0 and feasible_one_step(t, prev, remaining, rules)
+            ]
+            if not cands:
+                raise ConstraintError("no movement type can be placed without violating a rule")
+            t = sequence._weighted_choice(cands, [float(remaining[c]) for c in cands], rng)
+            pred = sequence._required_predecessor(t, rules)
+            if pred is not None and prev != pred:
+                seq.append(pred)
+                remaining[pred] -= 1
+            else:
+                seq.append(t)
+                remaining[t] -= 1
+        violated = sequence.find_violation(seq, rules)
+        if violated is not None:
+            raise ConstraintError(f"generated sequence violates '{violated}'", violated)
+        return seq
+    seq = []
+    while len(seq) < spec.length:
+        prev = seq[-1] if seq else None
+        forced = sequence._forced_follower(prev, rules)
+        if forced is not None:
+            seq.append(forced)
+            continue
+        t = sequence._weighted_choice(list(types), [1.0, 1.0, 1.0], rng)
+        pred = sequence._required_predecessor(t, rules)
+        seq.append(pred if pred is not None and prev != pred else t)
+    forced = sequence._forced_follower(seq[-1], rules)
+    if forced is not None:
+        seq.append(forced)
+    return seq
+
+
+def sequence_outcome(build, spec, seed):
+    try:
+        return build(spec, RandomSource(seed)), None
+    except ConstraintError as e:
+        return None, str(e)
+
+
+_SINGLE_RULES = [
+    OrderingRule(kind, a, b)
+    for kind in (OrderingRule.AFTER_EACH, OrderingRule.BEFORE)
+    for a in sequence.MOVEMENT_TYPES
+    for b in sequence.MOVEMENT_TYPES
+    if a != b
+]
+RULE_SETS = [[]] + [[r] for r in _SINGLE_RULES] + [
+    [a, b] for i, a in enumerate(_SINGLE_RULES) for b in _SINGLE_RULES[i + 1 :]
+]
+SEQUENCE_SIZES = [(3, 3, 3), (1, 3, 3), (2, 2, 1), (4, 1, 2), (0, 3, 2), 1, 5, 20]
+
+
+def _rules_id(rules) -> str:
+    return "+".join(f"{r.kind}-{r.first.name}-{r.second.name}" for r in rules) or "none"
+
+
+@pytest.mark.parametrize("rules", RULE_SETS, ids=_rules_id)
+def test_build_sequence_matches_one_step_repair_where_it_was_valid(rules):
+    for size in SEQUENCE_SIZES:
+        if isinstance(size, int):
+            spec = SequenceSpec(length=size, constraints=rules)
+        else:
+            spec = SequenceSpec(counts=dict(zip(sequence.MOVEMENT_TYPES, size)), constraints=rules)
+        for seed in range(10):
+            got, got_err = sequence_outcome(sequence.build_sequence, spec, seed)
+            want, want_err = sequence_outcome(build_sequence_one_step, spec, seed)
+            if got_err is None:
+                assert sequence.find_violation(got, rules) is None
+            if want_err is None and sequence.find_violation(want, rules) is None:
+                assert got == want, (size, seed)
+            elif len(rules) < 2:
+                assert (got, got_err) == (want, want_err), (size, seed)

@@ -139,3 +139,43 @@ def test_empty_spec_rejected():
         SequenceSpec()
     with pytest.raises(ParameterError):
         SequenceSpec(counts={F: 0})
+
+
+CHAINED_BEFORE = [OrderingRule("before", F, S), OrderingRule("before", S, SP)]
+CHAINED_AFTER = [OrderingRule("after_each", F, S), OrderingRule("after_each", S, SP)]
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec(length=5, constraints=CHAINED_BEFORE),
+    SequenceSpec(length=5, constraints=CHAINED_AFTER),
+    SequenceSpec(counts={F: 3, S: 3, SP: 3}, constraints=CHAINED_BEFORE),
+    SequenceSpec(counts={F: 3, S: 3, SP: 3}, constraints=CHAINED_AFTER),
+], ids=["length-before", "length-after_each", "counts-before", "counts-after_each"])
+def test_chained_rules_give_valid_sequences_on_every_seed(spec):
+    # A draw places its whole chain of required predecessors, and a length
+    # sequence ends on the whole chain of forced followers; one step of
+    # either broke a rule or raised on most of these seeds.
+    for seed in range(200):
+        seq = build_sequence(spec, RandomSource(seed))
+        assert independent_ok(seq, spec.constraints)
+        assert find_violation(seq, spec.constraints) is None
+        if spec.counts is not None:
+            assert Counter(seq) == Counter(spec.counts)
+        else:
+            assert len(seq) >= spec.length
+
+
+def test_length_mode_contradicting_followers_raise_naming_the_rule():
+    # Each SACC needs a FIX and an SP right after it: a seed that draws a
+    # SACC cannot give a valid sequence, so it raises instead of returning.
+    rules = [OrderingRule("after_each", S, F), OrderingRule("after_each", S, SP)]
+    raised = 0
+    for seed in range(200):
+        try:
+            seq = build_sequence(SequenceSpec(length=5, constraints=rules), RandomSource(seed))
+        except ConstraintError as e:
+            assert e.rule == rules[1] and str(rules[1]) in str(e)
+            raised += 1
+        else:
+            assert S not in seq and independent_ok(seq, rules)
+    assert raised > 0
