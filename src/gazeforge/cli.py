@@ -23,7 +23,6 @@ from .params import DEFAULT_REPEATS, LABEL_NAMES, REMAP_NEW_STIMULUS, MovementLa
 if TYPE_CHECKING:
     from .core import RandomSource, SampledSignal, TargetSet
     from .mapping import SceneTargets
-    from .saliency import SaliencyMap
     Outputs = tuple[dict[str, bytes], str]  # what a subcommand writes, and prints
 
 EXIT_OK = 0
@@ -79,27 +78,25 @@ def _generate(cfg: RunConfig, rng: RandomSource, repeats: int) -> Outputs:
     return {out: velocity_csv_bytes(signal)}, f"generate: {_summary(signal)} -> {out}"
 
 
-def _targets_from_map(
-    smap: SaliencyMap, mcfg: MappingConfig, rng: RandomSource
-) -> TargetSet:
-    from .saliency import jitter_targets, local_maxima
+def _jittered(found: TargetSet, mcfg: MappingConfig, rng: RandomSource) -> TargetSet:
+    """The fixation targets from a map's local maxima; none is an error."""
+    from .saliency import jitter_targets
 
-    targets = local_maxima(
-        smap, mcfg.min_target_distance, mcfg.target_threshold
-    )
-    if len(targets) == 0:
+    if len(found) == 0:
         raise MappingError("saliency map yields no fixation targets")
-    return jitter_targets(targets, mcfg.params.target_jitter_px, rng)
+    return jitter_targets(found, mcfg.params.target_jitter_px, rng)
 
 
 def _scene_targets(cfg: RunConfig, dynamic: bool, rng: RandomSource) -> SceneTargets:
     """Targets of paths.stimulus or of each frame in paths.frames_dir, from the
-    image's saliency or paths.saliency_map (a file, or a folder of frame maps)."""
+    image's saliency or paths.saliency_map (a file, or a folder of frame maps).
+    An image's map is never written, so only its cells that can hold a target
+    are computed."""
     from .fileio import read_pgm
     from .mapping import SceneTargets
-    from .saliency import SaliencyMap, spectral_residual
+    from .saliency import SaliencyMap, image_targets, local_maxima
 
-    paths, rate = cfg.paths, cfg.mapping.frame_rate
+    paths, mcfg, rate = cfg.paths, cfg.mapping, cfg.mapping.frame_rate
     if dynamic:
         names = config_mod.frame_names(paths.frames_dir)
         folder = paths.saliency_map or paths.frames_dir
@@ -109,8 +106,13 @@ def _scene_targets(cfg: RunConfig, dynamic: bool, rng: RandomSource) -> SceneTar
     frames = []
     for t, path in entries:
         grid = read_pgm(path)
-        smap = SaliencyMap(grid) if paths.saliency_map else spectral_residual(grid)
-        frames.append((t, _targets_from_map(smap, cfg.mapping, rng)))
+        if paths.saliency_map:
+            found = local_maxima(
+                SaliencyMap(grid), mcfg.min_target_distance, mcfg.target_threshold
+            )
+        else:
+            found = image_targets(grid, mcfg.min_target_distance, mcfg.target_threshold)
+        frames.append((t, _jittered(found, mcfg, rng)))
     return SceneTargets.from_frames(frames, rate)
 
 
@@ -150,14 +152,15 @@ def _remap(cfg: RunConfig, rng: RandomSource, repeats: int) -> Outputs:
 
 def _saliency(cfg: RunConfig, rng: RandomSource, repeats: int) -> Outputs:
     from .fileio import pgm_bytes, read_pgm
-    from .saliency import spectral_residual
+    from .saliency import local_maxima, spectral_residual
 
-    out = cfg.paths.output
+    out, mcfg = cfg.paths.output, cfg.mapping
     smap = spectral_residual(read_pgm(cfg.paths.stimulus))
     files = {out: pgm_bytes(smap.values)}
     msg = f"saliency: {smap.width}x{smap.height} map -> {out}"
     if cfg.paths.targets_output:
-        targets = _targets_from_map(smap, cfg.mapping, rng.derive(10))
+        found = local_maxima(smap, mcfg.min_target_distance, mcfg.target_threshold)
+        targets = _jittered(found, mcfg, rng.derive(10))
         lines = ["x_px,y_px,weight"]
         for x, y, w in targets.points:
             lines.append(f"{x:.3f},{y:.3f},{w:.6g}")

@@ -565,6 +565,7 @@ def read_pgm_bytes(data: bytes) -> np.ndarray:
             sc.skip_ws()
             if sc.pos < len(sc.data):
                 raise ParseError("trailing data after pixels", f"byte {sc.pos}")
+        values /= float(maxval)  # both P2 paths make a new array: divide in place
     else:
         # Exactly one whitespace byte separates the header from the payload.
         if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in b" \t\r\n":
@@ -580,15 +581,16 @@ def read_pgm_bytes(data: bytes) -> np.ndarray:
             )
         if len(data) > sc.pos + need:
             raise ParseError("trailing data after payload", f"byte {sc.pos + need}")
-        dtype = ">u2" if bpp == 2 else np.uint8
-        values = np.frombuffer(payload, dtype=dtype).astype(float)
-        if values.max(initial=0) > maxval:
-            bad = int(np.argmax(values > maxval))
+        raw = np.frombuffer(payload, dtype=">u2" if bpp == 2 else np.uint8)
+        # A maxval of 255 or 65535 admits every value of the sample type.
+        if maxval < (1 << 8 * bpp) - 1 and raw.max(initial=0) > maxval:
+            bad = int(np.argmax(raw > maxval))
             raise ParseError(
-                f"pixel value {int(values[bad])} exceeds maxval {maxval}",
+                f"pixel value {int(raw[bad])} exceeds maxval {maxval}",
                 f"byte {sc.pos + bad * bpp}",
             )
-    values /= float(maxval)  # a new array on every path, so divide in place
+        # Integers convert to doubles exactly: the bits of astype, then divide.
+        values = np.divide(raw, float(maxval))
     return values.reshape(height, width)
 
 

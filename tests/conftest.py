@@ -35,3 +35,17 @@ def rng():
 
 def fixed(v: float) -> BoundedDistribution:
     return BoundedDistribution.fixed(v)
+
+
+def blob_frame(seed: int, h: int = 480, w: int = 640, blobs: int = 10) -> np.ndarray:
+    """Gaussian blobs over a faint noise floor, quantized to 8 bits and scaled
+    to [0, 1] as a decoded P5 frame is."""
+    rng = np.random.default_rng(seed)
+    ys, xs = np.arange(h, dtype=float)[:, None], np.arange(w, dtype=float)
+    img = 0.08 * rng.random((h, w))
+    for _ in range(blobs):
+        bx, by = rng.uniform(0.05, 0.95) * w, rng.uniform(0.05, 0.95) * h
+        sigma = rng.uniform(0.01, 0.05) * w
+        g = np.exp(-0.5 * ((xs - bx) / sigma) ** 2) * np.exp(-0.5 * ((ys - by) / sigma) ** 2)
+        img += rng.uniform(0.3, 1.0) * g
+    return np.floor(img / img.max() * 255.0 + 0.5) / 255.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gazeforge import config
@@ -53,3 +54,25 @@ def test_generate_signal_peak_per_base_sample(k):
     assert base > 40_000 * k  # 42,126 and 170,573 base samples
     assert len(signal) > 0
     assert peak / base <= MAX_BYTES_PER_BASE_SAMPLE
+
+
+def test_image_targets_peak_below_the_frame():
+    # The full map of a 640x480 frame, framed for local_maxima, peaks at
+    # about 2.3 times the decoded frame. A frame with few salient cells (the
+    # benchmark's have 3-7 % of them at threshold 0.1) stays below 1 time
+    # it; one with more than _MAX_CELL_SHARE of them takes the full map.
+    from conftest import blob_frame
+    from gazeforge import saliency
+    from gazeforge.fileio import read_pgm_bytes
+
+    pixels = np.floor(blob_frame(5) * 255.0 + 0.5).astype(np.uint8)
+    frame = read_pgm_bytes(b"P5\n640 480\n255\n" + pixels.tobytes())
+    assert saliency._salient_cells(saliency._small_map(frame), 480, 640, 0.1) is not None
+    assert len(saliency.image_targets(frame, 10.0, 0.1)) > 0  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        saliency.image_targets(frame, 10.0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= frame.nbytes

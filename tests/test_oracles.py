@@ -24,7 +24,9 @@ pure-Python port of ``gammaln`` and ``gammaincinv`` against
 ``scipy.special``; the saccade shape fit against ``scipy.optimize.brentq``
 within the fit's tolerance, and the saliency resize and
 periodic filters (and ``spectral_residual`` built on them) against the
-``scipy.ndimage`` calls they replace, bit for bit on uint64 views.
+``scipy.ndimage`` calls they replace, bit for bit on uint64 views;
+``image_targets``, which computes only the map cells that can hold a
+target, against ``local_maxima`` of the full ``spectral_residual`` map.
 """
 from __future__ import annotations
 
@@ -89,6 +91,7 @@ from gazeforge.params import (
 )
 from gazeforge.resampler import SampledSignal
 from gazeforge.saliency import TargetSet
+from conftest import blob_frame
 from test_evaluation import evaluate_dataset_loop
 
 NOISE = int(MovementLabel.NOISE)
@@ -1017,6 +1020,105 @@ def test_local_maxima_thresholds_on_noise_map_match_loop(threshold):
 def test_local_maxima_negative_distance_error_matches_loop():
     smap = saliency.SaliencyMap(np.zeros((4, 4)))
     assert outcome(saliency.local_maxima, smap, -1.0) == outcome(local_maxima_loop, smap, -1.0)
+
+
+# --- image targets from the salient cells only, against the full map ---
+
+def targets_of_full_map(image, min_distance, threshold):
+    return saliency.local_maxima(saliency.spectral_residual(image), min_distance, threshold)
+
+
+def assert_same_image_targets(image, min_distance, threshold):
+    with np.errstate(all="ignore"):  # non-finite pixels warn on both paths
+        got = outcome(saliency.image_targets, image, min_distance, threshold)
+        want = outcome(targets_of_full_map, image, min_distance, threshold)
+    assert got == want
+
+
+TARGET_THRESHOLDS = [-math.inf, 0.0, 0.1, 0.5, 1.0, math.nan]
+TARGET_DISTANCES = [0.0, 3.5, 10.0, math.inf]
+
+
+@st.composite
+def target_images(draw):
+    """8 to 120 rows, 8 to 200 columns: w <= 64 keeps the full map."""
+    h, w = draw(st.integers(8, 120)), draw(st.integers(8, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["blob", "noise", "quantized", "impulse", "constant", "special"]))
+    if kind == "blob":
+        return blob_frame(seed, h, w, blobs=draw(st.integers(1, 6)))
+    if kind == "noise":
+        return rng.random((h, w))
+    if kind == "quantized":
+        return rng.integers(0, draw(st.integers(2, 6)), (h, w)) / 5.0
+    if kind == "constant":
+        return np.full((h, w), draw(st.sampled_from([0.0, 0.5, 1.0])))
+    img = np.zeros((h, w))
+    img[rng.integers(h), rng.integers(w)] = 1.0
+    if kind == "special":  # NaN or +-inf pixels: non-finite small maps
+        hit = rng.random((h, w)) < draw(st.sampled_from([0.001, 0.05]))
+        img[hit] = rng.choice([math.nan, math.inf, -math.inf], int(hit.sum()))
+    return img
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target_images(),
+    st.sampled_from(TARGET_DISTANCES),
+    st.sampled_from(TARGET_THRESHOLDS),
+)
+@example(np.random.default_rng(0).random((48, 64)), 3.5, 0.1)  # w == 64
+@example(np.random.default_rng(1).random((48, 65)), 3.5, 0.1)
+@example(np.full((20, 90), 0.25), 0.0, -math.inf)  # constant: no targets
+@example(np.random.default_rng(2).random((30, 90)), -1.0, 0.1)  # negative distance
+def test_image_targets_match_full_map(image, min_distance, threshold):
+    assert_same_image_targets(image, min_distance, threshold)
+
+
+@pytest.mark.parametrize("threshold", TARGET_THRESHOLDS)
+def test_image_targets_of_blob_frame_match_full_map(threshold):
+    image = blob_frame(3)
+    for min_distance in TARGET_DISTANCES:
+        assert_same_image_targets(image, min_distance, threshold)
+
+
+def test_image_targets_with_nonfinite_pixels_match_full_map():
+    image = blob_frame(4, 120, 160)
+    for fill in (math.nan, math.inf, -math.inf):
+        bad = image.copy()
+        bad[50, 70] = fill
+        assert_same_image_targets(bad, 3.5, 0.1)
+
+
+@pytest.mark.parametrize("threshold", [0.1, 0.0, -math.inf])
+def test_image_targets_compute_only_the_cells_that_can_hold_targets(monkeypatch, threshold):
+    # Counted work: the pixels of every cell that _Cells.values computes, and
+    # of the full map where image_targets takes it instead.
+    area, full = {}, []
+    values, full_map = saliency._Cells.values, saliency._full_map
+
+    def counted(cells, cy, cx):
+        rows = cells.row_runs[1] - cells.row_runs[0]
+        cols = cells.col_runs[1] - cells.col_runs[0]
+        for a, b in zip(cy.tolist(), cx.tolist()):
+            area[a, b] = int(rows[a] * cols[b])
+        return values(cells, cy, cx)
+
+    def counted_full(small, h, w):
+        full.append(h * w)
+        return full_map(small, h, w)
+
+    image = blob_frame(5)
+    want = targets_of_full_map(image, 10.0, threshold)
+    monkeypatch.setattr(saliency._Cells, "values", counted)
+    monkeypatch.setattr(saliency, "_full_map", counted_full)
+    got = saliency.image_targets(image, 10.0, threshold)
+    assert got.points == want.points and len(got) > 0
+    if threshold > 0:
+        assert 0 < sum(area.values()) < 0.1 * image.size and full == []
+    else:  # every cell can hold a target: the full map is the cheaper one
+        assert full == [image.size]
 
 
 # --- saccade shape fit: regula falsi against scipy.optimize.brentq ---
