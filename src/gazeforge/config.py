@@ -14,9 +14,9 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from ._gamma import MAX_GAMMA_SHAPE
 from .errors import ParameterError, ParseError, ValidationError
 from .params import (
+    MAX_GAMMA_SHAPE,
     MIN_SKEWNESS,
     MODE_ADD,
     MODE_REPLACE,

@@ -3,7 +3,8 @@
 Mirrors the protocol of comparing simulated segments against labeled real
 recordings: each fixation, saccade and smooth pursuit is re-simulated several
 times with the same length, and the per-sample squared errors are pooled per
-movement type into whisker-plot statistics.
+movement type into whisker-plot statistics. A saccade is re-simulated as the
+Gamma profile whose mode, solved in closed form, lands on the run's peak.
 """
 from __future__ import annotations
 
@@ -12,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gamma import MAX_GAMMA_SHAPE
 from .core import RandomSource, label_runs
 from .errors import ParameterError
-from .generators import gamma_profile, gamma_tail
-from .params import DEFAULT_REPEATS, MovementLabel
+from .generators import GAMMA_TAIL_Z, gamma_profile, gamma_tail
+from .params import DEFAULT_REPEATS, MAX_GAMMA_SHAPE, MovementLabel
 
 
 @dataclass(frozen=True)
@@ -40,77 +40,25 @@ class ErrorSummary:
     pooled: dict[MovementLabel, np.ndarray]
 
 
-def _mode_index(shape: float, length: int) -> float:
-    """Fractional sample index of the Gamma profile mode for a run of the
-    given length."""
-    return (length - 1) * (shape - 1.0) / gamma_tail(shape)
-
-
-def _root(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f with f(a) <= 0 <= f(b): regula falsi with the Anderson-Bjorck
-    weighting (BIT 13, 1973). Each step takes the secant of the two latest
-    points that bracket the root; when the new point c lands on the side of
-    the latest point b, the end kept again has its value scaled by
-    m = 1 - f(c) / f(b), or by 1/2 when m <= 0, so that it cannot stall.
-    Stops when a step moves by at most xtol + rtol * |c|, and raises
-    RuntimeError after maxiter steps."""
-    fa, fb = f(a), f(b)
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    for _ in range(maxiter):
-        c = b - fb * (b - a) / (fb - fa)
-        fc = f(c)
-        if fc == 0 or abs(c - b) <= xtol + rtol * abs(c):
-            return c
-        if (fc > 0) == (fb > 0):
-            m = 1.0 - fc / fb
-            fa *= m if m > 0 else 0.5
-        else:
-            a, fa = b, fb
-        b, fb = c, fc
-    raise RuntimeError(f"no root within {xtol} + {rtol}|x| after {maxiter} steps")
-
-
-def _estimated_shape(ratio: float) -> float:
-    """The shape k with (k - 1) / q(k) = ratio for q(k) = k + z sqrt(k) +
-    (z^2 - 1) / 3, the Cornish-Fisher tail quantile to its constant term: a
-    quadratic in sqrt(k). Within 3.3 % of the fitted shape for runs of up to
-    5,000 samples."""
-    z = 4.753424308822899  # the standard normal quantile of GAMMA_TAIL_QUANTILE
-    a, b, c = 1.0 - ratio, ratio * z, 1.0 + ratio * (z * z - 1.0) / 3.0
-    return ((b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)) ** 2
-
-
 def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]:
     """Gamma shape whose profile argmax lands on peak_index (within 1 sample).
 
-    Returns (shape, exact). When the requested index is unattainable (the
-    run boundary), the nearest attainable mode is used and exact is False.
-    The fit is deterministic and draws no random numbers.
+    The profile's mode lies at the fractional index (length - 1) (k - 1) /
+    gamma_tail(k), and gamma_tail(k) = k + z sqrt(k) + (z^2 - 1) / 3, so
+    equating it with peak_index gives a quadratic in sqrt(k), solved here in
+    closed form. Returns (shape, exact): a peak past the mode of
+    MAX_GAMMA_SHAPE (the run's last samples) is unattainable, and the fit
+    returns (MAX_GAMMA_SHAPE, False). The fit draws no random numbers.
     """
     if length < 2:
         raise ParameterError("saccade run must have at least 2 samples")
-    if peak_index <= 0:
-        return 1.0, True  # mode at the first sample
-    k_lo, k_hi = 1.0 + 1e-9, MAX_GAMMA_SHAPE
-
-    def f(k):
-        return _mode_index(k, length) - peak_index
-
-    if f(k_hi) < 0:
-        # Peak at (or past) the final sample cannot be reached; fall back to
-        # the latest attainable mode.
-        return k_hi, False
-    # Regula falsi from within 5 % of the estimated root needs far fewer
-    # tail quantiles than from [k_lo, k_hi], which stays the fallback.
-    k = _estimated_shape(peak_index / (length - 1))
-    lo, hi = max(0.95 * k, k_lo), min(1.05 * k, k_hi)
-    if not lo < hi or f(lo) > 0 or f(hi) < 0:
-        lo, hi = k_lo, k_hi
-    shape = _root(f, lo, hi, xtol=1e-9, rtol=1e-12)
-    return shape, abs(_mode_index(shape, length) - peak_index) <= 1.0
+    ratio = max(peak_index, 0) / (length - 1)
+    if ratio * gamma_tail(MAX_GAMMA_SHAPE) > MAX_GAMMA_SHAPE - 1.0:
+        return MAX_GAMMA_SHAPE, False
+    z = GAMMA_TAIL_Z
+    a, b, c = 1.0 - ratio, ratio * z, 1.0 + ratio * (z * z - 1.0) / 3.0
+    root = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+    return min(root * root, MAX_GAMMA_SHAPE), True
 
 
 def _lerp(a: float, b: float, t: float) -> float:

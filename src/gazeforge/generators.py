@@ -1,23 +1,23 @@
 """Velocity-profile generators for fixations, saccades and smooth pursuits.
 
 Saccades follow a Gamma-shaped velocity profile whose asymmetry is set by a
-skewness parameter (shape = (2/skew)^2). The Gamma quantile and log-Gamma
-come from the pure-Python port in ``_gamma``, which returns SciPy's bits, so
-no SciPy is needed at run time. Smooth pursuit onsets follow a logistic ramp
-pinned to 1% / 99% of the plateau at its endpoints.
+skewness parameter (shape = (2/skew)^2). The profile's support ends at a
+closed-form tail point (``gamma_tail``) and its density is normalized at the
+analytic mode, so no special function is needed. Smooth pursuit onsets
+follow a logistic ramp pinned to 1% / 99% of the plateau at its endpoints.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from ._gamma import gammaincinv, lgam
 from .core import RandomSource, SampledSignal, sample_bounded, sample_bounded_many
 from .errors import ParameterError
 from .params import (
+    MAX_GAMMA_SHAPE,
+    MIN_SKEWNESS,
     BoundedDistribution,
     FixationParams,
     MovementLabel,
@@ -26,11 +26,12 @@ from .params import (
     SaccadeParams,
 )
 
-# Upper end of the Gamma support used for a saccade segment. The nominal
-# choice of the 0.999 quantile leaves ~10% skewness bias after truncation;
-# the 1 - 1e-6 quantile keeps profile skewness within 0.1% of the request
-# while the boundary velocity stays far below 1% of the peak.
-GAMMA_TAIL_QUANTILE = 1.0 - 1e-6
+# The standard normal quantile of 1 - 1e-7. gamma_tail puts the end of a
+# saccade's Gamma support near the 1 - 1e-7 quantile: the nominal 0.999
+# quantile leaves ~10% skewness bias after truncation, while this tail keeps
+# profile skewness within 0.05% of the request and the boundary velocity far
+# below 1% of the peak.
+GAMMA_TAIL_Z = 5.199337582192817
 
 _ONSET_STEEPNESS = 2.0 * math.log(99.0)  # times 1/onset_duration
 
@@ -51,7 +52,13 @@ def _consistency_draws(dist: BoundedDistribution, n: int, rng: RandomSource) -> 
 
 
 def _segment_length(duration: float, base_rate: float, what: str) -> int:
-    n = int(round(duration * base_rate))
+    samples = duration * base_rate
+    if not math.isfinite(samples):
+        raise ParameterError(
+            f"{what}: duration {duration:.6g} s at {base_rate:.6g} Hz gives no "
+            "finite sample count"
+        )
+    n = int(round(samples))
     if n < 1:
         raise ParameterError(
             f"{what}: duration {duration:.6g} s at {base_rate:.6g} Hz yields "
@@ -72,46 +79,52 @@ def gen_fixation(
     return SampledSignal.at_rate(base_rate, v, labels)
 
 
-@functools.lru_cache(maxsize=4096)
 def gamma_tail(shape: float) -> float:
-    """GAMMA_TAIL_QUANTILE quantile of the unit-scale Gamma(shape) law, for
-    1 <= shape <= MAX_GAMMA_SHAPE."""
-    return gammaincinv(float(shape), GAMMA_TAIL_QUANTILE)
+    """End of the saccade profile's support for the unit-scale Gamma(shape)
+    law: the Cornish-Fisher expansion (Cornish & Fisher, 1938), to its
+    constant term, of the 1 - 1e-7 quantile. For shapes in
+    [1, MAX_GAMMA_SHAPE] the mass beyond it lies between 1.0e-7 and 3.5e-7."""
+    z = GAMMA_TAIL_Z
+    return shape + z * math.sqrt(shape) + (z * z - 1.0) / 3.0
 
 
 def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
     """Jitter-free Gamma-shaped velocity profile with exact peak.
 
-    The Gamma density (shape k >= 1) is evaluated on n points spanning
-    [0, tail quantile] and normalized by its discrete maximum so the
-    profile attains `peak` exactly.
+    The Gamma density (shape k in [1, MAX_GAMMA_SHAPE]) is evaluated on n
+    points spanning [0, gamma_tail(k)], relative to its value at the mode
+    k - 1, and normalized by its discrete maximum so the profile attains
+    `peak` exactly.
     """
-    if not np.isfinite(shape) or shape < 1.0:
+    if not 1.0 <= shape <= MAX_GAMMA_SHAPE:
         raise ParameterError(
-            f"gamma shape {shape:.6g} < 1 (skewness too large); profile "
-            "would be unbounded at onset"
+            f"gamma shape {shape:.6g} outside [1, {MAX_GAMMA_SHAPE:.6g}]"
         )
     if n < 2:
         raise ParameterError("saccade needs at least 2 samples")
     x = np.linspace(0.0, gamma_tail(shape), n)
-    # (shape - 1) * log(x) per element with libm's log, as SciPy's xlogy
-    # computes it (np.log can differ in the last bit); 0 when shape == 1.
+    # (k - 1) log(x) - x less its value at the mode, (k - 1) log(k - 1) -
+    # (k - 1), with 0 log 0 = 0 when k == 1. The log is libm's per element:
+    # np.log's SIMD kernels can differ from it in the last bit.
     k1 = float(shape) - 1.0
     xlogy = np.zeros(n)
+    at_mode = 0.0
     if k1 != 0.0:
         xlogy[0] = -np.inf  # x[0] == 0
         xlogy[1:] = [k1 * math.log(v) for v in x[1:].tolist()]
-    g = np.exp(xlogy - x - lgam(float(shape)))  # Gamma density
-    m = g.max()
-    if not np.isfinite(m) or m <= 0:
-        raise ParameterError(f"degenerate gamma density for shape {shape:.6g}")
-    return peak * g / m
+        at_mode = k1 * math.log(k1) - k1
+    g = np.exp(xlogy - x - at_mode)
+    return peak * g / g.max()
 
 
 def skew_to_shape(skew: float) -> float:
-    """Invert the Gamma skewness identity (skewness = 2/sqrt(shape))."""
-    if skew <= 0 or not np.isfinite(skew):
-        raise ParameterError(f"skewness must be finite and > 0, got {skew}")
+    """Invert the Gamma skewness identity (skewness = 2/sqrt(shape)) for
+    skewness in [MIN_SKEWNESS, 2], whose shapes are [1, MAX_GAMMA_SHAPE]."""
+    if not MIN_SKEWNESS <= skew <= 2.0:
+        raise ParameterError(
+            f"skewness {skew:.6g} outside [{MIN_SKEWNESS:.6g}, 2] (Gamma shape "
+            f"in [1, {MAX_GAMMA_SHAPE:.6g}])"
+        )
     return (2.0 / skew) ** 2
 
 
@@ -143,10 +156,7 @@ def gen_saccade(
     n = _segment_length(dur, base_rate, "saccade")
     if n < 2:
         raise ParameterError("saccade duration too short for two samples")
-    try:
-        v = gamma_profile(n, shape, peak)
-    except ParameterError as e:
-        raise ParameterError(f"saccade skewness draw {skew:.6g}: {e}") from e
+    v = gamma_profile(n, shape, peak)
     v = np.maximum(0.0, v + _consistency_draws(p.consistency, n, rng))
     labels = np.full(n, MovementLabel.SACCADE, dtype=np.uint8)
     return SampledSignal.at_rate(base_rate, v, labels)
@@ -232,8 +242,8 @@ def assemble(
     """Generate and concatenate one segment per sequence entry, in order."""
     if not seq:
         raise ParameterError("sequence must be non-empty")
-    if base_rate <= 0:
-        raise ParameterError("base_rate must be > 0")
+    if not 0.0 < base_rate < math.inf:
+        raise ParameterError(f"base_rate must be finite and > 0, got {base_rate}")
     parts = []
     for i, label in enumerate(seq):
         try:

@@ -3,7 +3,7 @@ distributions, every stage's parameter dataclass and the constants that the
 config check needs.
 
 A config check, ``--help`` and a config error load only this module,
-``errors``, ``_gamma`` and ``config``, so they pay no numpy import. The stage
+``errors`` and ``config``, so they pay no numpy import. The stage
 modules import these types from here.
 """
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
-from ._gamma import MAX_GAMMA_SHAPE
 from .errors import ParameterError, ParseError
 
 
@@ -178,6 +177,9 @@ class PursuitParams:
             if dist.min < 0:
                 raise ParameterError(f"pursuit.{name} must have min >= 0")
 
+
+# Largest Gamma shape accepted; skewness below 2e-4 maps above it.
+MAX_GAMMA_SHAPE = 1e8
 
 # Smallest saccade skewness: skew_to_shape(MIN_SKEWNESS) == MAX_GAMMA_SHAPE
 # (2e-4), and smaller skewness draws give larger shapes.

@@ -4,14 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import gamma as sp_gamma
 
 from gazeforge.core import RandomSource
 from gazeforge.errors import ParameterError
 from gazeforge.generators import (
-    GAMMA_TAIL_QUANTILE,
     assemble,
     gamma_profile,
+    gamma_tail,
     gen_fixation,
     gen_pursuit,
     gen_saccade,
@@ -117,8 +116,7 @@ def test_saccade_mode_position_matches_analytic():
     assert shape == 4.0
     n = 100
     v = gamma_profile(n, shape, 100.0)
-    x_end = sp_gamma.ppf(GAMMA_TAIL_QUANTILE, shape)
-    expected = (n - 1) * (shape - 1.0) / x_end
+    expected = (n - 1) * (shape - 1.0) / gamma_tail(shape)
     assert abs(int(np.argmax(v)) - expected) <= 2
 
 

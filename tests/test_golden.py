@@ -39,22 +39,22 @@ RECORDED_WITH = {"numpy": "2.4.6"}
 
 GOLDEN = {
     "generate_normal_burst": {
-        "out.csv": "28e3651c98379485c66265d16c36545081fae749c5d55ac8c916cfe244d421f3",
+        "out.csv": "88e30c237d1922055b640463956dfac0343634248f4a6fd87b463ef27b31395e",
     },
     "generate_decreasing_add": {
-        "out.csv": "d6017a06929e6d6156eda56784e44aa564c876941e9fadc408bbac6f33de8f9c",
+        "out.csv": "384ad2a62d59999ebf536f11879f8746f5bd61871b39953bd74662f4057dd706",
     },
     "map_static": {
-        "out.csv": "8038b4b3bf26f96443fc29d4e0a31200235b27249d583554475e2bbc8031ac10",
+        "out.csv": "1b9f73deff68e2e9aadf1b2391396a5b2cc3f74f35902add4650f7b350ab8368",
     },
     "map_static_velocity_input": {
         "out.csv": "27e20c41938946a9bbc3852ccaa9f8c603e7ca1b591b2bc40f4bd16c2b9d5439",
     },
     "map_dynamic": {
-        "out.csv": "afe34e1afecee23a45d63f402a026508a0d422932919433cbca23075a674a8b9",
+        "out.csv": "bfbd892f09e4cae16d191b69197ac0cc3db4b25817372141589b4c39533450f3",
     },
     "map_dynamic_wide": {
-        "out.csv": "8f6a2235c6f65f5c2ea6196794a9d2b0eb8e99bb6bd0beea470085b28c8da130",
+        "out.csv": "fd3f0b12d325af2ddfc969bb5f34f7b425ea5d42b2e5b488c8cd83df49a8252d",
     },
     "remap_same_stimulus": {
         "out.csv": "25e169a31cddc05018bd7a6150a27bab3646c5d044b70d1e094849e7cb14f1b7",
@@ -71,8 +71,8 @@ GOLDEN = {
         "targets.csv": "9d4ba1a69b28354d8af03acfbcbf6bc7e0c1ed0845751c56bf38a12867347e48",
     },
     "evaluate_errors": {
-        "out.csv": "9859dd50aa0fb6c9d2e6d0270d2eafc8fbfd3b90f9f77349e5c79ae65ceec6b0",
-        "errors.csv": "5a654733ae4993be4c7e743e32963e5d20fc30189125b968edcfe904e2d5897a",
+        "out.csv": "b03dff6666eb904f5758027c06ea9db1b29b432de81974dc1ddbd32bb288d9ea",
+        "errors.csv": "d39f7205b46035e4ea53c83afe65002c628515a72c89b03b99e8988cede33a5f",
     },
 }
 

@@ -2,11 +2,11 @@
 
 Every CLI run pays its import time. ``scipy.stats`` alone takes about a
 second, ``scipy.special`` about half of one and ``scipy.optimize`` about a
-third. The package needs none of them at run time: the saccade profile's
-Gamma quantile and log-Gamma are a port of SciPy's kernels (``_gamma``),
-the shape fit in ``evaluate`` a 20-line regula falsi, and the saliency maps
-are computed with numpy alone. SciPy is a test-only dependency, the oracle
-those ports and the fit are checked against.
+third. The package needs none of them at run time: the saccade profile ends
+at a closed-form tail point and is normalized at its analytic mode, the
+shape fit in ``evaluate`` solves a quadratic, and the saliency maps are
+computed with numpy alone. SciPy is a test-only dependency, the oracle the
+profile, the fit and the saliency kernels are checked against.
 
 Each subcommand runs on a tiny golden-case config in a fresh interpreter
 and must leave no ``scipy`` module in ``sys.modules``; a source scan finds
@@ -197,7 +197,7 @@ def test_config_error_exits_before_numpy(command, doc, tmp_path):
 # their imports. The types that pass between stages (SampledSignal,
 # GazeTrace, TargetSet) live in core, so fileio, which every subcommand
 # loads, brings in no stage module.
-_COMMON = ["_gamma", "cli", "config", "core", "errors", "fileio", "params"]
+_COMMON = ["cli", "config", "core", "errors", "fileio", "params"]
 _SIGNAL = ["generators", "noise", "resampler", "sequence"]
 _SCENE = ["mapping", "saliency"]
 

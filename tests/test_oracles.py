@@ -19,10 +19,11 @@ blocks. The evaluate loop (in test_evaluation) takes the same blocks a
 repeat at a time, bit for bit; the stream v1 loops are statistical
 references: two-sample KS tests on the walk's steps and radii and on the
 pooled errors.
-The Gamma helpers are checked against ``scipy.stats.gamma``, and their
-pure-Python port of ``gammaln`` and ``gammaincinv`` against
-``scipy.special``; the saccade shape fit against ``scipy.optimize.brentq``
-within the fit's tolerance, and the saliency resize and
+The saccade profile is checked against ``scipy.stats.gamma``'s density, its
+closed-form tail against the mass ``scipy.special.gammaincc`` puts beyond
+it, and its skewness against the requested one; the closed-form shape fit
+against ``scipy.optimize.brentq`` within the solver's tolerance and by the
+round trip through the profile's argmax; and the saliency resize and
 periodic filters (and ``spectral_residual`` built on them) against the
 ``scipy.ndimage`` calls they replace, bit for bit on uint64 views;
 ``image_targets``, which computes only the map cells that can hold a
@@ -43,7 +44,7 @@ from scipy.optimize import brentq as sp_brentq
 from scipy.stats import gamma as sp_gamma
 from scipy.stats import ks_2samp
 
-from gazeforge import _gamma, fileio, generators, noise, resampler, saliency, sequence
+from gazeforge import fileio, generators, noise, resampler, saliency, sequence
 from gazeforge.core import (
     RandomSource,
     effective_labels,
@@ -52,17 +53,16 @@ from gazeforge.core import (
 )
 from gazeforge.errors import ConstraintError, MappingError, ParameterError, ParseError
 from gazeforge.evaluation import (
-    _mode_index,
     _quartiles,
     evaluate_dataset,
     fit_shape_for_peak_index,
 )
 from gazeforge.fileio import MAX_PGM_DIM, _PgmScanner, read_pgm_bytes
 from gazeforge.generators import (
-    GAMMA_TAIL_QUANTILE,
     MAX_ONSET_REDRAWS,
     gamma_profile,
     gamma_tail,
+    skew_to_shape,
 )
 from gazeforge.mapping import (
     GazeTrace,
@@ -75,6 +75,7 @@ from gazeforge.mapping import (
     fixation_walk,
 )
 from gazeforge.params import (
+    MAX_GAMMA_SHAPE,
     MODE_ADD,
     MODE_REPLACE,
     NAME_LABELS,
@@ -558,128 +559,79 @@ def _p2_file(width, height, maxval, extra, data) -> bytes:
     return b"P2\n%d %d\n%d\n" % (width, height, maxval) + body
 
 
-# --- Gamma helpers against scipy.stats.gamma ---
+# --- the saccade profile against scipy.stats.gamma and scipy.special ---
 
-GAMMA_SHAPES = [1.0, 1.0 + 1e-9, 2.0, 1e8] + list(
+GAMMA_SHAPES = [1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, 2.0, 1e8] + list(
     np.random.default_rng(2018).uniform(1.0, 60.0, 25)
 ) + list(10.0 ** np.random.default_rng(1808).uniform(0.0, 8.0, 15))
 
-
-def _bits(x) -> bytes:
-    return np.asarray(x, dtype=float).tobytes()
-
-
-def _profile_with_stats(n: int, shape: float, peak: float) -> np.ndarray:
-    x_end = float(sp_gamma.ppf(GAMMA_TAIL_QUANTILE, shape))
-    g = sp_gamma.pdf(np.linspace(0.0, x_end, n), shape)
-    return peak * g / g.max()
+uniform_shapes = st.floats(1.0, 12.0)
+log_uniform_shapes = st.floats(0.0, 8.0).map(lambda e: min(10.0 ** e, MAX_GAMMA_SHAPE))
+gamma_shapes = st.one_of(uniform_shapes, log_uniform_shapes)
 
 
-@pytest.mark.parametrize("shape", GAMMA_SHAPES)
-def test_gamma_tail_equals_stats_ppf(shape):
-    assert _bits(gamma_tail(shape)) == _bits(float(sp_gamma.ppf(GAMMA_TAIL_QUANTILE, shape)))
+def _assert_tail_mass_in_band(shape: float) -> None:
+    mass = sp_special.gammaincc(shape, gamma_tail(shape))
+    assert 1e-7 <= mass <= 1e-6, (shape, mass)
+
+
+def test_gamma_tail_mass_in_band_on_a_grid():
+    # The Cornish-Fisher tail leaves between 1.0e-7 (shape 1e8) and 3.5e-7
+    # (shape 1) of the Gamma mass beyond it.
+    for shape in GAMMA_SHAPES + (10.0 ** np.linspace(0.0, 8.0, 801)).tolist():
+        _assert_tail_mass_in_band(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_shapes)
+def test_gamma_tail_mass_in_band(shape):
+    _assert_tail_mass_in_band(shape)
 
 
 @pytest.mark.parametrize("shape", GAMMA_SHAPES)
 @pytest.mark.parametrize("n", [2, 17, 250])
-def test_gamma_profile_equals_stats(shape, n):
-    assert _bits(gamma_profile(n, shape, 432.1)) == _bits(_profile_with_stats(n, shape, 432.1))
-
-
-@pytest.mark.parametrize("shape", GAMMA_SHAPES)
-@pytest.mark.parametrize("length", [2, 40, 301])
-def test_mode_index_equals_stats(shape, length):
-    x_end = float(sp_gamma.ppf(GAMMA_TAIL_QUANTILE, shape))
-    want = (length - 1) * (shape - 1.0) / x_end
-    assert _bits(_mode_index(shape, length)) == _bits(want)
-
-
-# --- the Gamma port against scipy.special, bit for bit ---
-
-# Branch edges of the port: a == 1 and just above it; the DiDonato & Morris
-# start switching from Eq 25 to Eq 33 (near 2.9448) and from Eq 33 to Eq 31
-# (near 12.08); lgam's x < 13 and x >= 1000 forms; the Lanczos form of
-# igam_fac switching to log1pmx at 200; and the largest shape.
-PORT_SPOT_SHAPES = [
-    1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, 2.0, 2.9448, 2.94486, 3.0,
-    12.08, 12.0908, math.nextafter(13.0, 0.0), 13.0, 199.0, 200.0, 201.0,
-    math.nextafter(1000.0, 0.0), 1000.0, math.nextafter(1e8, 0.0), 1e8,
-]
-
-uniform_shapes = st.floats(1.0, 12.0)
-log_uniform_shapes = st.floats(0.0, 8.0).map(lambda e: min(10.0 ** e, 1e8))
-port_shapes = st.one_of(uniform_shapes, log_uniform_shapes)
-
-
-def _spread_shapes() -> list[float]:
-    rng = np.random.default_rng(1986)
-    return (
-        rng.uniform(1.0, 12.0, 1500).tolist()
-        + (10.0 ** rng.uniform(0.0, 8.0, 1500)).tolist()
-        + (1.0 + rng.uniform(0.0, 1e-6, 200)).tolist()
-        + [float(k) for k in range(1, 200)]
-    )
-
-
-def _assert_port_matches(shape: float) -> None:
-    assert _bits(_gamma.lgam(shape)) == _bits(sp_special.gammaln(shape)), shape
-    want = sp_special.gammaincinv(shape, GAMMA_TAIL_QUANTILE)
-    assert _bits(_gamma.gammaincinv(shape, GAMMA_TAIL_QUANTILE)) == _bits(want), shape
-
-
-def _profile_with_special(n: int, shape: float, peak: float) -> np.ndarray:
-    """gamma_profile as computed with scipy.special before the port."""
-    x_end = float(sp_special.gammaincinv(shape, GAMMA_TAIL_QUANTILE))
-    x = np.linspace(0.0, x_end, n)
-    g = np.exp(sp_special.xlogy(shape - 1.0, x) - x - sp_special.gammaln(shape))
-    return peak * g / g.max()
-
-
-@pytest.mark.parametrize("shape", PORT_SPOT_SHAPES)
-def test_gamma_port_matches_special_at_branch_edges(shape):
-    _assert_port_matches(shape)
-    assert _bits(gamma_tail(shape)) == _bits(
-        sp_special.gammaincinv(shape, GAMMA_TAIL_QUANTILE)
-    )
-
-
-def test_gamma_port_matches_special_on_spread_shapes():
-    for shape in _spread_shapes():
-        _assert_port_matches(shape)
-
-
-@settings(max_examples=300, deadline=None)
-@given(port_shapes)
-def test_gamma_port_matches_special(shape):
-    _assert_port_matches(shape)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 399), st.one_of(st.just(1.0), port_shapes), st.floats(1.0, 900.0))
-@example(2, 1.0, 432.1)
-@example(399, 1.0, 432.1)
-@example(40, 1e8, 500.0)
-def test_gamma_profile_matches_special(n, shape, peak):
-    # x[0] == 0 always: its log term is -inf, or 0 when shape == 1.
+def test_gamma_profile_matches_stats_pdf(shape, n):
+    # The density relative to its mode, on the same grid, agrees with
+    # scipy.stats.gamma's pdf scaled to the same peak.
+    peak = 432.1
+    g = sp_gamma.pdf(np.linspace(0.0, gamma_tail(shape), n), shape)
     got = gamma_profile(n, shape, peak)
-    assert _bits(got) == _bits(_profile_with_special(n, shape, peak))
+    np.testing.assert_allclose(got, peak * g / g.max(), rtol=1e-6, atol=1e-300)
+
+
+@pytest.mark.parametrize("skew", [0.1, 0.3, 0.6, 1.0, 1.5, 2.0])
+def test_gamma_profile_skewness(skew):
+    # The profile read as a density over its sample index has the requested
+    # skewness within 0.1 % (0.05 % at most on this grid).
+    v = gamma_profile(20000, skew_to_shape(skew), 1.0)
+    x = np.arange(len(v), dtype=float)
+    w = v / v.sum()
+    mean = (x * w).sum()
+    var = ((x - mean) ** 2 * w).sum()
+    got = ((x - mean) ** 3 * w).sum() / var**1.5
+    assert abs(got - skew) <= 1e-3 * skew
 
 
 @pytest.mark.parametrize("shape", [
-    math.nextafter(1.0, 0.0), 0.5, math.nextafter(1e8, math.inf), 1e9, 1.65e17,
-    math.inf, math.nan,
+    math.nextafter(1.0, 0.0), 0.5, math.nextafter(MAX_GAMMA_SHAPE, math.inf), 1e9,
+    1.65e17, math.inf, -math.inf, math.nan,
 ])
-def test_gamma_port_rejects_shapes_outside_domain(shape):
+def test_gamma_profile_rejects_shapes_outside_domain(shape):
     with pytest.raises(ParameterError, match="outside"):
-        _gamma.gammaincinv(shape, GAMMA_TAIL_QUANTILE)
-    with pytest.raises(ParameterError):
         gamma_profile(40, shape, 400.0)
 
 
-@pytest.mark.parametrize("p", [0.9, 0.5, 1.0])
-def test_gamma_port_rejects_unported_probabilities(p):
-    with pytest.raises(ValueError, match="0.9 < p < 1"):
-        _gamma.gammaincinv(2.0, p)
+def test_shape_fit_round_trip():
+    # Every exact fit of every length 2-400 puts the profile's argmax within
+    # one sample of the requested peak.
+    for length in range(2, 401):
+        for peak_index in range(length):
+            shape, exact = fit_shape_for_peak_index(length, peak_index)
+            if exact:
+                got = int(np.argmax(gamma_profile(length, shape, 1.0)))
+                assert abs(got - peak_index) <= 1, (length, peak_index, shape)
+            else:
+                assert (shape, peak_index) == (MAX_GAMMA_SHAPE, length - 1)
 
 
 # --- evaluation: one block per segment against the simulation per repeat ---
@@ -1121,7 +1073,7 @@ def test_image_targets_compute_only_the_cells_that_can_hold_targets(monkeypatch,
         assert full == [image.size]
 
 
-# --- saccade shape fit: regula falsi against scipy.optimize.brentq ---
+# --- saccade shape fit: the closed form against scipy.optimize.brentq ---
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 5000).flatmap(
@@ -1132,13 +1084,14 @@ def test_image_targets_compute_only_the_cells_that_can_hold_targets(monkeypatch,
 @example((5000, 1))
 @example((301, 150))
 def test_shape_fit_matches_scipy_brentq(case):
-    # The fit lies within the solver's tolerance of SciPy's root over the
-    # whole shape range, with the same exact flag; a peak no shape reaches
-    # (SciPy finds no sign change) falls back to the largest shape.
+    # The closed form lies within the solver's tolerance of SciPy's root of
+    # the profile's mode index over the whole shape range, with the same
+    # exact flag; a peak no shape reaches (SciPy finds no sign change) falls
+    # back to the largest shape.
     length, peak_index = case
 
     def f(k):
-        return _mode_index(k, length) - peak_index
+        return (length - 1) * (k - 1.0) / gamma_tail(k) - peak_index
 
     shape, exact = fit_shape_for_peak_index(length, peak_index)
     xtol, rtol = 1e-9, 1e-12
@@ -2010,6 +1963,10 @@ def test_scene_targets_at_matches_scan_on_many_frames():
 
 
 # --- quantiles: one partition against np.percentile and np.median ---
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
 
 QUANTILE_ARRAYS = [
     [3.5], [-0.0], [math.inf], [math.nan],
