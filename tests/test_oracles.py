@@ -575,6 +575,11 @@ def _assert_tail_mass_in_band(shape: float) -> None:
     assert 1e-7 <= mass <= 1e-6, (shape, mass)
 
 
+@pytest.mark.parametrize("shape", GAMMA_SHAPES)
+def test_gamma_tail_mass_in_band_at_shape(shape):
+    _assert_tail_mass_in_band(shape)
+
+
 def test_gamma_tail_mass_in_band_on_a_grid():
     # The Cornish-Fisher tail leaves between 1.0e-7 (shape 1e8) and 3.5e-7
     # (shape 1) of the Gamma mass beyond it.
@@ -597,6 +602,16 @@ def test_gamma_profile_matches_stats_pdf(shape, n):
     g = sp_gamma.pdf(np.linspace(0.0, gamma_tail(shape), n), shape)
     got = gamma_profile(n, shape, peak)
     np.testing.assert_allclose(got, peak * g / g.max(), rtol=1e-6, atol=1e-300)
+
+
+@pytest.mark.parametrize("shape", GAMMA_SHAPES)
+@pytest.mark.parametrize("length", [2, 40, 301])
+def test_gamma_profile_peaks_at_the_fitted_mode_index(shape, length):
+    # The shape fit inverts the mode index (length - 1)(k - 1)/gamma_tail(k);
+    # the profile's discrete maximum is at one of the two samples around it.
+    mode = (length - 1) * (shape - 1.0) / gamma_tail(shape)
+    got = int(np.argmax(gamma_profile(length, shape, 1.0)))
+    assert math.floor(mode) <= got <= math.ceil(mode), (mode, got)
 
 
 @pytest.mark.parametrize("skew", [0.1, 0.3, 0.6, 1.0, 1.5, 2.0])
