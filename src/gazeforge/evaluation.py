@@ -4,7 +4,8 @@ Mirrors the protocol of comparing simulated segments against labeled real
 recordings: each fixation, saccade and smooth pursuit is re-simulated several
 times with the same length, and the per-sample squared errors are pooled per
 movement type into whisker-plot statistics. A saccade is re-simulated as the
-Gamma profile whose mode, solved in closed form, lands on the run's peak.
+Gamma profile whose mode, solved in closed form, lands on the run's peak,
+placed between samples by a parabola through the argmax.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import RandomSource, label_runs
 from .errors import ParameterError
-from .generators import GAMMA_TAIL_Z, gamma_profile, gamma_tail
+from .generators import gamma_profile, gamma_tail, shape_for_mode_ratio
 from .params import DEFAULT_REPEATS, MAX_GAMMA_SHAPE, MovementLabel
 
 
@@ -40,25 +41,34 @@ class ErrorSummary:
     pooled: dict[MovementLabel, np.ndarray]
 
 
-def fit_shape_for_peak_index(length: int, peak_index: int) -> tuple[float, bool]:
+def fit_shape_for_peak_index(length: int, peak_index: float) -> tuple[float, bool]:
     """Gamma shape whose profile argmax lands on peak_index (within 1 sample).
 
     The profile's mode lies at the fractional index (length - 1) (k - 1) /
-    gamma_tail(k), and gamma_tail(k) = k + z sqrt(k) + (z^2 - 1) / 3, so
-    equating it with peak_index gives a quadratic in sqrt(k), solved here in
-    closed form. Returns (shape, exact): a peak past the mode of
-    MAX_GAMMA_SHAPE (the run's last samples) is unattainable, and the fit
-    returns (MAX_GAMMA_SHAPE, False). The fit draws no random numbers.
+    gamma_tail(k); ``shape_for_mode_ratio`` inverts that in closed form, so
+    peak_index may be fractional. Returns (shape, exact): a peak past the
+    mode of MAX_GAMMA_SHAPE (the run's last samples) is unattainable, and the
+    fit returns (MAX_GAMMA_SHAPE, False). The fit draws no random numbers.
     """
     if length < 2:
         raise ParameterError("saccade run must have at least 2 samples")
     ratio = max(peak_index, 0) / (length - 1)
     if ratio * gamma_tail(MAX_GAMMA_SHAPE) > MAX_GAMMA_SHAPE - 1.0:
         return MAX_GAMMA_SHAPE, False
-    z = GAMMA_TAIL_Z
-    a, b, c = 1.0 - ratio, ratio * z, 1.0 + ratio * (z * z - 1.0) / 3.0
-    root = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
-    return min(root * root, MAX_GAMMA_SHAPE), True
+    return min(shape_for_mode_ratio(ratio), MAX_GAMMA_SHAPE), True
+
+
+def _peak_position(seg: np.ndarray, i: int) -> float:
+    """Sub-sample position of the peak at argmax i: the vertex of the
+    parabola through seg[i - 1 : i + 2], which lies within half a sample of
+    i. At either end of the run, or where that parabola is flat or not
+    finite, the peak stays at i."""
+    if 0 < i < len(seg) - 1:
+        a, b, c = (float(v) for v in seg[i - 1 : i + 2])
+        curve = a - 2.0 * b + c
+        if curve < 0.0:
+            return i + 0.5 * (a - c) / curve
+    return float(i)
 
 
 def _lerp(a: float, b: float, t: float) -> float:
@@ -114,8 +124,9 @@ def evaluate_dataset(
     """Simulate every labeled segment `repeats` times with its own length and
     pool the per-sample squared errors by movement type, repeat after repeat.
 
-    A saccade is the Gamma profile with the run's peak, at the run's argmax
-    within one sample; it draws nothing, so its errors are pooled `repeats`
+    A saccade is the Gamma profile with the run's peak, its mode at the
+    vertex of the parabola through the run's argmax and its neighbours (the
+    argmax itself at either end of the run); it draws nothing, so its errors are pooled `repeats`
     times. A fixation or pursuit is the run's mean plus its (ddof 1) std times
     unit normals, clipped to 10 std around the mean and at 0. Random stream
     v2: each draws all of its repeats as one block of normals from
@@ -142,7 +153,8 @@ def evaluate_dataset(
             if n < 2:
                 sim = np.full(n, peak)
             else:
-                sim = gamma_profile(n, fit_shape_for_peak_index(n, peak_index)[0], peak)
+                at = _peak_position(seg, peak_index)
+                sim = gamma_profile(n, fit_shape_for_peak_index(n, at)[0], peak)
             chunks.extend([(sim - seg) ** 2] * repeats)
         else:
             mean = float(seg.mean())

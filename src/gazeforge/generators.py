@@ -31,7 +31,7 @@ from .params import (
 # quantile leaves ~10% skewness bias after truncation, while this tail keeps
 # profile skewness within 0.05% of the request and the boundary velocity far
 # below 1% of the peak.
-GAMMA_TAIL_Z = 5.199337582192817
+_GAMMA_TAIL_Z = 5.199337582192817
 
 _ONSET_STEEPNESS = 2.0 * math.log(99.0)  # times 1/onset_duration
 
@@ -84,8 +84,20 @@ def gamma_tail(shape: float) -> float:
     law: the Cornish-Fisher expansion (Cornish & Fisher, 1938), to its
     constant term, of the 1 - 1e-7 quantile. For shapes in
     [1, MAX_GAMMA_SHAPE] the mass beyond it lies between 1.0e-7 and 3.5e-7."""
-    z = GAMMA_TAIL_Z
+    z = _GAMMA_TAIL_Z
     return shape + z * math.sqrt(shape) + (z * z - 1.0) / 3.0
+
+
+def shape_for_mode_ratio(ratio: float) -> float:
+    """Inverse of the profile's mode position: the shape k >= 1 whose mode
+    k - 1 lies at the fraction ratio (in [0, 1)) of [0, gamma_tail(k)].
+    With s = sqrt(k), (k - 1) = ratio gamma_tail(k) is the quadratic
+    (1 - ratio) s^2 - ratio z s - (1 + ratio (z^2 - 1) / 3) = 0, whose
+    positive root is taken."""
+    z = _GAMMA_TAIL_Z
+    a, b, c = 1.0 - ratio, ratio * z, 1.0 + ratio * (z * z - 1.0) / 3.0
+    root = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+    return root * root
 
 
 def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:

@@ -71,8 +71,8 @@ GOLDEN = {
         "targets.csv": "9d4ba1a69b28354d8af03acfbcbf6bc7e0c1ed0845751c56bf38a12867347e48",
     },
     "evaluate_errors": {
-        "out.csv": "b03dff6666eb904f5758027c06ea9db1b29b432de81974dc1ddbd32bb288d9ea",
-        "errors.csv": "d39f7205b46035e4ea53c83afe65002c628515a72c89b03b99e8988cede33a5f",
+        "out.csv": "80499eab9bbe60bdec09baaab8fc743e2532f34ce62a2f74e4cde8c543876e27",
+        "errors.csv": "a27a17cd8c5e76a6329bf4f4b8f9a82986888c556c6b32c74d0071330f94fcd1",
     },
 }
 

@@ -583,7 +583,7 @@ def test_gamma_tail_mass_in_band_at_shape(shape):
 def test_gamma_tail_mass_in_band_on_a_grid():
     # The Cornish-Fisher tail leaves between 1.0e-7 (shape 1e8) and 3.5e-7
     # (shape 1) of the Gamma mass beyond it.
-    for shape in GAMMA_SHAPES + (10.0 ** np.linspace(0.0, 8.0, 801)).tolist():
+    for shape in 10.0 ** np.linspace(0.0, 8.0, 801):
         _assert_tail_mass_in_band(shape)
 
 
