@@ -5,14 +5,16 @@ byte-stable output (fixed formats, no locale dependence).
 """
 from __future__ import annotations
 
+import io
 import os
+import re
 import tempfile
 from collections.abc import Iterable
 
 import numpy as np
 
 from .core import GazeTrace, SampledSignal
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 from .params import LABEL_NAMES, NAME_LABELS, MovementLabel, decode_utf8
 
 # Each CSV format's numeric columns: header name, name in errors, number
@@ -278,77 +280,33 @@ def _columns_by_rows(
 # --- CSV decoding ---
 #
 # The fast reader takes a file of printable ASCII, tabs and LF or CRLF line
-# ends, in which every line but a blank one has n_fields - 1 commas; any
-# other file goes to the row loop, which positions the error. A numeric
-# field is decoded from the 16 bytes up to its end, a row of a byte matrix
-# per field: a token -?\d+(\.\d+)? whose digits spell q < 2**53 is
-# ±(q / 10**k), where q and 10**k are exact doubles, so the one correctly
-# rounded division is float(token). Other tokens (exponents, "+5", ".5",
-# spaces, more bytes) go through _parse_float one at a time. A label is
-# matched as the integer of its bytes.
+# ends; any other file goes to the row loop, which positions the error.
+# numpy's C reader, np.loadtxt, parses the lines after the header into
+# n_fields - 1 float64 values, converted as float() does (but, as in the
+# row loop, without "1_0"), and a label field of _LABEL_WORD bytes. It
+# rejects a line of blanks, which the row loop skips: such lines are dropped
+# and the body read again. A file it rejects, or with a non-finite value or
+# timestamps that do not increase, goes to the row loop. A label is matched
+# as the integer of its word. Each label is shorter than the word, so a
+# field that fills it, which loadtxt may have cut, matches none; a field
+# that matches none is read again from its line, stripped.
 
 _CSV_PLAIN = bytes(range(32, 127)) + b"\t\n\r"
-_NUMBER_BYTES = 16
-# Row j: the positions at or after j of a 16-byte row. Like the digit
-# tables, these are built without numpy arithmetic.
-_FROM = np.array([[k >= j for k in range(_NUMBER_BYTES)] for j in range(_NUMBER_BYTES + 1)])
-# Each label's bytes as a little-endian integer, in sorted order, and the
-# label value of each.
-_KEY_LABEL = sorted((int.from_bytes(name.encode(), "little"), v) for v, name in enumerate(_LABEL_NAME))
-_LABEL_KEYS = np.array([key for key, _ in _KEY_LABEL], dtype=np.uint64)
-_LABEL_VALUES = np.array([v for _, v in _KEY_LABEL])
+# A line of blanks, with the newline that ends the line before it.
+_BLANK_LINE = re.compile(rb"\n[ \t]+(?=\n|\Z)")
+_LABEL_WORD = 8
+# Each label's bytes as a little-endian integer, by label value.
+_LABEL_KEYS = tuple(int.from_bytes(name.encode(), "little") for name in _LABEL_NAME)
 
 
-def _windows(u: np.ndarray, size: int) -> np.ndarray:
-    """Item i is the ``size`` bytes of ``u`` from byte i."""
-    dtype = "<u8" if size == 8 else np.dtype((np.void, size))
-    return np.ndarray((len(u) - size + 1,), dtype, u, strides=(1,))
-
-
-def _digit_words(v: np.ndarray) -> np.ndarray:
-    """The number spelled by each little-endian word of ``v``, whose bytes
-    are ASCII digits or 0 for a 0: its bytes are combined in pairs, then
-    fours, then eights."""
-    v = v & 0x0F0F0F0F0F0F0F0F
-    v = (v * 2561) >> 8
-    v = ((v & 0x00FF00FF00FF00FF) * 6553601) >> 16
-    return ((v & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
-
-
-def _byte_count(mask: np.ndarray) -> np.ndarray:
-    """True bytes per row of a (n, 16) bool array."""
-    v = mask.view("<u8")
-    return ((v[:, 0] + v[:, 1]) * 0x0101010101010101) >> 56
-
-
-def _decode_numbers(win, length, neg):
-    """The values of the tokens that end the rows of ``win`` (n, 16), with
-    ``length`` bytes and a leading "-" where ``neg``, and the mask of the
-    tokens not of the simple form, whose values are undefined."""
-    inside = _FROM.take(np.clip(_NUMBER_BYTES - length, 0, _NUMBER_BYTES), axis=0)
-    digit = inside & (win - 48 < 10)
-    dot = inside & (win == 46)
-    w = _digit_words((win * digit).view("<u8"))  # the dot reads as a 0 digit
-    q = w[:, 0] * 100000000 + w[:, 1]
-    w = _digit_words(dot.view("<u8"))
-    scale = (w[:, 0] * 100000000 + w[:, 1]).astype(float)  # 10**k, or 0
-    digits, dots = _byte_count(digit), _byte_count(dot)
-    simple = (
-        (length <= _NUMBER_BYTES)
-        & (length > neg)
-        & (digits + dots + neg == length)  # nothing but digits, dots, a sign
-        & (dots <= 1)
-        & (_F10.take(digits, mode="clip") > scale)  # a digit before the dot
-        & (scale != 1.0)  # and after it
-        & (q < 2**53)
-    )
-    # With k decimals q spells i * 10**(k+1) + f; take out the 0 of the dot.
-    q = q.astype(float)
-    one = np.maximum(scale, 1.0)
-    q -= 9.0 * np.floor(q / (10.0 * one)) * scale
-    values = q / one
-    np.negative(values, out=values, where=neg)
-    return values, ~simple
+def _loadtxt(body: bytes, n_fields: int) -> np.ndarray | None:
+    """The lines of ``body`` as records of a "values" and a "label" field, or
+    None for a body that np.loadtxt rejects."""
+    dtype = [("values", "f8", (n_fields - 1,)), ("label", f"S{_LABEL_WORD}")]
+    try:
+        return np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def _decode_columns(
@@ -365,57 +323,30 @@ def _decode_columns(
     first = data.find(b"\n")
     if first < 0 or data[:first].strip() != header.encode():
         return None
-    # Byte i of data at i + 16, so that each field has 16 bytes before its
-    # end and after its start; u is data with a newline after the last line.
-    padded = np.frombuffer(b"".join([b"\n" * 16, data, b"\n" * 16]), dtype=np.uint8)
-    u = padded[16 : 16 + len(data) + (not data.endswith(b"\n"))]
-    sep = first + np.flatnonzero((u[first:] == 44) | (u[first:] == 10))
-    newline = u.take(sep) == 10
-    prev, sep, end = sep[:-1], sep[1:], newline[1:]
-    blank = end & newline[:-1]  # no comma in the line
-    if blank.any():
-        for a, b in zip(prev[blank].tolist(), sep[blank].tolist()):
-            if data[a + 1 : b].strip():
+    body = data[first:]
+    if body.isspace():
+        return None  # no data rows
+    table = _loadtxt(body, n_fields)
+    if table is None and _BLANK_LINE.search(body):
+        body = _BLANK_LINE.sub(b"", body)
+        table = _loadtxt(body, n_fields)
+    if table is None:
+        return None
+    values = table["values"]
+    ts = values[:, 0] / 1000.0
+    if not np.isfinite(values).all() or (np.diff(ts) <= 0).any():
+        return None
+    keys = table["label"].view("<u8")
+    labels = np.select([keys == key for key in _LABEL_KEYS], range(len(_LABEL_KEYS)), -1)
+    missed = np.flatnonzero(labels < 0).tolist()
+    if missed:
+        lines = [line for line in body.split(b"\n") if line]  # loadtxt's rows
+        for i in missed:
+            label = NAME_LABELS.get(lines[i].rsplit(b",", 1)[1].decode().strip())
+            if label is None:
                 return None
-        keep = ~blank
-        prev, sep, end = prev[keep], sep[keep], end[keep]
-    if len(sep) == 0 or len(sep) % n_fields:
-        return None
-    if not (end.reshape(-1, n_fields) == (np.arange(n_fields) == n_fields - 1)).all():
-        return None
-    starts = (prev + 1).reshape(-1, n_fields)
-    ends = sep.reshape(-1, n_fields)
-    rows = _windows(padded, 16)
-    cols = []
-    for c in range(n_fields - 1):
-        values = np.empty(len(starts))
-        for lo in range(0, len(starts), _CSV_BLOCK_ROWS):
-            s = starts[lo : lo + _CSV_BLOCK_ROWS, c]
-            e = ends[lo : lo + _CSV_BLOCK_ROWS, c]
-            win = rows[e].view(np.uint8).reshape(-1, 16)
-            block, slow = _decode_numbers(win, e - s, u.take(s) == 45)
-            for i in np.flatnonzero(slow).tolist():
-                try:
-                    block[i] = _parse_float(data[s[i] : e[i]].decode().strip(), 0, "")
-                except ParseError:
-                    return None
-            values[lo : lo + len(block)] = block
-        cols.append(values)
-    # The last 8 bytes up to a label's end, shifted down to the label.
-    s, e = starts[:, -1], ends[:, -1]
-    keys = _windows(padded, 8)[e + 8]
-    keys >>= (64 - 8 * np.minimum(e - s, 8)).astype(np.uint64)
-    at = np.searchsorted(_LABEL_KEYS, keys)
-    labels = _LABEL_VALUES.take(at, mode="clip")
-    for i in np.flatnonzero(_LABEL_KEYS.take(at, mode="clip") != keys).tolist():
-        label = NAME_LABELS.get(data[s[i] : e[i]].decode().strip())
-        if label is None:
-            return None
-        labels[i] = label
-    ts = cols[0] / 1000.0
-    if (np.diff(ts) <= 0).any():
-        return None
-    return ts, cols[1:], labels
+            labels[i] = label
+    return ts, [values[:, c].copy() for c in range(1, n_fields - 1)], labels
 
 
 def _read_columns(data: bytes, table: tuple) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -506,6 +437,22 @@ class _PgmScanner:
 
 _P2_BLOCK_BYTES = 1 << 16  # more than 7, the most digits of a block number
 _P2_PLAIN = b"0123456789 \t\r\n"
+
+
+def _windows(u: np.ndarray, size: int) -> np.ndarray:
+    """Item i is the ``size`` bytes of ``u`` from byte i."""
+    dtype = "<u8" if size == 8 else np.dtype((np.void, size))
+    return np.ndarray((len(u) - size + 1,), dtype, u, strides=(1,))
+
+
+def _digit_words(v: np.ndarray) -> np.ndarray:
+    """The number spelled by each little-endian word of ``v``, whose bytes
+    are ASCII digits or 0 for a 0: its bytes are combined in pairs, then
+    fours, then eights."""
+    v = v & 0x0F0F0F0F0F0F0F0F
+    v = (v * 2561) >> 8
+    v = ((v & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    return ((v & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
 
 
 def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray | None:
@@ -603,7 +550,7 @@ def pgm_bytes(grid: np.ndarray) -> bytes:
     """Encode a [0,1] grid as binary P5 with maxval 255 (round half up)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
-        raise ParseError("grid must be 2D")
+        raise ParameterError(f"grid must be 2D, got shape {grid.shape}")
     h, w = grid.shape
     q = np.floor(np.clip(grid, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     return b"P5\n%d %d\n255\n" % (w, h) + q.tobytes()

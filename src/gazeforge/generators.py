@@ -116,8 +116,8 @@ def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
         raise ParameterError("saccade needs at least 2 samples")
     x = np.linspace(0.0, gamma_tail(shape), n)
     # (k - 1) log(x) - x less its value at the mode, (k - 1) log(k - 1) -
-    # (k - 1), with 0 log 0 = 0 when k == 1. The log is libm's per element:
-    # np.log's SIMD kernels can differ from it in the last bit.
+    # (k - 1), with 0 log 0 = 0 when k == 1. The log and the exp are libm's
+    # per element: numpy's SIMD kernels can differ from them in the last bit.
     k1 = float(shape) - 1.0
     xlogy = np.zeros(n)
     at_mode = 0.0
@@ -125,7 +125,7 @@ def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
         xlogy[0] = -np.inf  # x[0] == 0
         xlogy[1:] = [k1 * math.log(v) for v in x[1:].tolist()]
         at_mode = k1 * math.log(k1) - k1
-    g = np.exp(xlogy - x - at_mode)
+    g = np.array([math.exp(v) for v in (xlogy - x - at_mode).tolist()])
     return peak * g / g.max()
 
 

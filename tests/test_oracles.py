@@ -604,6 +604,26 @@ def test_gamma_profile_matches_stats_pdf(shape, n):
     np.testing.assert_allclose(got, peak * g / g.max(), rtol=1e-6, atol=1e-300)
 
 
+def gamma_profile_libm(n: int, shape: float, peak: float) -> list[float]:
+    """gamma_profile's formula one float at a time, libm's log and exp."""
+    k1 = shape - 1.0
+    at_mode = k1 * math.log(k1) - k1 if k1 else 0.0
+    g = []
+    for x in np.linspace(0.0, gamma_tail(shape), n).tolist():
+        xlogy = 0.0 if not k1 else -math.inf if not x else k1 * math.log(x)
+        g.append(math.exp(xlogy - x - at_mode))
+    return [peak * v / max(g) for v in g]
+
+
+@pytest.mark.parametrize("shape", [1.0, 1.5, 4.0, 11.1, 100.0, 1e4])
+@pytest.mark.parametrize("length", [2, 40, 80, 301])
+def test_gamma_profile_matches_libm_bit_for_bit(shape, length):
+    # numpy's SIMD exp differs from libm's in the last bit on some CPUs; the
+    # profile must not depend on which kernel numpy dispatches.
+    got = gamma_profile(length, shape, 432.1)
+    assert got.tolist() == gamma_profile_libm(length, shape, 432.1)
+
+
 @pytest.mark.parametrize("shape", GAMMA_SHAPES)
 @pytest.mark.parametrize("length", [2, 40, 301])
 def test_gamma_profile_peaks_at_the_fitted_mode_index(shape, length):
@@ -1301,6 +1321,11 @@ VELOCITY_CORPUS = [
     f"{VH}\n1,2,FIX\n\n\n\n",
     f"{VH}\n1,2,FIX\nFIX\n2,3,FIX\n",  # a line without a comma
     f"{VH}\n7\n",
+    # Labels that fill the decoder's 8-byte label field or run past it.
+    f"{VH}\n1,2,  FIX   \n2,3,FIX     \n3,4,   NOISE  \n4,5,SACC    \n",
+    f"{VH}\n1,2,FIX{' ' * 13}Z\n",  # its first 8 bytes strip to a label
+    f"{VH}\n \t \n1,2,FIX\n2,3,SP\n\t  ",  # blank first and last data lines
+    f"{VH}\r\n  \r\n1,2,FIX\r\n\t\r\n",
 ]
 GAZE_CORPUS = [
     f"{GH}\n1,10,20,FIX\n2,11.5,21,SACC\n3,12,22,SP\n4,13,23,NOISE\n",
@@ -1344,6 +1369,10 @@ GAZE_CORPUS = [
     f"{GH}\n1,10,20,FIX\n2,11,21\n3,12,22,SP,\n",
     f"{GH}\n1,10,20,FIX\n,,,\n",
     f"{GH}\n1,10,20,FIX\n \t2 \n",
+    # Labels that fill the decoder's 8-byte label field or run past it.
+    f"{GH}\n1,10,20,  FIX   \n2,11,21,FIX     \n3,12,22,   NOISE  \n4,13,23,    SP  \n",
+    f"{GH}\n1,10,20,FIX{' ' * 13}Z\n",  # its first 8 bytes strip to a label
+    f"{GH}\n\t\n1,10,20,FIX\n2,11,21,SP\n  \n",  # blank first and last data lines
 ]
 
 

@@ -1,10 +1,14 @@
-"""Every ``raise`` of the signal generators and of evaluate, one table row each.
+"""Every ``raise`` of the signal generators, of evaluate and of the file
+readers and writers, one table row each.
 
 Each row calls a public function with an input that reaches one raise and
-asserts the class and the full message. An AST scan of ``generators.py``
-and ``evaluation.py`` fails on a raise whose message template has no row,
-and on a row whose template no longer appears in the source, so a new raise
-comes with its test and an unreachable one leaves the table with its code.
+asserts the class and the full message, with its position for a file's
+error. An AST scan of ``generators.py``, ``evaluation.py`` and ``fileio.py``
+fails on a raise whose message template has no row, and on a row whose
+template no longer appears in the source, so a new raise comes with its
+test and an unreachable one leaves the table with its code. A re-raise and
+a bare ``raise ValueError`` that its own function catches make no error of
+their own and have no row.
 """
 from __future__ import annotations
 
@@ -16,10 +20,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazeforge import evaluation, generators
+from gazeforge import evaluation, fileio, generators
 from gazeforge.core import RandomSource
-from gazeforge.errors import ParameterError
+from gazeforge.errors import ParameterError, ParseError
 from gazeforge.evaluation import evaluate_dataset, fit_shape_for_peak_index
+from gazeforge.fileio import (
+    GAZE_HEADER,
+    VELOCITY_HEADER,
+    pgm_bytes,
+    read_gaze_csv_bytes,
+    read_pgm_bytes,
+    read_velocity_csv_bytes,
+)
 from gazeforge.generators import (
     assemble,
     gamma_profile,
@@ -92,6 +104,76 @@ RAISES = [
 ]
 
 
+def _velocity(text: str):
+    return read_velocity_csv_bytes(f"{VELOCITY_HEADER}\n{text}".encode())
+
+
+def _gaze(text: str):
+    return read_gaze_csv_bytes(f"{GAZE_HEADER}\n{text}".encode())
+
+
+# (message template, class, call, message) for fileio.py.
+FILEIO_RAISES = [
+    ("unknown label {}", ParseError,
+     lambda: _velocity("1,2,FIXATION\n"),
+     "unknown label 'FIXATION' (at row 2)"),
+    ("empty file", ParseError,
+     lambda: read_velocity_csv_bytes(b""),
+     "empty file (at row 1)"),
+    ("bad header: expected {}, got {}", ParseError,
+     lambda: read_velocity_csv_bytes(b"t,v,label\n1,2,FIX\n"),
+     "bad header: expected 't_ms,velocity_deg_s,label', got 't,v,label' (at row 1)"),
+    ("expected {} comma-separated fields, got {}", ParseError,
+     lambda: _gaze("1,2,3,FIX\n2,3,FIX\n"),
+     "expected 4 comma-separated fields, got 3 (at row 3)"),
+    ("invalid {} {}", ParseError,
+     lambda: _velocity("1,1_0,FIX\n"),
+     "invalid velocity '1_0' (at row 2)"),
+    ("invalid {} {}", ParseError,
+     lambda: _gaze("1,2,x,FIX\n"),
+     "invalid y coordinate 'x' (at row 2)"),
+    ("non-finite {} {}", ParseError,
+     lambda: _velocity("1,2,FIX\n2,nan,FIX\n"),
+     "non-finite velocity 'nan' (at row 3)"),
+    ("no data rows", ParseError,
+     lambda: _velocity("\n"),
+     "no data rows (at row 2)"),
+    ("timestamps not strictly increasing", ParseError,
+     lambda: _velocity("2,1,FIX\n\n1,1,FIX\n"),
+     "timestamps not strictly increasing (at row 4)"),
+    ("missing {}", ParseError,
+     lambda: read_pgm_bytes(b"P5 4 "),
+     "missing height (at byte 5)"),
+    ("invalid {} {}", ParseError,
+     lambda: read_pgm_bytes(b"P5 x 1 255\n\0"),
+     "invalid width b'x' (at byte 3)"),
+    ("{} {} out of range [{}, {}]", ParseError,
+     lambda: read_pgm_bytes(b"P5 1 1 0\n\0"),
+     "maxval 0 out of range [1, 65535] (at byte 7)"),
+    ("bad magic {} (expected P2 or P5)", ParseError,
+     lambda: read_pgm_bytes(b"P6 1 1 255\n\0"),
+     "bad magic b'P6' (expected P2 or P5) (at byte 0)"),
+    ("trailing data after pixels", ParseError,
+     lambda: read_pgm_bytes(b"P2 1 1 255\n7 8\n"),
+     "trailing data after pixels (at byte 13)"),
+    ("missing separator before binary payload", ParseError,
+     lambda: read_pgm_bytes(b"P5 1 1 255"),
+     "missing separator before binary payload (at byte 10)"),
+    ("truncated payload: need {} bytes, have {}", ParseError,
+     lambda: read_pgm_bytes(b"P5 2 1 255\n\0"),
+     "truncated payload: need 2 bytes, have 1 (at byte 12)"),
+    ("trailing data after payload", ParseError,
+     lambda: read_pgm_bytes(b"P5 1 1 255\n\0\0"),
+     "trailing data after payload (at byte 12)"),
+    ("pixel value {} exceeds maxval {}", ParseError,
+     lambda: read_pgm_bytes(b"P5 2 1 100\n\0\xff"),
+     "pixel value 255 exceeds maxval 100 (at byte 12)"),
+    ("grid must be 2D, got shape {}", ParameterError,
+     lambda: pgm_bytes(np.zeros(3)),
+     "grid must be 2D, got shape (3,)"),
+]
+
+
 def _template(node: ast.Raise) -> str:
     arg = node.exc.args[0]
     if isinstance(arg, ast.Constant):
@@ -99,26 +181,44 @@ def _template(node: ast.Raise) -> str:
     return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
 
 
-def _source_templates() -> list[str]:
+def _source_raises(*modules) -> list[tuple[str, str]]:
+    """(class name, message template) of each raise that makes an error."""
     out = []
-    for module in (generators, evaluation):
+    for module in modules:
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-        out += [_template(n) for n in ast.walk(tree) if isinstance(n, ast.Raise)]
+        out += [(n.exc.func.id, _template(n)) for n in ast.walk(tree)
+                if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)]
     return out
 
 
 def test_every_raise_has_a_row():
-    assert sorted(_source_templates()) == sorted(t for t, _, _ in RAISES)
+    templates = [t for _, t in _source_raises(generators, evaluation)]
+    assert sorted(templates) == sorted(t for t, _, _ in RAISES)
+
+
+def test_every_fileio_raise_has_a_row():
+    rows = [(cls.__name__, t) for t, cls, _, _ in FILEIO_RAISES]
+    assert sorted(_source_raises(fileio)) == sorted(rows)
+
+
+def _assert_raises(template, cls, call, message) -> None:
+    with pytest.raises(cls) as e:
+        call()
+    assert type(e.value) is cls
+    assert str(e.value) == message
+    pattern = ".+".join(re.escape(part) for part in template.split("{}"))
+    assert re.search(pattern, message)
 
 
 @pytest.mark.parametrize("template, call, message", RAISES, ids=[t for t, _, _ in RAISES])
 def test_raise(template, call, message):
-    with pytest.raises(ParameterError) as e:
-        call()
-    assert type(e.value) is ParameterError
-    assert str(e.value) == message
-    pattern = ".+".join(re.escape(part) for part in template.split("{}"))
-    assert re.search(pattern, message)
+    _assert_raises(template, ParameterError, call, message)
+
+
+@pytest.mark.parametrize("template, cls, call, message", FILEIO_RAISES,
+                         ids=[t for t, _, _, _ in FILEIO_RAISES])
+def test_fileio_raise(template, cls, call, message):
+    _assert_raises(template, cls, call, message)
 
 
 @pytest.mark.parametrize("base_rate", [math.nan, math.inf])
