@@ -4,11 +4,11 @@ readers and writers, one table row each.
 Each row calls a public function with an input that reaches one raise and
 asserts the class and the full message, with its position for a file's
 error. An AST scan of ``generators.py``, ``evaluation.py`` and ``fileio.py``
-fails on a raise whose message template has no row, and on a row whose
-template no longer appears in the source, so a new raise comes with its
-test and an unreachable one leaves the table with its code. A re-raise and
-a bare ``raise ValueError`` that its own function catches make no error of
-their own and have no row.
+fails on a raise whose message template (with its class, in ``fileio.py``)
+has no row, and on a row whose template no longer appears in the source, so
+a new raise comes with its test and an unreachable one leaves the table with
+its code. A re-raise and a bare ``raise ValueError`` that its own function
+catches make no error of their own and have no row.
 """
 from __future__ import annotations
 
