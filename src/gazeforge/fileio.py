@@ -393,48 +393,36 @@ def read_gaze_csv(path: str, pixels_per_degree: float = 30.0) -> GazeTrace:
 MAX_PGM_DIM = 1 << 16
 
 
-class _PgmScanner:
-    """Tokenizer for PNM headers: whitespace separated, '#' comments."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c in b" \t\r\n":
-                self.pos += 1
-            elif c == b"#":
-                while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in b"\r\n":
-                    self.pos += 1
-            else:
-                return
-
-    def token(self, what: str) -> bytes:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in b" \t\r\n#":
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"missing {what}", f"byte {start}")
-        return self.data[start : self.pos]
-
-    def integer(self, what: str, lo: int, hi: int) -> int:
-        self.skip_ws()
-        start = self.pos
-        tok = self.token(what)
-        try:
-            if b"_" in tok:  # int() takes "1_0"; the file format does not
-                raise ValueError
-            v = int(tok)
-        except ValueError:
-            raise ParseError(f"invalid {what} {tok!r}", f"byte {start}") from None
-        if not lo <= v <= hi:
-            raise ParseError(f"{what} {v} out of range [{lo}, {hi}]", f"byte {start}")
-        return v
+# One PNM token: the whitespace and '#' comments before it, then the token,
+# a run of other bytes. The token is empty only at the end of the data.
+_PNM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\r\n]*)*([^ \t\r\n#]*)")
 
 
+def _pnm_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
+    """The token after ``pos``, where it starts and where it ends."""
+    m = _PNM_TOKEN.match(data, pos)
+    start, end = m.span(1)
+    if start == end:
+        raise ParseError(f"missing {what}", f"byte {start}")
+    return m[1], start, end
+
+
+def _pnm_integer(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int, int]:
+    """The integer token after ``pos``, in [lo, hi], and where it ends."""
+    tok, start, end = _pnm_token(data, pos, what)
+    try:
+        if b"_" in tok:  # int() takes "1_0"; the file format does not
+            raise ValueError
+        v = int(tok)
+    except ValueError:
+        raise ParseError(f"invalid {what} {tok!r}", f"byte {start}") from None
+    if not lo <= v <= hi:
+        raise ParseError(f"{what} {v} out of range [{lo}, {hi}]", f"byte {start}")
+    return v, end
+
+
+# The two P2 body decoders take (data, pos, n, maxval). A pixel takes at least
+# a byte, so neither allocates more pixels than the body from pos has bytes.
 _P2_BLOCK_BYTES = 1 << 16  # more than 7, the most digits of a block number
 _P2_PLAIN = b"0123456789 \t\r\n"
 
@@ -460,6 +448,8 @@ def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray |
     whitespace, when the body from ``pos`` is exactly n numbers of at most
     7 digits, none above maxval, separated by whitespace; else None. Each
     number is read from the 8 bytes up to its end, leading zeros included."""
+    if n > len(data) - pos:
+        return None
     values = np.empty(n)
     done = 0
     while pos < len(data):
@@ -493,48 +483,54 @@ def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray |
     return values if done == n else None
 
 
+def _p2_token_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray:
+    """P2 pixels read token by token, raising at the first fault; a body of
+    fewer than n bytes runs out of tokens before its array is full."""
+    values = np.empty(min(n, len(data) - pos))
+    for i in range(n):
+        values[i], pos = _pnm_integer(data, pos, "pixel value", 0, maxval)
+    start = _PNM_TOKEN.match(data, pos).start(1)
+    if start < len(data):
+        raise ParseError("trailing data after pixels", f"byte {start}")
+    return values
+
+
 def read_pgm_bytes(data: bytes) -> np.ndarray:
     """Decode a P2/P5 graymap into a float grid normalized by maxval."""
-    sc = _PgmScanner(data)
-    magic = sc.token("magic number")
+    magic, _, pos = _pnm_token(data, 0, "magic number")
     if magic not in (b"P2", b"P5"):
         raise ParseError(f"bad magic {magic!r} (expected P2 or P5)", "byte 0")
-    width = sc.integer("width", 1, MAX_PGM_DIM)
-    height = sc.integer("height", 1, MAX_PGM_DIM)
-    maxval = sc.integer("maxval", 1, 65535)
+    width, pos = _pnm_integer(data, pos, "width", 1, MAX_PGM_DIM)
+    height, pos = _pnm_integer(data, pos, "height", 1, MAX_PGM_DIM)
+    maxval, pos = _pnm_integer(data, pos, "maxval", 1, 65535)
     n = width * height
     if magic == b"P2":
-        values = _p2_digit_pixels(data, sc.pos, n, maxval)
-        if values is None:  # long numbers, or a fault the scanner positions
-            values = np.empty(n, dtype=float)
-            for i in range(n):
-                values[i] = sc.integer("pixel value", 0, maxval)
-            sc.skip_ws()
-            if sc.pos < len(sc.data):
-                raise ParseError("trailing data after pixels", f"byte {sc.pos}")
+        values = _p2_digit_pixels(data, pos, n, maxval)
+        if values is None:  # long numbers, or a fault the token decoder positions
+            values = _p2_token_pixels(data, pos, n, maxval)
         values /= float(maxval)  # both P2 paths make a new array: divide in place
     else:
         # Exactly one whitespace byte separates the header from the payload.
-        if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in b" \t\r\n":
-            raise ParseError("missing separator before binary payload", f"byte {sc.pos}")
-        sc.pos += 1
+        if pos >= len(data) or data[pos : pos + 1] not in b" \t\r\n":
+            raise ParseError("missing separator before binary payload", f"byte {pos}")
+        pos += 1
         bpp = 1 if maxval < 256 else 2
         need = n * bpp
-        payload = data[sc.pos : sc.pos + need]
+        payload = data[pos : pos + need]
         if len(payload) < need:
             raise ParseError(
                 f"truncated payload: need {need} bytes, have {len(payload)}",
-                f"byte {sc.pos + len(payload)}",
+                f"byte {pos + len(payload)}",
             )
-        if len(data) > sc.pos + need:
-            raise ParseError("trailing data after payload", f"byte {sc.pos + need}")
+        if len(data) > pos + need:
+            raise ParseError("trailing data after payload", f"byte {pos + need}")
         raw = np.frombuffer(payload, dtype=">u2" if bpp == 2 else np.uint8)
         # A maxval of 255 or 65535 admits every value of the sample type.
         if maxval < (1 << 8 * bpp) - 1 and raw.max(initial=0) > maxval:
             bad = int(np.argmax(raw > maxval))
             raise ParseError(
                 f"pixel value {int(raw[bad])} exceeds maxval {maxval}",
-                f"byte {sc.pos + bad * bpp}",
+                f"byte {pos + bad * bpp}",
             )
         # Integers convert to doubles exactly: the bits of astype, then divide.
         values = np.divide(raw, float(maxval))

@@ -226,10 +226,12 @@ def gen_pursuit(
     if n_on > 0:
         # Sample times (i+1)*dt so the last onset sample sits exactly at the
         # (grid-snapped) onset duration, where the logistic reaches 0.99.
+        # The exp is libm's per element, as in gamma_profile.
         t_on = n_on / base_rate
         a = _ONSET_STEEPNESS / t_on
         t = (np.arange(1, n_on + 1)) / base_rate
-        v[:n_on] = plateau / (1.0 + np.exp(-a * (t - t_on / 2.0)))
+        e = [math.exp(u) for u in (-a * (t - t_on / 2.0)).tolist()]
+        v[:n_on] = plateau / (1.0 + np.array(e))
     m = n - n_on
     if m > 0:
         if p.trend == PursuitTrend.CONSTANT:

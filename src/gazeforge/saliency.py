@@ -59,8 +59,8 @@ def _resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     +0.0). Applying the row weight to whole source rows before the column
     gather gives the same products.
 
-    A narrowing resize gathers the used source rows, then the used columns
-    of them. A widening one relies on the ``linspace`` grid never decreasing, so
+    A narrowing resize is one ``_corner_sum`` over the output grid. A
+    widening one relies on the ``linspace`` grid never decreasing, so
     neither do the column neighbours ``x0`` and ``x1``: gathering them is
     repeating each source column as often as it occurs. Its output is
     computed ``_RESIZE_BLOCK_ROWS`` rows at a time into one preallocated
@@ -70,18 +70,10 @@ def _resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img.copy()
-    y0, y1, wy0, wy1 = _bilinear_axis(h, out_h)
-    x0, x1, wx0, wx1 = _bilinear_axis(w, out_w)
+    rows, cols = _bilinear_axis(h, out_h), _bilinear_axis(w, out_w)
     if out_w < w:
-        r0, r1 = img[y0], img[y1]
-        wy0, wy1 = wy0[:, None], wy1[:, None]
-        return (
-            (r0[:, x0] * wy0) * wx0
-            + (r0[:, x1] * wy0) * wx1
-            + (r1[:, x0] * wy1) * wx0
-            + (r1[:, x1] * wy1) * wx1
-            + 0.0
-        )
+        return _corner_sum(img, [a[:, None] for a in rows], cols)
+    (y0, y1, wy0, wy1), (x0, x1, wx0, wx1) = rows, cols
     n0 = np.bincount(x0, minlength=w)
     n1 = np.bincount(x1, minlength=w)
     out = np.empty((out_h, out_w))
@@ -100,6 +92,19 @@ def _resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         o += t
         o += 0.0
     return out
+
+
+def _corner_sum(s: np.ndarray, rows, cols) -> np.ndarray:
+    """The corner terms of ``_resize`` summed in its order; rows = (y0, y1,
+    wy0, wy1) are source rows and weights, cols the columns, broadcast."""
+    (y0, y1, wy0, wy1), (x0, x1, wx0, wx1) = rows, cols
+    return (
+        (s[y0, x0] * wy0) * wx0
+        + (s[y0, x1] * wy0) * wx1
+        + (s[y1, x0] * wy1) * wx0
+        + (s[y1, x1] * wy1) * wx1
+        + 0.0
+    )
 
 
 def _wrap_lines(x: np.ndarray, axis: int, r: int) -> np.ndarray:
@@ -160,6 +165,10 @@ def _checked(image: np.ndarray) -> np.ndarray:
 
 
 def _is_constant(img: np.ndarray) -> bool:
+    """max - min < 1e-12. Rounded subtraction is monotone, so a first row
+    that spans 1e-12 already settles it without reading the rest."""
+    if float(img[0].max() - img[0].min()) >= 1e-12:
+        return False
     return float(img.max() - img.min()) < 1e-12
 
 
@@ -259,25 +268,13 @@ class _Cells:
         x1 = np.minimum(x0 + 1, self.small.shape[1] - 1)
         wy = [a[ys][:, :, None] for a in self.rows[2:]]
         wx = [a[xs][:, None, :] for a in self.cols[2:]]
-        v = self._sum((y0, y1, *wy), (x0, x1, *wx))
+        v = _corner_sum(self.small, (y0, y1, *wy), (x0, x1, *wx))
         v[~(yin[:, :, None] & xin[:, None, :])] = -np.inf
         return v
 
     def at(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Upscaled values at pixels (y, x)."""
-        return self._sum([a[y] for a in self.rows], [a[x] for a in self.cols])
-
-    def _sum(self, ry, rx) -> np.ndarray:
-        """The corner terms of ``_resize`` summed in its order, bit for bit;
-        ry = (y0, y1, wy0, wy1) are source rows and weights, rx the columns."""
-        (y0, y1, wy0, wy1), (x0, x1, wx0, wx1), s = ry, rx, self.small
-        return (
-            (s[y0, x0] * wy0) * wx0
-            + (s[y0, x1] * wy0) * wx1
-            + (s[y1, x0] * wy1) * wx0
-            + (s[y1, x1] * wy1) * wx1
-            + 0.0
-        )
+        return _corner_sum(self.small, [a[y] for a in self.rows], [a[x] for a in self.cols])
 
 
 def _runs(i0: np.ndarray, n: int):

@@ -4,7 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gazeforge import fileio
 from gazeforge.core import RandomSource
+from gazeforge.errors import ParseError
 from gazeforge.params import BoundedDistribution
 
 
@@ -49,3 +51,16 @@ def blob_frame(seed: int, h: int = 480, w: int = 640, blobs: int = 10) -> np.nda
         g = np.exp(-0.5 * ((xs - bx) / sigma) ** 2) * np.exp(-0.5 * ((ys - by) / sigma) ** 2)
         img += rng.uniform(0.3, 1.0) * g
     return np.floor(img / img.max() * 255.0 + 0.5) / 255.0
+
+
+def p2_header(data: bytes):
+    """(pos, n, maxval) after the header of a P2 file, read by the PNM token
+    reader; None for any other file or a header it rejects."""
+    try:
+        magic, _, pos = fileio._pnm_token(data, 0, "magic number")
+        width, pos = fileio._pnm_integer(data, pos, "width", 1, fileio.MAX_PGM_DIM)
+        height, pos = fileio._pnm_integer(data, pos, "height", 1, fileio.MAX_PGM_DIM)
+        maxval, pos = fileio._pnm_integer(data, pos, "maxval", 1, 65535)
+    except ParseError:
+        return None
+    return (pos, width * height, maxval) if magic == b"P2" else None

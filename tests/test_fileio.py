@@ -1,12 +1,16 @@
-"""CSV and PGM round-trips, a malformed-input corpus with positions, and
-the memory the decoders may take."""
+"""CSV and PGM round-trips, a malformed-input corpus with positions,
+mutated PGM files, and the memory the decoders may take."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gazeforge import fileio
 from gazeforge.errors import ParseError
 from gazeforge.fileio import (
     gaze_csv_bytes,
@@ -25,6 +29,8 @@ from gazeforge.fileio import (
 from gazeforge.mapping import GazeTrace
 from gazeforge.params import MovementLabel
 from gazeforge.resampler import SampledSignal
+
+from conftest import p2_header
 
 F = MovementLabel.FIXATION
 S = MovementLabel.SACCADE
@@ -207,6 +213,64 @@ def test_pgm_error_reports_byte_offset():
     with pytest.raises(ParseError) as e:
         read_pgm_bytes(b"P5\nab 2\n255\n")
     assert "byte 3" in str(e.value)
+
+
+# --- mutated PGM files ---
+
+_PGM_FILES = [
+    b"P2\n3 2\n255\n0 128 255\n10 20 30\n",
+    b"P2 # size next\n2 2 65535\n1 65535 # a pixel\n007 9",
+    b"P5\n3 2\n255\n" + bytes([0, 128, 255, 10, 20, 30]),
+    b"P5 2 1 65535\n\x01\x02\xff\xfe",
+]
+# Digits, the separators, comments and what int() takes or rejects around them.
+_MUTATION_BYTES = list(b"0123456789 \t\r\n#_+-\x0b\xffP")
+
+
+@st.composite
+def _mutated_pgm(draw) -> bytes:
+    """A small valid PGM file with 1-3 bytes replaced, inserted or deleted."""
+    data = bytearray(draw(st.sampled_from(_PGM_FILES)))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        i = draw(st.integers(0, len(data) - (op != "insert")))
+        if op == "delete":
+            del data[i]
+        else:
+            data[i : i + (op == "replace")] = bytes([draw(st.sampled_from(_MUTATION_BYTES))])
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_pgm())
+def test_mutated_pgm_decodes_or_raises_a_positioned_error(data):
+    try:
+        grid = read_pgm_bytes(data)
+        assert grid.ndim == 2 and grid.dtype == float
+    except ParseError as e:
+        at = re.search(r" \(at byte (\d+)\)$", str(e))
+        assert at and 0 <= int(at[1]) <= len(data)
+    # The two P2 body decoders agree wherever the block decoder decodes.
+    header = p2_header(data)
+    if header is not None:
+        fast = fileio._p2_digit_pixels(data, *header)
+        if fast is not None:
+            assert fast.tobytes() == fileio._p2_token_pixels(data, *header).tobytes()
+
+
+def test_p2_declaring_more_pixels_than_bytes_allocates_none_of_them():
+    # 65536 x 65536 pixels would take 32 GiB as doubles; the 6 bytes of body
+    # hold 3 of them.
+    data = b"P2\n65536 65536\n255\n0 1 2\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as e:
+            read_pgm_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == "missing pixel value (at byte 25)"
+    assert peak < 1e6
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

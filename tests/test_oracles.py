@@ -57,7 +57,7 @@ from gazeforge.evaluation import (
     evaluate_dataset,
     fit_shape_for_peak_index,
 )
-from gazeforge.fileio import MAX_PGM_DIM, _PgmScanner, read_pgm_bytes
+from gazeforge.fileio import MAX_PGM_DIM, _pnm_integer, _pnm_token, read_pgm_bytes
 from gazeforge.generators import (
     MAX_ONSET_REDRAWS,
     gamma_profile,
@@ -92,7 +92,7 @@ from gazeforge.params import (
 )
 from gazeforge.resampler import SampledSignal
 from gazeforge.saliency import TargetSet
-from conftest import blob_frame
+from conftest import blob_frame, p2_header
 from test_evaluation import evaluate_dataset_loop
 
 NOISE = int(MovementLabel.NOISE)
@@ -205,21 +205,21 @@ def resample_loop(profile, spec, rng):
 
 
 def read_p2_loop(data: bytes) -> np.ndarray:
-    """P2 decode reading every pixel through the header scanner."""
-    sc = _PgmScanner(data)
-    magic = sc.token("magic number")
+    """P2 decode reading every pixel through the PNM token reader."""
+    magic, _, pos = _pnm_token(data, 0, "magic number")
     if magic != b"P2":
         raise ParseError(f"bad magic {magic!r} (expected P2 or P5)", "byte 0")
-    width = sc.integer("width", 1, MAX_PGM_DIM)
-    height = sc.integer("height", 1, MAX_PGM_DIM)
-    maxval = sc.integer("maxval", 1, 65535)
-    values = np.empty(width * height, dtype=float)
-    for i in range(width * height):
-        values[i] = sc.integer("pixel value", 0, maxval)
-    sc.skip_ws()
-    if sc.pos < len(sc.data):
-        raise ParseError("trailing data after pixels", f"byte {sc.pos}")
-    return values.reshape(height, width) / float(maxval)
+    width, pos = _pnm_integer(data, pos, "width", 1, MAX_PGM_DIM)
+    height, pos = _pnm_integer(data, pos, "height", 1, MAX_PGM_DIM)
+    maxval, pos = _pnm_integer(data, pos, "maxval", 1, 65535)
+    values = []
+    for _ in range(width * height):
+        v, pos = _pnm_integer(data, pos, "pixel value", 0, maxval)
+        values.append(v)
+    start = fileio._PNM_TOKEN.match(data, pos).start(1)
+    if start < len(data):
+        raise ParseError("trailing data after pixels", f"byte {start}")
+    return np.array(values, dtype=float).reshape(height, width) / float(maxval)
 
 
 def outcome(fn, *args):
@@ -397,7 +397,7 @@ def test_resample_empty_window_error_matches_loop(monkeypatch):
         resampler.resample(profile, spec, RandomSource(1))
 
 
-# --- P2 decode: numpy fast path against the token scanner ---
+# --- P2 decode: numpy fast path against the token reader ---
 
 P2_CORPUS = [
     b"P2\n3 2\n255\n0 128 255\n10 20 30\n",
@@ -462,16 +462,13 @@ def _assert_p2_matches_loop(data):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     # The block decoder takes every body of plain numbers of up to 7 digits
-    # the scanner accepts, and nothing it rejects.
-    try:
-        sc = _PgmScanner(data)
-        assert sc.token("magic number") == b"P2"
-        n = sc.integer("width", 1, MAX_PGM_DIM) * sc.integer("height", 1, MAX_PGM_DIM)
-        maxval = sc.integer("maxval", 1, 65535)
-    except (AssertionError, ParseError):
+    # the token reader accepts, and nothing it rejects.
+    header = p2_header(data)
+    if header is None:
         return
-    fast = fileio._p2_digit_pixels(data, sc.pos, n, maxval)
-    body = data[sc.pos :]
+    pos, n, maxval = header
+    fast = fileio._p2_digit_pixels(data, pos, n, maxval)
+    body = data[pos:]
     plain = not body.translate(None, b"0123456789 \t\r\n") and all(
         len(tok) <= 7 for tok in body.split()
     )
@@ -622,6 +619,26 @@ def test_gamma_profile_matches_libm_bit_for_bit(shape, length):
     # profile must not depend on which kernel numpy dispatches.
     got = gamma_profile(length, shape, 432.1)
     assert got.tolist() == gamma_profile_libm(length, shape, 432.1)
+
+
+@pytest.mark.parametrize("base_rate", [250.0, 1000.0])
+def test_pursuit_onset_matches_libm_bit_for_bit(base_rate):
+    # The onset logistic one float at a time with libm's exp, over onset
+    # durations of 0.02-0.3 s; numpy's SIMD exp differs from it in the last
+    # bit on some CPUs.
+    U = BoundedDistribution.uniform
+    for onset in np.linspace(0.02, 0.3, 57).tolist():
+        p = PursuitParams(
+            U(0.5, 0.5), U(27.3, 27.3), U(onset, onset), PursuitTrend.CONSTANT,
+            U(27.3, 27.3), U(0.0, 0.0),
+        )
+        got = generators.gen_pursuit(p, base_rate, RandomSource(0)).velocities
+        n_on = int(round(onset * base_rate))
+        t_on = n_on / base_rate
+        a = generators._ONSET_STEEPNESS / t_on
+        want = [27.3 / (1.0 + math.exp(-a * ((i + 1) / base_rate - t_on / 2.0)))
+                for i in range(n_on)]
+        assert got[:n_on].tolist() == want
 
 
 @pytest.mark.parametrize("shape", GAMMA_SHAPES)
@@ -1831,7 +1848,8 @@ def gen_pursuit_loop(p, base_rate, rng):
         t_on = n_on / base_rate
         a = generators._ONSET_STEEPNESS / t_on
         t = (np.arange(1, n_on + 1)) / base_rate
-        v[:n_on] = plateau / (1.0 + np.exp(-a * (t - t_on / 2.0)))
+        e = [math.exp(u) for u in (-a * (t - t_on / 2.0)).tolist()]
+        v[:n_on] = plateau / (1.0 + np.array(e))
     m = n - n_on
     if m > 0:
         if p.trend == PursuitTrend.CONSTANT:

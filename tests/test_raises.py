@@ -1,14 +1,17 @@
-"""Every ``raise`` of the signal generators, of evaluate and of the file
-readers and writers, one table row each.
+"""Every ``raise`` of the signal generators, of evaluate, of the file
+readers and writers, of saliency, of the shared types in core and of the
+resampler, one table row each.
 
 Each row calls a public function with an input that reaches one raise and
 asserts the class and the full message, with its position for a file's
-error. An AST scan of ``generators.py``, ``evaluation.py`` and ``fileio.py``
-fails on a raise whose message template (with its class, in ``fileio.py``)
-has no row, and on a row whose template no longer appears in the source, so
-a new raise comes with its test and an unreachable one leaves the table with
-its code. A re-raise and a bare ``raise ValueError`` that its own function
-catches make no error of their own and have no row.
+error; a raise that no public input reaches names, in its row, the check
+that makes it unreachable, and its call gets round that check. An AST scan
+of each module fails on a raise whose message template (with its class,
+outside ``generators.py`` and ``evaluation.py``) has no row, and on a row
+whose template no longer appears in the source, so a new raise comes with
+its test and an unreachable one leaves the table with its code. A re-raise
+and a bare ``raise ValueError`` that its own function catches make no error
+of their own and have no row.
 """
 from __future__ import annotations
 
@@ -20,9 +23,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazeforge import evaluation, fileio, generators
-from gazeforge.core import RandomSource
-from gazeforge.errors import ParameterError, ParseError
+from gazeforge import core, evaluation, fileio, generators, resampler, saliency
+from gazeforge.core import (
+    GazeTrace,
+    RandomSource,
+    SampledSignal,
+    TargetSet,
+    effective_labels,
+)
+from gazeforge.errors import MappingError, ParameterError, ParseError
 from gazeforge.evaluation import evaluate_dataset, fit_shape_for_peak_index
 from gazeforge.fileio import (
     GAZE_HEADER,
@@ -40,7 +49,9 @@ from gazeforge.generators import (
     gen_saccade,
     skew_to_shape,
 )
-from gazeforge.params import MIN_SKEWNESS, MovementLabel
+from gazeforge.params import MIN_SKEWNESS, BoundedDistribution, MovementLabel, RateSpec
+from gazeforge.resampler import resample
+from gazeforge.saliency import SaliencyMap, jitter_targets, local_maxima, spectral_residual
 
 from conftest import fixed
 from test_generators import default_fix, default_sac, default_sp
@@ -174,6 +185,83 @@ FILEIO_RAISES = [
 ]
 
 
+def _signal(n: int, base_rate: float = 64.0) -> SampledSignal:
+    return SampledSignal.at_rate(base_rate, np.ones(n), np.zeros(n, dtype=np.uint8))
+
+
+def _resample_without_slack():
+    # No public input reaches the empty window: resample rejects a rate
+    # above the base rate, and the _INDEX_EPS slack keeps every window at
+    # such a rate non-empty. A negative slack opens the branch.
+    original = resampler._INDEX_EPS
+    resampler._INDEX_EPS = -1e-6
+    try:
+        resample(_signal(50), RateSpec(BoundedDistribution.normal(32.0, 64.0, 64.0)),
+                 RandomSource(1))
+    finally:
+        resampler._INDEX_EPS = original
+
+
+# (message template, class, call, message) by module, as FILEIO_RAISES.
+MODULE_RAISES = {
+    saliency: [
+        ("saliency map must be a 2D grid", ParameterError,
+         lambda: SaliencyMap(np.zeros(3)),
+         "saliency map must be a 2D grid"),
+        ("image must be a non-empty 2D grayscale grid", ParameterError,
+         lambda: spectral_residual(np.zeros((0, 9))),
+         "image must be a non-empty 2D grayscale grid"),
+        ("image must be at least 8x8 px, got {}x{}", ParameterError,
+         lambda: spectral_residual(np.zeros((7, 9))),
+         "image must be at least 8x8 px, got 9x7"),
+        ("min_distance must be >= 0", ParameterError,
+         lambda: local_maxima(SaliencyMap(np.zeros((3, 3))), -1.0),
+         "min_distance must be >= 0"),
+        ("jitter radius must be >= 0", ParameterError,
+         lambda: jitter_targets(TargetSet(), -1.0, RandomSource(0)),
+         "jitter radius must be >= 0"),
+    ],
+    core: [
+        ("signal contains only noise samples", MappingError,
+         lambda: effective_labels(np.full(3, int(MovementLabel.NOISE))),
+         "signal contains only noise samples"),
+        ("signal arrays must have equal length", ParameterError,
+         lambda: SampledSignal([0.1], [1.0, 2.0], [0, 0]),
+         "signal arrays must have equal length"),
+        ("base_rate must be > 0, got {}", ParameterError,
+         lambda: SampledSignal.at_rate(0.0, [1.0], [0]),
+         "base_rate must be > 0, got 0.0"),
+        ("cannot concatenate zero signals", ParameterError,
+         lambda: SampledSignal.concat([]),
+         "cannot concatenate zero signals"),
+        ("signals have differing or no base rates", ParameterError,
+         lambda: SampledSignal.concat([_signal(2), _signal(2, 100.0)]),
+         "signals have differing or no base rates"),
+        ("gaze trace arrays must have equal length", ParameterError,
+         lambda: GazeTrace([0.1], [1.0], [1.0, 2.0], [0], 8, 8, 30.0),
+         "gaze trace arrays must have equal length"),
+    ],
+    resampler: [
+        ("empty resampling window at t={} s: the clock's rounding left no base "
+         "sample in it at {} Hz",
+         ParameterError, _resample_without_slack,
+         "empty resampling window at t=0.015625 s: the clock's rounding left no base sample "
+         "in it at 64 Hz"),
+        ("can only resample a signal at a base rate", ParameterError,
+         lambda: resample(SampledSignal([0.1], [1.0], [0]),
+                          RateSpec(BoundedDistribution.fixed(10.0)), RandomSource(0)),
+         "can only resample a signal at a base rate"),
+        ("cannot resample an empty profile", ParameterError,
+         lambda: resample(_signal(0), RateSpec(BoundedDistribution.fixed(10.0)), RandomSource(0)),
+         "cannot resample an empty profile"),
+        ("target rate max {} Hz exceeds base rate {} Hz", ParameterError,
+         lambda: resample(_signal(5), RateSpec(BoundedDistribution.fixed(100.0)), RandomSource(0)),
+         "target rate max 100 Hz exceeds base rate 64 Hz"),
+    ],
+}
+MODULE_ROWS = [row for rows in MODULE_RAISES.values() for row in rows]
+
+
 def _template(node: ast.Raise) -> str:
     arg = node.exc.args[0]
     if isinstance(arg, ast.Constant):
@@ -201,6 +289,12 @@ def test_every_fileio_raise_has_a_row():
     assert sorted(_source_raises(fileio)) == sorted(rows)
 
 
+@pytest.mark.parametrize("module", MODULE_RAISES, ids=lambda m: m.__name__)
+def test_every_module_raise_has_a_row(module):
+    rows = [(cls.__name__, t) for t, cls, _, _ in MODULE_RAISES[module]]
+    assert sorted(_source_raises(module)) == sorted(rows)
+
+
 def _assert_raises(template, cls, call, message) -> None:
     with pytest.raises(cls) as e:
         call()
@@ -218,6 +312,12 @@ def test_raise(template, call, message):
 @pytest.mark.parametrize("template, cls, call, message", FILEIO_RAISES,
                          ids=[t for t, _, _, _ in FILEIO_RAISES])
 def test_fileio_raise(template, cls, call, message):
+    _assert_raises(template, cls, call, message)
+
+
+@pytest.mark.parametrize("template, cls, call, message", MODULE_ROWS,
+                         ids=[t for t, _, _, _ in MODULE_ROWS])
+def test_module_raise(template, cls, call, message):
     _assert_raises(template, cls, call, message)
 
 

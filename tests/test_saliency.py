@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gazeforge import saliency
 from gazeforge.errors import ParameterError
 from gazeforge.saliency import (
     SaliencyMap,
@@ -41,6 +42,31 @@ def brute_force_maxima(values, threshold=0.0):
 def test_constant_image_yields_zero_map():
     m = spectral_residual(np.full((64, 64), 0.5))
     assert m.values.max() <= 1e-6
+
+
+_ROWS = [
+    np.full(9, 0.5),
+    np.full(9, np.nan),
+    np.full(9, np.inf),
+    np.full(9, -np.inf),
+    np.r_[0.5, np.nan, np.full(7, 0.5)],
+    np.r_[np.inf, np.full(8, 0.5)],
+    0.5 + np.arange(9) * 1e-14,  # spans less than 1e-12
+    np.r_[np.full(8, 0.5), 0.5 + 1e-12],
+    np.r_[np.full(8, -0.0), 0.0],
+    np.random.default_rng(0).random(9),
+]
+
+
+@pytest.mark.parametrize("first", range(len(_ROWS)))
+def test_is_constant_matches_the_two_pass_definition(first):
+    # The first row alone answers when it spans 1e-12; the rows after it
+    # must not change that answer, NaN and +-inf included.
+    for rest in _ROWS:
+        img = np.vstack([_ROWS[first], np.tile(rest, (8, 1))])
+        with np.errstate(invalid="ignore"):
+            want = float(img.max() - img.min()) < 1e-12
+            assert saliency._is_constant(img) == want
 
 
 def test_impulse_peak_localized_within_3px():
