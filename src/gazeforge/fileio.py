@@ -394,8 +394,10 @@ MAX_PGM_DIM = 1 << 16
 
 
 # One PNM token: the whitespace and '#' comments before it, then the token,
-# a run of other bytes. The token is empty only at the end of the data.
+# a run of other bytes. The token is empty only at the end of the data. A
+# number token is ASCII digits with an optional sign.
 _PNM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\r\n]*)*([^ \t\r\n#]*)")
+_PNM_NUMBER = re.compile(rb"[+-]?[0-9]+")
 
 
 def _pnm_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
@@ -410,12 +412,9 @@ def _pnm_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
 def _pnm_integer(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int, int]:
     """The integer token after ``pos``, in [lo, hi], and where it ends."""
     tok, start, end = _pnm_token(data, pos, what)
-    try:
-        if b"_" in tok:  # int() takes "1_0"; the file format does not
-            raise ValueError
-        v = int(tok)
-    except ValueError:
-        raise ParseError(f"invalid {what} {tok!r}", f"byte {start}") from None
+    if not _PNM_NUMBER.fullmatch(tok):  # int() also takes "1_0", "\x0b1" and more
+        raise ParseError(f"invalid {what} {tok!r}", f"byte {start}")
+    v = int(tok)
     if not lo <= v <= hi:
         raise ParseError(f"{what} {v} out of range [{lo}, {hi}]", f"byte {start}")
     return v, end
@@ -423,60 +422,37 @@ def _pnm_integer(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[in
 
 # The two P2 body decoders take (data, pos, n, maxval). A pixel takes at least
 # a byte, so neither allocates more pixels than the body from pos has bytes.
-_P2_BLOCK_BYTES = 1 << 16  # more than 7, the most digits of a block number
+_P2_BLOCK_BYTES = 1 << 16
 _P2_PLAIN = b"0123456789 \t\r\n"
+_P2_SPACE = re.compile(rb"[ \t\r\n]")
+_P2_LINE_END = re.compile(rb"[\r\n]")
+_P2_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
-def _windows(u: np.ndarray, size: int) -> np.ndarray:
-    """Item i is the ``size`` bytes of ``u`` from byte i."""
-    dtype = "<u8" if size == 8 else np.dtype((np.void, size))
-    return np.ndarray((len(u) - size + 1,), dtype, u, strides=(1,))
-
-
-def _digit_words(v: np.ndarray) -> np.ndarray:
-    """The number spelled by each little-endian word of ``v``, whose bytes
-    are ASCII digits or 0 for a 0: its bytes are combined in pairs, then
-    fours, then eights."""
-    v = v & 0x0F0F0F0F0F0F0F0F
-    v = (v * 2561) >> 8
-    v = ((v & 0x00FF00FF00FF00FF) * 6553601) >> 16
-    return ((v & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
-
-
-def _p2_digit_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray | None:
-    """P2 pixels decoded in blocks of about ``_P2_BLOCK_BYTES`` cut at
-    whitespace, when the body from ``pos`` is exactly n numbers of at most
-    7 digits, none above maxval, separated by whitespace; else None. Each
-    number is read from the 8 bytes up to its end, leading zeros included."""
+def _p2_plain_pixels(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray | None:
+    """P2 pixels parsed by numpy's C parser when the body from ``pos`` is
+    exactly n unsigned numbers, none above maxval, between whitespace and
+    comments; else None. Its blocks of about ``_P2_BLOCK_BYTES`` end with
+    whitespace, or with a line end if they hold a comment."""
     if n > len(data) - pos:
         return None
     values = np.empty(n)
     done = 0
     while pos < len(data):
-        end = min(pos + _P2_BLOCK_BYTES, len(data))
-        cut = end
-        while cut < len(data) and data[cut] >= 48 and data[cut - 1] >= 48:
-            cut -= 1  # back to whitespace, so that no number spans blocks
-            if end - cut > 7:
-                return None
-        block = data[pos:cut]
-        pos = cut
+        m = _P2_SPACE.search(data, pos + _P2_BLOCK_BYTES)
+        if m and data.find(b"#", pos, m.end()) >= 0:
+            m = _P2_LINE_END.search(data, m.start())  # no comment spans two blocks
+        cut = m.end() if m else len(data)
+        block, pos = data[pos:cut], cut
+        if b"#" in block:
+            block = _P2_COMMENT.sub(b" ", block)
         if block.translate(None, _P2_PLAIN):
             return None
-        # Whitespace around the block, and 8 bytes before every number's end.
-        u = np.frombuffer(b"".join([b" " * 8, block, b" "]), dtype=np.uint8)
-        digit = u >= 48
-        ends = np.flatnonzero(digit[:-1] > digit[1:]) + 1
-        w = _windows(u, 8).take(ends - 8)  # take copies 8 bytes per block byte first
-        # Digits have bit 4 set and whitespace does not, so the highest
-        # flag of the whitespace bytes marks the byte before the number;
-        # -1 for a window of 8 digits.
-        before = (np.frexp(~w & 0x1010101010101010)[1] - 5) // 8
-        if done + len(ends) > n or before.min(initial=0) < 0:
-            return None
-        shift = (8 * before + 8).astype(np.uint64)
-        v = _digit_words(w >> shift << shift)
-        if v.max(initial=0) > maxval:
+        if block.isspace():
+            continue  # fromstring reads it as one 0
+        # int64 saturates a number too long for it, which then exceeds maxval.
+        v = np.fromstring(block, dtype=np.int64, sep=" ")
+        if done + len(v) > n or v.max() > maxval:
             return None
         values[done : done + len(v)] = v
         done += len(v)
@@ -505,8 +481,8 @@ def read_pgm_bytes(data: bytes) -> np.ndarray:
     maxval, pos = _pnm_integer(data, pos, "maxval", 1, 65535)
     n = width * height
     if magic == b"P2":
-        values = _p2_digit_pixels(data, pos, n, maxval)
-        if values is None:  # long numbers, or a fault the token decoder positions
+        values = _p2_plain_pixels(data, pos, n, maxval)
+        if values is None:  # signs, or a fault the token decoder positions
             values = _p2_token_pixels(data, pos, n, maxval)
         values /= float(maxval)  # both P2 paths make a new array: divide in place
     else:

@@ -573,6 +573,9 @@ def test_python_only_number_in_csv_is_io_error(tmp_path, capsys, token, message)
 @pytest.mark.parametrize("data, message", [
     (b"P2\n2 1\n255\n0 1_0\n", "invalid pixel value b'1_0' (at byte 13)"),
     (b"P2\n2 1\n2_55\n0 1\n", "invalid maxval b'2_55' (at byte 7)"),
+    # int() strips a vertical tab or a form feed; a PGM number has neither.
+    (b"P2\n2 1\n255\n0 2\x0b\n", "invalid pixel value b'2\\x0b' (at byte 13)"),
+    (b"P5 1 1 255\x0c\n\x07", "invalid maxval b'255\\x0c' (at byte 7)"),
 ])
 def test_python_only_number_in_pgm_is_io_error(tmp_path, capsys, data, message):
     stim = tmp_path / "stim.pgm"

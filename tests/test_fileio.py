@@ -199,6 +199,10 @@ BAD_PGM = [
     (b"P2\n2 1\n255\n0 1_0\n", "invalid pixel value b'1_0' (at byte 13)"),
     (b"P2\n2 1\n2_55\n0 1\n", "invalid maxval b'2_55' (at byte 7)"),
     (b"P5\n2 1\n2_55\n\x00\x01", "invalid maxval b'2_55' (at byte 7)"),
+    # int() strips a vertical tab or a form feed; a PGM number has neither.
+    (b"P2 1 1 255 2\x0b", "invalid pixel value b'2\\x0b' (at byte 11)"),
+    (b"P2 1 1 255 \x0c2", "invalid pixel value b'\\x0c2' (at byte 11)"),
+    (b"P5 1 1 255\x0b\n\x07", "invalid maxval b'255\\x0b' (at byte 7)"),
 ]
 
 
@@ -241,6 +245,7 @@ def _mutated_pgm(draw) -> bytes:
     return bytes(data)
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 @settings(max_examples=400, deadline=None)
 @given(_mutated_pgm())
 def test_mutated_pgm_decodes_or_raises_a_positioned_error(data):
@@ -250,10 +255,10 @@ def test_mutated_pgm_decodes_or_raises_a_positioned_error(data):
     except ParseError as e:
         at = re.search(r" \(at byte (\d+)\)$", str(e))
         assert at and 0 <= int(at[1]) <= len(data)
-    # The two P2 body decoders agree wherever the block decoder decodes.
+    # The two P2 body decoders agree wherever the fast decoder decodes.
     header = p2_header(data)
     if header is not None:
-        fast = fileio._p2_digit_pixels(data, *header)
+        fast = fileio._p2_plain_pixels(data, *header)
         if fast is not None:
             assert fast.tobytes() == fileio._p2_token_pixels(data, *header).tobytes()
 
@@ -307,14 +312,25 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("digits", ["{}", "{:04d}"])
-def test_p2_decode_peak_memory_is_bounded(digits):
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("digits, comment, sep", [
+    ("{}", False, "\n"),
+    ("{:04d}", False, "\n"),
+    ("{:08d}", False, "\n"),
+    ("{}", True, "\n"),
+    ("{:04d}", True, "\n"),
+    ("{:08d}", True, "\n"),
+    ("{}", False, " "),
+])
+def test_p2_decode_peak_memory_is_bounded(digits, comment, sep):
     # The body is decoded in blocks into the one array that is returned,
-    # also when its numbers are zero-padded.
+    # also when its numbers are zero-padded, it holds a comment or it is a
+    # single line.
     pixels = np.random.default_rng(0).integers(0, 256, (768, 1024))
-    data = b"P2\n1024 768\n255\n" + "\n".join(
-        " ".join(map(digits.format, row)) for row in pixels.tolist()
-    ).encode() + b"\n"
+    lines = [" ".join(map(digits.format, row)) for row in pixels.tolist()]
+    if comment:
+        lines.insert(400, "# a comment inside the body")
+    data = b"P2\n1024 768\n255\n" + sep.join(lines).encode() + b"\n"
     peak = _traced_peak(read_pgm_bytes, data)
     assert peak <= 1.5 * pixels.size * 8
 

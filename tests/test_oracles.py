@@ -32,6 +32,7 @@ target, against ``local_maxima`` of the full ``spectral_residual`` map.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -451,6 +452,20 @@ P2_CORPUS = [
     b"P2\n1 1 # size\n255 # maxval\n# body\n9 # the pixel\n",
     b"P2\n1 1\n255#c\n9\n",
     b"P2\n2 1\n255\n9#c\n8\n",
+    b"P2\n3 1\n255\n1 2#c 3\n4",
+    b"P2\n2 1\n255\n1#\n2",
+    b"P2\n2 1\n255 \n\n",
+    b"P2\n2 1\n255\n1" + b" " * 40 + b"2\n",
+    b"P2\n2 1\n255\n1\n" + b"\r\n" * 20 + b"2",
+    b"P2\n2 1\n255\n1\n# " + b"c" * 30 + b"\n2\n",
+    b"P2\n2 1\n255\n1\n#" + b" c" * 20 + b"\n2 # c c c c\n",
+    b"P2\n2 1\n255\n" + b"0" * 19 + b"7 " + b"0" * 29 + b"9\n",
+    b"P2\n2 1\n255\n" + b"9" * 20 + b" 1\n",
+    b"P2\n2 1\n255\n1" + b"0" * 29 + b" 1\n",
+    b"P2\n2 1\n255\n9223372036854775807 1\n",
+    b"P2\n2 1\n255\n18446744073709551617 1\n",
+    b"P2\r2 2\r255\r1 2 # c\r3\r4\r",
+    b"P2\n2 2\n255\r1 2\r3 4",
 ]
 
 
@@ -461,31 +476,38 @@ def _assert_p2_matches_loop(data):
     if want_err is None:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    # The block decoder takes every body of plain numbers of up to 7 digits
-    # the token reader accepts, and nothing it rejects.
+    # The fast decoder takes every body the token reader accepts whose tokens
+    # are unsigned digit runs, of any length and between any comments, and
+    # nothing it rejects.
     header = p2_header(data)
     if header is None:
         return
     pos, n, maxval = header
-    fast = fileio._p2_digit_pixels(data, pos, n, maxval)
-    body = data[pos:]
-    plain = not body.translate(None, b"0123456789 \t\r\n") and all(
-        len(tok) <= 7 for tok in body.split()
-    )
+    fast = fileio._p2_plain_pixels(data, pos, n, maxval)
+    tokens = re.split(rb"[ \t\r\n]+", re.sub(rb"#[^\r\n]*", b" ", data[pos:]))
+    plain = all(re.fullmatch(rb"[0-9]*", tok) for tok in tokens)
     if want_err is None and plain:
         assert fast is not None and (fast / maxval).tobytes() == want.tobytes()
-    if want_err is not None:
+    if want_err is not None or not plain:
         assert fast is None
 
 
+# numpy warns where np.fromstring stops before the end of its string.
+_no_deprecation = pytest.mark.filterwarnings("error::DeprecationWarning")
+
+
+@_no_deprecation
 @pytest.mark.parametrize("data", P2_CORPUS)
 def test_p2_decode_matches_scanner(data):
     _assert_p2_matches_loop(data)
 
 
-_P2_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"  ", b" \n ", b"\x0b", b"\x0c", b" #c\n"]
+_P2_SEPARATORS = [
+    b" ", b"\n", b"\t", b"\r\n", b"  ", b" \n ", b"\x0b", b"\x0c", b" #c\n", b"#c 1\r", b"\r",
+]
 
 
+@_no_deprecation
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 6),
@@ -498,17 +520,20 @@ def test_p2_decode_matches_scanner_generated(width, height, maxval, extra, data)
     _assert_p2_matches_loop(_p2_file(width, height, maxval, extra, data))
 
 
-@pytest.mark.parametrize("block", [8, 9, 10, 13])
+@_no_deprecation
+@pytest.mark.parametrize("block", [1, 2, 8, 9, 10, 13])
 @pytest.mark.parametrize("data", P2_CORPUS)
 def test_p2_decode_matches_scanner_at_block_edges(block, data, monkeypatch):
-    # Blocks of a few bytes put an edge at or inside almost every number.
+    # Blocks of a few bytes put an edge at or inside almost every number and
+    # comment, and leave blocks of whitespace alone.
     monkeypatch.setattr(fileio, "_P2_BLOCK_BYTES", block)
     _assert_p2_matches_loop(data)
 
 
+@_no_deprecation
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(8, 20),
+    st.integers(1, 20),
     st.integers(1, 6),
     st.integers(1, 4),
     st.sampled_from([1, 9, 255, 65535]),
@@ -527,20 +552,32 @@ def test_p2_decode_matches_scanner_generated_at_block_edges(
         fileio._P2_BLOCK_BYTES = original
 
 
-def test_p2_decode_matches_scanner_on_a_large_image():
-    # 1024 x 768 in 8-bit, several full blocks with numbers across their
-    # edges, the same pixels at maxval 65535, and zero-padded to 7 digits;
-    # the block decoder takes them all.
+@_no_deprecation
+@pytest.mark.parametrize("maxval, scale, digits, comment", [
+    (255, 1, "{}", False),
+    (65535, 257, "{}", False),
+    (65535, 257, "{:07d}", False),
+    (255, 1, "{:08d}", False),
+    (255, 1, "{:012d}", False),
+    (255, 1, "{}", True),
+], ids=["plain", "16-bit", "7-digit", "8-digit", "12-digit", "comment"])
+def test_p2_large_image_decodes_on_the_fast_path(maxval, scale, digits, comment, monkeypatch):
+    # 1024 x 768, several full blocks with numbers across their edges. Each
+    # body must decode on the fast path: the token decoder, which reads one
+    # number per Python call, raises here.
+    def token_pixels(*args):
+        raise AssertionError("the token decoder ran")
+
+    monkeypatch.setattr(fileio, "_p2_token_pixels", token_pixels)
     rng = np.random.default_rng(5)
     pixels = rng.integers(0, 256, (768, 1024))
-    for maxval, scale, digits in ((255, 1, "{}"), (65535, 257, "{}"), (65535, 257, "{:07d}")):
-        lines = [" ".join(map(digits.format, row)) for row in (pixels * scale).tolist()]
-        header = b"P2\n1024 768\n%d\n" % maxval
-        data = header + "\n".join(lines).encode() + b"\n"
-        assert fileio._p2_digit_pixels(data, len(header), pixels.size, maxval) is not None
-        got = read_pgm_bytes(data)
-        want = (pixels * scale).astype(float) / maxval
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    lines = [" ".join(map(digits.format, row)) for row in (pixels * scale).tolist()]
+    if comment:
+        lines.insert(300, "# a comment, 1 2 3, inside the body")
+    data = b"P2\n1024 768\n%d\n" % maxval + "\n".join(lines).encode() + b"\n"
+    got = read_pgm_bytes(data)
+    want = (pixels * scale).astype(float) / maxval
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _p2_file(width, height, maxval, extra, data) -> bytes:
