@@ -16,7 +16,7 @@ from .params import REMAP_NEW_STIMULUS, REMAP_SAME_STIMULUS, MappingParams, Move
 @dataclass
 class SceneTargets:
     """Fixation targets per frame, as (frame_time, targets) in time order; a
-    static stimulus is one frame at t = 0."""
+    static stimulus is one frame at t = 0. No frame is empty; all have one size."""
 
     frames: list[tuple[float, TargetSet]]
     frame_rate: float = 0.0
@@ -27,6 +27,16 @@ class SceneTargets:
             raise ParameterError("a scene needs at least one frame")
         if any(b <= a for a, b in zip(self._times, self._times[1:])):
             raise ParameterError("frame times must be strictly increasing")
+        width, height = self.bounds
+        for t, targets in self.frames:
+            if len(targets) == 0:
+                raise MappingError(f"frame at t={t:.6g} s has no fixation targets")
+            if (targets.width, targets.height) != (width, height):
+                raise MappingError(
+                    f"frame at t={t:.6g} s is {targets.width}x{targets.height} px, "
+                    f"not {width}x{height} px as the first frame"
+                )
+        self._sums = [_weight_sums(targets) for _, targets in self.frames]
 
     @classmethod
     def from_static(cls, targets: TargetSet) -> "SceneTargets":
@@ -46,18 +56,35 @@ class SceneTargets:
     def at(self, time: float) -> TargetSet:
         """Target set in effect at the given time: the frame nearest in
         ``abs(frame_time - time)``, the earliest on a tie."""
+        return self.frames[self._frame(time)][1]
+
+    def choose(self, time: float, rng: RandomSource) -> tuple[float, float, float]:
+        """One weighted draw from the targets in effect at the given time:
+        probability proportional to the weight clipped at 0, uniform if no
+        weight is positive."""
+        k = self._frame(time)
+        points, sums = self.frames[k][1].points, self._sums[k]
+        total = float(sums[-1])
+        u = rng.uniform()
+        if total <= 0:
+            return points[min(int(u * len(points)), len(points) - 1)]
+        # The first target whose running sum exceeds u; none for a NaN or
+        # infinite total or u at the total, which picks the last target.
+        i = int(np.searchsorted(sums, u * total, side="right"))
+        return points[min(i, len(points) - 1)]
+
+    def _frame(self, time: float) -> int:
         times = self._times
         # Distances fall up to the first frame at or after `time`, then rise
         # (a NaN time finds index 0, which is also the scan's pick).
         k = bisect.bisect_left(times, time)
         if k == 0:
-            return self.frames[0][1]
+            return 0
         best = time - times[k - 1]
         if k < len(times) and times[k] - time < best:
-            return self.frames[k][1]
+            return k
         # Rounding can give earlier frames the same distance: take the first.
-        first = bisect.bisect_left(times, -best, 0, k, key=lambda t: t - time)
-        return self.frames[first][1]
+        return bisect.bisect_left(times, -best, 0, k, key=lambda t: t - time)
 
 
 def fixation_walk(
@@ -113,26 +140,9 @@ def _walk_xy(
 
 def _weight_sums(targets: TargetSet) -> np.ndarray:
     """Running sums of the target weights clipped at 0, for
-    :func:`_choose_target`. ``np.cumsum`` adds in order, one weight at a
+    :meth:`SceneTargets.choose`. ``np.cumsum`` adds in order, one weight at a
     time, so each sum has the bits of a scalar ``acc += w`` loop."""
     return np.cumsum(np.maximum([p[2] for p in targets.points], 0.0))
-
-
-def _choose_target(
-    targets: TargetSet, sums: np.ndarray, rng: RandomSource
-) -> tuple[float, float, float]:
-    """Weighted target choice (probability proportional to saliency weight;
-    uniform if all weights are zero). ``sums`` is ``_weight_sums(targets)``."""
-    if len(targets) == 0:
-        raise MappingError("empty target set")
-    total = float(sums[-1])
-    u = rng.uniform()
-    if total <= 0:
-        return targets.points[min(int(u * len(targets)), len(targets) - 1)]
-    # The first target whose running sum exceeds u; none for a NaN or
-    # infinite total or u at the total, which picks the last target.
-    i = int(np.searchsorted(sums, u * total, side="right"))
-    return targets.points[min(i, len(targets) - 1)]
 
 
 def map_to_gaze(
@@ -152,40 +162,26 @@ def map_to_gaze(
     if len(signal) == 0:
         raise MappingError("cannot map an empty signal")
     width, height = targets.bounds
-    eff = effective_labels(signal.labels)
-    runs = label_runs(eff)
     ts = signal.timestamps
+    steps = signal.velocities * np.diff(ts, prepend=0.0) * p.pixels_per_degree
     xs = np.empty(len(signal))
     ys = np.empty(len(signal))
-    sums: dict[int, np.ndarray] = {}  # by id of a target set held by targets
-
-    def choose(tset: TargetSet) -> tuple[float, float, float]:
-        if id(tset) not in sums:
-            sums[id(tset)] = _weight_sums(tset)
-        return _choose_target(tset, sums[id(tset)], rng)
-
     cur: tuple[float, float] | None = None
-    for start, end, label in runs:
-        n = end - start
+    for start, end, label in label_runs(effective_labels(signal.labels)):
         t_end = float(ts[end - 1])
-        tset = targets.at(t_end)
-        if len(tset) == 0:
-            raise MappingError(f"no fixation targets available at t={t_end:.6g} s")
         if label == MovementLabel.FIXATION:
-            tx, ty, _ = choose(tset)
-            wx, wy = _walk_xy((tx, ty), n, p.fixation_dispersion, rng)
-            xs[start:end] = wx
-            ys[start:end] = wy
-            cur = (wx[-1], wy[-1])
+            center = targets.choose(t_end, rng)[:2]
+            xs[start:end], ys[start:end] = _walk_xy(
+                center, end - start, p.fixation_dispersion, rng
+            )
         else:
             if cur is None:
-                sx, sy, _ = choose(targets.at(float(ts[start])))
-                cur = (sx, sy)
-            tx, ty, _ = choose(tset)
-            _place_movement_run(
-                signal, start, end, cur, (tx, ty), p, rng, xs, ys
+                cur = targets.choose(float(ts[start]), rng)[:2]
+            dest = targets.choose(t_end, rng)[:2]
+            xs[start:end], ys[start:end] = _movement_path(
+                steps[start:end], cur, dest, p, rng
             )
-            cur = (xs[end - 1], ys[end - 1])
+        cur = (xs[end - 1], ys[end - 1])
     np.clip(xs, 0.0, max(width - 1, 0), out=xs)
     np.clip(ys, 0.0, max(height - 1, 0), out=ys)
     return GazeTrace(
@@ -193,23 +189,18 @@ def map_to_gaze(
     )
 
 
-def _place_movement_run(
-    signal: SampledSignal,
-    start: int,
-    end: int,
+def _movement_path(
+    steps: np.ndarray,
     origin: tuple[float, float],
     dest: tuple[float, float],
     p: MappingParams,
     rng: RandomSource,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> None:
-    ts = signal.timestamps
-    dts = np.diff(ts[start - 1 : end]) if start > 0 else np.diff(ts[:end], prepend=0.0)
-    steps = signal.velocities[start:end] * dts * p.pixels_per_degree
+) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y of a saccade or pursuit run from origin to dest, whose
+    samples advance by the given steps (pixels)."""
     cum = np.cumsum(np.maximum(steps, 0.0))
     total = float(cum[-1])
-    n = end - start
+    n = len(steps)
     if total > 0:
         progress = cum / total
     else:
@@ -231,11 +222,9 @@ def _place_movement_run(
     off = (2.0 * rng.uniforms(int(np.count_nonzero(dev))) - 1.0) * amp[dev]
     px[dev] += off * perp_x
     py[dev] += off * perp_y
-    xs[start:end] = px
-    ys[start:end] = py
     # Endpoint renormalization guarantees the final sample is exactly on target.
-    xs[end - 1] = dest[0]
-    ys[end - 1] = dest[1]
+    px[-1], py[-1] = dest
+    return px, py
 
 
 def extract_velocities(trace: GazeTrace) -> np.ndarray:
@@ -249,7 +238,7 @@ def extract_velocities(trace: GazeTrace) -> np.ndarray:
     a = np.maximum(i - 1, 0)
     b = np.minimum(i + 1, n - 1)
     dt = t[b] - t[a]
-    bad = np.flatnonzero(dt <= 0)
+    bad = np.flatnonzero(~(dt > 0))
     if len(bad):
         raise ParameterError(f"non-increasing timestamps at sample {int(bad[0])}")
     # math.hypot per element: np.hypot can differ from it in the last ulp.
@@ -314,11 +303,9 @@ def remap_real(
         if new_targets is None:
             raise ParameterError("new-stimulus remap requires a target set")
         scene = new_targets
+    # extract_velocities has seen t[1] > t[0], so some interval is positive.
     dts = np.diff(real.timestamps, prepend=0.0)
-    positive = dts[dts > 0]
-    if len(positive) == 0:
-        raise ParameterError("real trace has no positive inter-sample intervals")
-    dts = np.where(dts > 0, dts, _median(positive))
+    dts = np.where(dts > 0, dts, _median(dts[dts > 0]))
     segments = []
     for start, end, _ in label_runs(eff):
         segments.append(

@@ -163,10 +163,8 @@ def build_sequence(spec: SequenceSpec, rng: RandomSource) -> list[MovementLabel]
                     )
                 weights = [float(remaining[c]) for c in cands]
                 t = _placed(_weighted_choice(cands, weights, rng), prev, rules)
-            elif remaining[t] == 0:
-                raise ConstraintError(
-                    f"rule requires a {t.name} after {prev.name} but none remain"
-                )
+            else:
+                assert remaining[t] > 0, "_feasible kept a count for each forced follower"
             seq.append(t)
             remaining[t] -= 1
     else:

@@ -207,6 +207,19 @@ def test_map_dynamic_over_frames(tmp_path):
     assert run(["map", "--config", cfg, "--output", out]) == EXIT_OK
 
 
+def test_map_over_frames_of_two_sizes_is_numeric_error(tmp_path, capsys):
+    # Every sample used to be clipped into the first frame's bounds (exit 0).
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_stimulus(frames, name="f0.pgm")
+    write_stimulus(frames, name="f1.pgm", size=(120, 160))
+    cfg = write_config(tmp_path, mode="map_dynamic", paths={"frames_dir": str(frames)})
+    out = tmp_path / "gaze.csv"
+    assert run(["map", "--config", cfg, "--output", str(out)]) == EXIT_NUMERIC
+    assert "frame at t=0.0333333 s is 160x120 px, not 64x48 px" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_precomputed_saliency_map_and_one_frame_of_maps_agree(tmp_path):
     # A saliency map file for a stimulus, and a folder of maps named as the
     # frames, are read instead of the images: with one frame the two scenes

@@ -197,11 +197,8 @@ def test_target_choice_proportional_to_weights():
     hits = 0
     n = 10_000
     rng = RandomSource(9)
-    from gazeforge.mapping import _choose_target, _weight_sums
-
-    sums = _weight_sums(scene.at(0.0))
     for _ in range(n):
-        if _choose_target(scene.at(0.0), sums, rng)[0] == 20.0:
+        if scene.choose(0.0, rng)[0] == 20.0:
             hits += 1
     p = hits / n
     sigma = math.sqrt(0.8 * 0.2 / n)
@@ -239,11 +236,17 @@ def test_scene_without_frames_rejected():
         SceneTargets.from_frames([], frame_rate=30.0)
 
 
-def test_empty_targets_rejected(rng):
-    sig = signal([F] * 10)
-    scene = SceneTargets.from_static(TargetSet([], width=100, height=100))
-    with pytest.raises(MappingError):
-        map_to_gaze(sig, scene, params(), rng)
+def test_empty_targets_rejected():
+    with pytest.raises(MappingError, match="t=0 s has no fixation targets"):
+        SceneTargets.from_static(TargetSet([], width=100, height=100))
+
+
+def test_frames_of_two_sizes_rejected():
+    # Used to map every sample inside the first frame's bounds.
+    a = TargetSet([(10.0, 10.0, 1.0)], 64, 48)
+    b = TargetSet([(150.0, 90.0, 1.0)], 160, 120)
+    with pytest.raises(MappingError, match=r"t=0\.5 s is 160x120 px, not 64x48 px"):
+        SceneTargets.from_frames([(0.0, a), (0.5, b)], frame_rate=2.0)
 
 
 # --- remapping real data ---

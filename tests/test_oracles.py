@@ -68,10 +68,8 @@ from gazeforge.generators import (
 from gazeforge.mapping import (
     GazeTrace,
     SceneTargets,
-    _choose_target,
     _median,
-    _place_movement_run,
-    _weight_sums,
+    _movement_path,
     extract_velocities,
     fixation_walk,
 )
@@ -145,7 +143,7 @@ def extract_velocities_loop(trace: GazeTrace) -> np.ndarray:
         a = max(i - 1, 0)
         b = min(i + 1, n - 1)
         dt = t[b] - t[a]
-        if dt <= 0:
+        if not dt > 0:
             raise ParameterError(f"non-increasing timestamps at sample {i}")
         v[i] = math.hypot(x[b] - x[a], y[b] - y[a]) / dt / trace.pixels_per_degree
     return v
@@ -286,8 +284,10 @@ def traces(draw):
     if draw(st.booleans()):
         steps = draw(st.lists(st.floats(1e-4, 0.1), min_size=n, max_size=n))
         t = np.cumsum(steps) if n else np.zeros(0)
-    else:  # may repeat or go back in time
-        t = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    else:  # may repeat, go back in time or be NaN
+        t = np.array(draw(st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.just(math.nan)), min_size=n, max_size=n
+        )))
     x = np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
     y = np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
     ppd = draw(st.floats(0.5, 100.0))
@@ -310,6 +310,19 @@ def test_extract_velocities_names_first_bad_sample():
     t = np.array([0.01, 0.02, 0.02, 0.03, 0.01, 0.05])
     trace = GazeTrace(t, np.arange(6.0), np.zeros(6), np.zeros(6), 10, 10, 1.0)
     with pytest.raises(ParameterError, match="at sample 3$"):
+        extract_velocities(trace)
+    assert outcome(extract_velocities, trace)[1] == outcome(extract_velocities_loop, trace)[1]
+
+
+@pytest.mark.parametrize("t, sample", [
+    ([0.01, 0.02, math.nan, 0.04], 1),
+    ([math.nan, math.nan], 0),
+])
+def test_extract_velocities_rejects_nan_timestamps(t, sample):
+    # NaN compares False with 0, so a `dt <= 0` check let it through.
+    trace = GazeTrace(np.array(t), np.arange(len(t), dtype=float), np.zeros(len(t)),
+                      np.zeros(len(t)), 10, 10, 1.0)
+    with pytest.raises(ParameterError, match=f"non-increasing timestamps at sample {sample}$"):
         extract_velocities(trace)
     assert outcome(extract_velocities, trace)[1] == outcome(extract_velocities_loop, trace)[1]
 
@@ -1630,8 +1643,6 @@ def test_writers_match_loops_generated(columns):
 # --- target choice: running sums and searchsorted against the scalar loop ---
 
 def choose_target_loop(targets, rng):
-    if len(targets) == 0:
-        raise MappingError("empty target set")
     weights = [max(p[2], 0.0) for p in targets.points]
     total = sum(weights)
     u = rng.uniform()
@@ -1680,24 +1691,17 @@ _UNIFORMS = st.one_of(
 def test_choose_target_matches_loop(weights, u):
     targets = TargetSet([(float(i), 0.0, w) for i, w in enumerate(weights)], 64, 64)
     want = choose_target_loop(targets, _FixedUniform(u))
-    assert _choose_target(targets, _weight_sums(targets), _FixedUniform(u)) is want
+    assert SceneTargets.from_static(targets).choose(0.0, _FixedUniform(u)) is want
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8), st.integers(0, 2**32))
 def test_choose_target_on_a_stream_matches_loop(weights, seed):
     targets = TargetSet([(float(i), 0.0, w) for i, w in enumerate(weights)], 64, 64)
-    sums = _weight_sums(targets)
+    scene = SceneTargets.from_static(targets)
     a, b = RandomSource(seed), RandomSource(seed)
     for _ in range(20):
-        assert _choose_target(targets, sums, a) is choose_target_loop(targets, b)
-
-
-def test_choose_target_empty_set_error_matches_loop():
-    targets = TargetSet([], 64, 64)
-    assert outcome(_choose_target, targets, _weight_sums(targets), _FixedUniform(0.5)) == (
-        outcome(choose_target_loop, targets, _FixedUniform(0.5))
-    )
+        assert scene.choose(0.0, a) is choose_target_loop(targets, b)
 
 
 # --- gaze placement: array arithmetic and one batch of draws against the loops ---
@@ -1796,7 +1800,9 @@ def test_place_movement_run_matches_loop(run, seed):
     fill = np.random.default_rng(seed).random(len(signal))  # samples outside the run
     xs, ys = fill.copy(), fill[::-1].copy()
     want_x, want_y = fill.copy(), fill[::-1].copy()
-    _place_movement_run(signal, start, end, origin, dest, p, a, xs, ys)
+    # The steps of the whole signal, as map_to_gaze computes them once.
+    steps = signal.velocities * np.diff(signal.timestamps, prepend=0.0) * p.pixels_per_degree
+    xs[start:end], ys[start:end] = _movement_path(steps[start:end], origin, dest, p, a)
     place_movement_run_loop(signal, start, end, origin, dest, p, b, want_x, want_y)
     assert_same_bits(xs, want_x)
     assert_same_bits(ys, want_y)

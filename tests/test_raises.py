@@ -132,21 +132,6 @@ def _sequence(rules, counts=None, **spec):
     return build_sequence(spec, RandomSource(0))
 
 
-def _sequence_without_feasibility():
-    # No public input reaches a forced follower that has run out: _feasible
-    # places each candidate's chain of forced followers before it is drawn,
-    # and a chain that loops is never feasible (56,322 specs of 1-3 rules
-    # with counts 0-3, seeds 0-2, never raised it). A _feasible that takes
-    # every type opens the branch; seed 0 draws the SACCADE before the
-    # FIXATION, with the SMOOTH_PURSUIT left.
-    original = sequence._feasible
-    sequence._feasible = lambda *args: True
-    try:
-        _sequence([(AFTER, F, S)], (1, 1, 1))
-    finally:
-        sequence._feasible = original
-
-
 # (message template as written in the source, with each {field} as {},
 #  class, call, message) by module.
 RAISES = {
@@ -318,24 +303,22 @@ RAISES = {
         ("frame times must be strictly increasing", ParameterError,
          lambda: SceneTargets([(0.0, ONE_TARGET), (0.0, ONE_TARGET)]),
          "frame times must be strictly increasing"),
+        # Checked for every frame, also one that no run would draw from.
+        ("frame at t={} s has no fixation targets", MappingError,
+         lambda: SceneTargets([(0.0, TargetSet([], 8, 8)), (0.5, ONE_TARGET)]),
+         "frame at t=0 s has no fixation targets"),
+        ("frame at t={} s is {}x{} px, not {}x{} px as the first frame", MappingError,
+         lambda: SceneTargets([(0.0, ONE_TARGET), (0.5, TargetSet([(4.0, 4.0, 1.0)], 16, 8))]),
+         "frame at t=0.5 s is 16x8 px, not 8x8 px as the first frame"),
         ("fixation walk needs n >= 1", ParameterError,
          lambda: fixation_walk((0.0, 0.0), 0, 1.0, RandomSource(0)),
          "fixation walk needs n >= 1"),
         ("dispersion must be >= 0", ParameterError,
          lambda: fixation_walk((0.0, 0.0), 1, -1.0, RandomSource(0)),
          "dispersion must be >= 0"),
-        # A first run that is no fixation also takes a target at its start,
-        # from the frame in effect then.
-        ("empty target set", MappingError,
-         lambda: _map(_labeled([0.0, 0.5, 1.0], [S, S, F]),
-                      [(0.0, TargetSet([], 8, 8)), (0.5, ONE_TARGET)]),
-         "empty target set"),
         ("cannot map an empty signal", MappingError,
          lambda: _map(_labeled([], []), [(0.0, ONE_TARGET)]),
          "cannot map an empty signal"),
-        ("no fixation targets available at t={} s", MappingError,
-         lambda: _map(_labeled([0.5, 1.0], [F, F]), [(0.0, TargetSet([], 8, 8))]),
-         "no fixation targets available at t=1 s"),
         ("need at least 2 samples to compute velocities", ParameterError,
          lambda: extract_velocities(_trace([0.0], [F])),
          "need at least 2 samples to compute velocities"),
@@ -354,11 +337,6 @@ RAISES = {
         ("new-stimulus remap requires a target set", ParameterError,
          lambda: _remap(_trace([0.0, 0.1], [F, F]), "new_stimulus"),
          "new-stimulus remap requires a target set"),
-        # NaN timestamps pass extract_velocities' check; the CSV readers
-        # reject them.
-        ("real trace has no positive inter-sample intervals", ParameterError,
-         lambda: _remap(_trace([math.nan, math.nan], [F, F])),
-         "real trace has no positive inter-sample intervals"),
     ],
     sequence: [
         ("rule '{}' unsatisfiable: not enough {} for {}", ConstraintError,
@@ -373,9 +351,6 @@ RAISES = {
         ("no movement type can be placed without violating a rule", ConstraintError,
          lambda: _sequence([(AFTER, F, S), (AFTER, S, F)], (1, 1, 0)),
          "no movement type can be placed without violating a rule"),
-        ("rule requires a {} after {} but none remain", ConstraintError,
-         _sequence_without_feasibility,
-         "rule requires a SACCADE after FIXATION but none remain"),
         # Rules that contradict each other for one type; seed 0 draws it.
         ("generated sequence violates '{}'", ConstraintError,
          lambda: _sequence([(AFTER, S, F), (AFTER, S, SP)], length=1),
