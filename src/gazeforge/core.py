@@ -105,18 +105,28 @@ def sample_bounded(dist: BoundedDistribution, rng: RandomSource) -> float:
     return min(max(v, dist.min), dist.max)
 
 
+def unit_draws(kind: DistKind, n: int, rng: RandomSource) -> np.ndarray:
+    """The n uniforms or unit normals, by ``kind``, of :func:`sample_bounded_many`."""
+    return rng.uniforms(n) if kind == DistKind.UNIFORM else rng.normals(n)
+
+
+def bounded_values(dist: BoundedDistribution, u: np.ndarray) -> np.ndarray:
+    """:func:`sample_bounded_many`'s values from its :func:`unit_draws` ``u``, in place."""
+    if dist.min == dist.max:
+        u.fill(dist.min)
+    elif dist.kind == DistKind.UNIFORM:
+        u *= dist.max - dist.min
+        u += dist.min
+    else:
+        u *= dist.std
+        u += 0.5 * (dist.min + dist.max)
+        np.clip(u, dist.min, dist.max, out=u)
+    return u
+
+
 def sample_bounded_many(dist: BoundedDistribution, n: int, rng: RandomSource) -> np.ndarray:
     """Vectorized :func:`sample_bounded` (same per-draw semantics)."""
-    if dist.min == dist.max:
-        if dist.kind == DistKind.UNIFORM:
-            rng.uniforms(n)
-        else:
-            rng.normals(n)
-        return np.full(n, dist.min, dtype=float)
-    if dist.kind == DistKind.UNIFORM:
-        return dist.min + rng.uniforms(n) * (dist.max - dist.min)
-    mu = 0.5 * (dist.min + dist.max)
-    return np.clip(mu + dist.std * rng.normals(n), dist.min, dist.max)
+    return bounded_values(dist, unit_draws(dist.kind, n, rng))
 
 
 class SampledSignal:
@@ -162,20 +172,6 @@ class SampledSignal:
         if self.base_rate is None:
             return SampledSignal(self.timestamps.copy(), v, labels)
         return SampledSignal.at_rate(self.base_rate, v, labels)
-
-    @classmethod
-    def concat(cls, parts: list["SampledSignal"]) -> "SampledSignal":
-        """The signals ``parts``, all at one base rate, one after another."""
-        if not parts:
-            raise ParameterError("cannot concatenate zero signals")
-        rate = parts[0].base_rate
-        if rate is None or any(p.base_rate != rate for p in parts):
-            raise ParameterError("signals have differing or no base rates")
-        return cls.at_rate(
-            rate,
-            np.concatenate([p.velocities for p in parts]),
-            np.concatenate([p.labels for p in parts]),
-        )
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import RandomSource, label_runs
 from .errors import ParameterError
-from .generators import gamma_profile, gamma_tail, shape_for_mode_ratio
+from .generators import gamma_profiles, gamma_tail, shape_for_mode_ratio
 from .params import DEFAULT_REPEATS, MAX_GAMMA_SHAPE, MovementLabel
 
 
@@ -139,6 +139,7 @@ def evaluate_dataset(
     if len(velocities) != len(labels):
         raise ParameterError("velocities and labels must have equal length")
     pooled: dict[MovementLabel, list[np.ndarray]] = {}
+    saccades = []  # (n, shape, peak) of each saccade run, simulated below
     seg_index = 0
     for start, end, lab in label_runs(labels):
         label = MovementLabel(lab)
@@ -148,14 +149,9 @@ def evaluate_dataset(
         n = len(seg)
         chunks = pooled.setdefault(label, [])
         if label == MovementLabel.SACCADE:
-            peak_index = int(np.argmax(seg))
-            peak = float(seg[peak_index])
-            if n < 2:
-                sim = np.full(n, peak)
-            else:
-                at = _peak_position(seg, peak_index)
-                sim = gamma_profile(n, fit_shape_for_peak_index(n, at)[0], peak)
-            chunks.extend([(sim - seg) ** 2] * repeats)
+            i = int(np.argmax(seg))
+            shape = fit_shape_for_peak_index(n, _peak_position(seg, i))[0] if n > 1 else 1.0
+            saccades.append((n, shape, float(seg[i])))
         else:
             mean = float(seg.mean())
             std = float(seg.std(ddof=1)) if n > 1 else 0.0
@@ -163,6 +159,14 @@ def evaluate_dataset(
             sim = np.clip(mean + std * z, mean - 10.0 * std, mean + 10.0 * std)
             chunks.append(((np.maximum(0.0, sim) - seg) ** 2).ravel())
         seg_index += 1
+    if saccades:  # one kernel pass over the runs of 2 samples or more
+        n, shape, peak = (np.array(column) for column in zip(*saccades))
+        sim, long = peak.repeat(n), n > 1  # a one-sample run is its peak
+        sim[long.repeat(n)] = gamma_profiles(n[long], shape[long].tolist(), peak[long].tolist())
+        errors = (sim - velocities[labels == MovementLabel.SACCADE]) ** 2
+        pooled[MovementLabel.SACCADE] = [
+            run for run in np.split(errors, np.cumsum(n)[:-1]) for _ in range(repeats)
+        ]
     per_type = {}
     vectors = {}
     for label, chunks in pooled.items():

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import RandomSource, SampledSignal, sample_bounded, sample_bounded_many
+from .core import RandomSource, SampledSignal, bounded_values, sample_bounded, unit_draws
 from .errors import ParameterError
 from .params import (
     MAX_GAMMA_SHAPE,
@@ -47,10 +47,6 @@ def _zero_centered(dist: BoundedDistribution) -> BoundedDistribution:
     return dist
 
 
-def _consistency_draws(dist: BoundedDistribution, n: int, rng: RandomSource) -> np.ndarray:
-    return sample_bounded_many(_zero_centered(dist), n, rng)
-
-
 def _segment_length(duration: float, base_rate: float, what: str) -> int:
     samples = duration * base_rate
     if not math.isfinite(samples):
@@ -67,16 +63,34 @@ def _segment_length(duration: float, base_rate: float, what: str) -> int:
     return n
 
 
-def gen_fixation(
-    p: FixationParams,
-    base_rate: float,
-    rng: RandomSource,
-) -> SampledSignal:
+def _ramp(n: np.ndarray) -> np.ndarray:
+    """0.0, 1.0, ..., n[k] - 1 for each k, concatenated."""
+    ends = np.add.accumulate(n)
+    return np.arange(ends[-1] if len(n) else 0, dtype=float) - (ends - n).repeat(n)
+
+
+def _linspaces(start: np.ndarray, stop: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.linspace(start[k], stop[k], n[k])`` bit for bit, but ``[stop[k]]`` at n[k] == 1."""
+    div = np.maximum(n - 1, 1)
+    delta = stop - start
+    step = delta / div
+    i = _ramp(n)
+    y = i * step.repeat(n)
+    if np.count_nonzero(step) < len(step):  # underflow: i / div * delta
+        flat = (step == 0.0).repeat(n)
+        y[flat] = i[flat] / div.repeat(n)[flat] * delta.repeat(n)[flat]
+    y += start.repeat(n)
+    y[np.add.accumulate(n) - 1] = stop
+    return y
+
+
+def _fixation_draws(p: FixationParams, base_rate: float, rng: RandomSource) -> tuple:
+    return (_segment_length(sample_bounded(p.duration, rng), base_rate, "fixation"),)
+
+
+def gen_fixation(p: FixationParams, base_rate: float, rng: RandomSource) -> SampledSignal:
     """Fixation: base drift velocity plus per-sample fluctuation, floored at 0."""
-    n = _segment_length(sample_bounded(p.duration, rng), base_rate, "fixation")
-    v = np.maximum(0.0, p.base_velocity + _consistency_draws(p.consistency, n, rng))
-    labels = np.full(n, MovementLabel.FIXATION, dtype=np.uint8)
-    return SampledSignal.at_rate(base_rate, v, labels)
+    return _one_segment(MovementLabel.FIXATION, p, base_rate, rng)
 
 
 def gamma_tail(shape: float) -> float:
@@ -114,19 +128,27 @@ def gamma_profile(n: int, shape: float, peak: float) -> np.ndarray:
         )
     if n < 2:
         raise ParameterError("saccade needs at least 2 samples")
-    x = np.linspace(0.0, gamma_tail(shape), n)
+    return gamma_profiles(np.array([n], dtype=np.intp), [float(shape)], [peak])
+
+
+def gamma_profiles(n: np.ndarray, shape, peak) -> np.ndarray:
+    """``gamma_profile(n[k], shape[k], peak[k])`` for each k, concatenated:
+    one pass over all profiles, with the same bits."""
+    x = _linspaces(np.zeros(len(n)), np.array([gamma_tail(k) for k in shape]), n)
     # (k - 1) log(x) - x less its value at the mode, (k - 1) log(k - 1) -
     # (k - 1), with 0 log 0 = 0 when k == 1. The log and the exp are libm's
     # per element: numpy's SIMD kernels can differ from them in the last bit.
-    k1 = float(shape) - 1.0
-    xlogy = np.zeros(n)
-    at_mode = 0.0
-    if k1 != 0.0:
-        xlogy[0] = -np.inf  # x[0] == 0
-        xlogy[1:] = [k1 * math.log(v) for v in x[1:].tolist()]
-        at_mode = k1 * math.log(k1) - k1
-    g = np.array([math.exp(v) for v in (xlogy - x - at_mode).tolist()])
-    return peak * g / g.max()
+    k1 = [k - 1.0 for k in shape]
+    at_mode = [k * math.log(k) - k if k else 0.0 for k in k1]
+    k1_x, at_mode, peak = np.array([k1, at_mode, peak]).repeat(n, axis=1)
+    starts = np.add.accumulate(n) - n
+    xs = np.where(x > 0.0, x, 1.0)  # x == 0 only at the starts, set below
+    xlogy = k1_x * np.fromiter(map(math.log, xs.tolist()), float, len(x))
+    xlogy[starts] = [-math.inf if k else 0.0 for k in k1]
+    xlogy -= x
+    xlogy -= at_mode
+    g = np.fromiter(map(math.exp, xlogy.tolist()), float, len(x))
+    return peak * g / np.maximum.reduceat(g, starts).repeat(n)
 
 
 def skew_to_shape(skew: float) -> float:
@@ -146,16 +168,7 @@ def _normalized_position(value: float, dist: BoundedDistribution) -> float:
     return (value - dist.min) / (dist.max - dist.min)
 
 
-def gen_saccade(
-    p: SaccadeParams,
-    base_rate: float,
-    rng: RandomSource,
-) -> SampledSignal:
-    """Saccade: Gamma-shaped profile with duration-coupled peak velocity.
-
-    The normalized duration and peak draws are multiplied, so shorter
-    saccades are limited to lower maximal velocities.
-    """
+def _saccade_draws(p: SaccadeParams, base_rate: float, rng: RandomSource) -> tuple:
     dur = sample_bounded(p.duration, rng)
     u_len = _normalized_position(dur, p.duration)
     peak_raw = sample_bounded(p.peak_velocity, rng)
@@ -163,33 +176,26 @@ def gen_saccade(
     peak = p.peak_velocity.min + (u_len * u_vel) * (
         p.peak_velocity.max - p.peak_velocity.min
     )
-    skew = sample_bounded(p.skewness, rng)
-    shape = skew_to_shape(skew)
+    shape = skew_to_shape(sample_bounded(p.skewness, rng))
     n = _segment_length(dur, base_rate, "saccade")
     if n < 2:
         raise ParameterError("saccade duration too short for two samples")
-    v = gamma_profile(n, shape, peak)
-    v = np.maximum(0.0, v + _consistency_draws(p.consistency, n, rng))
-    labels = np.full(n, MovementLabel.SACCADE, dtype=np.uint8)
-    return SampledSignal.at_rate(base_rate, v, labels)
+    return n, shape, peak
+
+
+def gen_saccade(p: SaccadeParams, base_rate: float, rng: RandomSource) -> SampledSignal:
+    """Saccade: Gamma-shaped profile with duration-coupled peak velocity.
+
+    The normalized duration and peak draws are multiplied, so shorter
+    saccades are limited to lower maximal velocities.
+    """
+    return _one_segment(MovementLabel.SACCADE, p, base_rate, rng)
 
 
 MAX_ONSET_REDRAWS = 100
 
 
-def gen_pursuit(
-    p: PursuitParams,
-    base_rate: float,
-    rng: RandomSource,
-) -> SampledSignal:
-    """Smooth pursuit: logistic onset up to the plateau, then a constant or
-    linear trend phase.
-
-    An onset draw at or above the drawn duration is redrawn, at most
-    MAX_ONSET_REDRAWS times; after that the onset is drawn once from the
-    part of its range below the duration, which is impossible (and raises)
-    only when onset_duration.min is not below it.
-    """
+def _pursuit_draws(p: PursuitParams, base_rate: float, rng: RandomSource) -> tuple:
     dur = sample_bounded(p.duration, rng)
     onset = sample_bounded(p.onset_duration, rng)
     attempts = 0
@@ -221,54 +227,92 @@ def gen_pursuit(
             plateau, end = end, plateau
         if p.trend == PursuitTrend.LINEAR_INCREASING and end < plateau:
             plateau, end = end, plateau
-
-    v = np.empty(n, dtype=float)
-    if n_on > 0:
-        # Sample times (i+1)*dt so the last onset sample sits exactly at the
-        # (grid-snapped) onset duration, where the logistic reaches 0.99.
-        # The exp is libm's per element, as in gamma_profile.
-        t_on = n_on / base_rate
-        a = _ONSET_STEEPNESS / t_on
-        t = (np.arange(1, n_on + 1)) / base_rate
-        e = [math.exp(u) for u in (-a * (t - t_on / 2.0)).tolist()]
-        v[:n_on] = plateau / (1.0 + np.array(e))
-    m = n - n_on
-    if m > 0:
-        if p.trend == PursuitTrend.CONSTANT:
-            v[n_on:] = plateau
-        elif m == 1:
-            v[n_on:] = end
-        else:
-            v[n_on:] = np.linspace(plateau, end, m)
-    v = np.maximum(0.0, v + _consistency_draws(p.consistency, n, rng))
-    labels = np.full(n, MovementLabel.SMOOTH_PURSUIT, dtype=np.uint8)
-    return SampledSignal.at_rate(base_rate, v, labels)
+    return n, n_on, plateau, end
 
 
-def assemble(
-    seq: list[MovementLabel],
-    fix: FixationParams,
-    sac: SaccadeParams,
-    sp: PursuitParams,
-    base_rate: float,
-    rng: RandomSource,
-) -> SampledSignal:
-    """Generate and concatenate one segment per sequence entry, in order."""
+def _pursuits(p: PursuitParams, base_rate: float, n, n_on, plateau, end) -> np.ndarray:
+    # Onset times (i+1)*dt: the last onset sample sits at the (grid-snapped) onset
+    # duration, where the logistic (libm's exp) reaches 0.99. Constant: end == plateau.
+    n_on, plateau, end = np.array(n_on, dtype=np.intp), np.array(plateau), np.array(end)
+    ramps, trend = n_on > 0, n > n_on
+    k = n_on[ramps]
+    t_on = k / base_rate
+    t = (_ramp(k) + 1.0) / base_rate - (t_on / 2.0).repeat(k)
+    u = (-(_ONSET_STEEPNESS / t_on)).repeat(k) * t
+    e = np.fromiter(map(math.exp, u.tolist()), float, len(u))
+    v = np.empty(n.sum())
+    onset = _ramp(n) < n_on.repeat(n)
+    v[onset] = plateau[ramps].repeat(k) / (1.0 + e)
+    v[~onset] = _linspaces(plateau[trend], end[trend], (n - n_on)[trend])
+    return v
+
+
+def gen_pursuit(p: PursuitParams, base_rate: float, rng: RandomSource) -> SampledSignal:
+    """Smooth pursuit: logistic onset up to the plateau, then a constant or
+    linear trend phase.
+
+    An onset draw at or above the drawn duration is redrawn, at most
+    MAX_ONSET_REDRAWS times; after that the onset is drawn once from the
+    part of its range below the duration, which is impossible (and raises)
+    only when onset_duration.min is not below it.
+    """
+    return _one_segment(MovementLabel.SMOOTH_PURSUIT, p, base_rate, rng)
+
+
+# Per movement type: a segment's draws before its consistency draws, as a
+# tuple (n, ...); and the noise-free velocities of segments from those tuples.
+_KINDS = {
+    MovementLabel.FIXATION: (_fixation_draws, lambda p, rate, n: p.base_velocity),
+    MovementLabel.SACCADE: (_saccade_draws, lambda p, rate, *segs: gamma_profiles(*segs)),
+    MovementLabel.SMOOTH_PURSUIT: (_pursuit_draws, _pursuits),
+}
+
+
+def _velocities(label, p, base_rate: float, segments: list[tuple], c: np.ndarray) -> np.ndarray:
+    """``max(0, base + consistency)`` of ``segments``, in place on their unit draws ``c``."""
+    n, *columns = zip(*segments)
+    c = bounded_values(_zero_centered(p.consistency), c)
+    c += _KINDS[label][1](p, base_rate, np.array(n, dtype=np.intp), *columns)
+    return np.maximum(0.0, c, out=c)
+
+
+def _one_segment(label, p, base_rate: float, rng: RandomSource) -> SampledSignal:
+    seg = _KINDS[label][0](p, base_rate, rng)
+    v = _velocities(label, p, base_rate, [seg], unit_draws(p.consistency.kind, seg[0], rng))
+    return SampledSignal.at_rate(base_rate, v, np.full(len(v), label, dtype=np.uint8))
+
+
+def assemble(seq: list[MovementLabel], fix: FixationParams, sac: SaccadeParams,
+             sp: PursuitParams, base_rate: float, rng: RandomSource) -> SampledSignal:
+    """Generate and concatenate one segment per sequence entry, in order.
+
+    Phase 1 takes every draw in sequence order (a segment's scalar draws, then
+    its consistency draws) and raises a segment's ParameterError as its
+    generator would. Phase 2 builds each movement type once over all its
+    segments with the per-element arithmetic of the one-segment generators
+    (calls of the same kernels) and libm's log and exp: the same bits and draws.
+    """
     if not seq:
         raise ParameterError("sequence must be non-empty")
     if not 0.0 < base_rate < math.inf:
         raise ParameterError(f"base_rate must be finite and > 0, got {base_rate}")
-    parts = []
+    params = dict(zip(_KINDS, (fix, sac, sp)))
+    segments: dict[MovementLabel, list[tuple]] = {label: [] for label in params}
+    draws = []
     for i, label in enumerate(seq):
         try:
-            if label == MovementLabel.FIXATION:
-                parts.append(gen_fixation(fix, base_rate, rng))
-            elif label == MovementLabel.SACCADE:
-                parts.append(gen_saccade(sac, base_rate, rng))
-            elif label == MovementLabel.SMOOTH_PURSUIT:
-                parts.append(gen_pursuit(sp, base_rate, rng))
-            else:
+            if label not in params:
                 raise ParameterError(f"cannot generate segment of type {label.name}")
+            seg = _KINDS[label][0](params[label], base_rate, rng)
+            draws.append(unit_draws(params[label].consistency.kind, seg[0], rng))
         except ParameterError as e:
             raise ParameterError(f"segment {i} ({label.name}): {e}") from e
-    return SampledSignal.concat(parts)
+        segments[label].append(seg)
+    labels = np.repeat(np.array(seq, dtype=np.uint8), [len(d) for d in draws])
+    v = np.concatenate(draws)  # the one velocity array, written type by type
+    del draws
+    for label, segs in segments.items():
+        if segs:
+            at = labels == label
+            v[at] = _velocities(label, params[label], base_rate, segs, v[at])
+    return SampledSignal.at_rate(base_rate, v, labels)

@@ -62,16 +62,26 @@ class SceneTargets:
         """One weighted draw from the targets in effect at the given time:
         probability proportional to the weight clipped at 0, uniform if no
         weight is positive."""
-        k = self._frame(time)
-        points, sums = self.frames[k][1].points, self._sums[k]
-        total = float(sums[-1])
-        u = rng.uniform()
-        if total <= 0:
-            return points[min(int(u * len(points)), len(points) - 1)]
-        # The first target whose running sum exceeds u; none for a NaN or
-        # infinite total or u at the total, which picks the last target.
-        i = int(np.searchsorted(sums, u * total, side="right"))
-        return points[min(i, len(points) - 1)]
+        return self._choices([time], np.array([rng.uniform()]))[0]
+
+    def _choices(self, times: list[float], u: np.ndarray) -> list[tuple[float, float, float]]:
+        """The targets that :meth:`choose` draws at the given times with the
+        uniforms u: the first whose running sum exceeds u times the total;
+        none for a NaN or infinite total or u at the total, which picks the
+        last target."""
+        frames = [self._frame(t) for t in times] if len(self._times) > 1 else [0] * len(times)
+        order = np.argsort(frames, kind="stable")
+        used, first = np.unique(np.take(frames, order), return_index=True)
+        chosen = [None] * len(times)
+        for k, at in zip(used.tolist(), np.split(order, first[1:])):
+            points, sums = self.frames[k][1].points, self._sums[k]
+            total = float(sums[-1])
+            with np.errstate(invalid="ignore"):  # 0 * inf, as with floats: NaN
+                i = (u[at] * len(points)).astype(np.intp) if total <= 0 else np.searchsorted(
+                    sums, u[at] * total, side="right")
+            for r, m in zip(at.tolist(), np.minimum(i, len(points) - 1).tolist()):
+                chosen[r] = points[m]
+        return chosen
 
     def _frame(self, time: float) -> int:
         times = self._times
@@ -102,40 +112,75 @@ def fixation_walk(
     Random stream v2: the n - 1 direction uniforms are drawn as one block,
     then the n - 1 normals; dispersion 0 draws nothing.
     """
-    return list(zip(*_walk_xy(center, n, dispersion, rng)))
-
-
-def _walk_xy(
-    center: tuple[float, float], n: int, dispersion: float, rng: RandomSource
-) -> tuple[list[float], list[float]]:
-    """The x and the y coordinates of :func:`fixation_walk`'s points."""
     if n < 1:
         raise ParameterError("fixation walk needs n >= 1")
     if dispersion < 0:
         raise ParameterError("dispersion must be >= 0")
-    cx, cy = center
-    if dispersion == 0:
-        return [cx] * n, [cy] * n
-    angs = (2.0 * math.pi * rng.uniforms(n - 1)).tolist()
-    steps = np.minimum(np.abs(rng.normals(n - 1)) * (dispersion / 3.0), dispersion / 2.0)
-    # math.cos and math.sin per element: numpy's SIMD versions can differ
-    # from libm in the last ulp, and by host.
-    sx = (steps * np.fromiter(map(math.cos, angs), float, n - 1)).tolist()
-    sy = (steps * np.fromiter(map(math.sin, angs), float, n - 1)).tolist()
-    xs, ys = [cx], [cy]
-    px, py = cx, cy
-    for dx, dy in zip(sx, sy):
-        nx = px + dx + 0.1 * (cx - px)
-        ny = py + dy + 0.1 * (cy - py)
-        # Clamp into the dispersion disc.
-        d = math.hypot(nx - cx, ny - cy)
-        if d > dispersion:
-            nx = cx + (nx - cx) * dispersion / d
-            ny = cy + (ny - cy) * dispersion / d
-        xs.append(nx)
-        ys.append(ny)
-        px, py = nx, ny
-    return xs, ys
+    m = n - 1 if dispersion else 0
+    u = rng.uniforms(m)
+    walk = _walks(np.array([center], dtype=float), np.array([n]), dispersion, u, rng.normals(m))
+    return list(map(tuple, walk.tolist()))
+
+
+# Below this many walks still walking, a step costs less one walk at a time.
+_FEW_WALKS = 32
+
+
+def _walks(centers: np.ndarray, n: np.ndarray, dispersion: float, u: np.ndarray,
+           z: np.ndarray) -> np.ndarray:
+    """The points of :func:`fixation_walk` around each center, n[r] of them,
+    walk after walk, from the n[r] - 1 uniforms and normals of each walk in
+    u and z (none at dispersion 0). The walks take each step together,
+    longest first, so that those still walking are a prefix of the ones
+    before; once fewer than _FEW_WALKS are left, those finish one at a time.
+    Every point has the loop's arithmetic; only those near the disc's edge,
+    the only ones that can be clamped, take libm's hypot."""
+    if not len(u):
+        return centers.repeat(n, axis=0)
+    # Each row holds the step to its point, then the point. math.cos and
+    # math.sin per element: numpy's SIMD versions can differ from libm in
+    # the last ulp, and by host.
+    starts = np.cumsum(n) - n
+    out = np.empty((len(u) + len(n), 2))
+    steps = np.delete(np.arange(len(out)), starts)
+    angs, length = 2.0 * math.pi * u, np.minimum(np.abs(z) * (dispersion / 3.0), dispersion / 2.0)
+    for axis, f in enumerate((math.cos, math.sin)):
+        trig = np.fromiter(map(f, memoryview(angs)), float, len(angs))
+        trig *= length
+        out[steps, axis] = trig
+    del steps, angs, length, trig
+    out[starts] = centers
+    order = np.argsort(-n, kind="stable")
+    first, point = starts[order], centers[order]
+    center = point
+    live = np.cumsum(np.bincount(n)[::-1])[::-1][1:]  # live[j] walks have more than j points
+    # A point with ox^2 + oy^2 below lim lies inside the disc whatever the
+    # rounding; squares of a tiny or huge dispersion lose that margin.
+    lim = (1.0 - 1e-9) * dispersion * dispersion if 1e-100 < dispersion < 1e100 else 0.0
+    together = max(int(np.count_nonzero(live >= _FEW_WALKS)), 1)  # steps, the first included
+    for j, k in enumerate(live[1:together].tolist(), 1):
+        rows, c, point = first[:k] + j, center[:k], point[:k]
+        new = point + out[rows]
+        new += 0.1 * (c - point)
+        off = new - c
+        sq = off * off
+        edge = np.flatnonzero(~(sq[:, 0] + sq[:, 1] < lim))
+        d = np.fromiter(map(math.hypot, *off[edge].T.tolist()), float, len(edge))
+        e, d = edge[d > dispersion], d[d > dispersion, None]
+        new[e] = c[e] + off[e] * dispersion / d
+        out[rows] = point = new
+    for r, end in enumerate(n[order][: np.count_nonzero(n > together)].tolist()):
+        (x, y), (cx, cy) = point[r].tolist(), center[r].tolist()
+        xy = memoryview(out[first[r] + together : first[r] + end].reshape(-1))  # dx, dy -> x, y
+        for i in range(0, len(xy), 2):
+            x = x + xy[i] + 0.1 * (cx - x)
+            y = y + xy[i + 1] + 0.1 * (cy - y)
+            d = math.hypot(x - cx, y - cy)
+            if d > dispersion:
+                x = cx + (x - cx) * dispersion / d
+                y = cy + (y - cy) * dispersion / d
+            xy[i], xy[i + 1] = x, y
+    return out
 
 
 def _weight_sums(targets: TargetSet) -> np.ndarray:
@@ -158,73 +203,95 @@ def map_to_gaze(
     steps proportional to velocity, rescaled so the run ends exactly on the
     target, plus a bounded perpendicular deviation that vanishes at both
     endpoints.
+
+    Random stream v2, run after run: a fixation draws its target, then its
+    walk's uniforms and normals (:func:`fixation_walk`); a saccade or
+    pursuit draws its start's target if it is the first run, its end's,
+    then one uniform per sample with a deviation. No draw depends on a
+    position, so all are taken first; then all walks are computed together,
+    then every saccade and pursuit is placed from the end of the run before.
     """
     if len(signal) == 0:
         raise MappingError("cannot map an empty signal")
     width, height = targets.bounds
     ts = signal.timestamps
+    eff = effective_labels(signal.labels)
+    ends = np.append(np.flatnonzero(eff[1:] != eff[:-1]) + 1, len(eff))
+    n = np.diff(ends, prepend=0)
+    fix, moving = eff[ends - 1] == MovementLabel.FIXATION, eff != MovementLabel.FIXATION
     steps = signal.velocities * np.diff(ts, prepend=0.0) * p.pixels_per_degree
-    xs = np.empty(len(signal))
-    ys = np.empty(len(signal))
-    cur: tuple[float, float] | None = None
-    for start, end, label in label_runs(effective_labels(signal.labels)):
-        t_end = float(ts[end - 1])
-        if label == MovementLabel.FIXATION:
-            center = targets.choose(t_end, rng)[:2]
-            xs[start:end], ys[start:end] = _walk_xy(
-                center, end - start, p.fixation_dispersion, rng
-            )
-        else:
-            if cur is None:
-                cur = targets.choose(float(ts[start]), rng)[:2]
-            dest = targets.choose(t_end, rng)[:2]
-            xs[start:end], ys[start:end] = _movement_path(
-                steps[start:end], cur, dest, p, rng
-            )
-        cur = (xs[end - 1], ys[end - 1])
-    np.clip(xs, 0.0, max(width - 1, 0), out=xs)
-    np.clip(ys, 0.0, max(height - 1, 0), out=ys)
+    progress, amp = _progress(steps[moving], n[~fix], p.max_path_deviation)
+    del steps
+    # Per run: the uniform of its target, those of its walk or deviations,
+    # then its walk's normals. Uniforms drawn in one block or in several are
+    # the same, so only the normals break the blocks.
+    walk = np.where(fix, n - 1, 0) if p.fixation_dispersion else np.zeros_like(n)
+    rest = walk.copy()
+    rest[~fix] = np.add.reduceat(amp > 0, np.cumsum(n[~fix]) - n[~fix], dtype=np.intp)
+    extra = int(not fix[0])  # a first run that moves draws its start's target first
+    upto = extra + np.cumsum(1 + rest)
+    u, z, taken = [], [np.empty(0)], 0
+    for end, m in zip(upto[walk > 0].tolist(), walk[walk > 0].tolist()):
+        u.append(rng.uniforms(end - taken))
+        z.append(rng.normals(m))
+        taken = end
+    u.append(rng.uniforms(int(upto[-1]) - taken))
+    u, z = np.concatenate(u), np.concatenate(z)
+    at = np.append(np.arange(extra), upto - rest - 1)
+    times = ts[:extra].tolist() + ts[ends - 1].tolist()
+    picked = np.array([q[:2] for q in targets._choices(times, u[at])], dtype=float)
+    dest, u, of_walk = picked[extra:], np.delete(u, at), fix.repeat(rest)
+    u, u_dev = u[of_walk], u[~of_walk]
+    walks = _walks(dest[fix], n[fix], p.fixation_dispersion, u, z)
+    del u, z
+    xs_ys = np.empty((2, len(signal)))
+    xy = xs_ys.T
+    xy[~moving] = walks
+    del walks
+    # A saccade or pursuit ends on its target and starts where the run
+    # before it ends.
+    xy[ends[~fix] - 1] = dest[~fix]
+    origin = xy[np.maximum(ends[~fix] - n[~fix] - 1, 0)]
+    origin[:extra] = picked[:extra]
+    xy[moving] = _paths(progress, amp, u_dev, n[~fix], origin, dest[~fix])
+    np.clip(xy, 0.0, [max(width - 1, 0), max(height - 1, 0)], out=xy)
+    xs, ys = xs_ys
     return GazeTrace(
         ts.copy(), xs, ys, signal.labels.copy(), width, height, p.pixels_per_degree
     )
 
 
-def _movement_path(
-    steps: np.ndarray,
-    origin: tuple[float, float],
-    dest: tuple[float, float],
-    p: MappingParams,
-    rng: RandomSource,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The x and the y of a saccade or pursuit run from origin to dest, whose
-    samples advance by the given steps (pixels)."""
-    cum = np.cumsum(np.maximum(steps, 0.0))
-    total = float(cum[-1])
-    n = len(steps)
-    if total > 0:
-        progress = cum / total
-    else:
-        progress = np.arange(1, n + 1) / n
-    ox, oy = origin
-    dx, dy = dest[0] - ox, dest[1] - oy
-    dist = math.hypot(dx, dy)
-    if dist > 0:
-        ux, uy = dx / dist, dy / dist
-    else:
-        ux, uy = 0.0, 0.0
-    perp_x, perp_y = -uy, ux
-    px = ox + progress * dx
-    py = oy + progress * dy
-    amp = p.max_path_deviation * 2.0 * np.minimum(progress, 1.0 - progress)
-    # One uniform per sample with amp > 0, in sample order: the draws of a
-    # per-sample loop that draws only where the path deviates.
+def _progress(steps: np.ndarray, n: np.ndarray, deviation: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample of the saccade and pursuit runs of lengths n, run after
+    run, whose samples advance by the given steps (pixels): its progress
+    along its run, and the amplitude of its deviation across it."""
+    ends = np.cumsum(n)
+    cum = np.maximum(steps, 0.0)
+    for a, b in zip((ends - n).tolist(), ends.tolist()):
+        np.add.accumulate(cum[a:b], out=cum[a:b])
+    total = cum[ends - 1].repeat(n)
+    even = ~(total > 0)  # no path: even progress
+    progress = np.divide(cum, total, out=cum, where=~even)
+    progress[even] = (np.arange(1, len(cum) + 1) - (ends - n).repeat(n))[even] / n.repeat(n)[even]
+    return progress, deviation * 2.0 * np.minimum(progress, 1.0 - progress)
+
+
+def _paths(progress: np.ndarray, amp: np.ndarray, u: np.ndarray, n: np.ndarray,
+           origin: np.ndarray, dest: np.ndarray) -> np.ndarray:
+    """The points of the saccade and pursuit runs of lengths n from
+    origin[r] to dest[r], run after run: at the given progress along the
+    line, moved across it by amp times (2u - 1) where amp > 0, one u per
+    such sample in order. Each run ends on its dest."""
+    delta = dest - origin
+    dist = np.fromiter(map(math.hypot, *delta.T.tolist()), float, len(n))[:, None]
+    unit = np.where(dist > 0, delta, 0.0) / np.where(dist > 0, dist, 1.0)
+    points = origin.repeat(n, axis=0)
+    points += progress[:, None] * delta.repeat(n, axis=0)
     dev = amp > 0
-    off = (2.0 * rng.uniforms(int(np.count_nonzero(dev))) - 1.0) * amp[dev]
-    px[dev] += off * perp_x
-    py[dev] += off * perp_y
-    # Endpoint renormalization guarantees the final sample is exactly on target.
-    px[-1], py[-1] = dest
-    return px, py
+    across = (unit[:, ::-1] * [-1.0, 1.0]).repeat(n, axis=0)[dev]  # (-uy, ux)
+    points[dev] += ((2.0 * u - 1.0) * amp[dev])[:, None] * across
+    points[np.cumsum(n) - 1] = dest
+    return points
 
 
 def extract_velocities(trace: GazeTrace) -> np.ndarray:

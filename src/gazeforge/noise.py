@@ -7,36 +7,37 @@ from .core import RandomSource, SampledSignal, sample_bounded_many
 from .params import MODE_ADD, DistKind, MovementLabel, NoiseSpec
 
 
-def _draw_index(n: int, dist: DistKind, rng: RandomSource) -> int:
+def _draw_indices(n: int, m: int, dist: DistKind, rng: RandomSource) -> np.ndarray:
     if dist == DistKind.UNIFORM:
-        return min(int(rng.uniform() * n), n - 1)
-    # Normal placement: centered mid-signal with std n/4, clamped.
-    idx = int(round(n / 2.0 + (n / 4.0) * rng.normal()))
-    return min(max(idx, 0), n - 1)
+        return np.minimum((rng.uniforms(m) * n).astype(np.intp), n - 1)
+    # Normal placement: centered mid-signal with std n/4, rounded, clamped.
+    idx = np.rint(n / 2.0 + (n / 4.0) * rng.normals(m)).astype(np.intp)
+    return np.clip(idx, 0, n - 1)
 
 
 def _select_indices(n: int, k: int, spec: NoiseSpec, rng: RandomSource) -> list[int]:
     """Exactly k distinct indices; collisions are re-drawn, with a
-    deterministic sweep fallback so selection always terminates."""
+    deterministic sweep fallback so selection always terminates. Each round
+    draws as one block the fewest attempts that could complete the
+    selection; only its last draw can, so the draws are those of one attempt
+    at a time."""
     chosen: set[int] = set()
     burst = spec.burst_length
     attempts = 0
     max_attempts = 200 * max(n, 1)
     while len(chosen) < k and attempts < max_attempts:
-        attempts += 1
+        m = min(-(-(k - len(chosen)) // burst), max_attempts - attempts)
+        attempts += m
+        starts = _draw_indices(n, m, spec.location_dist, rng).tolist()
         if burst == 1:
-            idx = _draw_index(n, spec.location_dist, rng)
-            if idx in chosen:
-                continue
-            chosen.add(idx)
-        else:
+            chosen.update(starts)
+            continue
+        for start in starts:
             run = min(burst, k - len(chosen))
-            start = _draw_index(n, spec.location_dist, rng)
             start = min(start, n - run)
             block = range(start, start + run)
-            if any(i in chosen for i in block):
-                continue
-            chosen.update(block)
+            if not any(i in chosen for i in block):
+                chosen.update(block)
     if len(chosen) < k:
         for i in range(n):
             if i not in chosen:

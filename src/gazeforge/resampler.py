@@ -71,7 +71,7 @@ def _window_means(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return means
 
 
-def _window_labels(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _majority(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Majority label per window; ties go to the label of the latest tied
     base sample."""
     best = np.zeros(len(lo), dtype=np.uint8)
@@ -88,6 +88,16 @@ def _window_labels(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
         best[wins] = lab
         best_count[wins] = count[wins]
         best_last[wins] = last[wins]
+    return best
+
+
+def _window_labels(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`_majority`'s labels; a window inside one label run needs no vote."""
+    runs = np.flatnonzero(labels[1:] != labels[:-1]) + 1  # where each later run starts
+    first, last = np.searchsorted(runs, lo, "right"), np.searchsorted(runs, hi - 1, "right")
+    mixed = np.flatnonzero(first != last)
+    best = labels[lo]
+    best[mixed] = _majority(labels, lo[mixed], hi[mixed])
     return best
 
 

@@ -129,15 +129,3 @@ def test_copy_keeps_the_kind_of_signal_and_owns_its_arrays():
         assert (sig.velocities[0], sig.labels[0]) == (1.0, 0)
         assert out.base_rate == sig.base_rate
         assert out.timestamps.tobytes() == sig.timestamps.tobytes()
-
-
-def test_concat_needs_one_base_rate():
-    a = SampledSignal.at_rate(100.0, [1.0], [0])
-    b = SampledSignal.at_rate(100.0, [2.0, 3.0], [1, 1])
-    both = SampledSignal.concat([a, b])
-    assert (both.base_rate, list(both.velocities), list(both.labels)) == (
-        100.0, [1.0, 2.0, 3.0], [0, 1, 1])
-    for parts in ([], [a, SampledSignal.at_rate(50.0, [1.0], [0])],
-                  [a, SampledSignal([0.5], [1.0], [0])]):
-        with pytest.raises(ParameterError):
-            SampledSignal.concat(parts)

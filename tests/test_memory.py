@@ -5,6 +5,11 @@
 38 B per base sample at both sizes below. Timestamps materialized for the
 base-rate signal add 8 B per sample (about 46 B in all) and break the
 bound.
+
+``map_to_gaze`` keeps one row per sample: a signal with one 20,000-sample
+fixation among 400 short runs peaks at about 4.4 times the signal's bytes
+(the per-run walk that it replaced peaked at 10.4 times). A walk buffer
+of the longest run times the runs would take over 100 times.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ import gazeforge.noise  # noqa: F401
 import gazeforge.resampler  # noqa: F401
 
 MAX_BYTES_PER_BASE_SAMPLE = 42
+MAX_MAP_BYTES_PER_SIGNAL_BYTE = 11
 
 
 def _config(k: int):
@@ -76,3 +82,29 @@ def test_image_targets_peak_below_the_frame():
     finally:
         tracemalloc.stop()
     assert peak <= frame.nbytes
+
+
+def test_map_to_gaze_peak_with_one_long_fixation():
+    from gazeforge.core import SampledSignal, TargetSet
+    from gazeforge.mapping import SceneTargets, map_to_gaze
+    from gazeforge.params import MappingParams, MovementLabel
+
+    data = np.random.default_rng(0)
+    lengths = data.integers(3, 9, 400)
+    lengths[200] = 20_000  # a fixation: the runs alternate, fixations first
+    labels = np.repeat(np.tile([MovementLabel.FIXATION, MovementLabel.SACCADE], 200),
+                       lengths).astype(np.uint8)
+    ts = np.cumsum(data.uniform(0.003, 0.004, len(labels)))
+    signal = SampledSignal(ts, data.uniform(0.0, 500.0, len(labels)), labels)
+    points = [(x, y, 1.0) for x, y in data.uniform(10.0, 400.0, (30, 2)).tolist()]
+    scene = SceneTargets.from_static(TargetSet(points, 640, 480))
+    p = MappingParams(30.0, 15.0, 10.0)
+    map_to_gaze(signal, scene, p, RandomSource(1))  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        map_to_gaze(signal, scene, p, RandomSource(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    signal_bytes = ts.nbytes + signal.velocities.nbytes + labels.nbytes
+    assert peak <= MAX_MAP_BYTES_PER_SIGNAL_BYTE * signal_bytes

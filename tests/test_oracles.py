@@ -5,12 +5,14 @@ segmentation and velocity extraction used by mapping, remap and
 evaluation, of the fluctuating-rate resampler, and of the token-by-token
 P2 pixel decode, of the greedy local-maxima thinning, of the row-by-row
 CSV readers and f-string CSV writers, of the weighted target choice, of
-the pursuit onset redraws, of the noise magnitudes, of the nearest-frame
-scan and of the gaze placement along a movement run and in a fixation
-without dispersion. The sequence builder is held to its one-step repair of
+the pursuit onset redraws, of ``assemble`` one segment at a time, of the
+noise placement with one draw per attempt and the noise magnitudes, of the
+nearest-frame scan and of the gaze placement along a movement run and in a
+fixation without dispersion, and of ``map_to_gaze`` one run at a time (the
+per-point walk and the per-run movement path that it called). The sequence builder is held to its one-step repair of
 ordering rules wherever that repair gave a valid sequence. The fast versions must return identical bytes, raise
-the same errors and, for the resampler, the noise and the gaze placement,
-leave the random stream at the same place. The byte decoders of the CSV
+the same errors and, for ``assemble``, the resampler, the noise, the gaze
+placement and ``map_to_gaze``, leave the random stream at the same place. The byte decoders of the CSV
 readers are also held to the earlier str-based fast path, kept here as a
 reference, and the partition quantiles of remap and evaluate to
 ``np.median`` and ``np.percentile``.
@@ -69,17 +71,22 @@ from gazeforge.mapping import (
     GazeTrace,
     SceneTargets,
     _median,
-    _movement_path,
+    _paths,
+    _progress,
+    _walks,
     extract_velocities,
     fixation_walk,
+    map_to_gaze,
 )
 from gazeforge.params import (
     MAX_GAMMA_SHAPE,
+    MIN_SKEWNESS,
     MODE_ADD,
     MODE_REPLACE,
     NAME_LABELS,
     BoundedDistribution,
     DistKind,
+    FixationParams,
     MappingParams,
     MovementLabel,
     NoiseSpec,
@@ -87,6 +94,7 @@ from gazeforge.params import (
     PursuitParams,
     PursuitTrend,
     RateSpec,
+    SaccadeParams,
     SequenceSpec,
 )
 from gazeforge.resampler import SampledSignal
@@ -409,6 +417,68 @@ def test_resample_empty_window_error_matches_loop(monkeypatch):
         _assert_resample_matches_loop(profile, spec, seed)
     with pytest.raises(ParameterError, match="empty resampling window"):
         resampler.resample(profile, spec, RandomSource(1))
+
+
+def _assert_window_labels_match_loop(labels: np.ndarray, widths) -> None:
+    hi = np.cumsum(widths)
+    lo = hi - widths
+    got = resampler._window_labels(labels, lo, hi)
+    want = [window_label_loop(labels[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert got.dtype == np.uint8
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("period", [2, 3, 4])
+def test_window_labels_with_a_change_at_every_sample_match_loop(width, period):
+    # Labels change at every base sample, so every window wider than one
+    # sample reaches the vote; width 2 over two labels and width 4 over
+    # four are 2-way and 4-way ties, which go to the latest tied sample.
+    n = 12 * width * period + 1
+    rng = np.random.default_rng(width * 10 + period)
+    for labels in (np.arange(n) % period, (np.arange(n) + 1) % period):
+        _assert_window_labels_match_loop(labels.astype(np.uint8), np.full(n // width, width))
+    # A random label at each sample that differs from the one before.
+    labels = np.cumsum(rng.integers(1, 4, n)) % 4
+    widths = rng.integers(1, 2 * width + 1, n)
+    widths = widths[: np.searchsorted(np.cumsum(widths), n, "right")]
+    _assert_window_labels_match_loop(labels.astype(np.uint8), widths)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (3, 2), (0, 3)])
+def test_window_labels_ties_match_loop(pair):
+    # 2-way ties in windows of 2, 4 and 6 samples, 4-way ties of 4 and 8,
+    # and windows whose first and last samples share a label that loses.
+    a, b = pair
+    two = np.array([a, b, b, a, a, a, b, b, a, b, a, b], dtype=np.uint8)
+    for widths in ([2] * 6, [4, 4, 4], [6, 6], [2, 4, 6], [1, 3, 2, 6]):
+        _assert_window_labels_match_loop(two, np.array(widths))
+    order = [a, b] + [lab for lab in range(4) if lab not in pair]
+    four = np.array(order * 2 + order[::-1] * 2, dtype=np.uint8)
+    for widths in ([4] * 4, [8, 8], [2, 4, 4, 6], [16]):
+        _assert_window_labels_match_loop(four, np.array(widths))
+    ends = np.array([a, b, b, b, a, b, a, a, a, b], dtype=np.uint8)
+    _assert_window_labels_match_loop(ends, np.array([5, 5]))
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+def test_window_labels_vote_only_across_label_changes(monkeypatch, scale):
+    # Counted work: a window inside one label run takes its label, so the
+    # windows that reach the majority vote are at most the label changes,
+    # at n and at 4n base samples alike.
+    voted = []
+    majority = resampler._majority
+    monkeypatch.setattr(resampler, "_majority", lambda labels, lo, hi: (
+        voted.append(len(lo)), majority(labels, lo, hi))[1])
+    rng = np.random.default_rng(scale)
+    n = 20_000 * scale
+    labels = np.repeat(rng.integers(0, 4, n), rng.integers(1, 400, n))[:n].astype(np.uint8)
+    profile = SampledSignal.at_rate(1000.0, rng.normal(0.0, 1.0, n), labels)
+    spec = RateSpec(BoundedDistribution.uniform(250.0, 300.0))
+    out = resampler.resample(profile, spec, RandomSource(scale))
+    changes = int(np.count_nonzero(labels[1:] != labels[:-1]))
+    assert len(out) > n // 5
+    assert 0 < sum(voted) <= changes
 
 
 # --- P2 decode: numpy fast path against the token reader ---
@@ -1802,7 +1872,11 @@ def test_place_movement_run_matches_loop(run, seed):
     want_x, want_y = fill.copy(), fill[::-1].copy()
     # The steps of the whole signal, as map_to_gaze computes them once.
     steps = signal.velocities * np.diff(signal.timestamps, prepend=0.0) * p.pixels_per_degree
-    xs[start:end], ys[start:end] = _movement_path(steps[start:end], origin, dest, p, a)
+    n = np.array([end - start])
+    progress, amp = _progress(steps[start:end], n, p.max_path_deviation)
+    u = a.uniforms(int(np.count_nonzero(amp > 0)))
+    xs[start:end], ys[start:end] = _paths(
+        progress, amp, u, n, np.array([origin]), np.array([dest])).T
     place_movement_run_loop(signal, start, end, origin, dest, p, b, want_x, want_y)
     assert_same_bits(xs, want_x)
     assert_same_bits(ys, want_y)
@@ -1861,20 +1935,317 @@ def test_fixation_walk_follows_the_loops_distribution():
         assert ks_2samp(g, w).pvalue > 1e-3, name
 
 
+# --- map_to_gaze: every draw first, then all walks together, then every movement run ---
+
+def walk_xy_loop(center, n, dispersion, rng):
+    """The x and the y of the stream v2 walk, one point at a time, as
+    map_to_gaze and fixation_walk computed it for one run."""
+    if n < 1:
+        raise ParameterError("fixation walk needs n >= 1")
+    if dispersion < 0:
+        raise ParameterError("dispersion must be >= 0")
+    cx, cy = center
+    if dispersion == 0:
+        return [cx] * n, [cy] * n
+    angs = (2.0 * math.pi * rng.uniforms(n - 1)).tolist()
+    steps = np.minimum(np.abs(rng.normals(n - 1)) * (dispersion / 3.0), dispersion / 2.0)
+    sx = (steps * np.fromiter(map(math.cos, angs), float, n - 1)).tolist()
+    sy = (steps * np.fromiter(map(math.sin, angs), float, n - 1)).tolist()
+    xs, ys = [cx], [cy]
+    px, py = cx, cy
+    for dx, dy in zip(sx, sy):
+        nx = px + dx + 0.1 * (cx - px)
+        ny = py + dy + 0.1 * (cy - py)
+        d = math.hypot(nx - cx, ny - cy)
+        if d > dispersion:
+            nx = cx + (nx - cx) * dispersion / d
+            ny = cy + (ny - cy) * dispersion / d
+        xs.append(nx)
+        ys.append(ny)
+        px, py = nx, ny
+    return xs, ys
+
+
+def movement_path_loop(steps, origin, dest, p, rng):
+    """The x and the y of one saccade or pursuit run from origin to dest,
+    whose samples advance by the given steps (pixels)."""
+    cum = np.cumsum(np.maximum(steps, 0.0))
+    total = float(cum[-1])
+    n = len(steps)
+    progress = cum / total if total > 0 else np.arange(1, n + 1) / n
+    ox, oy = origin
+    dx, dy = dest[0] - ox, dest[1] - oy
+    dist = math.hypot(dx, dy)
+    ux, uy = (dx / dist, dy / dist) if dist > 0 else (0.0, 0.0)
+    px = ox + progress * dx
+    py = oy + progress * dy
+    amp = p.max_path_deviation * 2.0 * np.minimum(progress, 1.0 - progress)
+    dev = amp > 0
+    off = (2.0 * rng.uniforms(int(np.count_nonzero(dev))) - 1.0) * amp[dev]
+    px[dev] += off * -uy
+    py[dev] += off * ux
+    px[-1], py[-1] = dest
+    return px, py
+
+
+def map_to_gaze_loop(signal, targets, p, rng):
+    """map_to_gaze one run at a time: each run takes its draws and then its
+    points; the targets come from the scalar choice loop."""
+    if len(signal) == 0:
+        raise MappingError("cannot map an empty signal")
+    width, height = targets.bounds
+    ts = signal.timestamps
+    steps = signal.velocities * np.diff(ts, prepend=0.0) * p.pixels_per_degree
+    xs, ys = np.empty(len(signal)), np.empty(len(signal))
+    cur = None
+    for start, end, label in label_runs_loop(effective_labels_loop(signal.labels)):
+        t_end = float(ts[end - 1])
+        if label == MovementLabel.FIXATION:
+            center = choose_target_loop(targets.at(t_end), rng)[:2]
+            xs[start:end], ys[start:end] = walk_xy_loop(
+                center, end - start, p.fixation_dispersion, rng)
+        else:
+            if cur is None:
+                cur = choose_target_loop(targets.at(float(ts[start])), rng)[:2]
+            dest = choose_target_loop(targets.at(t_end), rng)[:2]
+            xs[start:end], ys[start:end] = movement_path_loop(
+                steps[start:end], cur, dest, p, rng)
+        cur = (xs[end - 1], ys[end - 1])
+    np.clip(xs, 0.0, max(width - 1, 0), out=xs)
+    np.clip(ys, 0.0, max(height - 1, 0), out=ys)
+    return GazeTrace(ts.copy(), xs, ys, signal.labels.copy(), width, height,
+                     p.pixels_per_degree)
+
+
+class _LongSteps:
+    """A stream whose normals are all 3 or more, so that every walk step
+    has its longest length, dispersion / 2, and about a quarter of the
+    points land outside the disc; its uniforms are a seeded generator's."""
+
+    def __init__(self, seed: int):
+        self.gen = np.random.default_rng(seed)
+
+    def uniform(self) -> float:
+        return float(self.gen.random())
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return self.gen.random(n)
+
+    def normals(self, n: int) -> np.ndarray:
+        return 3.0 + 6.0 * self.gen.random(n)
+
+
+F, S, P, N = (MovementLabel.FIXATION, MovementLabel.SACCADE, MovementLabel.SMOOTH_PURSUIT,
+              MovementLabel.NOISE)
+_DISPERSIONS = [0.0, 5e-324, 1e-120, 2e-13, 0.5, 10.0, 40.0, 1e120]
+_DEVIATIONS = [0.0, 1e-300, 3.0, 15.0]
+
+
+def _gaze_scene(data, frames: int) -> SceneTargets:
+    """1-7 targets per frame with weights that are positive, all zero or
+    some negative, one frame every 0.2 s."""
+    def frame():
+        k = int(data.integers(1, 8))
+        w = data.choice([0.0, 1.0, 2.5, -1.0], k) if data.random() < 0.5 else data.random(k)
+        xy = data.uniform(0.0, [640.0, 480.0], (k, 2))
+        return TargetSet([(x, y, v) for (x, y), v in zip(xy.tolist(), w.tolist())], 640, 480)
+    return SceneTargets.from_frames([(0.2 * i, frame()) for i in range(frames)], 5.0)
+
+
+def _assert_map_to_gaze_matches_loop(runs, dispersion, deviation, frames, seed,
+                                     stream=RandomSource) -> None:
+    """runs: (label, length) in signal order."""
+    data = np.random.default_rng(seed)
+    labels = np.repeat([label for label, _ in runs], [n for _, n in runs]).astype(np.uint8)
+    ts = np.cumsum(data.uniform(0.001, 0.02, len(labels)))
+    v = data.uniform(0.0, 600.0, len(labels))
+    v[data.random(len(labels)) < 0.1] = 0.0
+    v[data.random(len(labels)) < 0.05] *= -1.0
+    signal = SampledSignal(ts, v, labels)
+    scene = _gaze_scene(data, frames)
+    p = MappingParams(30.0, deviation, dispersion)
+    a, b = stream(seed), stream(seed)
+    got, got_err = outcome(map_to_gaze, signal, scene, p, a)
+    want, want_err = outcome(map_to_gaze_loop, signal, scene, p, b)
+    assert got_err == want_err
+    if want_err is None:
+        for column in ("timestamps", "x", "y"):
+            assert_same_bits(getattr(got, column), getattr(want, column))
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert (got.width, got.height, got.pixels_per_degree) == (640, 480, 30.0)
+    assert a.uniform() == b.uniform()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([F, F, S, P, N]), st.integers(1, 12)),
+                min_size=1, max_size=60),
+       st.one_of(st.none(), st.tuples(st.integers(0, 60), st.integers(100, 3000))),
+       st.sampled_from(_DISPERSIONS), st.sampled_from(_DEVIATIONS),
+       st.sampled_from([1, 1, 4]), st.integers(0, 2**32 - 1))
+def test_map_to_gaze_matches_loop(runs, long_fixation, dispersion, deviation, frames, seed):
+    """Generated signals: leading NOISE, any first run, runs of 1 and 2
+    samples, all NOISE, and at times one long fixation among short runs."""
+    if long_fixation is not None:
+        runs.insert(min(long_fixation[0], len(runs)), (F, long_fixation[1]))
+    _assert_map_to_gaze_matches_loop(runs, dispersion, deviation, frames, seed)
+
+
+_GAZE_RUNS = {
+    "leading noise, the first run moves": [(N, 3), (S, 5), (F, 4), (P, 6), (F, 1)],
+    "runs of 1 and 2 samples": [(P, 2), (S, 1), (F, 2), (N, 2), (F, 1), (S, 2), (P, 1)],
+    "one long fixation": [(F, 3), (S, 4)] * 40 + [(F, 5000)] + [(S, 2), (F, 7)] * 40,
+    "120 walks of 40-48 samples": [(F, 40 + i % 9) if i % 2 else (S, 3) for i in range(240)],
+    "only fixations": [(F, 30)],
+    "no fixation": [(P, 4), (S, 9), (N, 1), (P, 2)],
+}
+
+
+@pytest.mark.parametrize("dispersion", _DISPERSIONS)
+@pytest.mark.parametrize("deviation", [0.0, 1e-300, 15.0])
+@pytest.mark.parametrize("runs", list(_GAZE_RUNS.values()), ids=list(_GAZE_RUNS))
+def test_map_to_gaze_cases_match_loop(runs, dispersion, deviation):
+    for seed, frames in ((0, 1), (1, 4)):
+        _assert_map_to_gaze_matches_loop(runs, dispersion, deviation, frames, seed)
+
+
+@pytest.mark.parametrize("dispersion", [2e-13, 0.5, 10.0, 40.0])
+@pytest.mark.parametrize("runs", list(_GAZE_RUNS.values()), ids=list(_GAZE_RUNS))
+def test_map_to_gaze_with_long_steps_matches_loop(runs, dispersion):
+    """Every walk step at its longest, which clamps the most points onto the
+    disc's edge."""
+    for seed, frames in ((2, 1), (3, 4)):
+        _assert_map_to_gaze_matches_loop(runs, dispersion, 15.0, frames, seed, _LongSteps)
+
+
+@pytest.mark.parametrize("labels", [[], [N], [N, N, N]])
+def test_map_to_gaze_errors_match_loop(labels):
+    """An empty signal and one of NOISE alone raise before any draw."""
+    runs = [(label, 1) for label in labels]
+    _assert_map_to_gaze_matches_loop(runs, 10.0, 15.0, 1, 0)
+
+
+class _FixedDraws:
+    """A stand-in stream that hands out the given uniforms and normals."""
+
+    def __init__(self, u, z):
+        self.u, self.z = u, z
+
+    def uniforms(self, n):
+        return self.u[:n]
+
+    def normals(self, n):
+        return self.z[:n]
+
+
+@pytest.mark.parametrize("dispersion", [5e-324, 1e-120, 2e-13, 0.5, 10.0, 1e120])
+@pytest.mark.parametrize("lengths", [[1, 2, 3], [2] * 40, [60] * 50, [1, 700] + [5] * 100,
+                                     [20_000] + [3] * 200])
+def test_walks_clamping_at_the_longest_steps_match_loop(lengths, dispersion):
+    """Normals of 3 or more give every step its longest length, dispersion
+    / 2, which clamps the most points onto the disc's edge: 22-28 % of them
+    (a step cannot leave the disc from the center, and the pull draws each
+    point in)."""
+    data = np.random.default_rng(len(lengths))
+    centers = data.uniform(100.0, 500.0, (len(lengths), 2))
+    n = np.array(lengths)
+    u = data.random(int(n.sum() - len(n)))
+    z = data.choice([-1.0, 1.0], len(u)) * data.uniform(3.0, 9.0, len(u))
+    got = _walks(centers, n, dispersion, u, z)
+    split = np.cumsum(n - 1)[:-1]
+    want = [walk_xy_loop(center, k, dispersion, _FixedDraws(ui, zi)) for center, k, ui, zi
+            in zip(centers.tolist(), lengths, np.split(u, split), np.split(z, split))]
+    assert_same_bits(got[:, 0], np.concatenate([x for x, _ in want]))
+    assert_same_bits(got[:, 1], np.concatenate([y for _, y in want]))
+    if len(u) > 100 and 0.5 <= dispersion < 1e100:
+        r = np.hypot(*(got - centers.repeat(n, axis=0)).T)
+        assert np.count_nonzero(np.abs(r - dispersion) <= 1e-12 * dispersion) > 0.2 * len(u)
+
+
+def _landing(point, center, u, z, dispersion):
+    """The offset from the center at which the loop's walk step from point
+    lands, before any clamp."""
+    angle = 2.0 * math.pi * u
+    length = min(abs(z) * (dispersion / 3.0), dispersion / 2.0)
+    x = point[0] + length * math.cos(angle) + 0.1 * (center[0] - point[0])
+    y = point[1] + length * math.sin(angle) + 0.1 * (center[1] - point[1])
+    return x - center[0], y - center[1]
+
+
+@pytest.mark.parametrize("dispersion", [0.5, 3.0, 10.0])
+def test_walks_at_the_disc_edge_match_loop(dispersion):
+    """Walks whose last step lands as near the disc's edge as the floats
+    allow, half just inside it and half just outside: two longest steps
+    outward, then a direction bisected over the loop's own arithmetic until
+    the landing radius (libm's hypot) crosses the dispersion. The 200 walks
+    take every step together, through the edge test before hypot; with
+    centers near 0 some landings just outside have x^2 + y^2 <= dispersion^2."""
+    data = np.random.default_rng(7)
+    centers, u, z = data.uniform(0.0, 1.0, (200, 2)), [], []
+    for k, center in enumerate(centers.tolist()):
+        out = float(data.random())
+        point = center
+        for _ in range(2):
+            ox, oy = _landing(point, center, out, 3.0, dispersion)
+            point = (center[0] + ox, center[1] + oy)
+        inside, outside = out + 0.5, out
+        while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+            if math.hypot(*_landing(point, center, mid % 1.0, 3.0, dispersion)) > dispersion:
+                outside = mid
+            else:
+                inside = mid
+        u += [out, out, (outside if k % 2 else inside) % 1.0]
+        z += [3.0] * 3
+    n = np.full(len(centers), 4)
+    got = _walks(centers, n, dispersion, np.array(u), np.array(z))
+    want = [walk_xy_loop(c, 4, dispersion, _FixedDraws(np.array(u[3 * k : 3 * k + 3]),
+                                                         np.array(z[3 * k : 3 * k + 3])))
+            for k, c in enumerate(centers.tolist())]
+    assert_same_bits(got[:, 0], np.concatenate([x for x, _ in want]))
+    assert_same_bits(got[:, 1], np.concatenate([y for _, y in want]))
+
+
+@pytest.mark.parametrize("dispersion", [0.0, 5e-324, 2e-13, 4.0, 1e120])
+@pytest.mark.parametrize("n", [1, 2, 3, 37, 2000])
+def test_fixation_walk_is_the_loop_walk(dispersion, n):
+    """fixation_walk is a one-walk call of the walk kernel: the per-point
+    loop's points, bit for bit, and its draws."""
+    center = (12.5, 40.25)
+    a, b = RandomSource(n), RandomSource(n)
+    got = np.array(fixation_walk(center, n, dispersion, a))
+    want_x, want_y = walk_xy_loop(center, n, dispersion, b)
+    assert_same_bits(got[:, 0], np.array(want_x, dtype=float))
+    assert_same_bits(got[:, 1], np.array(want_y, dtype=float))
+    assert a.uniform() == b.uniform()
+
+
 # --- pursuit onset: 100 redraws, then one draw below the duration ---
 
-def gen_pursuit_loop(p, base_rate, rng):
-    """The pursuit generator that raised after 100 onset redraws."""
+def consistency_draws_loop(dist, n, rng):
+    """A segment's fluctuation one draw at a time; bounds with min >= 0 are
+    an amplitude c, drawn from [-c, c]."""
+    if dist.min >= 0:
+        dist = BoundedDistribution(dist.kind, -dist.max, dist.max, dist.std)
+    return np.array([sample_bounded(dist, rng) for _ in range(n)], dtype=float)
+
+
+def pursuit_loop(p, base_rate, rng, capped=True):
+    """One pursuit segment's velocities; with ``capped`` False, the onset
+    redraws raise after 100 draws, as they once did."""
     dur = sample_bounded(p.duration, rng)
     onset = sample_bounded(p.onset_duration, rng)
     attempts = 0
     while onset >= dur:
         attempts += 1
         if attempts > MAX_ONSET_REDRAWS:
-            raise ParameterError(
-                "pursuit onset duration could not be drawn below the total "
-                f"duration in {MAX_ONSET_REDRAWS} attempts"
-            )
+            if not capped or p.onset_duration.min >= dur:
+                raise ParameterError(
+                    "pursuit onset duration could not be drawn below the total "
+                    f"duration in {MAX_ONSET_REDRAWS} attempts"
+                )
+            below = math.nextafter(dur, -math.inf)
+            kind, lo, std = p.onset_duration.kind, p.onset_duration.min, p.onset_duration.std
+            onset = min(sample_bounded(BoundedDistribution(kind, lo, below, std), rng), below)
+            break
         onset = sample_bounded(p.onset_duration, rng)
     n = generators._segment_length(dur, base_rate, "smooth pursuit")
     n_on = min(int(round(onset * base_rate)), n)
@@ -1901,8 +2272,13 @@ def gen_pursuit_loop(p, base_rate, rng):
             v[n_on:] = end
         else:
             v[n_on:] = np.linspace(plateau, end, m)
-    v = np.maximum(0.0, v + generators._consistency_draws(p.consistency, n, rng))
-    labels = np.full(n, MovementLabel.SMOOTH_PURSUIT, dtype=np.uint8)
+    return np.maximum(0.0, v + consistency_draws_loop(p.consistency, n, rng))
+
+
+def gen_pursuit_loop(p, base_rate, rng):
+    """The pursuit generator that raised after 100 onset redraws."""
+    v = pursuit_loop(p, base_rate, rng, capped=False)
+    labels = np.full(len(v), MovementLabel.SMOOTH_PURSUIT, dtype=np.uint8)
     return SampledSignal.at_rate(base_rate, v, labels)
 
 
@@ -1966,7 +2342,226 @@ def test_pursuit_onset_at_or_above_every_duration_still_raises():
         assert got[1] is not None
 
 
-# --- noise: one batch of magnitudes against a draw per selected index ---
+# --- assemble: each movement type built once against one segment at a time ---
+
+def fixation_loop(p, base_rate, rng):
+    n = generators._segment_length(sample_bounded(p.duration, rng), base_rate, "fixation")
+    return np.maximum(0.0, p.base_velocity + consistency_draws_loop(p.consistency, n, rng))
+
+
+def saccade_loop(p, base_rate, rng):
+    dur = sample_bounded(p.duration, rng)
+    u_len = generators._normalized_position(dur, p.duration)
+    peak_raw = sample_bounded(p.peak_velocity, rng)
+    u_vel = generators._normalized_position(peak_raw, p.peak_velocity)
+    peak = p.peak_velocity.min + (u_len * u_vel) * (p.peak_velocity.max - p.peak_velocity.min)
+    shape = skew_to_shape(sample_bounded(p.skewness, rng))
+    n = generators._segment_length(dur, base_rate, "saccade")
+    if n < 2:
+        raise ParameterError("saccade duration too short for two samples")
+    v = np.array(gamma_profile_libm(n, shape, peak))
+    return np.maximum(0.0, v + consistency_draws_loop(p.consistency, n, rng))
+
+
+SEGMENT_LOOPS = {
+    MovementLabel.FIXATION: fixation_loop,
+    MovementLabel.SACCADE: saccade_loop,
+    MovementLabel.SMOOTH_PURSUIT: pursuit_loop,
+}
+
+
+def assemble_loop(seq, fix, sac, sp, base_rate, rng):
+    """The assemble that generated one segment at a time, in sequence order,
+    and concatenated them."""
+    if not seq:
+        raise ParameterError("sequence must be non-empty")
+    if not 0.0 < base_rate < math.inf:
+        raise ParameterError(f"base_rate must be finite and > 0, got {base_rate}")
+    params = {MovementLabel.FIXATION: fix, MovementLabel.SACCADE: sac,
+              MovementLabel.SMOOTH_PURSUIT: sp}
+    parts = []
+    for i, label in enumerate(seq):
+        try:
+            if label not in params:
+                raise ParameterError(f"cannot generate segment of type {label.name}")
+            parts.append(SEGMENT_LOOPS[label](params[label], base_rate, rng))
+        except ParameterError as e:
+            raise ParameterError(f"segment {i} ({label.name}): {e}") from e
+    labels = np.repeat(np.array(seq, dtype=np.uint8), [len(v) for v in parts])
+    return SampledSignal.at_rate(base_rate, np.concatenate(parts), labels)
+
+
+def _dists(lo: float, hi: float):
+    """Uniform, normal and fixed distributions inside [lo, hi]."""
+    def build(args):
+        a, b, std, kind = args
+        a, b = min(a, b), max(a, b)
+        if kind == "uniform":
+            return BoundedDistribution.uniform(a, b)
+        if kind == "normal":
+            return BoundedDistribution.normal(a, b, std)
+        return BoundedDistribution.fixed(a)
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi), st.floats(0.0, hi - lo),
+                     st.sampled_from(["uniform", "normal", "fixed"])).map(build)
+
+
+@st.composite
+def assemble_cases(draw):
+    def consistency():
+        return draw(st.one_of(_dists(0.0, 30.0), _dists(-20.0, 10.0)))
+    # The last choice of each duration, onset and skewness often fails.
+    fix_duration = st.one_of(_dists(0.004, 0.3), _dists(0.004, 0.3), _dists(0.0002, 0.005))
+    fix = FixationParams(draw(fix_duration), draw(st.floats(0.0, 40.0)), consistency())
+    skewness = draw(st.one_of(
+        st.sampled_from([BoundedDistribution.fixed(2.0), BoundedDistribution.fixed(MIN_SKEWNESS),
+                         BoundedDistribution.uniform(MIN_SKEWNESS, 2.0)]),  # shapes 1 and 1e8
+        _dists(0.05, 2.0), _dists(0.05, 2.0), _dists(1e-4, 2.5),
+    ))
+    sac_duration = st.one_of(_dists(0.008, 0.1), _dists(0.008, 0.1), _dists(0.0005, 0.01))
+    sac = SaccadeParams(draw(sac_duration), draw(_dists(0.0, 800.0)), skewness, consistency())
+    onset = st.one_of(_dists(0.002, 0.15), _dists(0.002, 0.15), _dists(0.002, 0.6))
+    sp = PursuitParams(draw(_dists(0.02, 0.5)), draw(_dists(0.0, 40.0)), draw(onset),
+                       draw(st.sampled_from(list(PursuitTrend))), draw(_dists(0.0, 40.0)),
+                       consistency())
+    types = [MovementLabel.FIXATION, MovementLabel.SACCADE, MovementLabel.SMOOTH_PURSUIT]
+    labels = st.sampled_from(types * 10 + [MovementLabel.NOISE])
+    seq = draw(st.lists(labels, min_size=1, max_size=12))
+    base_rate = draw(st.one_of(st.sampled_from([250.0, 1000.0, 2000.0]), st.floats(250, 2000)))
+    return seq, fix, sac, sp, base_rate, draw(st.integers(0, 2**32))
+
+
+def _assert_assemble_matches_loop(seq, fix, sac, sp, base_rate, seed) -> None:
+    a, b = RandomSource(seed), RandomSource(seed)
+    got, got_err = outcome(generators.assemble, seq, fix, sac, sp, base_rate, a)
+    want, want_err = outcome(assemble_loop, seq, fix, sac, sp, base_rate, b)
+    assert got_err == want_err
+    if want_err is None:
+        assert got.base_rate == base_rate
+        assert got.velocities.tobytes() == want.velocities.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert a.uniform() == b.uniform()
+
+
+@settings(max_examples=400, deadline=None)
+@given(assemble_cases())
+def test_assemble_matches_loop(case):
+    _assert_assemble_matches_loop(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assemble_cases())
+def test_assemble_one_segment_generators_match_loop(case):
+    seq, fix, sac, sp, base_rate, seed = case
+    for gen, loop, p in ((generators.gen_fixation, fixation_loop, fix),
+                         (generators.gen_saccade, saccade_loop, sac),
+                         (generators.gen_pursuit, pursuit_loop, sp)):
+        a, b = RandomSource(seed), RandomSource(seed)
+        got, got_err = outcome(gen, p, base_rate, a)
+        want, want_err = outcome(loop, p, base_rate, b)
+        assert got_err == want_err
+        if want_err is None:
+            assert got.velocities.tobytes() == want.tobytes()
+        assert a.uniform() == b.uniform()
+
+
+def test_assemble_with_onset_redraws_and_capped_draws_matches_loop(monkeypatch):
+    # Onset draws at or above the duration are redrawn; seed 150 exhausts
+    # the 100 redraws of its first pursuit and takes the capped draw.
+    U = BoundedDistribution.uniform
+    capped = []
+    sample = generators.sample_bounded
+    monkeypatch.setattr(generators, "sample_bounded", lambda dist, rng: (
+        capped.append(dist.max < 0.4 and dist.min == 0.199), sample(dist, rng))[1])
+    sp = PursuitParams(U(0.2, 0.4), U(10.0, 30.0), U(0.199, 0.4),
+                       PursuitTrend.LINEAR_DECREASING, U(5.0, 40.0), U(0.0, 2.0))
+    fix = FixationParams(U(0.1, 0.2), 1.0, U(0.0, 1.0))
+    sac = SaccadeParams(U(0.02, 0.06), U(100.0, 500.0), U(0.4, 2.0), U(0.0, 5.0))
+    F, S, P = MovementLabel.FIXATION, MovementLabel.SACCADE, MovementLabel.SMOOTH_PURSUIT
+    for seed in [150, *range(40)]:
+        _assert_assemble_matches_loop([P, F, S, P, P, F, S, P], fix, sac, sp, 1000.0, seed)
+    assert sum(capped) >= 1
+
+
+@pytest.mark.parametrize("seq, base_rate", [
+    ([], 1000.0), ([MovementLabel.FIXATION], 0.0), ([MovementLabel.SACCADE], math.nan),
+    ([MovementLabel.SMOOTH_PURSUIT], math.inf), ([MovementLabel.NOISE], 500.0),
+])
+def test_assemble_argument_errors_match_loop(seq, base_rate):
+    U = BoundedDistribution.uniform
+    fix = FixationParams(U(0.1, 0.2), 1.0, U(0.0, 1.0))
+    sac = SaccadeParams(U(0.02, 0.06), U(100.0, 500.0), U(0.4, 2.0), U(0.0, 5.0))
+    sp = PursuitParams(U(0.2, 0.4), U(10.0, 30.0), U(0.05, 0.1), PursuitTrend.CONSTANT,
+                       U(5.0, 40.0), U(0.0, 2.0))
+    _assert_assemble_matches_loop(seq, fix, sac, sp, base_rate, 3)
+
+
+def test_assemble_saccade_grids_match_np_linspace():
+    # The saccade grid of every segment at once, against np.linspace(0, tail, n).
+    rng = np.random.default_rng(0)
+    n = np.concatenate([[2, 3, 4, 5, 7, 8, 9, 16, 17, 255, 256, 4097],
+                        rng.integers(2, 5000, 2000)])
+    shape = np.concatenate([[1.0, MAX_GAMMA_SHAPE, 4.0, 1.5] * 3,
+                            10.0 ** rng.uniform(0.0, 8.0, 2000)])
+    tail = np.array([gamma_tail(k) for k in shape.tolist()])
+    got = generators._linspaces(np.zeros(len(n)), tail, n.astype(np.intp))
+    want = np.concatenate([np.linspace(0.0, t, m) for t, m in zip(tail.tolist(), n.tolist())])
+    assert got.tobytes() == want.tobytes()
+
+
+_TREND_ENDS = st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 5e-324, 1e-320, 2.2e-308, 9.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 300), _TREND_ENDS, _TREND_ENDS), min_size=1, max_size=9))
+@example([(1, 3.0, 5.0), (2, 4.0, 4.0), (3, 5e-324, 0.0), (5, 0.0, 1e-320), (4, 7.0, 7.0)])
+def test_assemble_trend_grids_match_np_linspace(segments):
+    # The trend phases of many pursuits at once, against np.linspace(plateau,
+    # end, m), which is [end] for m == 1; equal ends and subnormal steps
+    # take np.linspace's i / div * delta.
+    m, start, stop = (np.array(c) for c in zip(*segments))
+    got = generators._linspaces(start, stop, m.astype(np.intp))
+    want = [np.linspace(a, b, k) if k > 1 else np.array([b]) for k, a, b in segments]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+# --- noise: blocks of placement draws and one batch of magnitudes against a draw at a time ---
+
+def draw_index_loop(n: int, dist: DistKind, rng) -> int:
+    if dist == DistKind.UNIFORM:
+        return min(int(rng.uniform() * n), n - 1)
+    idx = int(round(n / 2.0 + (n / 4.0) * rng.normal()))
+    return min(max(idx, 0), n - 1)
+
+
+def select_indices_loop(n: int, k: int, spec: NoiseSpec, rng) -> list[int]:
+    """Noise placement with one draw per attempt."""
+    chosen: set[int] = set()
+    burst = spec.burst_length
+    attempts = 0
+    max_attempts = 200 * max(n, 1)
+    while len(chosen) < k and attempts < max_attempts:
+        attempts += 1
+        if burst == 1:
+            idx = draw_index_loop(n, spec.location_dist, rng)
+            if idx in chosen:
+                continue
+            chosen.add(idx)
+        else:
+            run = min(burst, k - len(chosen))
+            start = draw_index_loop(n, spec.location_dist, rng)
+            start = min(start, n - run)
+            block = range(start, start + run)
+            if any(i in chosen for i in block):
+                continue
+            chosen.update(block)
+    if len(chosen) < k:
+        for i in range(n):
+            if i not in chosen:
+                chosen.add(i)
+                if len(chosen) == k:
+                    break
+    return sorted(chosen)
+
 
 def inject_noise_loop(signal, spec, rng):
     out = signal.copy()
@@ -1974,7 +2569,7 @@ def inject_noise_loop(signal, spec, rng):
     k = int(round(spec.fraction * n))
     if k == 0:
         return out
-    for i in noise._select_indices(n, k, spec, rng):
+    for i in select_indices_loop(n, k, spec, rng):
         mag = sample_bounded(spec.magnitude, rng)
         if spec.mode == MODE_REPLACE:
             out.velocities[i] = mag
@@ -2012,6 +2607,64 @@ def test_inject_noise_matches_loop(mode, magnitude, burst, location):
         assert_same_bits(got.velocities, want.velocities)
         assert got.labels.tobytes() == want.labels.tobytes()
         assert a.uniform() == b.uniform()
+
+
+class _ConstantDraws:
+    """Every uniform is u and every normal z; counts the draws taken."""
+
+    def __init__(self, u: float, z: float):
+        self.u, self.z, self.taken = u, z, 0
+
+    def uniform(self):
+        return self.uniforms(1)[0]
+
+    def normal(self):
+        return self.normals(1)[0]
+
+    def uniforms(self, n):
+        self.taken += n
+        return np.full(n, self.u)
+
+    def normals(self, n):
+        self.taken += n
+        return np.full(n, self.z)
+
+
+def _assert_select_indices_match_loop(n, k, spec, rng, loop_rng) -> None:
+    got = noise._select_indices(n, k, spec, rng)
+    assert got == select_indices_loop(n, k, spec, loop_rng)
+    assert len(got) == k
+
+
+@pytest.mark.parametrize("burst", [1, 2, 7])
+@pytest.mark.parametrize("location", [DistKind.UNIFORM, DistKind.NORMAL])
+@pytest.mark.parametrize("fraction", [0.01, 0.05, 0.3, 0.7, 0.95, 1.0])
+def test_select_indices_match_loop(location, fraction, burst):
+    # Bursts at high fractions run into the 200 n attempts, which the loop
+    # takes one at a time: their signals stay short.
+    spec = NoiseSpec(fraction, location, BoundedDistribution.fixed(0.0), burst_length=burst)
+    for seed, n in enumerate([1, 2, 3, 5, 17, 200] + ([1000, 3001] if burst == 1 else [60])):
+        k = int(round(fraction * n))
+        a, b = RandomSource(seed), RandomSource(seed)
+        _assert_select_indices_match_loop(n, k, spec, a, b)
+        assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize("location, u, z", [
+    (DistKind.UNIFORM, 0.0, 0.0), (DistKind.UNIFORM, 0.999, 0.0),
+    (DistKind.NORMAL, 0.0, -100.0), (DistKind.NORMAL, 0.0, 0.3),
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("burst", [1, 3])
+def test_select_indices_attempt_cap_and_sweep_match_loop(location, u, z, n, burst):
+    # Draws that always give one start exhaust the 200 n attempts unless the
+    # first attempt completes the selection; the sweep then takes the lowest
+    # free indices. Both take every attempt.
+    spec = NoiseSpec(1.0, location, BoundedDistribution.fixed(0.0), burst_length=burst)
+    for k in range(1, n + 1):
+        a, b = _ConstantDraws(u, z), _ConstantDraws(u, z)
+        _assert_select_indices_match_loop(n, k, spec, a, b)
+        assert a.taken == b.taken == (1 if k <= burst else 200 * n)
 
 
 # --- dynamic targets: binary search against the nearest-frame scan ---

@@ -269,12 +269,6 @@ RAISES = {
         ("base_rate must be > 0, got {}", ParameterError,
          lambda: SampledSignal.at_rate(0.0, [1.0], [0]),
          "base_rate must be > 0, got 0.0"),
-        ("cannot concatenate zero signals", ParameterError,
-         lambda: SampledSignal.concat([]),
-         "cannot concatenate zero signals"),
-        ("signals have differing or no base rates", ParameterError,
-         lambda: SampledSignal.concat([_signal(2), _signal(2, 100.0)]),
-         "signals have differing or no base rates"),
         ("gaze trace arrays must have equal length", ParameterError,
          lambda: GazeTrace([0.1], [1.0], [1.0, 2.0], [0], 8, 8, 30.0),
          "gaze trace arrays must have equal length"),
