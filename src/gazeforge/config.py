@@ -404,6 +404,13 @@ def _validate(doc: dict) -> RunConfig:
                 f"at base_rate_hz {base_rate:.6g}",
                 f"{name}.duration.max",
             )
+    for name, params in (("fixation", fixation), ("pursuit", pursuit)):
+        if round(params.duration.min * base_rate) < 1:  # as generators._segment_length counts
+            raise ValidationError(
+                f"{params.duration.min:.6g} s gives zero samples at "
+                f"base_rate_hz {base_rate:.6g}",
+                f"{name}.duration.min",
+            )
     # A duration draw at or below every onset draw can never finish its onset.
     if pursuit.onset_duration.min >= pursuit.duration.min:
         raise ValidationError(

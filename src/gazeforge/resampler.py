@@ -52,6 +52,11 @@ def _window_ends(n: int, base_rate: float, spec: RateSpec, rng: RandomSource):
         )
     # A window ending exactly at the profile end is kept; one past it is not.
     end = k + 1 if hi[k] == n else k
+    if end == 0:
+        raise ParameterError(
+            f"profile of {n / base_rate:.6g} s ends before the first output sample "
+            f"at t={t[0]:.6g} s"
+        )
     return t[:end], lo[:end].astype(np.intp), hi[:end].astype(np.intp)
 
 
@@ -112,7 +117,8 @@ def resample(
     by the latest base sample.
 
     One rate is drawn per output sample, plus the draw that ends sampling
-    (the first window reaching past the profile end, which is dropped).
+    (the first window reaching past the profile end, which is dropped). A
+    profile that ends before the first output sample raises ParameterError.
     At a fixed rate the k-th clock time is k / rate; at a fluctuating rate
     clock times are running sums of 1/rate taken left to right. Each
     window mean equals numpy's ``.mean()`` of that window alone, so the

@@ -27,71 +27,60 @@ def find_violation(
     return None
 
 
-def _forced_follower(
-    prev: MovementLabel | None, rules: list[OrderingRule]
-) -> MovementLabel | None:
-    if prev is None:
-        return None
+def _table(rules: list[OrderingRule]) -> tuple[dict, dict]:
+    """Each type's forced follower (`after_each`) and required predecessor
+    (`before`); the first rule that names a type decides."""
+    follower, predecessor = {}, {}
     for rule in rules:
-        if rule.kind == OrderingRule.AFTER_EACH and rule.first == prev:
-            return rule.second
-    return None
+        if rule.kind == OrderingRule.AFTER_EACH:
+            follower.setdefault(rule.first, rule.second)
+        else:
+            predecessor.setdefault(rule.second, rule.first)
+    return follower, predecessor
 
 
-def _required_predecessor(
-    t: MovementLabel, rules: list[OrderingRule]
-) -> MovementLabel | None:
-    for rule in rules:
-        if rule.kind == OrderingRule.BEFORE and rule.second == t:
-            return rule.first
-    return None
-
-
-def _placed(
-    t: MovementLabel, prev: MovementLabel | None, rules: list[OrderingRule]
-) -> MovementLabel:
+def _placed(t: MovementLabel, prev: MovementLabel | None, predecessor: dict) -> MovementLabel:
     """What a draw of `t` after `prev` places: `t`, or the first type up its
     chain of required predecessors whose own predecessor is `prev` (or that
     needs none). The walk is bounded, so a cycle of BEFORE rules cannot loop."""
     for _ in MOVEMENT_TYPES:
-        pred = _required_predecessor(t, rules)
+        pred = predecessor.get(t)
         if pred is None or pred == prev:
             return t
         t = pred
     return t
 
 
-def _feasible(
-    candidate: MovementLabel,
-    prev: MovementLabel | None,
-    remaining: dict[MovementLabel, int],
-    rules: list[OrderingRule],
-) -> bool:
-    """Check that placing `candidate` (as `_placed` does, then the chain of
-    forced followers) leaves enough counts for each remaining rule."""
+def _shortfall(remaining: dict, rules: list[OrderingRule], tail=None) -> OrderingRule | None:
+    """The first rule that the remaining counts cannot meet, or None. Each `first` of an
+    `after_each` rule needs a `second` after it, and each `second` of a `before` rule a
+    `first` before it, which the `tail` already placed can be for one of them."""
+    for rule in rules:
+        if rule.kind == OrderingRule.AFTER_EACH:
+            if remaining[rule.second] < remaining[rule.first]:
+                return rule
+        elif remaining[rule.first] < remaining[rule.second] - (tail == rule.first):
+            return rule
+    return None
+
+
+def _feasible(placed: MovementLabel, remaining: dict, rules: list[OrderingRule],
+              follower: dict) -> bool:
+    """Check that placing `placed` (a draw as `_placed` repairs it), then its
+    chain of forced followers, leaves enough counts for each remaining rule."""
     rem = dict(remaining)
-    cur = _placed(candidate, prev, rules)
+    cur = placed
     seen = set()
     while True:
         if rem[cur] == 0:
             return False
         rem[cur] -= 1
-        nxt = _forced_follower(cur, rules)
+        nxt = follower.get(cur)
         if nxt is None or cur in seen:
             break
         seen.add(cur)
         cur = nxt
-    tail = cur
-    for rule in rules:
-        if rule.kind == OrderingRule.AFTER_EACH:
-            # Each remaining `first` will consume one `second` right after it.
-            if rem[rule.second] < rem[rule.first]:
-                return False
-        else:
-            slack = 1 if tail == rule.first else 0
-            if rem[rule.first] < rem[rule.second] - slack:
-                return False
-    return True
+    return _shortfall(rem, rules, cur) is None
 
 
 def _weighted_choice(
@@ -109,24 +98,6 @@ def _weighted_choice(
     return candidates[-1]
 
 
-def _validate_counts(counts: dict[MovementLabel, int], rules: list[OrderingRule]):
-    for rule in rules:
-        if rule.kind == OrderingRule.AFTER_EACH:
-            if counts.get(rule.second, 0) < counts.get(rule.first, 0):
-                raise ConstraintError(
-                    f"rule '{rule}' unsatisfiable: not enough "
-                    f"{rule.second.name} for {rule.first.name}",
-                    rule,
-                )
-        else:
-            if counts.get(rule.first, 0) < counts.get(rule.second, 0):
-                raise ConstraintError(
-                    f"rule '{rule}' unsatisfiable: not enough "
-                    f"{rule.first.name} for {rule.second.name}",
-                    rule,
-                )
-
-
 def build_sequence(spec: SequenceSpec, rng: RandomSource) -> list[MovementLabel]:
     """Build a movement-type sequence honoring counts and ordering rules.
 
@@ -139,30 +110,32 @@ def build_sequence(spec: SequenceSpec, rng: RandomSource) -> list[MovementLabel]
     if spec.explicit is not None:
         violated = find_violation(spec.explicit, rules)
         if violated is not None:
-            raise ConstraintError(
-                f"explicit sequence violates rule '{violated}'", violated
-            )
+            raise ConstraintError(f"explicit sequence violates rule '{violated}'", violated)
         return list(spec.explicit)
 
+    follower, predecessor = _table(rules)
     seq: list[MovementLabel] = []
     if spec.counts is not None:
         remaining = {t: int(spec.counts.get(t, 0)) for t in MOVEMENT_TYPES}
-        _validate_counts(remaining, rules)
+        short = _shortfall(remaining, rules)
+        if short is not None:
+            a, b = short.first, short.second
+            needed, needing = (b, a) if short.kind == OrderingRule.AFTER_EACH else (a, b)
+            raise ConstraintError(
+                f"rule '{short}' unsatisfiable: not enough {needed.name} for {needing.name}", short
+            )
         while sum(remaining.values()) > 0:
             prev = seq[-1] if seq else None
-            t = _forced_follower(prev, rules)
+            t = follower.get(prev)
             if t is None:
-                cands = [
-                    c
-                    for c in MOVEMENT_TYPES
-                    if remaining[c] > 0 and _feasible(c, prev, remaining, rules)
-                ]
+                cands = [c for c in MOVEMENT_TYPES if remaining[c] > 0
+                         and _feasible(_placed(c, prev, predecessor), remaining, rules, follower)]
                 if not cands:
                     raise ConstraintError(
                         "no movement type can be placed without violating a rule"
                     )
                 weights = [float(remaining[c]) for c in cands]
-                t = _placed(_weighted_choice(cands, weights, rng), prev, rules)
+                t = _placed(_weighted_choice(cands, weights, rng), prev, predecessor)
             else:
                 assert remaining[t] > 0, "_feasible kept a count for each forced follower"
             seq.append(t)
@@ -171,14 +144,14 @@ def build_sequence(spec: SequenceSpec, rng: RandomSource) -> list[MovementLabel]
         # Length mode: equal probability per type each draw.
         while len(seq) < spec.length:
             prev = seq[-1] if seq else None
-            t = _forced_follower(prev, rules)
+            t = follower.get(prev)
             if t is None:
                 t = _weighted_choice(list(MOVEMENT_TYPES), [1.0, 1.0, 1.0], rng)
-                t = _placed(t, prev, rules)
+                t = _placed(t, prev, predecessor)
             seq.append(t)
         # The last type's chain of forced followers ends the sequence.
         for _ in MOVEMENT_TYPES:
-            t = _forced_follower(seq[-1], rules)
+            t = follower.get(seq[-1])
             if t is None:
                 break
             seq.append(t)

@@ -286,6 +286,20 @@ def test_map_without_targets_fails_before_the_signal(tmp_path, capsys, monkeypat
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["generate", "map"])
+def test_signal_shorter_than_one_output_interval_is_numeric_error(tmp_path, capsys, command):
+    # generate used to write a header-only CSV that evaluate refuses (exit 3),
+    # and map to fail on the empty signal.
+    cfg = write_config(
+        tmp_path, sequence={"counts": {"fixation": 1}},
+        sampling={"rate": {"min": 2, "max": 2}}, paths={"stimulus": write_stimulus(tmp_path)},
+    )
+    out = str(tmp_path / "o.csv")
+    assert run([command, "--config", cfg, "--output", out]) == EXIT_NUMERIC
+    assert "ends before the first output sample at t=0.5 s" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_remap_same_stimulus(tmp_path):
     stim = write_stimulus(tmp_path)
     gaze = str(tmp_path / "real.csv")
@@ -422,6 +436,25 @@ def test_seed_dependent_failure_is_config_error(tmp_path, capsys, doc, field):
         assert run(["generate", "--config", cfg, "--seed", seed, "--output", out]) \
             == EXIT_CONFIG
         assert field in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"base_rate_hz": 250, "sequence": {"counts": {"fixation": 40}},
+      "fixation": {"duration": {"min": 0.001, "max": 0.05}}}, "fixation.duration.min"),
+    ({"sequence": {"counts": {"smooth_pursuit": 40}},
+      "pursuit": {"duration": {"min": 0.0004, "max": 0.01},
+                  "onset_duration": {"min": 0.0001, "max": 0.0003}}}, "pursuit.duration.min"),
+])
+def test_duration_under_one_sample_is_config_error_on_every_seed(tmp_path, capsys, doc, field):
+    # Each used to load, then exit 4 on about half of these seeds: a duration
+    # draw under half a base sample "yields zero samples".
+    cfg = write_config(tmp_path, **doc)
+    out = str(tmp_path / "o.csv")
+    for seed in range(30):
+        assert run(["generate", "--config", cfg, "--seed", str(seed), "--output", out]) \
+            == EXIT_CONFIG
+        assert f"{field}: " in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

@@ -216,6 +216,28 @@ def test_saccade_under_two_samples_rejected(dur_min):
     assert e.value.field == "saccade.duration.min"
 
 
+@pytest.mark.parametrize("section", ["fixation", "pursuit"])
+@pytest.mark.parametrize("dur_min, accepted", [
+    (0.0004, False),
+    (0.0005, False),  # 0.5 samples, which round() takes to 0
+    (math.nextafter(0.0005, 1.0), True),
+    (0.001, True),
+])
+def test_duration_min_under_one_sample_rejected(section, dur_min, accepted):
+    doc = {section: {"duration": {"min": dur_min, "max": 0.05}}}
+    if section == "pursuit":
+        doc[section]["onset_duration"] = {"min": 0.0001, "max": 0.0002}
+    if accepted:
+        assert getattr(read_config(cfg_text(**doc)), section).duration.min == dur_min
+        return
+    with pytest.raises(ValidationError) as e:
+        read_config(cfg_text(**doc))
+    assert e.value.field == f"{section}.duration.min"
+    assert str(e.value) == (
+        f"{section}.duration.min: {dur_min:.6g} s gives zero samples at base_rate_hz 1000"
+    )
+
+
 def test_bad_constraint_kind():
     with pytest.raises(ValidationError) as e:
         read_config(cfg_text(sequence={

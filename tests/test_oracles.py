@@ -10,7 +10,9 @@ noise placement with one draw per attempt and the noise magnitudes, of the
 nearest-frame scan and of the gaze placement along a movement run and in a
 fixation without dispersion, and of ``map_to_gaze`` one run at a time (the
 per-point walk and the per-run movement path that it called). The sequence builder is held to its one-step repair of
-ordering rules wherever that repair gave a valid sequence. The fast versions must return identical bytes, raise
+ordering rules wherever that repair gave a valid sequence, and to the builder
+that scanned the rule list for each forced follower and required predecessor
+everywhere: the same sequence or error, and the next draw. The fast versions must return identical bytes, raise
 the same errors and, for ``assemble``, the resampler, the noise, the gaze
 placement and ``map_to_gaze``, leave the random stream at the same place. The byte decoders of the CSV
 readers are also held to the earlier str-based fast path, kept here as a
@@ -33,6 +35,7 @@ target, against ``local_maxima`` of the full ``spectral_residual`` map.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -195,6 +198,11 @@ def resample_loop(profile, spec, rng):
         t_curr = (len(ts) + 1) / r if fixed else t_prev + 1.0 / r
         hi = int(np.floor(t_curr * profile.base_rate + resampler._INDEX_EPS))
         if hi > n:
+            if not ts:
+                raise ParameterError(
+                    f"profile of {n / profile.base_rate:.6g} s ends before the first "
+                    f"output sample at t={t_curr:.6g} s"
+                )
             break
         if hi <= lo:
             raise ParameterError(
@@ -2769,13 +2777,138 @@ def test_quantiles_match_numpy_on_squared_errors(n):
     _assert_quantiles_match_numpy(errors.tolist())
 
 
-# --- sequence: the chain of required predecessors against the one-step repair ---
+# --- sequence: the rule table against the rule scans, and the one-step repair ---
+
+def forced_follower_loop(prev, rules):
+    if prev is None:
+        return None
+    for rule in rules:
+        if rule.kind == OrderingRule.AFTER_EACH and rule.first == prev:
+            return rule.second
+    return None
+
+
+def required_predecessor_loop(t, rules):
+    for rule in rules:
+        if rule.kind == OrderingRule.BEFORE and rule.second == t:
+            return rule.first
+    return None
+
+
+def placed_loop(t, prev, rules):
+    for _ in sequence.MOVEMENT_TYPES:
+        pred = required_predecessor_loop(t, rules)
+        if pred is None or pred == prev:
+            return t
+        t = pred
+    return t
+
+
+def feasible_loop(candidate, prev, remaining, rules):
+    rem = dict(remaining)
+    cur = placed_loop(candidate, prev, rules)
+    seen = set()
+    while True:
+        if rem[cur] == 0:
+            return False
+        rem[cur] -= 1
+        nxt = forced_follower_loop(cur, rules)
+        if nxt is None or cur in seen:
+            break
+        seen.add(cur)
+        cur = nxt
+    tail = cur
+    for rule in rules:
+        if rule.kind == OrderingRule.AFTER_EACH:
+            if rem[rule.second] < rem[rule.first]:
+                return False
+        else:
+            slack = 1 if tail == rule.first else 0
+            if rem[rule.first] < rem[rule.second] - slack:
+                return False
+    return True
+
+
+def validate_counts_loop(counts, rules):
+    for rule in rules:
+        if rule.kind == OrderingRule.AFTER_EACH:
+            if counts.get(rule.second, 0) < counts.get(rule.first, 0):
+                raise ConstraintError(
+                    f"rule '{rule}' unsatisfiable: not enough "
+                    f"{rule.second.name} for {rule.first.name}",
+                    rule,
+                )
+        else:
+            if counts.get(rule.first, 0) < counts.get(rule.second, 0):
+                raise ConstraintError(
+                    f"rule '{rule}' unsatisfiable: not enough "
+                    f"{rule.first.name} for {rule.second.name}",
+                    rule,
+                )
+
+
+def build_sequence_loop(spec, rng):
+    """The builder that scanned the rule list for each forced follower and
+    required predecessor, and checked the counts against each rule twice:
+    up front, and at the end of each feasibility check."""
+    rules = spec.constraints
+    if spec.explicit is not None:
+        violated = sequence.find_violation(spec.explicit, rules)
+        if violated is not None:
+            raise ConstraintError(
+                f"explicit sequence violates rule '{violated}'", violated
+            )
+        return list(spec.explicit)
+
+    seq = []
+    if spec.counts is not None:
+        remaining = {t: int(spec.counts.get(t, 0)) for t in sequence.MOVEMENT_TYPES}
+        validate_counts_loop(remaining, rules)
+        while sum(remaining.values()) > 0:
+            prev = seq[-1] if seq else None
+            t = forced_follower_loop(prev, rules)
+            if t is None:
+                cands = [
+                    c
+                    for c in sequence.MOVEMENT_TYPES
+                    if remaining[c] > 0 and feasible_loop(c, prev, remaining, rules)
+                ]
+                if not cands:
+                    raise ConstraintError(
+                        "no movement type can be placed without violating a rule"
+                    )
+                weights = [float(remaining[c]) for c in cands]
+                t = placed_loop(sequence._weighted_choice(cands, weights, rng), prev, rules)
+            else:
+                assert remaining[t] > 0, "_feasible kept a count for each forced follower"
+            seq.append(t)
+            remaining[t] -= 1
+    else:
+        # Length mode: equal probability per type each draw.
+        while len(seq) < spec.length:
+            prev = seq[-1] if seq else None
+            t = forced_follower_loop(prev, rules)
+            if t is None:
+                t = sequence._weighted_choice(list(sequence.MOVEMENT_TYPES), [1.0, 1.0, 1.0], rng)
+                t = placed_loop(t, prev, rules)
+            seq.append(t)
+        # The last type's chain of forced followers ends the sequence.
+        for _ in sequence.MOVEMENT_TYPES:
+            t = forced_follower_loop(seq[-1], rules)
+            if t is None:
+                break
+            seq.append(t)
+    violated = sequence.find_violation(seq, rules)
+    if violated is not None:
+        raise ConstraintError(f"generated sequence violates '{violated}'", violated)
+    return seq
+
 
 def feasible_one_step(candidate, prev, remaining, rules):
     """The feasibility check that repaired a draw by one required predecessor."""
     rem = dict(remaining)
     placed = candidate
-    pred = sequence._required_predecessor(candidate, rules)
+    pred = required_predecessor_loop(candidate, rules)
     if pred is not None and prev != pred:
         if rem[pred] == 0:
             return False
@@ -2784,7 +2917,7 @@ def feasible_one_step(candidate, prev, remaining, rules):
     seen = set()
     cur = placed
     while True:
-        nxt = sequence._forced_follower(cur, rules)
+        nxt = forced_follower_loop(cur, rules)
         if nxt is None or cur in seen:
             break
         seen.add(cur)
@@ -2811,12 +2944,12 @@ def build_sequence_one_step(spec, rng):
     types = sequence.MOVEMENT_TYPES
     if spec.counts is not None:
         counts = {t: int(spec.counts.get(t, 0)) for t in types}
-        sequence._validate_counts(counts, rules)
+        validate_counts_loop(counts, rules)
         seq = []
         remaining = dict(counts)
         while sum(remaining.values()) > 0:
             prev = seq[-1] if seq else None
-            forced = sequence._forced_follower(prev, rules)
+            forced = forced_follower_loop(prev, rules)
             if forced is not None:
                 if remaining[forced] == 0:
                     raise ConstraintError(
@@ -2832,7 +2965,7 @@ def build_sequence_one_step(spec, rng):
             if not cands:
                 raise ConstraintError("no movement type can be placed without violating a rule")
             t = sequence._weighted_choice(cands, [float(remaining[c]) for c in cands], rng)
-            pred = sequence._required_predecessor(t, rules)
+            pred = required_predecessor_loop(t, rules)
             if pred is not None and prev != pred:
                 seq.append(pred)
                 remaining[pred] -= 1
@@ -2846,14 +2979,14 @@ def build_sequence_one_step(spec, rng):
     seq = []
     while len(seq) < spec.length:
         prev = seq[-1] if seq else None
-        forced = sequence._forced_follower(prev, rules)
+        forced = forced_follower_loop(prev, rules)
         if forced is not None:
             seq.append(forced)
             continue
         t = sequence._weighted_choice(list(types), [1.0, 1.0, 1.0], rng)
-        pred = sequence._required_predecessor(t, rules)
+        pred = required_predecessor_loop(t, rules)
         seq.append(pred if pred is not None and prev != pred else t)
-    forced = sequence._forced_follower(seq[-1], rules)
+    forced = forced_follower_loop(seq[-1], rules)
     if forced is not None:
         seq.append(forced)
     return seq
@@ -2899,3 +3032,34 @@ def test_build_sequence_matches_one_step_repair_where_it_was_valid(rules):
                 assert got == want, (size, seed)
             elif len(rules) < 2:
                 assert (got, got_err) == (want, want_err), (size, seed)
+
+
+def _sequence_and_next_draw(build, spec, seed):
+    rng = RandomSource(seed)
+    try:
+        got = build(spec, rng), None, None
+    except ConstraintError as e:
+        got = None, str(e), e.rule
+    return got, rng.uniform()
+
+
+# No rule, each single rule and every ordered pair of two of them.
+ORDERED_RULE_SETS = [[]] + [[r] for r in _SINGLE_RULES] + [
+    [a, b] for a in _SINGLE_RULES for b in _SINGLE_RULES if a is not b
+]
+SEQUENCE_SPECS = [
+    {"counts": dict(zip(sequence.MOVEMENT_TYPES, counts))}
+    for counts in itertools.product(range(4), repeat=3) if sum(counts)
+] + [{"length": n} for n in range(1, 8)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_build_sequence_matches_rule_scans(seed):
+    # The same sequence, or the same error message and rule, and the stream
+    # left at the same place.
+    for rules in ORDERED_RULE_SETS:
+        for kw in SEQUENCE_SPECS:
+            spec = SequenceSpec(constraints=rules, **kw)
+            got = _sequence_and_next_draw(sequence.build_sequence, spec, seed)
+            want = _sequence_and_next_draw(build_sequence_loop, spec, seed)
+            assert got == want, (_rules_id(rules), kw)
