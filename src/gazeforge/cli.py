@@ -1,10 +1,8 @@
 """Command-line interface: config-driven pipeline with flag overrides."""
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from . import config as config_mod
@@ -16,11 +14,12 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .params import DEFAULT_REPEATS, LABEL_NAMES, REMAP_NEW_STIMULUS, MovementLabel
+from .params import DEFAULT_REPEATS, LABEL_NAMES, REMAP_NEW_STIMULUS, MovementLabel, fields
 
 # numpy and the stage modules load inside the subcommand that runs them, so a
 # config error or --help exits without paying for them.
 if TYPE_CHECKING:
+    import argparse
     from .core import RandomSource, SampledSignal, TargetSet
     from .mapping import SceneTargets
     Outputs = tuple[dict[str, bytes], str]  # what a subcommand writes, and prints
@@ -211,6 +210,8 @@ def run(command: str, cfg: RunConfig, rng: RandomSource,
 def _repeats(text: str) -> int:
     """The value of ``--repeats``: checked while the arguments are parsed,
     before numpy or the data file loads."""
+    import argparse
+
     try:
         n = int(text)
     except ValueError:
@@ -236,6 +237,8 @@ def _help_keys(name: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only main parses arguments; a library import skips it
+
     parser = argparse.ArgumentParser(
         prog="gazeforge",
         description="Deterministic eye-movement velocity and gaze data simulator.",

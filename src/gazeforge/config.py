@@ -12,7 +12,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
 
 from .errors import ParameterError, ParseError, ValidationError
 from .params import (
@@ -35,6 +34,8 @@ from .params import (
     SaccadeParams,
     SequenceSpec,
     decode_utf8,
+    fields,
+    record,
 )
 
 # The accepted values of the root key mode; the subcommand decides the run.
@@ -131,7 +132,7 @@ def _dist(obj, path: str) -> BoundedDistribution:
     return _build(BoundedDistribution, path, **_read(obj, _DIST, path))
 
 
-@dataclass
+@record
 class Paths:
     stimulus: str | None = None
     saliency_map: str | None = None
@@ -184,10 +185,7 @@ SCHEMA = {
         "burst_length": (int, 1),
     },
     "mapping": {
-        "pixels_per_degree": (float, 30.0),
-        "max_path_deviation": (float, 0.0),
-        "fixation_dispersion": (float, 0.0),
-        "target_jitter_px": (float, 5.0),
+        **{f.name: (float, f.default) for f in fields(MappingParams)},
         "min_target_distance": (float, 10.0),
         "target_threshold": (float, 0.1),
         "remap_mode": (
@@ -238,7 +236,7 @@ _RULE = {
 }
 
 
-@dataclass
+@record
 class MappingConfig:
     params: MappingParams
     min_target_distance: float
@@ -247,7 +245,7 @@ class MappingConfig:
     frame_rate: float
 
 
-@dataclass
+@record
 class RunConfig:
     mode: str
     seed: int

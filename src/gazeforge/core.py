@@ -8,12 +8,10 @@ a single seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import MappingError, ParameterError
-from .params import BoundedDistribution, DistKind, MovementLabel
+from .params import BoundedDistribution, DistKind, MovementLabel, record
 from .params import LABEL_NAMES  # noqa: F401  (perfbench imports it from core)
 
 MASK64 = (1 << 64) - 1
@@ -47,6 +45,22 @@ def label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
     return [
         (start, end, int(labels[start])) for start, end in zip(bounds, bounds[1:])
     ]
+
+
+def window_means(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-window ``v[lo:hi].mean()``, bit for bit.
+
+    Windows are gathered into one 2-D block per width, whose row means sum
+    in the same (pairwise) order as a 1-D ``.mean()``.
+    """
+    widths = hi - lo
+    means = np.empty(len(lo))
+    order = np.argsort(widths, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
+    for sel in groups:
+        if len(sel):
+            means[sel] = v[lo[sel, None] + np.arange(widths[sel[0]])].mean(axis=1)
+    return means
 
 
 class RandomSource:
@@ -174,7 +188,7 @@ class SampledSignal:
         return SampledSignal.at_rate(self.base_rate, v, labels)
 
 
-@dataclass
+@record
 class GazeTrace:
     """Timestamped 2D gaze samples (px) with movement labels."""
 
@@ -199,11 +213,11 @@ class GazeTrace:
         return len(self.timestamps)
 
 
-@dataclass
+@record
 class TargetSet:
     """Candidate fixation targets (x, y, weight) inside a stimulus."""
 
-    points: list[tuple[float, float, float]] = field(default_factory=list)
+    points: list[tuple[float, float, float]] = []  # a fresh list per instance
     width: int = 0
     height: int = 0
 

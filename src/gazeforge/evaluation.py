@@ -10,17 +10,16 @@ placed between samples by a parabola through the argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RandomSource, label_runs
 from .errors import ParameterError
 from .generators import gamma_profiles, gamma_tail, shape_for_mode_ratio
-from .params import DEFAULT_REPEATS, MAX_GAMMA_SHAPE, MovementLabel
+from .params import DEFAULT_REPEATS, MAX_GAMMA_SHAPE, MovementLabel, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeStats:
     """Whisker-plot statistics of pooled per-sample squared errors."""
 
@@ -35,7 +34,7 @@ class TypeStats:
     max: float
 
 
-@dataclass
+@record
 class ErrorSummary:
     per_type: dict[MovementLabel, TypeStats]
     pooled: dict[MovementLabel, np.ndarray]

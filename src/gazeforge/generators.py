@@ -9,7 +9,6 @@ follow a logistic ramp pinned to 1% / 99% of the plateau at its endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .params import (
     PursuitParams,
     PursuitTrend,
     SaccadeParams,
+    replace,
 )
 
 # The standard normal quantile of 1 - 1e-7. gamma_tail puts the end of a

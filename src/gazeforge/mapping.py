@@ -3,17 +3,16 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GazeTrace, RandomSource, SampledSignal, TargetSet
-from .core import effective_labels, label_runs
+from .core import effective_labels, label_runs, window_means
 from .errors import MappingError, ParameterError
-from .params import REMAP_NEW_STIMULUS, REMAP_SAME_STIMULUS, MappingParams, MovementLabel
+from .params import REMAP_NEW_STIMULUS, REMAP_SAME_STIMULUS, MappingParams, MovementLabel, record
 
 
-@dataclass
+@record
 class SceneTargets:
     """Fixation targets per frame, as (frame_time, targets) in time order; a
     static stimulus is one frame at t = 0. No frame is empty; all have one size."""
@@ -319,18 +318,11 @@ def extract_velocities(trace: GazeTrace) -> np.ndarray:
 
 def fixation_centroids(trace: GazeTrace) -> TargetSet:
     """Centroids of the trace's fixation runs, weight 1 each."""
-    eff = effective_labels(trace.labels)
-    pts = []
-    for start, end, label in label_runs(eff):
-        if label == MovementLabel.FIXATION:
-            pts.append(
-                (
-                    float(trace.x[start:end].mean()),
-                    float(trace.y[start:end].mean()),
-                    1.0,
-                )
-            )
-    return TargetSet(pts, width=trace.width, height=trace.height)
+    runs = [(s, e) for s, e, lab in label_runs(effective_labels(trace.labels))
+            if lab == MovementLabel.FIXATION]
+    lo, hi = np.array(runs, dtype=np.intp).reshape(-1, 2).T
+    xs, ys = (window_means(v, lo, hi).tolist() for v in (trace.x, trace.y))
+    return TargetSet([(x, y, 1.0) for x, y in zip(xs, ys)], trace.width, trace.height)
 
 
 def _median(a: np.ndarray) -> float:

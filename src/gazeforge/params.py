@@ -1,6 +1,6 @@
 """The run's vocabulary without numpy: movement labels, bounded
-distributions, every stage's parameter dataclass and the constants that the
-config check needs.
+distributions, every stage's parameter type (a ``record``: no dataclass
+code to compile at start) and the constants that the config check needs.
 
 A config check, ``--help`` and a config error load only this module,
 ``errors`` and ``config``, so they pay no numpy import. The stage
@@ -9,10 +9,70 @@ modules import these types from here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from types import SimpleNamespace
 
 from .errors import ParameterError, ParseError
+
+
+MISSING = object()  # the default of a field that has none
+
+
+def record(cls=None, *, frozen: bool = False):
+    """Make ``cls`` a value type over its annotated fields, like ``dataclass``
+    but from shared methods, not code compiled per class at every CLI start:
+    ``__init__`` (by position or keyword, a fresh copy of a list default, then
+    ``__post_init__``), ``__eq__`` and ``__repr__``; a frozen type also hashes
+    its fields and refuses to assign or delete an attribute."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__annotations__)  # its own: no record subclasses another
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    assign = object.__setattr__ if frozen else setattr
+
+    def values(self) -> tuple:
+        return tuple([getattr(self, n) for n in names])
+
+    def frozen_field(self, key, *value):
+        raise AttributeError(f"cannot assign to or delete field {key!r}")
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args), **kwargs)
+        # Too many, repeated, unknown or missing arguments.
+        if len(given) != len(args) + len(kwargs) or given.keys() | defaults.keys() != set(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        for n in names:
+            if n not in given:  # a default; a list is copied
+                given[n] = list(defaults[n]) if type(defaults[n]) is list else defaults[n]
+            assign(self, n, given[n])
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return values(self) == values(other) if same else NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = (lambda self: hash(values(self))) if frozen else None  # as dataclass
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = frozen_field
+    cls._fields = tuple(SimpleNamespace(name=n, default=defaults.get(n, MISSING)) for n in names)
+    return cls
+
+
+def fields(obj) -> tuple:
+    """A record's fields in order, each with a ``name`` and ``default`` (or MISSING)."""
+    return obj._fields
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with ``changes``, checked by its ``__init__``."""
+    return obj.__class__(**{**{f.name: getattr(obj, f.name) for f in fields(obj)}, **changes})
 
 
 class MovementLabel(IntEnum):
@@ -37,7 +97,7 @@ class DistKind(IntEnum):
     NORMAL = 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoundedDistribution:
     """A clamped random source: uniform on [min, max] or a normal centered
     at the bound midpoint with the given std, clamped into [min, max]."""
@@ -70,7 +130,7 @@ class BoundedDistribution:
         return cls(DistKind.UNIFORM, value, value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrderingRule:
     """AFTER_EACH: every `first` is immediately followed by `second`.
     BEFORE: every `second` is immediately preceded by `first`."""
@@ -94,13 +154,13 @@ class OrderingRule:
         return f"before each {self.second.name} a {self.first.name}"
 
 
-@dataclass
+@record
 class SequenceSpec:
     """Either target quantities per type, a total length (uniform mode),
     or a fully explicit sequence."""
 
     counts: dict[MovementLabel, int] | None = None
-    constraints: list[OrderingRule] = field(default_factory=list)
+    constraints: list[OrderingRule] = []  # a fresh list per instance
     explicit: list[MovementLabel] | None = None
     length: int | None = None
 
@@ -127,7 +187,7 @@ class PursuitTrend(Enum):
     LINEAR_DECREASING = "linear_decreasing"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FixationParams:
     duration: BoundedDistribution  # seconds
     base_velocity: float  # deg/s, mean drift level
@@ -140,7 +200,7 @@ class FixationParams:
             raise ParameterError("fixation.base_velocity must be >= 0")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SaccadeParams:
     duration: BoundedDistribution  # seconds
     peak_velocity: BoundedDistribution  # deg/s
@@ -156,7 +216,7 @@ class SaccadeParams:
             raise ParameterError("saccade.skewness must have min > 0")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PursuitParams:
     duration: BoundedDistribution  # seconds
     velocity: BoundedDistribution  # deg/s plateau
@@ -186,7 +246,7 @@ MAX_GAMMA_SHAPE = 1e8
 MIN_SKEWNESS = 2.0 / math.sqrt(MAX_GAMMA_SHAPE)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RateSpec:
     """Target sampling rate; min == max gives a constant rate, otherwise the
     instantaneous rate is re-drawn for every output sample."""
@@ -202,7 +262,7 @@ MODE_REPLACE = "replace"
 MODE_ADD = "add"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoiseSpec:
     fraction: float  # portion of samples affected, [0, 1]
     location_dist: DistKind  # placement of affected indices
@@ -219,7 +279,7 @@ class NoiseSpec:
             raise ParameterError("noise burst_length must be >= 1")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MappingParams:
     pixels_per_degree: float = 30.0
     max_path_deviation: float = 0.0  # px, off the straight line

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import RandomSource, SampledSignal, sample_bounded_many
+from .core import RandomSource, SampledSignal, sample_bounded_many, window_means
 from .errors import ParameterError
 from .params import RateSpec
 
@@ -58,22 +58,6 @@ def _window_ends(n: int, base_rate: float, spec: RateSpec, rng: RandomSource):
             f"at t={t[0]:.6g} s"
         )
     return t[:end], lo[:end].astype(np.intp), hi[:end].astype(np.intp)
-
-
-def _window_means(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-window ``v[lo:hi].mean()``, bit for bit.
-
-    Windows are gathered into one 2-D block per width, whose row means sum
-    in the same (pairwise) order as a 1-D ``.mean()``.
-    """
-    widths = hi - lo
-    means = np.empty(len(lo))
-    order = np.argsort(widths, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
-    for sel in groups:
-        if len(sel):
-            means[sel] = v[lo[sel, None] + np.arange(widths[sel[0]])].mean(axis=1)
-    return means
 
 
 def _majority(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -137,6 +121,6 @@ def resample(
     t, lo, hi = _window_ends(n, profile.base_rate, spec, rng)
     return SampledSignal(
         t,
-        _window_means(profile.velocities, lo, hi),
+        window_means(profile.velocities, lo, hi),
         _window_labels(profile.labels, lo, hi),
     )

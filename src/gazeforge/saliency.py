@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RandomSource, TargetSet
 from .errors import ParameterError
+from .params import record
 
 WORKING_WIDTH = 64  # downscale width used by the spectral-residual method
 _RESIZE_BLOCK_ROWS = 32  # output rows per block of the bilinear resize
@@ -18,7 +18,7 @@ _MAX_CELL_SHARE = 1 / 8
 _NEIGHBOURS = np.array([(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx])
 
 
-@dataclass
+@record
 class SaliencyMap:
     """Normalized scalar conspicuity field over a stimulus image."""
 

@@ -16,6 +16,12 @@ Neither may a subcommand load ``numpy.ma`` (13-17 ms): ``np.median`` and
 ``np.percentile`` import it, so remap and evaluate take their quantiles
 from ``np.partition`` instead. Nor may ``import gazeforge.cli`` load
 ``difflib``, which only words the "did you mean" hint of a config error.
+Nor may ``import gazeforge.cli`` and a config check load ``dataclasses``
+(with the ``inspect``, ``ast`` and ``dis`` it pulls in, and an ``exec`` per
+method of every class) or ``argparse``, which only ``cli.main`` needs. The
+value types are ``params.record`` classes; a table pins the behaviour they
+share with the dataclasses they replace, and a source scan finds no
+``dataclasses`` import, ``exec`` or ``eval`` in the package.
 
 Nor may anything that stops before a stage runs load numpy (about 250 ms of
 a 350 ms start): ``import gazeforge`` or ``gazeforge.cli``, the config
@@ -74,6 +80,19 @@ def test_cli_import_loads_no_heavy_scipy_module():
 
 def test_cli_import_loads_no_difflib():
     assert _python("import gazeforge.cli\nprint(json.dumps('difflib' in sys.modules))\n") is False
+
+
+def test_cli_import_and_config_check_load_no_dataclasses_inspect_or_argparse(tmp_path):
+    # The benchmark's set-up child: no class is built through exec.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "sequence": {"counts": {"fixation": 4}}}))
+    assert _python(
+        "import gazeforge.cli\n"
+        "from gazeforge import config\n"
+        f"config.check_paths(config.read_config(open({str(cfg)!r}).read()))\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect', 'argparse') "
+        "if m in sys.modules]))\n"
+    ) == []
 
 
 def _run_case(case: str, tmp_path, *exprs: str) -> list:
@@ -231,6 +250,23 @@ def test_no_module_imports_scipy():
     assert [name for name, text in _sources() if pattern.search(text)] == []
 
 
+def test_no_module_imports_dataclasses_or_calls_exec_or_eval():
+    offenders = []
+    for name, text in _sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                modules = [f"{node.func.id}()"]
+            else:
+                continue
+            offenders += [f"{name}:{node.lineno}: {m}" for m in modules
+                          if m.split(".")[0] == "dataclasses" or m in ("exec()", "eval()")]
+    assert offenders == []
+
+
 def test_no_module_imports_a_private_name_of_a_sibling():
     offenders = []
     for name, text in _sources():
@@ -316,3 +352,155 @@ def test_library_imports_leave_the_environment_alone(tmp_path):
         "print(json.dumps(dict(os.environ) == before))\n",
         env=_env_without_thread_vars(),
     ) is True
+
+
+# --- the value types ----------------------------------------------------------
+
+def _record_table():
+    """(type, its field values in order, the defaults among them, a valid
+    change of one field, a change that __post_init__ refuses and its message)."""
+    import numpy as np
+
+    from gazeforge import config
+    from gazeforge.core import GazeTrace, TargetSet
+    from gazeforge.evaluation import ErrorSummary, TypeStats
+    from gazeforge.mapping import SceneTargets
+    from gazeforge.params import (
+        BoundedDistribution as BD, DistKind, FixationParams, MappingParams, MovementLabel,
+        NoiseSpec, OrderingRule, PursuitParams, PursuitTrend, RateSpec, SaccadeParams,
+        SequenceSpec,
+    )
+    from gazeforge.saliency import SaliencyMap
+
+    FIX, SACC = MovementLabel.FIXATION, MovementLabel.SACCADE
+    dist, zero = BD.uniform(0.1, 0.2), BD.fixed(0.0)
+    rule = OrderingRule(OrderingRule.AFTER_EACH, SACC, FIX)
+    run = config.read_config('{"seed": 3}')
+    targets = TargetSet([(1.0, 2.0, 1.0)], 4, 3)
+    one = np.array([0.5])
+    return [
+        (BD, dict(kind=DistKind.NORMAL, min=0.0, max=2.0, std=0.5), dict(std=0.0),
+         dict(std=1.0), dict(min=3.0), "distribution min 3.0 exceeds max 2.0"),
+        (OrderingRule, dict(kind="before", first=FIX, second=SACC), {},
+         dict(kind="after_each"), dict(second=FIX), "ordering rule types must differ"),
+        # counts defaults to None too, but a spec needs counts, length or explicit.
+        (SequenceSpec, dict(counts={FIX: 2}, constraints=[rule], explicit=None, length=None),
+         dict(constraints=[], explicit=None, length=None), dict(counts={FIX: 3}),
+         dict(counts={FIX: -1}), "sequence counts must be non-negative"),
+        (FixationParams, dict(duration=dist, base_velocity=1.0, consistency=zero), {},
+         dict(base_velocity=2.0), dict(base_velocity=-1.0),
+         "fixation.base_velocity must be >= 0"),
+        (SaccadeParams, dict(duration=dist, peak_velocity=dist, skewness=dist, consistency=zero),
+         {}, dict(consistency=dist), dict(skewness=zero), "saccade.skewness must have min > 0"),
+        (PursuitParams, dict(duration=dist, velocity=dist, onset_duration=dist,
+                             trend=PursuitTrend.CONSTANT, trend_end_velocity=dist,
+                             consistency=zero),
+         {}, dict(trend=PursuitTrend.LINEAR_INCREASING), dict(onset_duration=zero),
+         "pursuit.onset_duration must have min > 0"),
+        (RateSpec, dict(rate=BD.uniform(250.0, 300.0)), {}, dict(rate=dist), dict(rate=zero),
+         "sampling rate must have min > 0"),
+        (NoiseSpec, dict(fraction=0.1, location_dist=DistKind.NORMAL, magnitude=dist,
+                         mode="add", burst_length=2),
+         dict(mode="replace", burst_length=1), dict(fraction=0.2), dict(fraction=1.5),
+         "noise fraction must be in [0,1], got 1.5"),
+        (MappingParams, dict(pixels_per_degree=20.0, max_path_deviation=1.0,
+                             fixation_dispersion=2.0, target_jitter_px=3.0),
+         dict(pixels_per_degree=30.0, max_path_deviation=0.0, fixation_dispersion=0.0,
+              target_jitter_px=5.0),
+         dict(target_jitter_px=4.0), dict(pixels_per_degree=0.0),
+         "pixels_per_degree must be > 0"),
+        (config.Paths, {k: f"{k}.x" for k in (
+            "stimulus", "saliency_map", "frames_dir", "real_data", "velocity_input",
+            "output", "targets_output", "errors_output")},
+         dict.fromkeys(("stimulus", "saliency_map", "frames_dir", "real_data",
+                        "velocity_input", "output", "targets_output", "errors_output")),
+         dict(output="o.csv"), None, None),
+        (config.MappingConfig, dict(params=MappingParams(), min_target_distance=10.0,
+                                    target_threshold=0.1, remap_mode="same_stimulus",
+                                    frame_rate=30.0),
+         {}, dict(frame_rate=25.0), None, None),
+        (config.RunConfig, {k: getattr(run, k) for k in (
+            "mode", "seed", "base_rate_hz", "sequence", "fixation", "saccade", "pursuit",
+            "rate", "noise", "mapping", "paths")},
+         {}, dict(seed=4), None, None),
+        (GazeTrace, dict(timestamps=np.array([0.0]), x=one, y=one,
+                         labels=np.array([0], dtype=np.uint8), width=4, height=3,
+                         pixels_per_degree=30.0),
+         {}, dict(width=5), dict(x=np.array([1.0, 2.0])),
+         "gaze trace arrays must have equal length"),
+        (TargetSet, dict(points=[(1.0, 2.0, 1.0)], width=4, height=3),
+         dict(points=[], width=0, height=0), dict(height=2), None, None),
+        (TypeStats, dict(count=3, mean=1.0, median=1.0, q1=0.5, q3=1.5, whisker_low=0.0,
+                         whisker_high=2.0, min=0.0, max=2.0),
+         {}, dict(count=4), None, None),
+        (ErrorSummary, dict(per_type={}, pooled={}), {}, dict(pooled={FIX: one}), None, None),
+        (SceneTargets, dict(frames=[(0.0, targets)], frame_rate=30.0), dict(frame_rate=0.0),
+         dict(frame_rate=25.0), dict(frames=[]), "a scene needs at least one frame"),
+        (SaliencyMap, dict(values=np.array([[0.5]])), {}, dict(values=np.array([[0.25]])),
+         dict(values=one), "saliency map must be a 2D grid"),
+    ]
+
+
+_FROZEN = {"BoundedDistribution", "OrderingRule", "FixationParams", "SaccadeParams",
+           "PursuitParams", "RateSpec", "NoiseSpec", "MappingParams", "TypeStats"}
+
+
+def test_record_table_names_every_value_type():
+    names = [row[0].__name__ for row in _record_table()]
+    assert len(names) == len(set(names)) == 18
+    assert _FROZEN <= set(names)
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_record_type_behaves_as_its_dataclass(index):
+    from gazeforge.errors import ParameterError
+    from gazeforge.params import fields, replace
+
+    cls, values, defaults, change, bad, message = _record_table()[index]
+    obj = cls(**values)
+    assert [f.name for f in fields(cls)] == [f.name for f in fields(obj)] == list(values)
+    assert all(getattr(obj, n) is v or getattr(obj, n) == v for n, v in values.items())
+    # Positional binding, and refused bindings.
+    assert cls(*values.values()) == obj
+    first = next(iter(values))
+    for args, kwargs in [((*values.values(), None), {}), ((), {**values, "no_such": 1}),
+                         ((values[first],), values)]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    if not defaults:
+        with pytest.raises(TypeError):
+            cls(*list(values.values())[1:])
+    # Defaults, and a fresh list for each instance.
+    a, b = (cls(**{n: v for n, v in values.items() if n not in defaults}) for _ in "ab")
+    assert {n: getattr(a, n) for n in defaults} == defaults
+    for n, default in defaults.items():
+        if isinstance(default, list):
+            assert getattr(a, n) is not getattr(b, n)
+            getattr(a, n).append(None)
+            assert getattr(b, n) == [] and cls.__dict__.get(n, []) == []
+    # Equality, replace and repr.
+    changed = replace(obj, **change)
+    assert changed != obj and changed.__class__ is cls
+    assert replace(changed, **{n: values[n] for n in change}) == obj
+    assert {n: getattr(changed, n) is getattr(obj, n) for n in values if n not in change} == {
+        n: True for n in values if n not in change}
+    assert (obj == object()) is False and (obj != object()) is True
+    shown = ", ".join(f"{n}={getattr(obj, n)!r}" for n in values)
+    assert repr(obj) == f"{cls.__qualname__}({shown})"
+    # Hashing and assignment: frozen types are immutable and hashable.
+    if cls.__name__ in _FROZEN:
+        assert hash(obj) == hash(cls(**values))
+        for act in (lambda: setattr(obj, first, values[first]), lambda: delattr(obj, first)):
+            with pytest.raises(AttributeError):
+                act()
+        assert getattr(obj, first) is values[first]
+    else:
+        with pytest.raises(TypeError):
+            hash(obj)
+        setattr(changed, first, values[first])
+        assert getattr(changed, first) is values[first]
+    # __post_init__ runs on construction and on replace, with its messages.
+    if bad is not None:
+        with pytest.raises(ParameterError) as info:
+            replace(obj, **bad)
+        assert str(info.value) == message

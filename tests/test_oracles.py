@@ -78,6 +78,7 @@ from gazeforge.mapping import (
     _progress,
     _walks,
     extract_velocities,
+    fixation_centroids,
     fixation_walk,
     map_to_gaze,
 )
@@ -287,6 +288,52 @@ def test_label_runs_matches_loop(labels):
     want = label_runs_loop(labels)
     assert got == want
     assert all(type(v) is int for run in got for v in run)
+
+
+# --- fixation centroids ---
+
+def fixation_centroids_loop(trace: GazeTrace) -> TargetSet:
+    """One ``.mean()`` of x and of y per fixation run."""
+    pts = []
+    for start, end, label in label_runs(effective_labels(trace.labels)):
+        if label == MovementLabel.FIXATION:
+            pts.append((float(trace.x[start:end].mean()), float(trace.y[start:end].mean()), 1.0))
+    return TargetSet(pts, width=trace.width, height=trace.height)
+
+
+def _runs(rng) -> list[int]:
+    """Labels of runs of 1 to 420 samples, cycling FIX, SACC, SP, with a lead
+    of NOISE and NOISE bursts inside runs."""
+    lengths = np.concatenate([rng.integers(1, 9, 30), rng.integers(9, 130, 10),
+                              rng.integers(300, 421, 4)])
+    labels = [NOISE] * int(rng.integers(1, 4))
+    for i, length in enumerate(rng.permutation(lengths)):
+        labels += [i % 3] * int(length)
+        if rng.random() < 0.3:
+            labels[-1:-1] = [NOISE] * int(rng.integers(1, 5))
+    return labels
+
+
+@pytest.mark.parametrize("labels", [
+    *(pytest.param(seed, id=f"mixed{seed}") for seed in range(5)),
+    pytest.param([0], id="one-sample"),
+    pytest.param([NOISE] * 3 + [0] * 5, id="noise-then-one-run"),
+    pytest.param([0] * 10000, id="one-long-run"),
+    pytest.param([1] * 7, id="no-fixation"),
+    pytest.param([NOISE, 0, NOISE, 1, NOISE, 0], id="noise-everywhere"),
+])
+def test_fixation_centroids_match_loop(labels):
+    rng = np.random.default_rng(labels if isinstance(labels, int) else len(labels))
+    if isinstance(labels, int):
+        labels = _runs(rng)
+    n = len(labels)
+    # Coordinates of mixed magnitude, so that a change of summation order shows.
+    x, y = (rng.uniform(-1e4, 1e4, n) * 10.0 ** rng.integers(-6, 7, n) for _ in "xy")
+    trace = GazeTrace(np.arange(n) / 250.0, x, y, np.array(labels, dtype=np.uint8), 64, 48, 30.0)
+    got, want = fixation_centroids(trace), fixation_centroids_loop(trace)
+    assert (got.width, got.height) == (want.width, want.height)
+    assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
+    assert all(type(v) is float for p in got.points for v in p)
 
 
 # --- velocity extraction ---
